@@ -5,6 +5,10 @@ cd "$(dirname "$0")"
 
 cargo build --release
 cargo test --workspace -q
+# The end-to-end benchmark is a separate package outside the workspace:
+# build and test it here so a change to a public item it calls fails CI
+# instead of only the benchmark gate.
+cargo test --release -q --offline --manifest-path e2e-bench/Cargo.toml
 # Rustdoc examples are part of the contract (amgen-core and amgen-trace
 # warn on missing docs; their doc-examples must keep compiling and passing).
 cargo test --doc --workspace -q

@@ -1,9 +1,10 @@
 use amgen_amp::build_amplifier;
+use amgen_core::GenCtx;
 use amgen_tech::Tech;
 use std::time::Instant;
 
 fn main() {
-    let t = Tech::bicmos_1u();
+    let t = GenCtx::from_tech(&Tech::bicmos_1u());
     let t0 = Instant::now();
     let (amp, _) = build_amplifier(&t).unwrap();
     eprintln!("total {:?} ({} shapes)", t0.elapsed(), amp.len());

@@ -1,6 +1,6 @@
 //! Block generation, placement and assembly of the amplifier.
 
-use amgen_core::{GenCtx, IntoGenCtx};
+use amgen_core::GenCtx;
 use amgen_db::LayoutObject;
 use amgen_drc::{latchup, Drc, ViolationKind};
 use amgen_extract::Extractor;
@@ -59,8 +59,7 @@ fn prep(
 /// streets, supply rails below, a signal channel above, and the global
 /// routes of the signal path (all vertical wiring on metal1 in the
 /// streets, all horizontal wiring on metal2 — see [`crate::routing`]).
-pub fn build_amplifier(tech: impl IntoGenCtx) -> Result<(LayoutObject, AmpReport), ModgenError> {
-    let tech = &tech.into_gen_ctx();
+pub fn build_amplifier(tech: &GenCtx) -> Result<(LayoutObject, AmpReport), ModgenError> {
     // ---- module generation (per-block matching styles of §3) ----------
     let block_a = cascode_pair(
         tech,
@@ -316,10 +315,7 @@ pub fn build_amplifier(tech: impl IntoGenCtx) -> Result<(LayoutObject, AmpReport
 /// stage (block G); everything else is generated from the same module
 /// library — the system-level demonstration that the whole flow, not
 /// just single modules, is technology independent.
-pub fn build_amplifier_cmos(
-    tech: impl IntoGenCtx,
-) -> Result<(LayoutObject, AmpReport), ModgenError> {
-    let tech = &tech.into_gen_ctx();
+pub fn build_amplifier_cmos(tech: &GenCtx) -> Result<(LayoutObject, AmpReport), ModgenError> {
     let block_a = cascode_pair(
         tech,
         &CascodeParams::new(MosType::N).with_w(um(8)).with_fingers(2),
@@ -517,8 +513,8 @@ mod tests {
     use super::*;
     use amgen_tech::Tech;
 
-    fn amp() -> (Tech, LayoutObject, AmpReport) {
-        let t = Tech::bicmos_1u();
+    fn amp() -> (GenCtx, LayoutObject, AmpReport) {
+        let t = GenCtx::from_tech(&Tech::bicmos_1u());
         let (a, r) = build_amplifier(&t).unwrap();
         (t, a, r)
     }
@@ -606,7 +602,7 @@ mod cmos_tests {
 
     #[test]
     fn cmos_variant_builds_clean_in_cmos_08() {
-        let t = Tech::cmos_08();
+        let t = GenCtx::from_tech(&Tech::cmos_08());
         let (amp, report) = build_amplifier_cmos(&t).unwrap();
         assert!(amp.len() > 300);
         assert_eq!(report.shorts, 0, "{report:?}");
@@ -616,7 +612,7 @@ mod cmos_tests {
 
     #[test]
     fn cmos_variant_signal_reaches_output_stage() {
-        let t = Tech::cmos_08();
+        let t = GenCtx::from_tech(&Tech::cmos_08());
         let (amp, _) = build_amplifier_cmos(&t).unwrap();
         let nets = Extractor::new(&t).connectivity(&amp);
         let outl = nets
@@ -636,7 +632,7 @@ mod cmos_tests {
     fn cmos_variant_also_works_in_bicmos_deck() {
         // The CMOS variant only uses MOS modules, so it generates in the
         // BiCMOS deck too.
-        let t = Tech::bicmos_1u();
+        let t = GenCtx::from_tech(&Tech::bicmos_1u());
         let (_, report) = build_amplifier_cmos(&t).unwrap();
         assert_eq!(report.shorts, 0);
     }

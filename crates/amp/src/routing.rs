@@ -12,21 +12,20 @@
 //! device columns; vertical metal1 freely crosses the metal2 rails,
 //! tracks and bus stubs of other nets — all crossings are inter-layer.
 
-use amgen_core::IntoGenCtx;
+use amgen_core::GenCtx;
 use amgen_db::{LayoutObject, Shape};
 use amgen_geom::{Coord, Point, Rect};
 use amgen_route::Router;
 
 /// Pushes a horizontal metal2 segment (centred on `y`) and returns it.
 pub fn h_m2(
-    tech: impl IntoGenCtx,
+    tech: &GenCtx,
     obj: &mut LayoutObject,
     net: &str,
     y: Coord,
     xa: Coord,
     xb: Coord,
 ) -> Rect {
-    let tech = tech.into_gen_ctx();
     let m2 = tech.metal2().expect("metal2 exists");
     let w = tech.min_width(m2).max(2_000);
     let r = Rect::new(xa.min(xb), y - w / 2, xa.max(xb), y - w / 2 + w);
@@ -37,14 +36,13 @@ pub fn h_m2(
 
 /// Pushes a vertical metal1 segment (centred on `x`) and returns it.
 pub fn v_m1(
-    tech: impl IntoGenCtx,
+    tech: &GenCtx,
     obj: &mut LayoutObject,
     net: &str,
     x: Coord,
     ya: Coord,
     yb: Coord,
 ) -> Rect {
-    let tech = tech.into_gen_ctx();
     let m1 = tech.metal1().expect("metal1 exists");
     let w = tech.min_width(m1).max(2_000);
     let r = Rect::new(x - w / 2, ya.min(yb), x - w / 2 + w, ya.max(yb));
@@ -54,14 +52,8 @@ pub fn v_m1(
 }
 
 /// Places a metal1↔metal2 via stack at `p`.
-pub fn via(
-    tech: impl IntoGenCtx,
-    obj: &mut LayoutObject,
-    net: &str,
-    p: Point,
-) -> Result<(), String> {
-    let tech = tech.into_gen_ctx();
-    let router = Router::new(&tech);
+pub fn via(tech: &GenCtx, obj: &mut LayoutObject, net: &str, p: Point) -> Result<(), String> {
+    let router = Router::new(tech);
     let m1 = tech.metal1().map_err(|e| e.to_string())?;
     let m2 = tech.metal2().map_err(|e| e.to_string())?;
     let v = tech.via1().map_err(|e| e.to_string())?;
@@ -82,18 +74,17 @@ pub fn bus_end(rect: Rect, east: bool) -> Point {
 /// east/west end to `street_x`, with a via stack there. Returns the via
 /// point (on both metal1 and metal2).
 pub fn tap(
-    tech: impl IntoGenCtx,
+    tech: &GenCtx,
     obj: &mut LayoutObject,
     net: &str,
     port_rect: Rect,
     east: bool,
     street_x: Coord,
 ) -> Result<Point, String> {
-    let tech = tech.into_gen_ctx();
     let end = bus_end(port_rect, east);
-    h_m2(&tech, obj, net, end.y, end.x, street_x);
+    h_m2(tech, obj, net, end.y, end.x, street_x);
     let p = Point::new(street_x, end.y);
-    via(&tech, obj, net, p)?;
+    via(tech, obj, net, p)?;
     Ok(p)
 }
 
@@ -101,18 +92,17 @@ pub fn tap(
 /// port inside an unguarded module): metal2 from `street_x` to the
 /// column's centre at `entry_y`, via down into the column.
 pub fn enter_column(
-    tech: impl IntoGenCtx,
+    tech: &GenCtx,
     obj: &mut LayoutObject,
     net: &str,
     column: Rect,
     entry_y: Coord,
     street_x: Coord,
 ) -> Result<Point, String> {
-    let tech = tech.into_gen_ctx();
     let cx = column.center().x;
-    h_m2(&tech, obj, net, entry_y, street_x, cx);
-    via(&tech, obj, net, Point::new(cx, entry_y))?;
-    via(&tech, obj, net, Point::new(street_x, entry_y))?;
+    h_m2(tech, obj, net, entry_y, street_x, cx);
+    via(tech, obj, net, Point::new(cx, entry_y))?;
+    via(tech, obj, net, Point::new(street_x, entry_y))?;
     Ok(Point::new(street_x, entry_y))
 }
 
@@ -125,7 +115,7 @@ mod tests {
 
     #[test]
     fn tap_plus_drop_connects_a_bus_to_a_rail() {
-        let t = Tech::bicmos_1u();
+        let t = GenCtx::from_tech(&Tech::bicmos_1u());
         let m2 = t.layer("metal2").unwrap();
         let mut obj = LayoutObject::new("x");
         let sig = obj.net("sig");
@@ -142,7 +132,7 @@ mod tests {
 
     #[test]
     fn vertical_m1_crosses_foreign_m2_without_connecting() {
-        let t = Tech::bicmos_1u();
+        let t = GenCtx::from_tech(&Tech::bicmos_1u());
         let mut obj = LayoutObject::new("x");
         h_m2(&t, &mut obj, "a", um(5), 0, um(20));
         v_m1(&t, &mut obj, "b", um(10), 0, um(10));
@@ -159,7 +149,7 @@ mod tests {
 
     #[test]
     fn enter_column_lands_on_metal1() {
-        let t = Tech::bicmos_1u();
+        let t = GenCtx::from_tech(&Tech::bicmos_1u());
         let m1 = t.layer("metal1").unwrap();
         let mut obj = LayoutObject::new("x");
         let sig = obj.net("sig");

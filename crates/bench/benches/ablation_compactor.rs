@@ -78,7 +78,7 @@ fn full_graph(tech: &GenCtx, n: usize) -> i64 {
 
 fn bench_ablation(c: &mut Criterion) {
     let tech = workloads::tech();
-    let ctx = (&tech).into_gen_ctx();
+    let ctx = GenCtx::from_tech(&tech);
     let mut g = c.benchmark_group("ablation/compactor");
     for n in [8usize, 16, 32] {
         g.bench_with_input(BenchmarkId::new("successive", n), &n, |b, &n| {

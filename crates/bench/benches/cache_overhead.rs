@@ -180,11 +180,11 @@ fn main() {
     ];
     let cold_cache = Arc::new(GenCache::new());
     let cold_opt = Optimizer::new(
-        GenCtx::from_tech(&tech).with_cache(Arc::clone(&cold_cache)),
+        &GenCtx::from_tech(&tech).with_cache(Arc::clone(&cold_cache)),
         RatingWeights::default(),
     );
     let warm_opt = Optimizer::new(
-        GenCtx::from_tech(&tech).with_default_cache(),
+        &GenCtx::from_tech(&tech).with_default_cache(),
         RatingWeights::default(),
     );
     warm_opt

@@ -124,7 +124,7 @@ fn fitted_exponent(points: &[(f64, f64)]) -> f64 {
 
 fn main() {
     let tech = workloads::tech();
-    let ctx = (&tech).into_gen_ctx();
+    let ctx = GenCtx::from_tech(&tech);
 
     // ---- latch-up scaling: scan vs indexed over the stripe sweep -----
     let mut indexed_points: Vec<(f64, f64)> = Vec::new();

@@ -31,7 +31,7 @@ fn bench_subtraction(c: &mut Criterion) {
 
 fn bench_cover_check(c: &mut Criterion) {
     let tech = workloads::tech();
-    let ctx = (&tech).into_gen_ctx();
+    let ctx = GenCtx::from_tech(&tech);
     let mut g = c.benchmark_group("fig01/latchup_check");
     for n in [8usize, 32, 128] {
         let obj = workloads::latchup_workload(&tech, n, 3);
@@ -44,7 +44,7 @@ fn bench_cover_check(c: &mut Criterion) {
 
 fn bench_violation_report(c: &mut Criterion) {
     let tech = workloads::tech();
-    let ctx = (&tech).into_gen_ctx();
+    let ctx = GenCtx::from_tech(&tech);
     // Sparse contacts: the check must produce remainder rectangles.
     let obj = workloads::latchup_workload(&tech, 64, 64);
     c.bench_function("fig01/latchup_violations", |b| {

@@ -13,7 +13,7 @@ use std::hint::black_box;
 
 fn bench_variants(c: &mut Criterion) {
     let tech = workloads::tech();
-    let ctx = (&tech).into_gen_ctx();
+    let ctx = GenCtx::from_tech(&tech);
     let poly = tech.layer("poly").unwrap();
     let variants: [(&str, ContactRowParams); 3] = [
         ("defaults", ContactRowParams::new()),
@@ -34,7 +34,7 @@ fn bench_variants(c: &mut Criterion) {
 
 fn bench_width_scaling(c: &mut Criterion) {
     let tech = workloads::tech();
-    let ctx = (&tech).into_gen_ctx();
+    let ctx = GenCtx::from_tech(&tech);
     let poly = tech.layer("poly").unwrap();
     let mut g = c.benchmark_group("fig03/width_scaling");
     for w in [um(4), um(16), um(64)] {
@@ -48,8 +48,9 @@ fn bench_width_scaling(c: &mut Criterion) {
 
 fn bench_dsl_interpreter(c: &mut Criterion) {
     let tech = workloads::tech();
+    let ctx = GenCtx::from_tech(&tech);
     c.bench_function("fig03/dsl_interpreted", |b| {
-        let mut i = Interpreter::new(&tech);
+        let mut i = Interpreter::new(ctx.clone());
         i.load(stdlib::FIG2_CONTACT_ROW).unwrap();
         b.iter(|| {
             let out = i

@@ -12,7 +12,7 @@ use std::hint::black_box;
 
 /// Builds the Fig. 5b scene: a wide vertical contact row with variable
 /// (or fixed) east edges, and a metal stripe to compact against it.
-fn scene(tech: &Tech, variable: bool) -> (LayoutObject, LayoutObject) {
+fn scene(tech: &GenCtx, variable: bool) -> (LayoutObject, LayoutObject) {
     let poly = tech.layer("poly").unwrap();
     let mut params = ContactRowParams::new().with_w(um(4)).with_l(um(12));
     if variable {
@@ -28,11 +28,12 @@ fn scene(tech: &Tech, variable: bool) -> (LayoutObject, LayoutObject) {
 
 fn bench_fixed_vs_variable(c: &mut Criterion) {
     let tech = workloads::tech();
+    let ctx = GenCtx::from_tech(&tech);
     let mut g = c.benchmark_group("fig05/compaction_step");
     for (name, variable) in [("fixed_edges", false), ("variable_edges", true)] {
-        let (row, probe) = scene(&tech, variable);
+        let (row, probe) = scene(&ctx, variable);
         g.bench_function(name, |b| {
-            let comp = Compactor::new(&tech);
+            let comp = Compactor::new(&ctx);
             b.iter(|| {
                 let mut main = LayoutObject::new("main");
                 comp.compact(&mut main, &row, Dir::West, &CompactOptions::new())
@@ -50,12 +51,13 @@ fn bench_fixed_vs_variable(c: &mut Criterion) {
 fn bench_autoconnect_merge(c: &mut Criterion) {
     // Fig. 5a: same-potential rectangles merge during compaction.
     let tech = workloads::tech();
+    let ctx = GenCtx::from_tech(&tech);
     let m1 = tech.layer("metal1").unwrap();
     let mut strip = LayoutObject::new("strip");
     let vdd = strip.net("vdd");
     strip.push(Shape::new(m1, Rect::new(0, 0, um(20), um(2))).with_net(vdd));
     c.bench_function("fig05/same_potential_merge", |b| {
-        let comp = Compactor::new(&tech);
+        let comp = Compactor::new(&ctx);
         b.iter(|| {
             let mut main = LayoutObject::new("main");
             for _ in 0..8 {

@@ -13,7 +13,7 @@ use std::hint::black_box;
 
 fn bench_native(c: &mut Criterion) {
     let tech = workloads::tech();
-    let ctx = (&tech).into_gen_ctx();
+    let ctx = GenCtx::from_tech(&tech);
     c.bench_function("fig06/native_diff_pair", |b| {
         let p = DiffPairParams::new(MosType::P).with_w(um(10)).with_l(um(2));
         b.iter(|| black_box(diff_pair(&ctx, &p).unwrap()).len())
@@ -22,8 +22,9 @@ fn bench_native(c: &mut Criterion) {
 
 fn bench_dsl(c: &mut Criterion) {
     let tech = workloads::tech();
+    let ctx = GenCtx::from_tech(&tech);
     c.bench_function("fig06/dsl_diff_pair", |b| {
-        let mut i = Interpreter::new(&tech);
+        let mut i = Interpreter::new(ctx.clone());
         i.load(stdlib::FIG2_CONTACT_ROW).unwrap();
         i.load(stdlib::FIG7_DIFF_PAIR).unwrap();
         b.iter(|| {
@@ -38,8 +39,9 @@ fn bench_single_compaction_step(c: &mut Criterion) {
     // structure (the paper argues this stays cheap because no global edge
     // graph is kept).
     let tech = workloads::tech();
-    let finger = mos_finger(&tech, MosType::P, Some(um(10)), Some(um(2)), "g", "d", true).unwrap();
-    let comp = Compactor::new(&tech);
+    let ctx = GenCtx::from_tech(&tech);
+    let finger = mos_finger(&ctx, MosType::P, Some(um(10)), Some(um(2)), "g", "d", true).unwrap();
+    let comp = Compactor::new(&ctx);
     let diff = tech.layer("pdiff").unwrap();
     let opts = CompactOptions::new().ignoring(diff);
     // Pre-grow the main structure.

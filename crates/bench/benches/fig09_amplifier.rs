@@ -12,7 +12,7 @@ use std::hint::black_box;
 
 fn bench_full_amplifier(c: &mut Criterion) {
     let tech = workloads::tech();
-    let ctx = (&tech).into_gen_ctx();
+    let ctx = GenCtx::from_tech(&tech);
     let mut g = c.benchmark_group("fig09");
     g.sample_size(10);
     g.bench_function("amplifier_end_to_end", |b| {
@@ -26,7 +26,8 @@ fn bench_full_amplifier(c: &mut Criterion) {
 
 fn bench_amplifier_gds_export(c: &mut Criterion) {
     let tech = workloads::tech();
-    let (amp, _) = build_amplifier(&tech).unwrap();
+    let ctx = GenCtx::from_tech(&tech);
+    let (amp, _) = build_amplifier(&ctx).unwrap();
     c.bench_function("fig09/gds_export", |b| {
         b.iter(|| black_box(write_gds(&tech, &amp)).len())
     });

@@ -13,7 +13,7 @@ use std::hint::black_box;
 
 fn bench_paper_configuration(c: &mut Criterion) {
     let tech = workloads::tech();
-    let ctx = (&tech).into_gen_ctx();
+    let ctx = GenCtx::from_tech(&tech);
     let mut g = c.benchmark_group("fig10");
     g.sample_size(10);
     g.bench_function("paper_configuration", |b| {
@@ -27,7 +27,7 @@ fn bench_paper_configuration(c: &mut Criterion) {
 
 fn bench_scaling_with_pairs(c: &mut Criterion) {
     let tech = workloads::tech();
-    let ctx = (&tech).into_gen_ctx();
+    let ctx = GenCtx::from_tech(&tech);
     let mut g = c.benchmark_group("fig10/pairs_scaling");
     g.sample_size(10);
     for pairs in [1usize, 2, 3] {
@@ -44,9 +44,10 @@ fn bench_scaling_with_pairs(c: &mut Criterion) {
 
 fn bench_crossing_audit(c: &mut Criterion) {
     let tech = workloads::tech();
-    let m = workloads::fig10_centroid(&tech);
+    let ctx = GenCtx::from_tech(&tech);
+    let m = workloads::fig10_centroid(&ctx);
     c.bench_function("fig10/crossing_audit", |b| {
-        let router = Router::new(&tech);
+        let router = Router::new(&ctx);
         b.iter(|| black_box(router.crossing_counts(&m)).len())
     });
 }

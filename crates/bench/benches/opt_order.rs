@@ -28,7 +28,8 @@ fn steps(tech: &Tech, k: usize) -> Vec<Step> {
 
 fn bench_order_search(c: &mut Criterion) {
     let tech = workloads::tech();
-    let opt = Optimizer::new(&tech, RatingWeights::default());
+    let ctx = GenCtx::from_tech(&tech);
+    let opt = Optimizer::new(&ctx, RatingWeights::default());
     let mut g = c.benchmark_group("opt/order_search");
     g.sample_size(10);
     for k in [3usize, 4, 5] {
@@ -47,7 +48,8 @@ fn bench_order_search(c: &mut Criterion) {
 /// workload (7 steps total, ~6! orders before pruning).
 fn bench_parallel_vs_sequential(c: &mut Criterion) {
     let tech = workloads::tech();
-    let opt = Optimizer::new(&tech, RatingWeights::default());
+    let ctx = GenCtx::from_tech(&tech);
+    let opt = Optimizer::new(&ctx, RatingWeights::default());
     let s = steps(&tech, 6);
     let mut g = c.benchmark_group("opt/order_search_par");
     g.sample_size(10);
@@ -74,7 +76,8 @@ fn bench_parallel_vs_sequential(c: &mut Criterion) {
 
 fn bench_single_order(c: &mut Criterion) {
     let tech = workloads::tech();
-    let opt = Optimizer::new(&tech, RatingWeights::default());
+    let ctx = GenCtx::from_tech(&tech);
+    let opt = Optimizer::new(&ctx, RatingWeights::default());
     let s = steps(&tech, 5);
     c.bench_function("opt/single_order_build", |b| {
         b.iter(|| black_box(opt.build(&s).unwrap().1.score))

@@ -14,7 +14,7 @@ use std::hint::black_box;
 
 fn bench_dense_sweep(c: &mut Criterion) {
     let tech = workloads::tech();
-    let ctx = (&tech).into_gen_ctx();
+    let ctx = GenCtx::from_tech(&tech);
     let layers: Vec<Layer> = tech.layers().collect();
     c.bench_function("rules/dense_pairwise_sweep", |b| {
         b.iter(|| {

@@ -31,13 +31,13 @@ pub fn latchup_workload(tech: &Tech, n: usize, every: usize) -> LayoutObject {
 }
 
 /// The three contact-row variants of Fig. 3.
-pub fn fig3_rows(tech: &Tech) -> [LayoutObject; 3] {
-    let poly = tech.layer("poly").unwrap();
+pub fn fig3_rows(ctx: &GenCtx) -> [LayoutObject; 3] {
+    let poly = ctx.poly().unwrap();
     [
-        contact_row(tech, poly, &ContactRowParams::new()).unwrap(),
-        contact_row(tech, poly, &ContactRowParams::new().with_w(um(10))).unwrap(),
+        contact_row(ctx, poly, &ContactRowParams::new()).unwrap(),
+        contact_row(ctx, poly, &ContactRowParams::new().with_w(um(10))).unwrap(),
         contact_row(
-            tech,
+            ctx,
             poly,
             &ContactRowParams::new().with_w(um(8)).with_l(um(6)),
         )
@@ -46,18 +46,18 @@ pub fn fig3_rows(tech: &Tech) -> [LayoutObject; 3] {
 }
 
 /// The Fig. 6 differential pair.
-pub fn fig6_pair(tech: &Tech) -> LayoutObject {
+pub fn fig6_pair(ctx: &GenCtx) -> LayoutObject {
     diff_pair(
-        tech,
+        ctx,
         &DiffPairParams::new(MosType::P).with_w(um(10)).with_l(um(2)),
     )
     .unwrap()
 }
 
 /// The Fig. 10 / block E centroid pair in the paper's configuration.
-pub fn fig10_centroid(tech: &Tech) -> LayoutObject {
+pub fn fig10_centroid(ctx: &GenCtx) -> LayoutObject {
     centroid_diff_pair(
-        tech,
+        ctx,
         &CentroidParams::paper(MosType::N)
             .with_w(um(6))
             .with_l(um(1)),
@@ -118,10 +118,11 @@ mod tests {
     fn workloads_build() {
         let t = tech();
         assert!(latchup_workload(&t, 10, 3).len() > 10);
-        let rows = fig3_rows(&t);
+        let ctx = GenCtx::from_tech(&t);
+        let rows = fig3_rows(&ctx);
         assert!(rows[1].bbox().width() > rows[0].bbox().width());
-        assert!(!fig6_pair(&t).is_empty());
-        assert!(!fig10_centroid(&t).is_empty());
+        assert!(!fig6_pair(&ctx).is_empty());
+        assert!(!fig10_centroid(&ctx).is_empty());
     }
 
     #[test]
@@ -135,6 +136,7 @@ mod tests {
         assert!(chip9.bbox().width() > chip4.bbox().width());
         // The chip's per-row substrate stripes do not regress latch-up:
         // the replicated amplifier was latch-up clean and stays clean.
-        assert!(amgen::drc::latchup::check_latchup(&t, &chip9).is_empty());
+        let ctx = GenCtx::from_tech(&t);
+        assert!(amgen::drc::latchup::check_latchup(&ctx, &chip9).is_empty());
     }
 }

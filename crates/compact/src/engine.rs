@@ -1,6 +1,6 @@
 //! The constraint scan and placement engine.
 
-use amgen_core::{FaultSite, GenCtx, GenError, IntoGenCtx, Stage};
+use amgen_core::{FaultSite, GenCtx, GenError, Stage};
 use amgen_db::{LayoutObject, Shape};
 use amgen_geom::{Coord, Dir, Rect, Vector};
 use amgen_tech::{LayerKind, RuleSet};
@@ -83,12 +83,9 @@ struct Shrink {
 }
 
 impl Compactor {
-    /// Binds the compactor to a generation context (or anything that
-    /// converts into one, e.g. `&Tech`).
-    pub fn new(ctx: impl IntoGenCtx) -> Compactor {
-        Compactor {
-            ctx: ctx.into_gen_ctx(),
-        }
+    /// Binds the compactor to a generation context.
+    pub fn new(ctx: &GenCtx) -> Compactor {
+        Compactor { ctx: ctx.clone() }
     }
 
     /// The shared generation context.
@@ -121,10 +118,9 @@ impl Compactor {
         // shared cancellation/deadline probe, and the chaos-test hook.
         self.ctx.charge_compact_step()?;
         self.ctx.fault_check(FaultSite::CompactStep, obj.name())?;
-        let t0 = std::time::Instant::now();
         let mut span = self
             .ctx
-            .span_fine(Stage::Compact, || amgen_core::name!("step:{}", obj.name()));
+            .stage_fine(Stage::Compact, || amgen_core::name!("step:{}", obj.name()));
         let bbox_before = if span.is_recording() {
             Some(main.bbox())
         } else {
@@ -133,9 +129,6 @@ impl Compactor {
         if main.is_empty() {
             main.absorb(obj, Vector::ZERO);
             self.ctx.metrics.add_objects_placed(1);
-            self.ctx
-                .metrics
-                .add_stage_nanos(Stage::Compact, t0.elapsed().as_nanos() as u64);
             span.arg("absorbed_first", 1i64);
             return Ok(CompactReport {
                 offset: Vector::ZERO,
@@ -212,9 +205,6 @@ impl Compactor {
         for _ in 0..rebuilt_groups {
             self.ctx.metrics.add_rebuild();
         }
-        self.ctx
-            .metrics
-            .add_stage_nanos(Stage::Compact, t0.elapsed().as_nanos() as u64);
         if let Some(before) = bbox_before {
             let after = main.bbox();
             span.arg("offset", offset_along);
@@ -590,11 +580,11 @@ mod tests {
     use amgen_prim::Primitives;
     use amgen_tech::Tech;
 
-    fn tech() -> Tech {
-        Tech::bicmos_1u()
+    fn tech() -> GenCtx {
+        GenCtx::from_tech(&Tech::bicmos_1u())
     }
 
-    fn stripe(t: &Tech, layer: &str, w: i64, h: i64, net: Option<&str>) -> LayoutObject {
+    fn stripe(t: &GenCtx, layer: &str, w: i64, h: i64, net: Option<&str>) -> LayoutObject {
         let l = t.layer(layer).unwrap();
         let mut obj = LayoutObject::new(format!("{layer}-stripe"));
         let mut s = Shape::new(l, Rect::new(0, 0, w, h));

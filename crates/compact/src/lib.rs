@@ -39,11 +39,12 @@
 //!
 //! ```
 //! use amgen_compact::{CompactOptions, Compactor};
+//! use amgen_core::GenCtx;
 //! use amgen_db::{LayoutObject, Shape};
 //! use amgen_geom::{Dir, Rect};
 //! use amgen_tech::Tech;
 //!
-//! let tech = Tech::bicmos_1u();
+//! let tech = GenCtx::from_tech(&Tech::bicmos_1u());
 //! let poly = tech.layer("poly").unwrap();
 //! let c = Compactor::new(&tech);
 //!

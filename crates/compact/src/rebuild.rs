@@ -4,7 +4,7 @@
 //! contact row, *"the contact row was rebuilt and the array of
 //! contact-rectangles was recalculated"*.
 
-use amgen_core::IntoGenCtx;
+use amgen_core::GenCtx;
 use amgen_db::{LayoutObject, RebuildKind, Shape};
 use amgen_prim::Primitives;
 
@@ -17,8 +17,7 @@ use amgen_prim::Primitives;
 ///
 /// If the recomputed frame cannot hold a single cut, the group is left
 /// untouched (the shrink limits of the engine should prevent this).
-pub fn rebuild_group(ctx: impl IntoGenCtx, obj: &mut LayoutObject, gid: usize) -> bool {
-    let ctx = ctx.into_gen_ctx();
+pub fn rebuild_group(ctx: &GenCtx, obj: &mut LayoutObject, gid: usize) -> bool {
     let Some(group) = obj.groups().get(gid) else {
         return false;
     };
@@ -35,7 +34,7 @@ pub fn rebuild_group(ctx: impl IntoGenCtx, obj: &mut LayoutObject, gid: usize) -
         .filter(|&i| obj.shapes()[i].layer == cut)
         .collect();
     let net = cut_indices.first().and_then(|&i| obj.shapes()[i].net);
-    let prim = Primitives::new(&ctx);
+    let prim = Primitives::new(ctx);
     let others: Vec<Shape> = member_indices
         .iter()
         .copied()
@@ -81,7 +80,7 @@ mod tests {
 
     /// Builds a horizontal contact row of the given metal width and
     /// returns (object, group id as usize).
-    fn row(tech: &Tech, w: i64) -> (LayoutObject, usize) {
+    fn row(tech: &GenCtx, w: i64) -> (LayoutObject, usize) {
         let prim = Primitives::new(tech);
         let poly = tech.layer("poly").unwrap();
         let m1 = tech.layer("metal1").unwrap();
@@ -98,7 +97,7 @@ mod tests {
 
     #[test]
     fn rebuild_without_change_is_a_noop() {
-        let t = Tech::bicmos_1u();
+        let t = GenCtx::from_tech(&Tech::bicmos_1u());
         let (mut obj, gid) = row(&t, um(10));
         let before = obj.shapes().to_vec();
         assert!(!rebuild_group(&t, &mut obj, gid));
@@ -107,7 +106,7 @@ mod tests {
 
     #[test]
     fn rebuild_after_shrink_recalculates_contacts() {
-        let t = Tech::bicmos_1u();
+        let t = GenCtx::from_tech(&Tech::bicmos_1u());
         let ct = t.layer("contact").unwrap();
         let (mut obj, gid) = row(&t, um(20));
         let n_before = obj.shapes_on(ct).count();
@@ -139,7 +138,7 @@ mod tests {
 
     #[test]
     fn rebuild_refuses_to_drop_all_contacts() {
-        let t = Tech::bicmos_1u();
+        let t = GenCtx::from_tech(&Tech::bicmos_1u());
         let (mut obj, gid) = row(&t, um(10));
         // Shrink conductors to something hopeless (narrower than a cut).
         for s in obj.shapes_mut() {
@@ -154,7 +153,7 @@ mod tests {
 
     #[test]
     fn rebuild_preserves_cut_net() {
-        let t = Tech::bicmos_1u();
+        let t = GenCtx::from_tech(&Tech::bicmos_1u());
         let ct = t.layer("contact").unwrap();
         let (mut obj, gid) = row(&t, um(12));
         let net = obj.net("sig");
@@ -174,7 +173,7 @@ mod tests {
 
     #[test]
     fn rebuild_on_group_without_rule_is_noop() {
-        let t = Tech::bicmos_1u();
+        let t = GenCtx::from_tech(&Tech::bicmos_1u());
         let poly = t.layer("poly").unwrap();
         let mut obj = LayoutObject::new("x");
         let i = obj.push(Shape::new(poly, Rect::new(0, 0, 10, 10)));

@@ -3,13 +3,14 @@
 //! monotonicity.
 
 use amgen_compact::{CompactOptions, Compactor};
+use amgen_core::GenCtx;
 use amgen_db::{LayoutObject, Shape};
 use amgen_geom::{Dir, Rect};
 use amgen_tech::Tech;
 use proptest::prelude::*;
 
 fn stripe(
-    tech: &Tech,
+    tech: &GenCtx,
     layer: &str,
     w: i64,
     h: i64,
@@ -41,7 +42,7 @@ proptest! {
         sizes in prop::collection::vec((2i64..10, 2i64..10), 1..6),
         sides in prop::collection::vec(0usize..4, 1..6),
     ) {
-        let tech = Tech::bicmos_1u();
+        let tech = GenCtx::from_tech(&Tech::bicmos_1u());
         let c = Compactor::new(&tech);
         let mut main = LayoutObject::new("main");
         let protected = stripe(&tech, "poly", 4_000, 4_000, None, true);
@@ -61,7 +62,7 @@ proptest! {
     /// when their projections collide.
     #[test]
     fn same_net_abutment_is_exact(w in 2i64..12, h in 2i64..12, n in 2usize..6) {
-        let tech = Tech::bicmos_1u();
+        let tech = GenCtx::from_tech(&Tech::bicmos_1u());
         let c = Compactor::new(&tech);
         let mut main = LayoutObject::new("main");
         let obj = stripe(&tech, "metal1", w * 1_000, h * 1_000, Some("vdd"), false);
@@ -78,7 +79,7 @@ proptest! {
     /// Compacting from opposite sides is symmetric: the gaps agree.
     #[test]
     fn opposite_sides_give_mirror_results(w in 1i64..8, h in 1i64..8) {
-        let tech = Tech::bicmos_1u();
+        let tech = GenCtx::from_tech(&Tech::bicmos_1u());
         let c = Compactor::new(&tech);
         let obj = stripe(&tech, "poly", w * 1_000, h * 1_000, None, false);
         let run = |side: Dir| {
@@ -98,7 +99,7 @@ proptest! {
     /// Extra clearance shifts the result by exactly the clearance.
     #[test]
     fn extra_clearance_is_additive(extra in 0i64..40) {
-        let tech = Tech::bicmos_1u();
+        let tech = GenCtx::from_tech(&Tech::bicmos_1u());
         let c = Compactor::new(&tech);
         let obj = stripe(&tech, "poly", 2_000, 5_000, None, false);
         let extra = extra * 50; // grid multiples

@@ -35,8 +35,8 @@
 //!
 //! // The paper's Fig. 2 module, written in the layout description
 //! // language and generated in the built-in BiCMOS technology.
-//! let tech = Tech::bicmos_1u();
-//! let mut interp = Interpreter::new(&tech);
+//! let ctx = GenCtx::from_tech(&Tech::bicmos_1u());
+//! let mut interp = Interpreter::new(ctx.clone());
 //! let out = interp
 //!     .run(
 //!         r#"
@@ -50,7 +50,7 @@
 //!     )
 //!     .unwrap();
 //! let row = &out["row"];
-//! assert!(Drc::new(&tech).check(row).is_empty());
+//! assert!(Drc::new(&ctx).check(row).is_empty());
 //! ```
 //!
 //! # The rule kernel and the generation context
@@ -58,17 +58,18 @@
 //! Every stage consumes design rules through a compiled
 //! [`RuleSet`](tech::RuleSet) — dense pairwise tables, interned layer
 //! handles, no strings or hashing in hot loops — carried in a shared
-//! [`GenCtx`](core::GenCtx). Passing `&Tech` anywhere compiles a kernel
-//! on the spot (the compatibility shim); for repeated generation build
-//! the context once, share it (workers bump the `Arc`), and read the
-//! per-stage counters afterwards:
+//! [`GenCtx`](core::GenCtx). Every stage entry point takes `&GenCtx`:
+//! build the context once per run — its budget, cancel token, cache and
+//! tracing then reach every stage — share it (workers bump the `Arc`),
+//! and read the per-stage counters afterwards. Stage time is inclusive
+//! (a module generator's time contains the primitives it calls) and is
+//! charged on every exit, errors included:
 //!
 //! ```
 //! use amgen::modgen::{contact_row, ContactRowParams};
 //! use amgen::prelude::*;
 //!
-//! let tech = Tech::bicmos_1u();
-//! let ctx = (&tech).into_gen_ctx(); // compile the kernel once
+//! let ctx = GenCtx::from_tech(&Tech::bicmos_1u()); // compile the kernel once
 //! let poly = ctx.poly().unwrap(); // interned handle, no name lookup
 //! for _ in 0..3 {
 //!     contact_row(&ctx, poly, &ContactRowParams::new()).unwrap();
@@ -101,8 +102,8 @@ pub mod prelude {
     pub use amgen_compact::{CompactOptions, Compactor};
     pub use amgen_core::{
         Budget, CachedModule, CancelToken, CanonParam, FaultAction, FaultHook, FaultSite, GenCache,
-        GenCtx, GenError, GenErrorKind, GenKey, GenOptions, GenResult, IntoGenCtx, Metrics,
-        MetricsSnapshot, Resource, Stage,
+        GenCtx, GenError, GenErrorKind, GenKey, GenOptions, GenResult, Metrics, MetricsSnapshot,
+        Resource, Stage,
     };
     pub use amgen_db::{LayoutObject, Port, Shape, ShapeRole};
     pub use amgen_drc::Drc;

@@ -5,8 +5,8 @@
 use amgen::prelude::*;
 use amgen::{dsl, export, modgen};
 
-fn fig2_interp(tech: &Tech) -> Interpreter {
-    let mut i = Interpreter::new(tech);
+fn fig2_interp(ctx: &GenCtx) -> Interpreter {
+    let mut i = Interpreter::new(ctx.clone());
     i.load(dsl::stdlib::FIG2_CONTACT_ROW).unwrap();
     i.load(dsl::stdlib::FIG7_DIFF_PAIR).unwrap();
     i
@@ -16,7 +16,7 @@ fn fig2_interp(tech: &Tech) -> Interpreter {
 /// geometry for the same parameters (same footprint, same contacts).
 #[test]
 fn dsl_and_native_contact_rows_agree() {
-    let tech = Tech::bicmos_1u();
+    let tech = GenCtx::from_tech(&Tech::bicmos_1u());
     let mut i = fig2_interp(&tech);
     let poly = tech.layer("poly").unwrap();
     let ct = tech.layer("contact").unwrap();
@@ -46,7 +46,7 @@ fn dsl_and_native_contact_rows_agree() {
 /// The DSL diff pair and the native one agree structurally.
 #[test]
 fn dsl_and_native_diff_pairs_agree_structurally() {
-    let tech = Tech::bicmos_1u();
+    let tech = GenCtx::from_tech(&Tech::bicmos_1u());
     let mut i = fig2_interp(&tech);
     let out = i.run("diff = DiffPair(W = 10, L = 2)\n").unwrap();
     let native = modgen::diffpair::diff_pair(
@@ -75,7 +75,7 @@ fn dsl_and_native_diff_pairs_agree_structurally() {
 fn modules_export_to_gds_and_back() {
     let tech = Tech::bicmos_1u();
     let pair = modgen::diffpair::diff_pair(
-        &tech,
+        &GenCtx::from_tech(&tech),
         &modgen::diffpair::DiffPairParams::new(modgen::MosType::P).with_w(um(8)),
     )
     .unwrap();
@@ -91,7 +91,7 @@ fn modules_export_to_gds_and_back() {
 fn modules_render_to_svg() {
     let tech = Tech::bicmos_1u();
     let row = modgen::contact_row(
-        &tech,
+        &GenCtx::from_tech(&tech),
         tech.layer("pdiff").unwrap(),
         &modgen::ContactRowParams::new().with_w(um(10)),
     )
@@ -103,8 +103,8 @@ fn modules_render_to_svg() {
 /// The optimizer's variant selection works on DSL-produced variants.
 #[test]
 fn optimizer_selects_among_dsl_variants() {
-    let tech = Tech::bicmos_1u();
-    let mut i = Interpreter::new(&tech);
+    let tech = GenCtx::from_tech(&Tech::bicmos_1u());
+    let mut i = Interpreter::new(tech.clone());
     i.load(dsl::stdlib::VARIANT_ROW).unwrap();
     let variants = i
         .eval_entity_variants(
@@ -126,6 +126,7 @@ fn optimizer_selects_among_dsl_variants() {
 #[test]
 fn technology_independence_end_to_end() {
     for tech in [Tech::bicmos_1u(), Tech::cmos_08()] {
+        let tech = GenCtx::from_tech(&tech);
         let mut i = fig2_interp(&tech);
         let out = i.run("diff = DiffPair(W = 8, L = 1)\n").unwrap();
         let v = Drc::new(&tech).check_spacing(&out["diff"]);
@@ -137,7 +138,7 @@ fn technology_independence_end_to_end() {
 #[test]
 fn amplifier_end_to_end() {
     let tech = Tech::bicmos_1u();
-    let (amp, report) = amgen::amp::build_amplifier(&tech).unwrap();
+    let (amp, report) = amgen::amp::build_amplifier(&GenCtx::from_tech(&tech)).unwrap();
     assert_eq!(report.shorts, 0);
     assert!(report.latchup_clean);
     let bytes = write_gds(&tech, &amp);
@@ -149,7 +150,7 @@ fn amplifier_end_to_end() {
 /// by symmetry their capacitances should be close.
 #[test]
 fn centroid_drain_capacitances_match() {
-    let tech = Tech::bicmos_1u();
+    let tech = GenCtx::from_tech(&Tech::bicmos_1u());
     let m = modgen::centroid::centroid_diff_pair(
         &tech,
         &modgen::centroid::CentroidParams::paper(modgen::MosType::N).with_w(um(6)),

@@ -1,6 +1,6 @@
 //! The rule checks: width, spacing, shorts, enclosure, cut size.
 
-use amgen_core::{GenCtx, IntoGenCtx, Stage};
+use amgen_core::{GenCtx, Stage};
 use amgen_db::{LayoutObject, Shape};
 use amgen_geom::{Axis, Coord, Rect, Region};
 use amgen_tech::{Layer, LayerKind, RuleSet};
@@ -41,12 +41,9 @@ pub struct Drc {
 }
 
 impl Drc {
-    /// Binds the checker to a generation context (or anything that
-    /// converts into one, e.g. `&Tech`).
-    pub fn new(ctx: impl IntoGenCtx) -> Drc {
-        Drc {
-            ctx: ctx.into_gen_ctx(),
-        }
+    /// Binds the checker to a generation context.
+    pub fn new(ctx: &GenCtx) -> Drc {
+        Drc { ctx: ctx.clone() }
     }
 
     /// The shared generation context.
@@ -66,19 +63,15 @@ impl Drc {
     /// instead of all-pairs scans — and produces output byte-identical
     /// to the pre-index checker ([`check_scan`](Drc::check_scan)).
     pub fn check(&self, obj: &LayoutObject) -> Vec<Violation> {
-        let t0 = std::time::Instant::now();
         let mut span = self
             .ctx
-            .span(Stage::Drc, || amgen_core::name!("check:{}", obj.name()));
+            .stage(Stage::Drc, || amgen_core::name!("check:{}", obj.name()));
         let mut out = Vec::new();
         out.extend(self.check_widths(obj));
         out.extend(self.check_spacing(obj));
         out.extend(self.check_enclosures(obj));
         out.extend(self.check_min_area(obj));
         out.extend(latchup::check_latchup(&self.ctx, obj));
-        self.ctx
-            .metrics
-            .add_stage_nanos(Stage::Drc, t0.elapsed().as_nanos() as u64);
         span.arg("shapes", obj.len());
         span.arg("violations", out.len());
         out
@@ -517,8 +510,8 @@ mod tests {
     use amgen_prim::Primitives;
     use amgen_tech::Tech;
 
-    fn tech() -> Tech {
-        Tech::bicmos_1u()
+    fn tech() -> GenCtx {
+        GenCtx::from_tech(&Tech::bicmos_1u())
     }
 
     #[test]
@@ -720,7 +713,7 @@ mod min_area_tests {
 
     #[test]
     fn tiny_isolated_metal_fails_min_area() {
-        let t = Tech::bicmos_1u();
+        let t = GenCtx::from_tech(&Tech::bicmos_1u());
         let m1 = t.layer("metal1").unwrap();
         let mut obj = LayoutObject::new("x");
         // 1.5 x 1.5 um = 2.25 um^2 < 4 um^2.
@@ -732,7 +725,7 @@ mod min_area_tests {
 
     #[test]
     fn touching_fragments_count_as_one_region() {
-        let t = Tech::bicmos_1u();
+        let t = GenCtx::from_tech(&Tech::bicmos_1u());
         let m1 = t.layer("metal1").unwrap();
         let mut obj = LayoutObject::new("x");
         // Two 1.5 x 1.5 squares abutting: 4.5 um^2 together.
@@ -743,7 +736,7 @@ mod min_area_tests {
 
     #[test]
     fn overlap_is_not_double_counted() {
-        let t = Tech::bicmos_1u();
+        let t = GenCtx::from_tech(&Tech::bicmos_1u());
         let m1 = t.layer("metal1").unwrap();
         let mut obj = LayoutObject::new("x");
         // Two heavily overlapping squares: union is still 2.4 um^2 < 4.
@@ -755,14 +748,14 @@ mod min_area_tests {
 
     #[test]
     fn generated_modules_pass_min_area() {
-        let t = Tech::bicmos_1u();
+        let t = GenCtx::from_tech(&Tech::bicmos_1u());
         let poly = t.layer("poly").unwrap();
         let row = amgen_prim_row(&t, poly);
         let v = Drc::new(&t).check_min_area(&row);
         assert!(v.is_empty(), "{v:?}");
     }
 
-    fn amgen_prim_row(t: &Tech, poly: amgen_tech::Layer) -> LayoutObject {
+    fn amgen_prim_row(t: &GenCtx, poly: amgen_tech::Layer) -> LayoutObject {
         use amgen_prim::Primitives;
         let prim = Primitives::new(t);
         let m1 = t.layer("metal1").unwrap();
@@ -776,7 +769,7 @@ mod min_area_tests {
 
     #[test]
     fn layers_without_rule_are_unchecked() {
-        let t = Tech::bicmos_1u();
+        let t = GenCtx::from_tech(&Tech::bicmos_1u());
         let poly = t.layer("poly").unwrap();
         let mut obj = LayoutObject::new("x");
         obj.push(Shape::new(poly, Rect::new(0, 0, 1_000, 1_000)));

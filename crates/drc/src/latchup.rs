@@ -11,15 +11,15 @@
 //! every subtraction resolves one of the 16 overlap cases into remainder
 //! rectangles. The rule passes when nothing remains.
 
-use amgen_core::IntoGenCtx;
+use amgen_core::GenCtx;
 use amgen_db::{LayoutObject, ShapeRole};
 use amgen_geom::{Coord, Rect, Region};
 
 use crate::violation::{Violation, ViolationKind};
 
 /// The temporary coverage rectangles of all substrate contacts.
-pub fn coverage_rects(ctx: impl IntoGenCtx, obj: &LayoutObject) -> Vec<Rect> {
-    let d = ctx.into_gen_ctx().latchup_distance();
+pub fn coverage_rects(ctx: &GenCtx, obj: &LayoutObject) -> Vec<Rect> {
+    let d = ctx.latchup_distance();
     obj.shapes()
         .iter()
         .filter(|s| s.role == ShapeRole::SubstrateContact)
@@ -46,8 +46,7 @@ pub fn active_region(obj: &LayoutObject) -> Region {
 /// check sub-quadratic. The result is byte-identical to the sequential
 /// scan ([`latchup_remainder_scan`]) — see that function for the
 /// equivalence argument.
-pub fn latchup_remainder(ctx: impl IntoGenCtx, obj: &LayoutObject) -> Region {
-    let ctx = ctx.into_gen_ctx();
+pub fn latchup_remainder(ctx: &GenCtx, obj: &LayoutObject) -> Region {
     let d = ctx.latchup_distance();
     if d == 0 {
         // Technology does not state the rule: vacuously fulfilled.
@@ -68,13 +67,12 @@ pub fn latchup_remainder(ctx: impl IntoGenCtx, obj: &LayoutObject) -> Region {
 /// anything. Folding each active rectangle independently over the same
 /// cover order therefore produces the same final rectangle sequence.
 #[doc(hidden)]
-pub fn latchup_remainder_scan(ctx: impl IntoGenCtx, obj: &LayoutObject) -> Region {
-    let ctx = ctx.into_gen_ctx();
+pub fn latchup_remainder_scan(ctx: &GenCtx, obj: &LayoutObject) -> Region {
     let mut remaining = active_region(obj);
     if ctx.latchup_distance() == 0 {
         return Region::new();
     }
-    for cover in coverage_rects(&ctx, obj) {
+    for cover in coverage_rects(ctx, obj) {
         remaining.subtract_rect(cover);
         if remaining.is_empty() {
             break;
@@ -135,26 +133,24 @@ fn latchup_remainder_indexed(d: Coord, obj: &LayoutObject) -> Region {
 /// The latch-up check as violations: one per uncovered remainder
 /// rectangle — the paper's *"additional substrate contacts have to be
 /// inserted"* diagnostics.
-pub fn check_latchup(ctx: impl IntoGenCtx, obj: &LayoutObject) -> Vec<Violation> {
-    let ctx = ctx.into_gen_ctx();
+pub fn check_latchup(ctx: &GenCtx, obj: &LayoutObject) -> Vec<Violation> {
     ctx.metrics.add_drc_checks(1);
     let mut span = ctx.span(amgen_core::Stage::Drc, || "latchup");
-    let remaining = latchup_remainder(&ctx, obj);
+    let remaining = latchup_remainder(ctx, obj);
     span.arg("uncovered", remaining.rects().len());
     drop(span);
-    violations(&ctx, remaining)
+    violations(ctx, remaining)
 }
 
 /// [`check_latchup`] on the sequential scan ([`latchup_remainder_scan`]),
 /// for the byte-identity parity baseline.
 #[doc(hidden)]
-pub fn check_latchup_scan(ctx: impl IntoGenCtx, obj: &LayoutObject) -> Vec<Violation> {
-    let ctx = ctx.into_gen_ctx();
-    let remaining = latchup_remainder_scan(&ctx, obj);
-    violations(&ctx, remaining)
+pub fn check_latchup_scan(ctx: &GenCtx, obj: &LayoutObject) -> Vec<Violation> {
+    let remaining = latchup_remainder_scan(ctx, obj);
+    violations(ctx, remaining)
 }
 
-fn violations(ctx: &amgen_core::GenCtx, remaining: Region) -> Vec<Violation> {
+fn violations(ctx: &GenCtx, remaining: Region) -> Vec<Violation> {
     remaining
         .rects()
         .iter()
@@ -176,8 +172,8 @@ mod tests {
     use amgen_geom::um;
     use amgen_tech::Tech;
 
-    fn setup() -> (Tech, amgen_tech::Layer, amgen_tech::Layer) {
-        let t = Tech::bicmos_1u();
+    fn setup() -> (GenCtx, amgen_tech::Layer, amgen_tech::Layer) {
+        let t = GenCtx::from_tech(&Tech::bicmos_1u());
         let pdiff = t.layer("pdiff").unwrap();
         (t.clone(), pdiff, t.layer("ndiff").unwrap())
     }

@@ -23,12 +23,13 @@
 //! # Example
 //!
 //! ```
+//! use amgen_core::GenCtx;
 //! use amgen_db::{LayoutObject, Shape};
 //! use amgen_drc::Drc;
 //! use amgen_geom::Rect;
 //! use amgen_tech::Tech;
 //!
-//! let tech = Tech::bicmos_1u();
+//! let tech = GenCtx::from_tech(&Tech::bicmos_1u());
 //! let poly = tech.layer("poly").unwrap();
 //! let mut obj = LayoutObject::new("bad");
 //! obj.push(Shape::new(poly, Rect::new(0, 0, 400, 5_000))); // too narrow

@@ -3,6 +3,7 @@
 //! (*"the relevant design-rules are regarded automatically"*).
 
 use amgen_compact::{CompactOptions, Compactor};
+use amgen_core::GenCtx;
 use amgen_db::{LayoutObject, Shape};
 use amgen_drc::{Drc, ViolationKind};
 use amgen_geom::{Dir, Rect};
@@ -45,7 +46,7 @@ proptest! {
     /// a layout without spacing violations or shorts.
     #[test]
     fn compaction_is_spacing_clean(specs in prop::collection::vec(arb_stripe(), 1..10)) {
-        let tech = Tech::bicmos_1u();
+        let tech = GenCtx::from_tech(&Tech::bicmos_1u());
         let c = Compactor::new(&tech);
         let mut main = LayoutObject::new("main");
         for spec in &specs {
@@ -75,7 +76,7 @@ proptest! {
     /// layout.
     #[test]
     fn compaction_is_deterministic(specs in prop::collection::vec(arb_stripe(), 1..6)) {
-        let tech = Tech::bicmos_1u();
+        let tech = GenCtx::from_tech(&Tech::bicmos_1u());
         let run = || {
             let c = Compactor::new(&tech);
             let mut main = LayoutObject::new("main");

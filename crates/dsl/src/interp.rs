@@ -3,7 +3,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use amgen_compact::{CompactOptions, Compactor};
-use amgen_core::{FaultSite, GenCtx, GenError, IntoGenCtx, Resource, Stage};
+use amgen_core::{FaultSite, GenCtx, GenError, Resource, Stage};
 use amgen_db::LayoutObject;
 use amgen_geom::Dir;
 use amgen_opt::{Optimizer, RatingWeights};
@@ -122,10 +122,10 @@ struct Frame {
 }
 
 impl Interpreter {
-    /// Creates an interpreter.
-    pub fn new(tech: impl IntoGenCtx) -> Interpreter {
+    /// Creates an interpreter that owns `ctx` for all of its runs.
+    pub fn new(ctx: GenCtx) -> Interpreter {
         Interpreter {
-            ctx: tech.into_gen_ctx(),
+            ctx,
             entities: BTreeMap::new(),
             lib_hash: 0,
             max_variants: crate::costmodel::DEFAULT_MAX_VARIANTS,
@@ -261,9 +261,10 @@ impl Interpreter {
         ),
         DslError,
     > {
-        // Clone the counter handle so the timer does not pin `self`.
-        let metrics = std::sync::Arc::clone(&self.ctx.metrics);
-        let _timer = metrics.stage_timer(Stage::Dsl);
+        // The guard borrows a handle clone so `self` stays free for
+        // `register`.
+        let ctx = self.ctx.clone();
+        let _stage = ctx.stage(Stage::Dsl, || "run_traced");
         let mut prog = parse(src)?;
         self.register(&prog);
         bind_block(&self.ctx, &mut prog.top);
@@ -310,8 +311,7 @@ impl Interpreter {
         &self,
         top: &[Stmt],
     ) -> Result<Vec<BTreeMap<String, LayoutObject>>, DslError> {
-        let _timer = self.ctx.metrics.stage_timer(Stage::Dsl);
-        let mut span = self.ctx.span(Stage::Dsl, || "run_variants");
+        let mut span = self.ctx.stage(Stage::Dsl, || "run_variants");
         let mut results = Vec::new();
         let mut stack: Vec<Vec<usize>> = vec![Vec::new()];
         let mut explored = 0usize;
@@ -382,7 +382,7 @@ impl Interpreter {
         name: &str,
         args: &[(&str, Value)],
     ) -> Result<Vec<LayoutObject>, DslError> {
-        let _timer = self.ctx.metrics.stage_timer(Stage::Dsl);
+        let _stage = self.ctx.stage(Stage::Dsl, || "eval_entity_variants");
         let call = Call {
             name: name.to_string(),
             positional: Vec::new(),

@@ -40,6 +40,7 @@
 //! # Example
 //!
 //! ```
+//! use amgen_core::GenCtx;
 //! use amgen_dsl::Interpreter;
 //! use amgen_tech::Tech;
 //!
@@ -52,7 +53,7 @@
 //!   INBOX("metal1")
 //!   ARRAY("contact")
 //! "#;
-//! let mut interp = Interpreter::new(&tech);
+//! let mut interp = Interpreter::new(GenCtx::from_tech(&tech));
 //! let objects = interp.run(src).unwrap();
 //! assert!(objects.contains_key("row"));
 //! ```

@@ -222,12 +222,7 @@ mod tests {
 
     #[test]
     fn prints_every_stdlib_source_round_trip() {
-        for src in [
-            crate::stdlib::FIG2_CONTACT_ROW,
-            crate::stdlib::FIG7_DIFF_PAIR,
-            crate::stdlib::INTERDIGIT,
-            crate::stdlib::VARIANT_ROW,
-        ] {
+        for (_, src) in crate::stdlib::ALL {
             let prog = parse(src).unwrap();
             let printed = print_program(&prog);
             let reparsed = parse(&printed).unwrap();

@@ -147,40 +147,46 @@ ENT FlexRow(layer, <S>)
   ARRAY("contact")
 "#;
 
+/// Every library source above as `(name, source)`, in load order.
+pub const ALL: [(&str, &str); 6] = [
+    ("FIG2_CONTACT_ROW", FIG2_CONTACT_ROW),
+    ("FIG7_DIFF_PAIR", FIG7_DIFF_PAIR),
+    ("INTERDIGIT", INTERDIGIT),
+    ("STACKED", STACKED),
+    ("CENTROID_PLACEMENT", CENTROID_PLACEMENT),
+    ("VARIANT_ROW", VARIANT_ROW),
+];
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::interp::Interpreter;
+    use amgen_core::GenCtx;
     use amgen_tech::Tech;
 
     #[test]
     fn all_stdlib_sources_parse() {
-        for src in [
-            FIG2_CONTACT_ROW,
-            FIG7_DIFF_PAIR,
-            INTERDIGIT,
-            STACKED,
-            VARIANT_ROW,
-        ] {
-            crate::parser::parse(src).unwrap();
+        for (name, src) in ALL {
+            if let Err(e) = crate::parser::parse(src) {
+                panic!("{name}: {e}");
+            }
         }
     }
 
     #[test]
     fn stdlib_loads_into_an_interpreter() {
-        let t = Tech::bicmos_1u();
-        let mut i = Interpreter::new(&t);
-        i.load(FIG2_CONTACT_ROW).unwrap();
-        i.load(FIG7_DIFF_PAIR).unwrap();
-        i.load(INTERDIGIT).unwrap();
-        i.load(STACKED).unwrap();
-        i.load(VARIANT_ROW).unwrap();
+        let mut i = Interpreter::new(GenCtx::from_tech(&Tech::bicmos_1u()));
+        for (name, src) in ALL {
+            if let Err(e) = i.load(src) {
+                panic!("{name}: {e}");
+            }
+        }
     }
 
     #[test]
     fn stacked_builds_n_series_gates() {
-        let t = Tech::bicmos_1u();
-        let mut i = Interpreter::new(&t);
+        let t = GenCtx::from_tech(&Tech::bicmos_1u());
+        let mut i = Interpreter::new(t.clone());
         i.load(FIG2_CONTACT_ROW).unwrap();
         i.load(STACKED).unwrap();
         let out = i.run("m = Stacked(n = 4, W = 6, L = 1)\n").unwrap();
@@ -202,7 +208,7 @@ mod tests {
             })
             .count();
         let one_row = {
-            let mut j = Interpreter::new(&t);
+            let mut j = Interpreter::new(t.clone());
             j.load(FIG2_CONTACT_ROW).unwrap();
             let o = j.run("r = ContactRow(layer = \"pdiff\", L = 6)\n").unwrap();
             o["r"].shapes_on(ct).count()

@@ -6,7 +6,9 @@
 //! turns any such leak into a wrong-answer bug.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
+use amgen_core::GenCtx;
 use amgen_db::LayoutObject;
 use amgen_dsl::interp::Interpreter;
 use amgen_lint::Linter;
@@ -43,7 +45,7 @@ fn every_example_is_byte_identical_across_runs() {
     let all = examples();
     for (name, src) in examples() {
         let run = || {
-            let mut interp = Interpreter::new(&rules);
+            let mut interp = Interpreter::new(GenCtx::new(Arc::clone(&rules)));
             for (_, lib) in &all {
                 interp.load(lib).unwrap();
             }
@@ -61,7 +63,7 @@ fn every_example_lints_byte_identically_across_runs() {
     let rules = Tech::bicmos_1u().compile_arc();
     for (name, src) in examples() {
         let run = || {
-            Linter::with_rules(std::sync::Arc::clone(&rules))
+            Linter::with_rules(Arc::clone(&rules))
                 .lint_source(&src)
                 .iter()
                 .map(|d| d.to_string())
@@ -81,8 +83,8 @@ fn every_example_is_cache_transparent() {
     let rules = Tech::bicmos_1u().compile_arc();
     let all = examples();
     for (name, src) in examples() {
-        let ctx = amgen_core::GenCtx::new(std::sync::Arc::clone(&rules)).with_default_cache();
-        let mut interp = Interpreter::new(&ctx);
+        let ctx = GenCtx::new(Arc::clone(&rules)).with_default_cache();
+        let mut interp = Interpreter::new(ctx);
         for (_, lib) in &all {
             interp.load(lib).unwrap();
         }
@@ -90,7 +92,7 @@ fn every_example_is_cache_transparent() {
         let warm = render(&interp.run(&src).unwrap());
         assert_eq!(cold, warm, "cached rerun of {name} differs");
 
-        let mut fresh = Interpreter::new(&rules);
+        let mut fresh = Interpreter::new(GenCtx::new(Arc::clone(&rules)));
         for (_, lib) in &all {
             fresh.load(lib).unwrap();
         }

@@ -3,7 +3,7 @@
 //! typed budget error — never by panicking or hanging. This includes
 //! unbounded `FOR` ranges and (mutually) recursive entity calls.
 
-use amgen_core::{Budget, GenErrorKind, IntoGenCtx, Resource};
+use amgen_core::{Budget, GenCtx, GenErrorKind, Resource};
 use amgen_dsl::ast::{strip_spans, Program};
 use amgen_dsl::pretty::print_program;
 use amgen_dsl::{DslError, Interpreter};
@@ -14,7 +14,7 @@ use proptest::prelude::*;
 /// fuel actually consumed alongside the outcome.
 fn run_with_fuel(src: &str, fuel: u64) -> (u64, Result<(), DslError>) {
     let tech = Tech::bicmos_1u();
-    let ctx = (&tech).into_gen_ctx().with_budget(
+    let ctx = GenCtx::from_tech(&tech).with_budget(
         Budget::unlimited()
             .with_dsl_fuel(fuel)
             .with_max_recursion(32),

@@ -1,11 +1,12 @@
 //! Integration tests: complete programs from the paper run end-to-end.
 
+use amgen_core::GenCtx;
 use amgen_drc::Drc;
 use amgen_dsl::{stdlib, DslError, Interpreter, Value};
 use amgen_tech::Tech;
 
-fn interp(t: &Tech) -> Interpreter {
-    let mut i = Interpreter::new(t);
+fn interp(t: &GenCtx) -> Interpreter {
+    let mut i = Interpreter::new(t.clone());
     i.load(stdlib::FIG2_CONTACT_ROW).unwrap();
     i.load(stdlib::FIG7_DIFF_PAIR).unwrap();
     i.load(stdlib::INTERDIGIT).unwrap();
@@ -15,7 +16,7 @@ fn interp(t: &Tech) -> Interpreter {
 
 #[test]
 fn fig2_contact_row_variants() {
-    let t = Tech::bicmos_1u();
+    let t = GenCtx::from_tech(&Tech::bicmos_1u());
     let mut i = interp(&t);
     // The three calls of Fig. 3: defaults, W given, W and L given.
     let out = i
@@ -46,7 +47,7 @@ right = ContactRow(layer = "poly", W = 8, L = 6)
 
 #[test]
 fn fig7_diff_pair_builds_row_gate_row_gate_row() {
-    let t = Tech::bicmos_1u();
+    let t = GenCtx::from_tech(&Tech::bicmos_1u());
     let mut i = interp(&t);
     let out = i.run("diff = DiffPair(W = 10, L = 2)\n").unwrap();
     let pair = &out["diff"];
@@ -74,7 +75,7 @@ fn fig7_diff_pair_builds_row_gate_row_gate_row() {
 fn fig7_matches_paper_shape_hierarchy() {
     // The paper: "two transistors, three diffusion-contact-rows and two
     // poly-contacts".
-    let t = Tech::bicmos_1u();
+    let t = GenCtx::from_tech(&Tech::bicmos_1u());
     let mut i = interp(&t);
     let out = i.run("diff = DiffPair(W = 10, L = 2)\n").unwrap();
     let pair = &out["diff"];
@@ -93,7 +94,7 @@ fn fig7_matches_paper_shape_hierarchy() {
 
 #[test]
 fn interdigit_loop_scales_with_n() {
-    let t = Tech::bicmos_1u();
+    let t = GenCtx::from_tech(&Tech::bicmos_1u());
     let mut i = interp(&t);
     let small = i.run("m = Interdigit(n = 2, W = 8, L = 1)\n").unwrap();
     let big = i.run("m = Interdigit(n = 6, W = 8, L = 1)\n").unwrap();
@@ -110,7 +111,7 @@ fn interdigit_loop_scales_with_n() {
 
 #[test]
 fn variant_backtracking_selects_by_rating() {
-    let t = Tech::bicmos_1u();
+    let t = GenCtx::from_tech(&Tech::bicmos_1u());
     let i = interp(&t);
     // Both variants of FlexRow, enumerated explicitly.
     let variants = i
@@ -143,7 +144,7 @@ fn variant_backtracking_selects_by_rating() {
 
 #[test]
 fn conditionals_choose_geometry() {
-    let t = Tech::bicmos_1u();
+    let t = GenCtx::from_tech(&Tech::bicmos_1u());
     let mut i = interp(&t);
     let src = r#"
 a = Cond(w = 20)
@@ -163,7 +164,7 @@ ENT Cond(w)
 
 #[test]
 fn arithmetic_in_parameters() {
-    let t = Tech::bicmos_1u();
+    let t = GenCtx::from_tech(&Tech::bicmos_1u());
     let mut i = interp(&t);
     let out = i
         .run("row = ContactRow(layer = \"poly\", W = 4 * 2 + 2)\n")
@@ -173,7 +174,7 @@ fn arithmetic_in_parameters() {
 
 #[test]
 fn unknown_entity_reports_line() {
-    let t = Tech::bicmos_1u();
+    let t = GenCtx::from_tech(&Tech::bicmos_1u());
     let mut i = interp(&t);
     let e = i.run("x = Nonsense(W = 1)\n").unwrap_err();
     assert!(matches!(e, DslError::Runtime { line: 1, .. }), "{e}");
@@ -181,7 +182,7 @@ fn unknown_entity_reports_line() {
 
 #[test]
 fn missing_required_parameter_is_an_error() {
-    let t = Tech::bicmos_1u();
+    let t = GenCtx::from_tech(&Tech::bicmos_1u());
     let mut i = interp(&t);
     // `layer` is required in ContactRow.
     let e = i.run("x = ContactRow(W = 1)\n").unwrap_err();
@@ -190,7 +191,7 @@ fn missing_required_parameter_is_an_error() {
 
 #[test]
 fn unknown_layer_is_a_runtime_error() {
-    let t = Tech::bicmos_1u();
+    let t = GenCtx::from_tech(&Tech::bicmos_1u());
     let mut i = interp(&t);
     let e = i
         .run("x = ContactRow(layer = \"unobtainium\")\n")
@@ -200,7 +201,7 @@ fn unknown_layer_is_a_runtime_error() {
 
 #[test]
 fn bad_direction_is_a_runtime_error() {
-    let t = Tech::bicmos_1u();
+    let t = GenCtx::from_tech(&Tech::bicmos_1u());
     let mut i = interp(&t);
     let src =
         "x = Bad()\n\nENT Bad()\n  r = ContactRow(layer = \"poly\")\n  compact(r, SIDEWAYS)\n";
@@ -211,7 +212,7 @@ fn bad_direction_is_a_runtime_error() {
 #[test]
 fn fig2_works_in_the_cmos_deck_too() {
     // Technology independence: the same source, another rule deck.
-    let t = Tech::cmos_08();
+    let t = GenCtx::from_tech(&Tech::cmos_08());
     let mut i = interp(&t);
     let out = i
         .run("row = ContactRow(layer = \"poly\", W = 10)\n")
@@ -222,7 +223,7 @@ fn fig2_works_in_the_cmos_deck_too() {
 
 #[test]
 fn run_traced_snapshots_every_statement() {
-    let t = Tech::bicmos_1u();
+    let t = GenCtx::from_tech(&Tech::bicmos_1u());
     let mut i = interp(&t);
     let src = "a = ContactRow(layer = \"poly\", W = 4)\nb = ContactRow(layer = \"poly\", W = 10)\n";
     let (final_map, snaps) = i.run_traced(src).unwrap();
@@ -236,7 +237,7 @@ fn run_traced_snapshots_every_statement() {
 
 #[test]
 fn run_traced_rejects_variants() {
-    let t = Tech::bicmos_1u();
+    let t = GenCtx::from_tech(&Tech::bicmos_1u());
     let mut i = interp(&t);
     let e = i
         .run_traced("x = FlexRow(layer = \"poly\", S = 8)\n")
@@ -246,7 +247,7 @@ fn run_traced_rejects_variants() {
 
 #[test]
 fn entity_calls_nest_and_copy() {
-    let t = Tech::bicmos_1u();
+    let t = GenCtx::from_tech(&Tech::bicmos_1u());
     let mut i = interp(&t);
     // trans2 = trans1 copies the data structure: both compact in.
     let src = r#"
@@ -270,8 +271,8 @@ ENT Two(<W>)
 
 #[test]
 fn centroid_placement_in_pure_dsl() {
-    let t = Tech::bicmos_1u();
-    let mut i = Interpreter::new(&t);
+    let t = GenCtx::from_tech(&Tech::bicmos_1u());
+    let mut i = Interpreter::new(t.clone());
     i.load(stdlib::FIG2_CONTACT_ROW).unwrap();
     i.load(stdlib::CENTROID_PLACEMENT).unwrap();
     let out = i

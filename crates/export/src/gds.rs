@@ -286,7 +286,7 @@ mod tests {
     fn real_module_exports() {
         let t = Tech::bicmos_1u();
         let row = amgen_modgen::contact_row(
-            &t,
+            &amgen_core::GenCtx::from_tech(&t),
             t.layer("poly").unwrap(),
             &amgen_modgen::ContactRowParams::new().with_w(10_000),
         )

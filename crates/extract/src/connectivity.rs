@@ -1,6 +1,6 @@
 //! Geometric connectivity extraction (union-find over shapes).
 
-use amgen_core::{GenCtx, IntoGenCtx, Stage};
+use amgen_core::{GenCtx, Stage};
 use amgen_db::LayoutObject;
 use amgen_tech::{LayerKind, RuleSet};
 
@@ -56,12 +56,9 @@ impl UnionFind {
 }
 
 impl Extractor {
-    /// Binds the extractor to a generation context (or anything that
-    /// converts into one, e.g. `&Tech`).
-    pub fn new(ctx: impl IntoGenCtx) -> Extractor {
-        Extractor {
-            ctx: ctx.into_gen_ctx(),
-        }
+    /// Binds the extractor to a generation context.
+    pub fn new(ctx: &GenCtx) -> Extractor {
+        Extractor { ctx: ctx.clone() }
     }
 
     /// The shared generation context.
@@ -118,10 +115,9 @@ impl Extractor {
 
     fn connectivity_impl(&self, obj: &LayoutObject, indexed: bool) -> Vec<ExtractedNet> {
         use amgen_geom::RectTree;
-        let t0 = std::time::Instant::now();
         let mut span = self
             .ctx
-            .span(Stage::Extract, || format!("connectivity:{}", obj.name()));
+            .stage(Stage::Extract, || format!("connectivity:{}", obj.name()));
         span.arg("shapes", obj.len());
         let shapes = obj.shapes();
         // Gate regions that cut diffusion.
@@ -302,9 +298,6 @@ impl Extractor {
             })
             .collect();
         nets.sort_by(|a, b| a.shapes.cmp(&b.shapes));
-        self.ctx
-            .metrics
-            .add_stage_nanos(Stage::Extract, t0.elapsed().as_nanos() as u64);
         nets
     }
 
@@ -325,8 +318,8 @@ mod tests {
     use amgen_geom::{um, Rect};
     use amgen_tech::Tech;
 
-    fn tech() -> Tech {
-        Tech::bicmos_1u()
+    fn tech() -> GenCtx {
+        GenCtx::from_tech(&Tech::bicmos_1u())
     }
 
     #[test]

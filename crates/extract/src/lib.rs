@@ -16,12 +16,13 @@
 //! # Example
 //!
 //! ```
+//! use amgen_core::GenCtx;
 //! use amgen_db::{LayoutObject, Shape};
 //! use amgen_extract::Extractor;
 //! use amgen_geom::Rect;
 //! use amgen_tech::Tech;
 //!
-//! let tech = Tech::bicmos_1u();
+//! let tech = GenCtx::from_tech(&Tech::bicmos_1u());
 //! let m1 = tech.layer("metal1").unwrap();
 //! let mut obj = LayoutObject::new("wire");
 //! let net = obj.net("sig");

@@ -1,6 +1,6 @@
 //! Per-net parasitic estimation.
 
-use amgen_core::Stage;
+use amgen_core::{GenCtx, Stage};
 use amgen_db::LayoutObject;
 use amgen_geom::Region;
 use amgen_tech::LayerKind;
@@ -121,12 +121,7 @@ impl Extractor {
 
 /// Capacitance of a single isolated rectangle on a layer (helper for
 /// tests and quick estimates), in attofarads.
-pub fn rect_cap_af(
-    ctx: impl amgen_core::IntoGenCtx,
-    layer: amgen_tech::Layer,
-    rect: amgen_geom::Rect,
-) -> f64 {
-    let ctx = ctx.into_gen_ctx();
+pub fn rect_cap_af(ctx: &GenCtx, layer: amgen_tech::Layer, rect: amgen_geom::Rect) -> f64 {
     if ctx.kind(layer) == LayerKind::Cut {
         return 0.0;
     }
@@ -145,7 +140,7 @@ mod tests {
 
     #[test]
     fn single_wire_matches_hand_calculation() {
-        let t = Tech::bicmos_1u();
+        let t = GenCtx::from_tech(&Tech::bicmos_1u());
         let m1 = t.layer("metal1").unwrap();
         let mut obj = LayoutObject::new("x");
         let n = obj.net("sig");
@@ -168,7 +163,7 @@ mod tests {
 
     #[test]
     fn overlapping_geometry_is_not_double_counted() {
-        let t = Tech::bicmos_1u();
+        let t = GenCtx::from_tech(&Tech::bicmos_1u());
         let m1 = t.layer("metal1").unwrap();
         let mut single = LayoutObject::new("a");
         single.push(Shape::new(m1, Rect::new(0, 0, um(10), um(2))));
@@ -184,7 +179,7 @@ mod tests {
 
     #[test]
     fn poly_wire_has_higher_resistance_than_metal() {
-        let t = Tech::bicmos_1u();
+        let t = GenCtx::from_tech(&Tech::bicmos_1u());
         let poly = t.layer("poly").unwrap();
         let m1 = t.layer("metal1").unwrap();
         let e = Extractor::new(&t);
@@ -198,7 +193,7 @@ mod tests {
 
     #[test]
     fn weighted_cap_can_emphasise_signal_nets() {
-        let t = Tech::bicmos_1u();
+        let t = GenCtx::from_tech(&Tech::bicmos_1u());
         let m1 = t.layer("metal1").unwrap();
         let mut obj = LayoutObject::new("x");
         let sig = obj.net("sig");
@@ -213,7 +208,7 @@ mod tests {
 
     #[test]
     fn rect_cap_helper_matches_extractor() {
-        let t = Tech::bicmos_1u();
+        let t = GenCtx::from_tech(&Tech::bicmos_1u());
         let m1 = t.layer("metal1").unwrap();
         let r = Rect::new(0, 0, um(4), um(2));
         let mut obj = LayoutObject::new("x");
@@ -224,7 +219,7 @@ mod tests {
 
     #[test]
     fn cut_layers_contribute_no_cap() {
-        let t = Tech::bicmos_1u();
+        let t = GenCtx::from_tech(&Tech::bicmos_1u());
         let ct = t.layer("contact").unwrap();
         assert_eq!(rect_cap_af(&t, ct, Rect::new(0, 0, 1_000, 1_000)), 0.0);
     }

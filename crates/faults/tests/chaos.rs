@@ -12,9 +12,22 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use amgen::amp::{build_amplifier, build_amplifier_cmos};
+use amgen::modgen::baseline::contact_row_by_coordinates;
+use amgen::modgen::bipolar::{bipolar_npn, bipolar_pair, NpnParams};
+use amgen::modgen::capacitor::{mos_capacitor, MosCapParams};
+use amgen::modgen::cascode::{cascode_pair, CascodeParams};
 use amgen::modgen::centroid::{centroid_diff_pair, CentroidParams};
 use amgen::modgen::diffpair::{diff_pair, DiffPairParams};
-use amgen::modgen::{contact_row, ContactRowParams, MosType};
+use amgen::modgen::diode::{diode_transistor, DiodeParams};
+use amgen::modgen::guard::{guard_ring, GuardRingParams};
+use amgen::modgen::interdigit::{interdigitated, InterdigitParams};
+use amgen::modgen::mirror::{current_mirror, MirrorParams};
+use amgen::modgen::mos::mos_finger;
+use amgen::modgen::quad::{common_centroid_quad, QuadParams};
+use amgen::modgen::resistor::{matched_resistor_pair, poly_resistor, ResistorParams};
+use amgen::modgen::stacked::{stacked_transistor, StackedParams};
+use amgen::modgen::{contact_row, mos_transistor, ContactRowParams, MosParams, MosType};
 use amgen::prelude::*;
 
 fn tech() -> Tech {
@@ -104,7 +117,7 @@ fn fail_injection_sweep_is_typed_and_panic_free() {
         for n in [1, 2, 5, 25] {
             for (name, workload) in WORKLOADS {
                 let (plan, hook) = FaultPlan::new(0xC0FFEE).fail_nth(site, n).build();
-                let ctx = (&t).into_gen_ctx().with_faults(hook);
+                let ctx = GenCtx::from_tech(&t).with_faults(hook);
                 let outcome =
                     catch_unwind(AssertUnwindSafe(|| workload(&ctx))).unwrap_or_else(|_| {
                         panic!("panic escaped {name} with Fail injected at {site} (n={n})")
@@ -146,7 +159,7 @@ fn seeded_rate_sweep_never_panics() {
             plan = plan.fail_rate(site, 0.02);
         }
         let (plan, hook) = plan.build();
-        let ctx = (&t).into_gen_ctx().with_faults(hook);
+        let ctx = GenCtx::from_tech(&t).with_faults(hook);
         for (name, workload) in WORKLOADS {
             let outcome = catch_unwind(AssertUnwindSafe(|| workload(&ctx)))
                 .unwrap_or_else(|_| panic!("panic escaped {name} at seed {seed}"));
@@ -163,7 +176,7 @@ fn seeded_rate_sweep_never_panics() {
             replay = replay.fail_rate(site, 0.02);
         }
         let (replay, hook2) = replay.build();
-        let ctx2 = (&t).into_gen_ctx().with_faults(hook2);
+        let ctx2 = GenCtx::from_tech(&t).with_faults(hook2);
         for (_, workload) in WORKLOADS {
             let _ = catch_unwind(AssertUnwindSafe(|| workload(&ctx2)));
         }
@@ -193,7 +206,7 @@ fn optimizer_survives_injected_worker_panics() {
         let (plan, hook) = FaultPlan::new(seed)
             .panic_rate(FaultSite::OptWorker, 0.4)
             .build();
-        let ctx = (&t).into_gen_ctx().with_faults(hook);
+        let ctx = GenCtx::from_tech(&t).with_faults(hook);
         let opt = Optimizer::new(&ctx, RatingWeights::default());
         let r = opt.optimize_order(
             &steps,
@@ -239,9 +252,7 @@ fn chaos_runs_are_never_served_from_the_cache() {
     let cache = std::sync::Arc::new(GenCache::new());
 
     // Pre-warm the shared cache with clean runs of every workload.
-    let warm = (&t)
-        .into_gen_ctx()
-        .with_cache(std::sync::Arc::clone(&cache));
+    let warm = GenCtx::from_tech(&t).with_cache(std::sync::Arc::clone(&cache));
     for (name, workload) in WORKLOADS {
         workload(&warm).unwrap_or_else(|e| panic!("clean warm-up of {name} failed: {e}"));
     }
@@ -253,8 +264,7 @@ fn chaos_runs_are_never_served_from_the_cache() {
     for site in FaultSite::ALL {
         for (name, workload) in WORKLOADS {
             let (plan, hook) = FaultPlan::new(0xC0FFEE).fail_nth(site, 1).build();
-            let ctx = (&t)
-                .into_gen_ctx()
+            let ctx = GenCtx::from_tech(&t)
                 .with_cache(std::sync::Arc::clone(&cache))
                 .with_faults(hook);
             let outcome = catch_unwind(AssertUnwindSafe(|| workload(&ctx)))
@@ -285,8 +295,189 @@ fn chaos_runs_are_never_served_from_the_cache() {
 fn cancellation_wins_over_injection() {
     let t = tech();
     let (_, hook) = FaultPlan::new(1).fail_nth(FaultSite::PrimCall, 1).build();
-    let ctx = (&t).into_gen_ctx().with_faults(hook);
+    let ctx = GenCtx::from_tech(&t).with_faults(hook);
     ctx.cancel_token().cancel();
     let err = fig03_contact_row(&ctx).unwrap_err();
     assert!(err.is_cancelled(), "{err}");
+}
+
+/// One public entry point, called with valid arguments.
+type Entry = fn(&GenCtx) -> Result<(), GenError>;
+
+/// Drops an entry point's output, keeping its typed error.
+fn done<T, E: Into<GenError>>(result: Result<T, E>) -> Result<(), GenError> {
+    result.map(drop).map_err(Into::into)
+}
+
+fn layer(ctx: &GenCtx, name: &str) -> Layer {
+    ctx.layer(name).expect("layer exists in bicmos_1u")
+}
+
+/// A one-rectangle object on `name`, built without any stage.
+fn rect_on(ctx: &GenCtx, name: &str) -> LayoutObject {
+    let mut obj = LayoutObject::new(name);
+    obj.push(Shape::new(layer(ctx, name), Rect::new(0, 0, um(4), um(4))));
+    obj
+}
+
+/// Every public entry point that reaches a checkpoint: the module
+/// generators, the primitives, the compactor, the wiring routines, the
+/// optimizer, the amplifier builders and the interpreter.
+const ENTRY_POINTS: [(&str, Entry); 34] = [
+    ("contact_row", |c| {
+        done(contact_row(c, layer(c, "poly"), &ContactRowParams::new()))
+    }),
+    ("contact_row_by_coordinates", |c| {
+        done(contact_row_by_coordinates(c, "poly", um(10)))
+    }),
+    ("mos_transistor", |c| {
+        done(mos_transistor(c, &MosParams::new(MosType::N)))
+    }),
+    ("mos_finger", |c| {
+        done(mos_finger(c, MosType::P, None, None, "g", "d", true))
+    }),
+    ("diff_pair", |c| {
+        done(diff_pair(c, &DiffPairParams::new(MosType::P)))
+    }),
+    ("interdigitated", |c| {
+        done(interdigitated(c, &InterdigitParams::new(MosType::N, 4)))
+    }),
+    ("stacked_transistor", |c| {
+        done(stacked_transistor(c, &StackedParams::new(MosType::N, 3)))
+    }),
+    ("centroid_diff_pair", |c| {
+        done(centroid_diff_pair(c, &CentroidParams::paper(MosType::N)))
+    }),
+    ("current_mirror", |c| {
+        done(current_mirror(c, &MirrorParams::new(MosType::N)))
+    }),
+    ("cascode_pair", |c| {
+        done(cascode_pair(c, &CascodeParams::new(MosType::N)))
+    }),
+    ("diode_transistor", |c| {
+        done(diode_transistor(
+            c,
+            &DiodeParams::new(MosType::N).with_w(um(8)),
+        ))
+    }),
+    ("common_centroid_quad", |c| {
+        done(common_centroid_quad(c, &QuadParams::new(MosType::N)))
+    }),
+    ("poly_resistor", |c| {
+        done(poly_resistor(c, &ResistorParams::new(4)))
+    }),
+    ("matched_resistor_pair", |c| {
+        done(matched_resistor_pair(c, 2, um(10)))
+    }),
+    ("mos_capacitor", |c| {
+        done(mos_capacitor(c, &MosCapParams::new(MosType::N)))
+    }),
+    ("bipolar_npn", |c| done(bipolar_npn(c, &NpnParams::new()))),
+    ("bipolar_pair", |c| done(bipolar_pair(c, &NpnParams::new()))),
+    ("guard_ring", |c| {
+        done(guard_ring(
+            c,
+            &rect_on(c, "ndiff"),
+            &GuardRingParams::default(),
+        ))
+    }),
+    ("Primitives::inbox", |c| {
+        let mut obj = LayoutObject::new("p");
+        done(Primitives::new(c).inbox(&mut obj, layer(c, "poly"), None, None))
+    }),
+    ("Primitives::array", |c| {
+        let mut obj = rect_on(c, "poly");
+        done(Primitives::new(c).array(&mut obj, layer(c, "contact")))
+    }),
+    ("Primitives::around", |c| {
+        let mut obj = rect_on(c, "pdiff");
+        done(Primitives::new(c).around(&mut obj, layer(c, "nwell"), 0))
+    }),
+    ("Primitives::ring", |c| {
+        let mut obj = rect_on(c, "poly");
+        done(Primitives::new(c).ring(&mut obj, layer(c, "pdiff"), None, None))
+    }),
+    ("Primitives::two_rects", |c| {
+        let mut obj = LayoutObject::new("m");
+        done(Primitives::new(c).two_rects(
+            &mut obj,
+            layer(c, "poly"),
+            layer(c, "ndiff"),
+            None,
+            None,
+        ))
+    }),
+    ("Compactor::compact", |c| {
+        let mut main = LayoutObject::new("main");
+        let opts = CompactOptions::new();
+        done(Compactor::new(c).compact(&mut main, &rect_on(c, "poly"), Dir::West, &opts))
+    }),
+    ("Router::straight", |c| {
+        let (a, b) = (
+            Rect::new(0, 0, um(4), um(2)),
+            Rect::new(0, um(8), um(4), um(10)),
+        );
+        let mut obj = LayoutObject::new("w");
+        done(Router::new(c).straight(&mut obj, layer(c, "metal1"), a, b, None, None))
+    }),
+    ("Router::l_route", |c| {
+        let (a, b) = (Point::new(0, 0), Point::new(um(10), um(10)));
+        let mut obj = LayoutObject::new("w");
+        done(Router::new(c).l_route(&mut obj, layer(c, "metal1"), a, b, None, None))
+    }),
+    ("Router::z_route", |c| {
+        let (a, b) = (Point::new(0, 0), Point::new(um(10), um(10)));
+        let mut obj = LayoutObject::new("w");
+        done(Router::new(c).z_route(&mut obj, layer(c, "metal1"), a, b, um(5), None, None))
+    }),
+    ("Router::via_stack", |c| {
+        let (via, m1, m2) = (layer(c, "via1"), layer(c, "metal1"), layer(c, "metal2"));
+        let mut obj = LayoutObject::new("w");
+        done(Router::new(c).via_stack(&mut obj, via, m1, m2, Point::new(0, 0), None))
+    }),
+    ("Router::underpass_v", |c| {
+        let (via, m1, m2) = (layer(c, "via1"), layer(c, "metal1"), layer(c, "metal2"));
+        let mut obj = LayoutObject::new("w");
+        done(Router::new(c).underpass_v(&mut obj, via, m1, m2, 0, 0, um(10), None))
+    }),
+    ("Router::route_mirrored", |c| {
+        let mut obj = LayoutObject::new("w");
+        let (l, r) = (obj.net("l"), obj.net("r"));
+        let path = [Rect::new(0, 0, um(2), um(10))];
+        done(Router::new(c).route_mirrored(&mut obj, layer(c, "metal1"), &path, um(5), l, r))
+    }),
+    ("Optimizer::optimize_order", |c| {
+        let steps = [
+            Step::new(rect_on(c, "poly"), Dir::East, CompactOptions::new()),
+            Step::new(rect_on(c, "poly"), Dir::North, CompactOptions::new()),
+        ];
+        let opt = Optimizer::new(c, RatingWeights::default());
+        done(opt.optimize_order(&steps, SearchOptions::default()))
+    }),
+    ("build_amplifier", |c| done(build_amplifier(c))),
+    ("build_amplifier_cmos", |c| done(build_amplifier_cmos(c))),
+    ("Interpreter::run", |c| {
+        done(Interpreter::new(c.clone()).run("x = 1\n"))
+    }),
+];
+
+/// A limit armed on a context holds in every stage the context reaches:
+/// with its token cancelled up front, no entry point finishes, and each
+/// reports the typed cancellation.
+#[test]
+fn a_cancelled_context_stops_every_entry_point() {
+    let live = GenCtx::from_tech(&tech());
+    for (name, entry) in ENTRY_POINTS {
+        if let Err(e) = entry(&live) {
+            panic!("{name} must succeed on a live context: {e}");
+        }
+    }
+    let ctx = GenCtx::from_tech(&tech());
+    ctx.cancel_token().cancel();
+    for (name, entry) in ENTRY_POINTS {
+        match entry(&ctx) {
+            Ok(()) => panic!("{name} finished on a cancelled context"),
+            Err(e) => assert!(e.is_cancelled(), "{name}: {e}"),
+        }
+    }
 }

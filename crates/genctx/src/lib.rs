@@ -22,10 +22,12 @@
 //!   call site), switched on with [`GenCtx::with_tracing`] and drained
 //!   into a Chrome-trace JSON or the [`GenCtx::run_report`] text.
 //!
-//! Construction is cheap to write at every call site thanks to the
-//! [`IntoGenCtx`] compat shim: APIs accept `impl IntoGenCtx`, so a
-//! `&Tech` (compiled on the spot), a `&GenCtx` (shared) or an owned
-//! `GenCtx` all work.
+//! Every stage entry point takes `&GenCtx`: build one context per run
+//! (with its budget, cancel token, cache and tracing) and pass it by
+//! reference, so no stage can run outside the run's limits. A stage
+//! entry opens one [`StageGuard`] ([`GenCtx::stage`]), which charges
+//! the entry's wall time to the stage on every exit and records its
+//! trace span when tracing is on.
 //!
 //! ```
 //! use amgen_core::GenCtx;
@@ -49,7 +51,7 @@ use std::time::Instant;
 use amgen_tech::{RuleSet, Tech};
 pub use amgen_trace::Detail;
 pub use amgen_trace::{name, Name};
-use amgen_trace::{Span, TraceSink};
+use amgen_trace::{ArgValue, Span, TraceSink};
 
 pub mod cache;
 pub use cache::{CachedModule, CanonParam, GenCache, GenKey, PlacementVariant, VariantTable};
@@ -235,14 +237,6 @@ impl Metrics {
         self.stage_nanos[stage as usize].fetch_add(nanos, Ordering::Relaxed);
     }
 
-    /// Runs `f`, charging its wall time to `stage`.
-    pub fn time<R>(&self, stage: Stage, f: impl FnOnce() -> R) -> R {
-        let t0 = Instant::now();
-        let r = f();
-        self.add_stage_nanos(stage, t0.elapsed().as_nanos() as u64);
-        r
-    }
-
     /// Wall nanoseconds charged to a stage so far.
     pub fn stage_nanos(&self, stage: Stage) -> u64 {
         self.stage_nanos[stage as usize].load(Ordering::Relaxed)
@@ -309,29 +303,39 @@ impl Metrics {
             slot.fetch_add(ns, Ordering::Relaxed);
         }
     }
+}
 
-    /// An RAII guard that charges the wall time from its creation to its
-    /// drop against `stage` — the ergonomic form of [`Metrics::time`] for
-    /// functions with early returns.
-    pub fn stage_timer(&self, stage: Stage) -> StageTimer<'_> {
-        StageTimer {
-            metrics: self,
-            stage,
-            start: Instant::now(),
-        }
+/// RAII guard of one stage entry, opened by [`GenCtx::stage`] or
+/// [`GenCtx::stage_fine`]. It charges the wall time from open to drop to
+/// the stage's [`Metrics`] bucket on every exit — early returns and `?`
+/// errors included — and records the entry as a trace span while
+/// tracing is on. Stage time is inclusive: a guard's window contains
+/// whatever nested stages run inside it.
+#[derive(Debug)]
+#[must_use = "the stage is charged when the guard drops; bind it to a named variable"]
+pub struct StageGuard<'c> {
+    metrics: &'c Metrics,
+    stage: Stage,
+    start: Instant,
+    span: Span<'c>,
+}
+
+impl StageGuard<'_> {
+    /// True when the span will be recorded — use to skip computing
+    /// expensive argument values on the disabled path.
+    #[inline]
+    pub fn is_recording(&self) -> bool {
+        self.span.is_recording()
+    }
+
+    /// Attaches an argument to the span (a no-op when not recording).
+    #[inline]
+    pub fn arg(&mut self, key: &'static str, value: impl Into<ArgValue>) {
+        self.span.arg(key, value);
     }
 }
 
-/// Guard returned by [`Metrics::stage_timer`]; adds the elapsed wall time
-/// to the stage bucket when dropped.
-#[derive(Debug)]
-pub struct StageTimer<'m> {
-    metrics: &'m Metrics,
-    stage: Stage,
-    start: Instant,
-}
-
-impl Drop for StageTimer<'_> {
+impl Drop for StageGuard<'_> {
     fn drop(&mut self) {
         self.metrics
             .add_stage_nanos(self.stage, self.start.elapsed().as_nanos() as u64);
@@ -524,6 +528,55 @@ impl GenCtx {
     pub fn with_tracing_at(self, detail: Detail) -> GenCtx {
         self.trace.set_detail(detail);
         self
+    }
+
+    /// Enters `stage`: the returned guard charges the wall time until it
+    /// drops to the stage's metrics bucket, on every exit, and records a
+    /// span named by `name` while tracing is on (the name closure runs
+    /// only then).
+    ///
+    /// ```
+    /// use amgen_core::{GenCtx, Stage};
+    /// use amgen_tech::Tech;
+    ///
+    /// let ctx = GenCtx::from_tech(&Tech::bicmos_1u());
+    /// let fails = || -> Result<(), String> {
+    ///     let _stage = ctx.stage(Stage::Route, || "straight");
+    ///     Err("not a conductor".into())
+    /// };
+    /// assert!(fails().is_err());
+    /// assert!(ctx.snapshot().stage_nanos(Stage::Route) > 0); // charged on the error exit
+    /// ```
+    #[inline]
+    pub fn stage<N, F>(&self, stage: Stage, name: F) -> StageGuard<'_>
+    where
+        N: Into<amgen_trace::Name>,
+        F: FnOnce() -> N,
+    {
+        StageGuard {
+            metrics: &self.metrics,
+            stage,
+            start: Instant::now(),
+            span: self.span(stage, name),
+        }
+    }
+
+    /// Like [`stage`](GenCtx::stage), but the span is recorded only at
+    /// [`Detail::Fine`] — for entries frequent enough that recording
+    /// them rivals the work itself (one primitive call, one compaction
+    /// step). The stage time is charged at every detail level.
+    #[inline]
+    pub fn stage_fine<N, F>(&self, stage: Stage, name: F) -> StageGuard<'_>
+    where
+        N: Into<amgen_trace::Name>,
+        F: FnOnce() -> N,
+    {
+        StageGuard {
+            metrics: &self.metrics,
+            stage,
+            start: Instant::now(),
+            span: self.span_fine(stage, name),
+        }
     }
 
     /// Opens a trace span charged to `stage` (the stage name becomes the
@@ -847,44 +900,6 @@ impl Deref for GenCtx {
     }
 }
 
-/// Compat shim: lets every stage constructor accept a `&Tech` (compiled
-/// on the spot — convenient in tests and one-shot tools), a `&GenCtx`
-/// (the cheap, shared hot path) or an owned `GenCtx`/`Arc<RuleSet>`.
-pub trait IntoGenCtx {
-    /// Converts into an owned context.
-    fn into_gen_ctx(self) -> GenCtx;
-}
-
-impl IntoGenCtx for GenCtx {
-    fn into_gen_ctx(self) -> GenCtx {
-        self
-    }
-}
-
-impl IntoGenCtx for &GenCtx {
-    fn into_gen_ctx(self) -> GenCtx {
-        self.clone()
-    }
-}
-
-impl IntoGenCtx for &Tech {
-    fn into_gen_ctx(self) -> GenCtx {
-        GenCtx::from_tech(self)
-    }
-}
-
-impl IntoGenCtx for Arc<RuleSet> {
-    fn into_gen_ctx(self) -> GenCtx {
-        GenCtx::new(self)
-    }
-}
-
-impl IntoGenCtx for &Arc<RuleSet> {
-    fn into_gen_ctx(self) -> GenCtx {
-        GenCtx::new(Arc::clone(self))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -922,14 +937,62 @@ mod tests {
     #[test]
     fn stage_timing_accumulates() {
         let ctx = GenCtx::from_tech(&Tech::bicmos_1u());
-        let out = ctx.metrics.time(Stage::Compact, || 7);
-        assert_eq!(out, 7);
+        drop(ctx.stage(Stage::Compact, || "step"));
         ctx.metrics.add_stage_nanos(Stage::Compact, 1);
         let snap = ctx.snapshot();
         assert!(snap.stage_nanos(Stage::Compact) >= 1);
         assert_eq!(snap.stage_nanos(Stage::Route), 0);
         let line = snap.to_string();
         assert!(line.contains("compact="), "{line}");
+    }
+
+    #[test]
+    fn stage_guard_charges_every_exit() {
+        let ctx = GenCtx::from_tech(&Tech::bicmos_1u());
+        let early = |fail: bool| -> Result<u32, &'static str> {
+            let _stage = ctx.stage(Stage::Route, || "straight");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            if fail {
+                return Err("not a conductor");
+            }
+            Ok(1)
+        };
+        assert!(early(true).is_err());
+        let after_error = ctx.snapshot().stage_nanos(Stage::Route);
+        assert!(after_error >= 1_000_000, "{after_error}");
+        assert_eq!(early(false), Ok(1));
+        assert!(ctx.snapshot().stage_nanos(Stage::Route) >= after_error + 1_000_000);
+    }
+
+    #[test]
+    fn stage_guard_spans_follow_the_trace_detail() {
+        let ctx = GenCtx::from_tech(&Tech::bicmos_1u());
+        {
+            let mut quiet = ctx.stage(Stage::Prim, || "inbox");
+            assert!(!quiet.is_recording());
+            quiet.arg("ignored", 1u64);
+        }
+        assert!(ctx.trace.drain().events.is_empty());
+        let ctx = ctx.with_tracing(true);
+        {
+            let mut coarse = ctx.stage(Stage::Drc, || "check");
+            assert!(coarse.is_recording());
+            coarse.arg("violations", 0u64);
+            let fine = ctx.stage_fine(Stage::Prim, || "inbox");
+            assert!(!fine.is_recording(), "Fine spans wait for Detail::Fine");
+        }
+        let names: Vec<_> = ctx
+            .trace
+            .drain()
+            .events
+            .iter()
+            .map(|e| (e.cat, e.name.as_str().to_string()))
+            .collect();
+        assert_eq!(names, [("drc", "check".into()), ("drc", String::new())]);
+        let ctx = ctx.with_tracing_at(Detail::Fine);
+        drop(ctx.stage_fine(Stage::Prim, || "inbox"));
+        assert_eq!(ctx.trace.drain().events.len(), 2);
+        assert!(ctx.snapshot().stage_nanos(Stage::Prim) > 0);
     }
 
     #[test]
@@ -986,21 +1049,5 @@ mod tests {
         // Quiet counters stay out of the line.
         assert!(!line.contains("cache_evicted"), "{line}");
         assert!(!Metrics::new().snapshot().to_string().contains("cache_"));
-    }
-
-    #[test]
-    fn into_gen_ctx_accepts_all_forms() {
-        fn take(ctx: impl IntoGenCtx) -> GenCtx {
-            ctx.into_gen_ctx()
-        }
-        let tech = Tech::bicmos_1u();
-        let a = take(&tech);
-        let b = take(&a);
-        assert!(Arc::ptr_eq(&a.rules, &b.rules));
-        let rules = tech.compile_arc();
-        let c = take(&rules);
-        let d = take(rules);
-        assert!(Arc::ptr_eq(&c.rules, &d.rules));
-        let _ = take(c);
     }
 }

@@ -3,24 +3,15 @@
 //! interpreter actually measures, and programs the certificate proves
 //! too expensive are refused at admission without executing a statement.
 
-use amgen_core::{Budget, IntoGenCtx};
+use amgen_core::{Budget, GenCtx};
 use amgen_dsl::{stdlib, DslError, Interpreter};
 use amgen_lint::{checked_run, CertifyOptions, CheckError, Code, Linter};
 use amgen_tech::Tech;
 
-const STDLIB: [&str; 6] = [
-    stdlib::FIG2_CONTACT_ROW,
-    stdlib::FIG7_DIFF_PAIR,
-    stdlib::INTERDIGIT,
-    stdlib::STACKED,
-    stdlib::CENTROID_PLACEMENT,
-    stdlib::VARIANT_ROW,
-];
-
 /// A linter with the technology bound and the whole stdlib preloaded.
 fn stdlib_linter() -> Linter {
     let mut l = Linter::with_rules(Tech::bicmos_1u().compile_arc());
-    for lib in STDLIB {
+    for (_, lib) in stdlib::ALL {
         l.load(lib).unwrap();
     }
     l
@@ -112,9 +103,9 @@ fn certified_bounds_dominate_measured_costs() {
         );
         let cert = report.tops[0].as_ref().expect("driver certifies");
 
-        let ctx = (&tech).into_gen_ctx();
+        let ctx = GenCtx::from_tech(&tech);
         let mut interp = Interpreter::new(ctx.clone());
-        for lib in STDLIB {
+        for (_, lib) in stdlib::ALL {
             interp.load(lib).unwrap();
         }
         interp.run(driver).unwrap_or_else(|e| {
@@ -160,7 +151,7 @@ fn certified_bounds_dominate_measured_costs() {
 #[test]
 fn fuel_bomb_is_rejected_before_executing() {
     let tech = Tech::bicmos_1u();
-    let ctx = (&tech).into_gen_ctx().with_budget(
+    let ctx = GenCtx::from_tech(&tech).with_budget(
         Budget::unlimited()
             .with_dsl_fuel(1_000)
             .with_max_recursion(32),
@@ -184,7 +175,7 @@ fn fuel_bomb_is_rejected_before_executing() {
 #[test]
 fn recursion_bomb_is_rejected_by_lint() {
     let tech = Tech::bicmos_1u();
-    let ctx = (&tech).into_gen_ctx();
+    let ctx = GenCtx::from_tech(&tech);
     let mut interp = Interpreter::new(ctx.clone());
     let src = "x = ERec(1)\n\nENT ERec(<n>)\n  y = ERec(n + 1)\n";
     let err = checked_run(&mut interp, src).expect_err("recursion bomb must be refused");
@@ -204,7 +195,7 @@ fn recursion_bomb_is_rejected_by_lint() {
 #[test]
 fn bounded_recursion_is_admitted_and_runs() {
     let tech = Tech::bicmos_1u();
-    let ctx = (&tech).into_gen_ctx().with_budget(
+    let ctx = GenCtx::from_tech(&tech).with_budget(
         Budget::unlimited()
             .with_dsl_fuel(1_000)
             .with_max_recursion(32),
@@ -228,7 +219,7 @@ ENT ECount(<n>)
 #[test]
 fn statically_unbounded_programs_still_run_dynamically() {
     let tech = Tech::bicmos_1u();
-    let ctx = (&tech).into_gen_ctx().with_budget(
+    let ctx = GenCtx::from_tech(&tech).with_budget(
         Budget::unlimited()
             .with_dsl_fuel(10_000)
             .with_max_recursion(32),

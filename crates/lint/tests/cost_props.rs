@@ -12,7 +12,7 @@
 //! falsify. Cases the pass refuses to bound (E501/W503) are skipped;
 //! the property constrains the claims, not the coverage.
 
-use amgen_core::{Budget, IntoGenCtx};
+use amgen_core::{Budget, GenCtx};
 use amgen_dsl::ast::{strip_spans, Program};
 use amgen_dsl::costmodel::DEFAULT_MAX_VARIANTS;
 use amgen_dsl::pretty::print_program;
@@ -221,7 +221,7 @@ proptest! {
             .closed()
             .map_or(64, |v| v.max(0.0) as usize + 64);
 
-        let ctx = (&Tech::bicmos_1u()).into_gen_ctx().with_budget(
+        let ctx = GenCtx::from_tech(&Tech::bicmos_1u()).with_budget(
             Budget::unlimited()
                 .with_dsl_fuel(budget_fuel)
                 .with_max_recursion(budget_rec),

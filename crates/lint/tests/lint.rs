@@ -2,6 +2,7 @@
 //! checked front-end gates execution on lint errors, and the analyzer is
 //! fast enough to run on every invocation.
 
+use amgen_core::GenCtx;
 use amgen_dsl::stdlib;
 use amgen_dsl::Interpreter;
 use amgen_lint::{checked_run, has_errors, CheckError, Code, Linter, Severity};
@@ -16,14 +17,7 @@ fn linter() -> Linter {
 #[test]
 fn stdlib_sources_lint_clean() {
     let l = linter();
-    for (name, src) in [
-        ("FIG2_CONTACT_ROW", stdlib::FIG2_CONTACT_ROW),
-        ("FIG7_DIFF_PAIR", stdlib::FIG7_DIFF_PAIR),
-        ("INTERDIGIT", stdlib::INTERDIGIT),
-        ("STACKED", stdlib::STACKED),
-        ("CENTROID_PLACEMENT", stdlib::CENTROID_PLACEMENT),
-        ("VARIANT_ROW", stdlib::VARIANT_ROW),
-    ] {
+    for (name, src) in stdlib::ALL {
         let diags = l.lint_source(src);
         assert!(
             diags.is_empty(),
@@ -89,8 +83,7 @@ ENT Outer(p)
 
 #[test]
 fn checked_run_gates_on_lint_errors() {
-    let tech = Tech::bicmos_1u();
-    let mut interp = Interpreter::new(&tech);
+    let mut interp = Interpreter::new(GenCtx::from_tech(&Tech::bicmos_1u()));
     interp.load(stdlib::FIG2_CONTACT_ROW).unwrap();
 
     // Error: unknown layer never reaches the interpreter.

@@ -12,7 +12,7 @@
 //! experiment harness compares the line counts (`T-code` in
 //! EXPERIMENTS.md).
 
-use amgen_core::{FaultSite, GenCtx, IntoGenCtx, Stage};
+use amgen_core::{FaultSite, GenCtx, Stage};
 use amgen_db::{LayoutObject, Shape};
 use amgen_geom::{Coord, Rect};
 
@@ -30,11 +30,10 @@ pub const BASELINE_SOURCE: &str = include_str!("baseline.rs");
 /// Every coordinate below is derived manually — exactly the style the
 /// paper's language replaces.
 pub fn contact_row_by_coordinates(
-    tech: impl IntoGenCtx,
+    tech: &GenCtx,
     layer_name: &str,
     w: Coord,
 ) -> Result<LayoutObject, ModgenError> {
-    let tech = &tech.into_gen_ctx();
     let key = crate::cached::module_key(tech, "contact_row_by_coordinates", |k| {
         k.push(layer_name);
         k.push(w);
@@ -49,8 +48,7 @@ fn contact_row_by_coordinates_uncached(
     layer_name: &str,
     w: Coord,
 ) -> Result<LayoutObject, ModgenError> {
-    let _timer = tech.metrics.stage_timer(Stage::Modgen);
-    let _span = tech.span(Stage::Modgen, || "contact_row_by_coordinates");
+    let _stage = tech.stage(Stage::Modgen, || "contact_row_by_coordinates");
     tech.checkpoint(Stage::Modgen)?;
     tech.fault_check(FaultSite::ModgenEntry, "contact_row_by_coordinates")?;
     let layer = tech.layer(layer_name)?;
@@ -125,8 +123,8 @@ mod tests {
     use amgen_geom::um;
     use amgen_tech::Tech;
 
-    fn tech() -> Tech {
-        Tech::bicmos_1u()
+    fn tech() -> GenCtx {
+        GenCtx::from_tech(&Tech::bicmos_1u())
     }
 
     #[test]

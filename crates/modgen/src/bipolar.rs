@@ -10,7 +10,7 @@
 //! compaction steps.
 
 use amgen_compact::{CompactOptions, Compactor};
-use amgen_core::{FaultSite, GenCtx, IntoGenCtx, Stage};
+use amgen_core::{FaultSite, GenCtx, Stage};
 use amgen_db::{LayoutObject, Port};
 use amgen_geom::{Coord, Dir, Vector};
 use amgen_prim::Primitives;
@@ -40,8 +40,7 @@ impl NpnParams {
 }
 
 /// Generates a single npn transistor. Ports: `e`, `b`, `c`.
-pub fn bipolar_npn(tech: impl IntoGenCtx, params: &NpnParams) -> Result<LayoutObject, ModgenError> {
-    let tech = &tech.into_gen_ctx();
+pub fn bipolar_npn(tech: &GenCtx, params: &NpnParams) -> Result<LayoutObject, ModgenError> {
     let key = crate::cached::module_key(tech, "bipolar_npn", |k| {
         k.push(params.emitter_l);
     });
@@ -49,8 +48,7 @@ pub fn bipolar_npn(tech: impl IntoGenCtx, params: &NpnParams) -> Result<LayoutOb
 }
 
 fn bipolar_npn_uncached(tech: &GenCtx, params: &NpnParams) -> Result<LayoutObject, ModgenError> {
-    let _timer = tech.metrics.stage_timer(Stage::Modgen);
-    let _span = tech.span(Stage::Modgen, || "bipolar_npn");
+    let _stage = tech.stage(Stage::Modgen, || "bipolar_npn");
     tech.checkpoint(Stage::Modgen)?;
     tech.fault_check(FaultSite::ModgenEntry, "bipolar_npn")?;
     let prim = Primitives::new(tech);
@@ -120,11 +118,7 @@ fn bipolar_npn_uncached(tech: &GenCtx, params: &NpnParams) -> Result<LayoutObjec
 
 /// A symmetric npn pair: two devices mirrored about a common axis, the
 /// block-F arrangement.
-pub fn bipolar_pair(
-    tech: impl IntoGenCtx,
-    params: &NpnParams,
-) -> Result<LayoutObject, ModgenError> {
-    let tech = &tech.into_gen_ctx();
+pub fn bipolar_pair(tech: &GenCtx, params: &NpnParams) -> Result<LayoutObject, ModgenError> {
     let key = crate::cached::module_key(tech, "bipolar_pair", |k| {
         k.push(params.emitter_l);
     });
@@ -132,8 +126,7 @@ pub fn bipolar_pair(
 }
 
 fn bipolar_pair_uncached(tech: &GenCtx, params: &NpnParams) -> Result<LayoutObject, ModgenError> {
-    let _timer = tech.metrics.stage_timer(Stage::Modgen);
-    let _span = tech.span(Stage::Modgen, || "bipolar_pair");
+    let _stage = tech.stage(Stage::Modgen, || "bipolar_pair");
     tech.checkpoint(Stage::Modgen)?;
     tech.fault_check(FaultSite::ModgenEntry, "bipolar_pair")?;
     let single = bipolar_npn(tech, params)?;
@@ -179,8 +172,8 @@ mod tests {
     use amgen_geom::um;
     use amgen_tech::Tech;
 
-    fn tech() -> Tech {
-        Tech::bicmos_1u()
+    fn tech() -> GenCtx {
+        GenCtx::from_tech(&Tech::bicmos_1u())
     }
 
     #[test]

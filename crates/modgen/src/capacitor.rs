@@ -7,7 +7,7 @@
 //! the poly layer gives the nominal value.
 
 use amgen_compact::{CompactOptions, Compactor};
-use amgen_core::{FaultSite, GenCtx, IntoGenCtx, Stage};
+use amgen_core::{FaultSite, GenCtx, Stage};
 use amgen_db::LayoutObject;
 use amgen_geom::{Coord, Dir};
 use amgen_prim::Primitives;
@@ -43,10 +43,9 @@ impl MosCapParams {
 /// Returns the module and the estimated plate capacitance in fF (area ×
 /// the poly area coefficient — a stand-in for the oxide capacitance).
 pub fn mos_capacitor(
-    tech: impl IntoGenCtx,
+    tech: &GenCtx,
     params: &MosCapParams,
 ) -> Result<(LayoutObject, f64), ModgenError> {
-    let tech = &tech.into_gen_ctx();
     let key = crate::cached::module_key(tech, "mos_capacitor", |k| {
         k.push(crate::cached::mos_code(params.mos));
         k.push(params.side);
@@ -66,8 +65,7 @@ fn mos_capacitor_uncached(
     tech: &GenCtx,
     params: &MosCapParams,
 ) -> Result<(LayoutObject, f64), ModgenError> {
-    let _timer = tech.metrics.stage_timer(Stage::Modgen);
-    let _span = tech.span(Stage::Modgen, || "mos_capacitor");
+    let _stage = tech.stage(Stage::Modgen, || "mos_capacitor");
     tech.checkpoint(Stage::Modgen)?;
     tech.fault_check(FaultSite::ModgenEntry, "mos_capacitor")?;
     let c = Compactor::new(tech);
@@ -135,8 +133,8 @@ mod tests {
     use amgen_geom::um;
     use amgen_tech::Tech;
 
-    fn tech() -> Tech {
-        Tech::bicmos_1u()
+    fn tech() -> GenCtx {
+        GenCtx::from_tech(&Tech::bicmos_1u())
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! and are joined with one straight metal2 wire.
 
 use amgen_compact::{CompactOptions, Compactor};
-use amgen_core::{FaultSite, GenCtx, IntoGenCtx, Stage};
+use amgen_core::{FaultSite, GenCtx, Stage};
 use amgen_db::LayoutObject;
 use amgen_geom::{Coord, Dir};
 use amgen_route::Router;
@@ -63,11 +63,7 @@ impl CascodeParams {
 /// Ports: `g_lo`, `g_hi` (the two gate nodes), `s` (bottom source), `d`
 /// (top drain); the internal node `mid` joins the lower drain to the
 /// upper source.
-pub fn cascode_pair(
-    tech: impl IntoGenCtx,
-    params: &CascodeParams,
-) -> Result<LayoutObject, ModgenError> {
-    let tech = &tech.into_gen_ctx();
+pub fn cascode_pair(tech: &GenCtx, params: &CascodeParams) -> Result<LayoutObject, ModgenError> {
     let key = crate::cached::module_key(tech, "cascode_pair", |k| {
         k.push(crate::cached::mos_code(params.mos));
         k.push(params.fingers);
@@ -81,8 +77,7 @@ fn cascode_pair_uncached(
     tech: &GenCtx,
     params: &CascodeParams,
 ) -> Result<LayoutObject, ModgenError> {
-    let _timer = tech.metrics.stage_timer(Stage::Modgen);
-    let _span = tech.span(Stage::Modgen, || "cascode_pair");
+    let _stage = tech.stage(Stage::Modgen, || "cascode_pair");
     tech.checkpoint(Stage::Modgen)?;
     tech.fault_check(FaultSite::ModgenEntry, "cascode_pair")?;
     let c = Compactor::new(tech);
@@ -132,11 +127,11 @@ mod tests {
     use amgen_geom::um;
     use amgen_tech::Tech;
 
-    fn tech() -> Tech {
-        Tech::bicmos_1u()
+    fn tech() -> GenCtx {
+        GenCtx::from_tech(&Tech::bicmos_1u())
     }
 
-    fn cascode(t: &Tech) -> LayoutObject {
+    fn cascode(t: &GenCtx) -> LayoutObject {
         cascode_pair(t, &CascodeParams::new(MosType::N).with_w(um(6))).unwrap()
     }
 

@@ -20,7 +20,7 @@
 //! as `d2`'s risers cross `d1`'s.
 
 use amgen_compact::{CompactOptions, Compactor};
-use amgen_core::{FaultSite, GenCtx, IntoGenCtx, Stage};
+use amgen_core::{FaultSite, GenCtx, Stage};
 use amgen_db::{LayoutObject, Port, Shape};
 use amgen_geom::{Coord, Dir, Point, Rect, Vector};
 use amgen_prim::Primitives;
@@ -136,10 +136,9 @@ fn gate_unit(
 /// (metal2 buses), common source `s`, and `sub` when the guard ring is
 /// enabled.
 pub fn centroid_diff_pair(
-    tech: impl IntoGenCtx,
+    tech: &GenCtx,
     params: &CentroidParams,
 ) -> Result<LayoutObject, ModgenError> {
-    let tech = &tech.into_gen_ctx();
     let key = crate::cached::module_key(tech, "centroid_diff_pair", |k| {
         k.push(crate::cached::mos_code(params.mos));
         k.push(params.pairs_per_side);
@@ -158,8 +157,7 @@ fn centroid_diff_pair_uncached(
     tech: &GenCtx,
     params: &CentroidParams,
 ) -> Result<LayoutObject, ModgenError> {
-    let _timer = tech.metrics.stage_timer(Stage::Modgen);
-    let _span = tech.span(Stage::Modgen, || "centroid_diff_pair");
+    let _stage = tech.stage(Stage::Modgen, || "centroid_diff_pair");
     tech.checkpoint(Stage::Modgen)?;
     tech.fault_check(FaultSite::ModgenEntry, "centroid_diff_pair")?;
     if params.pairs_per_side == 0 {
@@ -401,11 +399,11 @@ mod tests {
     use amgen_geom::um;
     use amgen_tech::Tech;
 
-    fn tech() -> Tech {
-        Tech::bicmos_1u()
+    fn tech() -> GenCtx {
+        GenCtx::from_tech(&Tech::bicmos_1u())
     }
 
-    fn paper_module(t: &Tech) -> LayoutObject {
+    fn paper_module(t: &GenCtx) -> LayoutObject {
         centroid_diff_pair(
             t,
             &CentroidParams::paper(MosType::N)

@@ -9,7 +9,7 @@
 //!   ARRAY("contact")
 //! ```
 
-use amgen_core::{FaultSite, GenCtx, IntoGenCtx, Stage};
+use amgen_core::{FaultSite, GenCtx, Stage};
 use amgen_db::{LayoutObject, Port, RebuildKind};
 use amgen_geom::{Coord, Dir};
 use amgen_prim::Primitives;
@@ -75,21 +75,21 @@ impl ContactRowParams {
 ///
 /// # Example
 /// ```
+/// use amgen_core::GenCtx;
 /// use amgen_modgen::{contact_row, ContactRowParams};
 /// use amgen_tech::Tech;
 /// use amgen_geom::um;
 ///
-/// let tech = Tech::bicmos_1u();
+/// let tech = GenCtx::from_tech(&Tech::bicmos_1u());
 /// let poly = tech.layer("poly").unwrap();
 /// let row = contact_row(&tech, poly, &ContactRowParams::new().with_w(um(10))).unwrap();
 /// assert!(row.port("c").is_some());
 /// ```
 pub fn contact_row(
-    tech: impl IntoGenCtx,
+    tech: &GenCtx,
     layer: Layer,
     params: &ContactRowParams,
 ) -> Result<LayoutObject, ModgenError> {
-    let tech = &tech.into_gen_ctx();
     // The net is a pure relabeling: cache the canonical (α-renamed)
     // form so rows that differ only in their net share one entry.
     if let (true, Some(net)) = (tech.cache_active(), &params.net) {
@@ -127,8 +127,7 @@ fn contact_row_uncached(
     layer: Layer,
     params: &ContactRowParams,
 ) -> Result<LayoutObject, ModgenError> {
-    let _timer = tech.metrics.stage_timer(Stage::Modgen);
-    let _span = tech.span(Stage::Modgen, || "contact_row");
+    let _stage = tech.stage(Stage::Modgen, || "contact_row");
     tech.checkpoint(Stage::Modgen)?;
     tech.fault_check(FaultSite::ModgenEntry, "contact_row")?;
     let prim = Primitives::new(tech);
@@ -179,8 +178,8 @@ mod tests {
     use amgen_geom::um;
     use amgen_tech::Tech;
 
-    fn tech() -> Tech {
-        Tech::bicmos_1u()
+    fn tech() -> GenCtx {
+        GenCtx::from_tech(&Tech::bicmos_1u())
     }
 
     #[test]
@@ -273,7 +272,7 @@ mod tests {
 
     #[test]
     fn works_in_the_cmos_deck_too() -> Result<(), Box<dyn std::error::Error>> {
-        let t = Tech::cmos_08();
+        let t = GenCtx::from_tech(&Tech::cmos_08());
         let ndiff = t.layer("ndiff")?;
         let row = contact_row(&t, ndiff, &ContactRowParams::new().with_w(um(10)))?;
         assert!(Drc::new(&t).check(&row).is_empty());

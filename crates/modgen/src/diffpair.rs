@@ -15,7 +15,7 @@
 //! shared between the devices.
 
 use amgen_compact::{CompactOptions, Compactor};
-use amgen_core::{FaultSite, GenCtx, IntoGenCtx, Stage};
+use amgen_core::{FaultSite, GenCtx, Stage};
 use amgen_db::LayoutObject;
 use amgen_geom::Coord;
 use amgen_geom::Dir;
@@ -68,11 +68,7 @@ impl DiffPairParams {
 ///
 /// Net/port names: gates `g1`/`g2`, drains `d1`/`d2` (outer rows), common
 /// source `s` (the shared middle row).
-pub fn diff_pair(
-    tech: impl IntoGenCtx,
-    params: &DiffPairParams,
-) -> Result<LayoutObject, ModgenError> {
-    let tech = &tech.into_gen_ctx();
+pub fn diff_pair(tech: &GenCtx, params: &DiffPairParams) -> Result<LayoutObject, ModgenError> {
     let key = crate::cached::module_key(tech, "diff_pair", |k| {
         k.push(crate::cached::mos_code(params.mos));
         k.push(params.w);
@@ -83,8 +79,7 @@ pub fn diff_pair(
 }
 
 fn diff_pair_uncached(tech: &GenCtx, params: &DiffPairParams) -> Result<LayoutObject, ModgenError> {
-    let _timer = tech.metrics.stage_timer(Stage::Modgen);
-    let _span = tech.span(Stage::Modgen, || "diff_pair");
+    let _stage = tech.stage(Stage::Modgen, || "diff_pair");
     tech.checkpoint(Stage::Modgen)?;
     tech.fault_check(FaultSite::ModgenEntry, "diff_pair")?;
     let c = Compactor::new(tech);
@@ -134,11 +129,11 @@ mod tests {
     use amgen_geom::um;
     use amgen_tech::Tech;
 
-    fn tech() -> Tech {
-        Tech::bicmos_1u()
+    fn tech() -> GenCtx {
+        GenCtx::from_tech(&Tech::bicmos_1u())
     }
 
-    fn pair(t: &Tech) -> LayoutObject {
+    fn pair(t: &GenCtx) -> LayoutObject {
         diff_pair(
             t,
             &DiffPairParams::new(MosType::P).with_w(um(10)).with_l(um(2)),
@@ -252,7 +247,7 @@ mod tests {
 
     #[test]
     fn works_in_cmos_deck() -> Result<(), Box<dyn std::error::Error>> {
-        let t = Tech::cmos_08();
+        let t = GenCtx::from_tech(&Tech::cmos_08());
         let p = diff_pair(&t, &DiffPairParams::new(MosType::N).with_w(um(8)))?;
         let v = Drc::new(&t).check_spacing(&p);
         assert!(v.is_empty(), "{v:?}");

@@ -6,7 +6,7 @@
 //! transistor plus one metal1 strap from the gate contact to the drain
 //! row.
 
-use amgen_core::{FaultSite, GenCtx, IntoGenCtx, Stage};
+use amgen_core::{FaultSite, GenCtx, Stage};
 use amgen_db::{LayoutObject, Shape};
 use amgen_geom::{Coord, Rect};
 
@@ -51,11 +51,7 @@ impl DiodeParams {
 
 /// Generates the diode-connected transistor. The anode (gate + drain) is
 /// net `a`, the source is net `s`. Ports: `a`, `s`.
-pub fn diode_transistor(
-    tech: impl IntoGenCtx,
-    params: &DiodeParams,
-) -> Result<LayoutObject, ModgenError> {
-    let tech = &tech.into_gen_ctx();
+pub fn diode_transistor(tech: &GenCtx, params: &DiodeParams) -> Result<LayoutObject, ModgenError> {
     let key = crate::cached::module_key(tech, "diode_transistor", |k| {
         k.push(crate::cached::mos_code(params.mos));
         k.push(params.w);
@@ -70,8 +66,7 @@ fn diode_transistor_uncached(
     tech: &GenCtx,
     params: &DiodeParams,
 ) -> Result<LayoutObject, ModgenError> {
-    let _timer = tech.metrics.stage_timer(Stage::Modgen);
-    let _span = tech.span(Stage::Modgen, || "diode_transistor");
+    let _stage = tech.stage(Stage::Modgen, || "diode_transistor");
     tech.checkpoint(Stage::Modgen)?;
     tech.fault_check(FaultSite::ModgenEntry, "diode_transistor")?;
     let mut p = MosParams::new(params.mos).with_nets("a", "s", "a");
@@ -132,8 +127,8 @@ mod tests {
     use amgen_geom::um;
     use amgen_tech::Tech;
 
-    fn tech() -> Tech {
-        Tech::bicmos_1u()
+    fn tech() -> GenCtx {
+        GenCtx::from_tech(&Tech::bicmos_1u())
     }
 
     #[test]

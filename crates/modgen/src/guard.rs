@@ -6,7 +6,7 @@
 //! a contacted diffusion ring whose shapes carry
 //! [`ShapeRole::SubstrateContact`] so the check can find them.
 
-use amgen_core::{FaultSite, GenCtx, IntoGenCtx, Stage};
+use amgen_core::{FaultSite, GenCtx, Stage};
 use amgen_db::{LayoutObject, Port, Shape, ShapeRole};
 use amgen_geom::{Coord, Rect};
 use amgen_prim::Primitives;
@@ -36,11 +36,10 @@ impl Default for GuardRingParams {
 /// the combined module. The ring's diffusion carries
 /// [`ShapeRole::SubstrateContact`] — it provides latch-up coverage.
 pub fn guard_ring(
-    tech: impl IntoGenCtx,
+    tech: &GenCtx,
     core: &LayoutObject,
     params: &GuardRingParams,
 ) -> Result<LayoutObject, ModgenError> {
-    let tech = &tech.into_gen_ctx();
     let key = crate::cached::module_key(tech, "guard_ring", |k| {
         k.push(amgen_core::CanonParam::object(core));
         k.push(params.net.clone());
@@ -56,8 +55,7 @@ fn guard_ring_uncached(
     core: &LayoutObject,
     params: &GuardRingParams,
 ) -> Result<LayoutObject, ModgenError> {
-    let _timer = tech.metrics.stage_timer(Stage::Modgen);
-    let _span = tech.span(Stage::Modgen, || "guard_ring");
+    let _stage = tech.stage(Stage::Modgen, || "guard_ring");
     tech.checkpoint(Stage::Modgen)?;
     tech.fault_check(FaultSite::ModgenEntry, "guard_ring")?;
     let prim = Primitives::new(tech);
@@ -123,8 +121,8 @@ mod tests {
 
     use crate::mos::{mos_transistor, MosParams, MosType};
 
-    fn tech() -> Tech {
-        Tech::bicmos_1u()
+    fn tech() -> GenCtx {
+        GenCtx::from_tech(&Tech::bicmos_1u())
     }
 
     #[test]

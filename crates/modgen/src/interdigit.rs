@@ -6,7 +6,7 @@
 //! metal2 buses collecting the source and drain rows.
 
 use amgen_compact::{CompactOptions, Compactor};
-use amgen_core::{FaultSite, GenCtx, IntoGenCtx, Stage};
+use amgen_core::{FaultSite, GenCtx, Stage};
 use amgen_db::{LayoutObject, Port, Shape};
 use amgen_geom::{Coord, Dir, Point, Rect};
 use amgen_prim::Primitives;
@@ -101,10 +101,9 @@ fn gate_unit(
 /// Ports: the gate (`g_net`, on the poly contact row), the source bus and
 /// the drain bus (`s_net`/`d_net`, on metal2).
 pub fn interdigitated(
-    tech: impl IntoGenCtx,
+    tech: &GenCtx,
     params: &InterdigitParams,
 ) -> Result<LayoutObject, ModgenError> {
-    let tech = &tech.into_gen_ctx();
     let key = crate::cached::module_key(tech, "interdigitated", |k| {
         k.push(crate::cached::mos_code(params.mos));
         k.push(params.fingers);
@@ -122,8 +121,7 @@ fn interdigitated_uncached(
     tech: &GenCtx,
     params: &InterdigitParams,
 ) -> Result<LayoutObject, ModgenError> {
-    let _timer = tech.metrics.stage_timer(Stage::Modgen);
-    let _span = tech.span(Stage::Modgen, || "interdigitated");
+    let _stage = tech.stage(Stage::Modgen, || "interdigitated");
     tech.checkpoint(Stage::Modgen)?;
     tech.fault_check(FaultSite::ModgenEntry, "interdigitated")?;
     if params.fingers == 0 {
@@ -250,11 +248,11 @@ mod tests {
     use amgen_geom::um;
     use amgen_tech::Tech;
 
-    fn tech() -> Tech {
-        Tech::bicmos_1u()
+    fn tech() -> GenCtx {
+        GenCtx::from_tech(&Tech::bicmos_1u())
     }
 
-    fn module(t: &Tech, fingers: usize) -> LayoutObject {
+    fn module(t: &GenCtx, fingers: usize) -> LayoutObject {
         interdigitated(
             t,
             &InterdigitParams::new(MosType::N, fingers)

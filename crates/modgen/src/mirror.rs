@@ -9,7 +9,7 @@
 //! device sits in the middle, `n` output fingers flank it on each side.
 
 use amgen_compact::{CompactOptions, Compactor};
-use amgen_core::{FaultSite, GenCtx, IntoGenCtx, Stage};
+use amgen_core::{FaultSite, GenCtx, Stage};
 use amgen_db::{LayoutObject, Port, Shape};
 use amgen_geom::{Coord, Dir, Point, Rect};
 use amgen_prim::Primitives;
@@ -69,11 +69,7 @@ impl MirrorParams {
 /// Generates the symmetric current mirror. All gates share the `in` net
 /// (the diode connection ties the middle drain to the gates). Ports:
 /// `in`, `out`, `s`.
-pub fn current_mirror(
-    tech: impl IntoGenCtx,
-    params: &MirrorParams,
-) -> Result<LayoutObject, ModgenError> {
-    let tech = &tech.into_gen_ctx();
+pub fn current_mirror(tech: &GenCtx, params: &MirrorParams) -> Result<LayoutObject, ModgenError> {
     let key = crate::cached::module_key(tech, "current_mirror", |k| {
         k.push(crate::cached::mos_code(params.mos));
         k.push(params.side_fingers);
@@ -87,8 +83,7 @@ fn current_mirror_uncached(
     tech: &GenCtx,
     params: &MirrorParams,
 ) -> Result<LayoutObject, ModgenError> {
-    let _timer = tech.metrics.stage_timer(Stage::Modgen);
-    let _span = tech.span(Stage::Modgen, || "current_mirror");
+    let _stage = tech.stage(Stage::Modgen, || "current_mirror");
     tech.checkpoint(Stage::Modgen)?;
     tech.fault_check(FaultSite::ModgenEntry, "current_mirror")?;
     if params.side_fingers == 0 {
@@ -254,11 +249,11 @@ mod tests {
     use amgen_geom::um;
     use amgen_tech::Tech;
 
-    fn tech() -> Tech {
-        Tech::bicmos_1u()
+    fn tech() -> GenCtx {
+        GenCtx::from_tech(&Tech::bicmos_1u())
     }
 
-    fn mirror(t: &Tech) -> LayoutObject {
+    fn mirror(t: &GenCtx) -> LayoutObject {
         current_mirror(
             t,
             &MirrorParams::new(MosType::N).with_w(um(6)).with_l(um(1)),

@@ -18,7 +18,7 @@
 //! diffusion-contacts could be placed closer to the transistors"*.
 
 use amgen_compact::{CompactOptions, Compactor};
-use amgen_core::{FaultSite, GenCtx, IntoGenCtx, Stage};
+use amgen_core::{FaultSite, GenCtx, Stage};
 use amgen_db::LayoutObject;
 use amgen_geom::{Coord, Dir};
 use amgen_prim::Primitives;
@@ -134,11 +134,7 @@ impl MosParams {
 /// Generates a contacted MOS transistor: gate crossing, gate contact row
 /// (south), and source/drain contact rows merged into the diffusion
 /// (west/east). Ports are named after the three net parameters.
-pub fn mos_transistor(
-    tech: impl IntoGenCtx,
-    params: &MosParams,
-) -> Result<LayoutObject, ModgenError> {
-    let tech = &tech.into_gen_ctx();
+pub fn mos_transistor(tech: &GenCtx, params: &MosParams) -> Result<LayoutObject, ModgenError> {
     let key = crate::cached::module_key(tech, "mos_transistor", |k| {
         k.push(crate::cached::mos_code(params.mos));
         k.push(params.w);
@@ -153,8 +149,7 @@ pub fn mos_transistor(
 }
 
 fn mos_transistor_uncached(tech: &GenCtx, params: &MosParams) -> Result<LayoutObject, ModgenError> {
-    let _timer = tech.metrics.stage_timer(Stage::Modgen);
-    let _span = tech.span(Stage::Modgen, || "mos_transistor");
+    let _stage = tech.stage(Stage::Modgen, || "mos_transistor");
     tech.checkpoint(Stage::Modgen)?;
     tech.fault_check(FaultSite::ModgenEntry, "mos_transistor")?;
     let prim = Primitives::new(tech);
@@ -254,7 +249,7 @@ fn mos_transistor_uncached(tech: &GenCtx, params: &MosParams) -> Result<LayoutOb
 /// which is how the differential pair of Fig. 6 gets *"two transistors,
 /// three diffusion-contact-rows and two poly-contacts"*.
 pub fn mos_finger(
-    tech: impl IntoGenCtx,
+    tech: &GenCtx,
     mos: MosType,
     w: Option<Coord>,
     l: Option<Coord>,
@@ -262,7 +257,6 @@ pub fn mos_finger(
     row_net: &str,
     gate_contact: bool,
 ) -> Result<LayoutObject, ModgenError> {
-    let tech = &tech.into_gen_ctx();
     // The nets are pure relabelings of identical geometry: cache the
     // canonical (α-renamed) finger so a diff pair's two fingers (and a
     // centroid quad's four) share one entry. `g_net == row_net` would
@@ -312,8 +306,7 @@ fn mos_finger_uncached(
     row_net: &str,
     gate_contact: bool,
 ) -> Result<LayoutObject, ModgenError> {
-    let _timer = tech.metrics.stage_timer(Stage::Modgen);
-    let _span = tech.span(Stage::Modgen, || "mos_finger");
+    let _stage = tech.stage(Stage::Modgen, || "mos_finger");
     tech.checkpoint(Stage::Modgen)?;
     tech.fault_check(FaultSite::ModgenEntry, "mos_finger")?;
     let prim = Primitives::new(tech);
@@ -366,8 +359,8 @@ mod tests {
     use amgen_geom::um;
     use amgen_tech::Tech;
 
-    fn tech() -> Tech {
-        Tech::bicmos_1u()
+    fn tech() -> GenCtx {
+        GenCtx::from_tech(&Tech::bicmos_1u())
     }
 
     #[test]
@@ -473,7 +466,8 @@ mod tests {
 
     #[test]
     fn minimum_device_works_in_both_decks() -> Result<(), Box<dyn std::error::Error>> {
-        for t in [Tech::bicmos_1u(), Tech::cmos_08()] {
+        for tech in [Tech::bicmos_1u(), Tech::cmos_08()] {
+            let t = GenCtx::from_tech(&tech);
             let m = mos_transistor(&t, &MosParams::new(MosType::N))?;
             let v = Drc::new(&t).check_spacing(&m);
             assert!(v.is_empty(), "{}: {v:?}", t.name());

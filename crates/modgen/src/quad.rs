@@ -11,7 +11,7 @@
 //! enclosing module can wire diagonals on its preferred layers).
 
 use amgen_compact::{CompactOptions, Compactor};
-use amgen_core::{FaultSite, GenCtx, IntoGenCtx, Stage};
+use amgen_core::{FaultSite, GenCtx, Stage};
 use amgen_db::LayoutObject;
 use amgen_geom::{Coord, Dir};
 use amgen_prim::Primitives;
@@ -95,10 +95,9 @@ fn quad_row(
 /// `d1`/`d2`, common source `s`; each appears in both rows, so the
 /// centroids of both devices coincide in x **and** y.
 pub fn common_centroid_quad(
-    tech: impl IntoGenCtx,
+    tech: &GenCtx,
     params: &QuadParams,
 ) -> Result<LayoutObject, ModgenError> {
-    let tech = &tech.into_gen_ctx();
     let key = crate::cached::module_key(tech, "common_centroid_quad", |k| {
         k.push(crate::cached::mos_code(params.mos));
         k.push(params.w);
@@ -113,8 +112,7 @@ fn common_centroid_quad_uncached(
     tech: &GenCtx,
     params: &QuadParams,
 ) -> Result<LayoutObject, ModgenError> {
-    let _timer = tech.metrics.stage_timer(Stage::Modgen);
-    let _span = tech.span(Stage::Modgen, || "common_centroid_quad");
+    let _stage = tech.stage(Stage::Modgen, || "common_centroid_quad");
     tech.checkpoint(Stage::Modgen)?;
     tech.fault_check(FaultSite::ModgenEntry, "common_centroid_quad")?;
     let w = params
@@ -144,10 +142,8 @@ fn common_centroid_quad_uncached(
 }
 
 /// The centroid (mean centre) of the gate stripes carrying a net.
-pub fn gate_centroid(tech: impl IntoGenCtx, obj: &LayoutObject, net: &str) -> Option<(f64, f64)> {
-    let tech = &tech.into_gen_ctx();
-    let _timer = tech.metrics.stage_timer(Stage::Modgen);
-    let _span = tech.span(Stage::Modgen, || "gate_centroid");
+pub fn gate_centroid(tech: &GenCtx, obj: &LayoutObject, net: &str) -> Option<(f64, f64)> {
+    let _stage = tech.stage(Stage::Modgen, || "gate_centroid");
     let poly = tech.poly().ok()?;
     let id = obj.find_net(net)?;
     let centers: Vec<(f64, f64)> = obj
@@ -173,11 +169,11 @@ mod tests {
     use amgen_geom::um;
     use amgen_tech::Tech;
 
-    fn tech() -> Tech {
-        Tech::bicmos_1u()
+    fn tech() -> GenCtx {
+        GenCtx::from_tech(&Tech::bicmos_1u())
     }
 
-    fn quad(t: &Tech) -> LayoutObject {
+    fn quad(t: &GenCtx) -> LayoutObject {
         common_centroid_quad(t, &QuadParams::new(MosType::N).with_w(um(6)).with_l(um(1))).unwrap()
     }
 

@@ -8,7 +8,7 @@
 //! for ratio-critical feedback networks.
 
 use amgen_compact::{CompactOptions, Compactor};
-use amgen_core::{FaultSite, GenCtx, IntoGenCtx, Stage};
+use amgen_core::{FaultSite, GenCtx, Stage};
 use amgen_db::{LayoutObject, Shape};
 use amgen_geom::{Coord, Dir, Rect, Vector};
 
@@ -59,10 +59,9 @@ impl ResistorParams {
 /// Returns the module and its nominal resistance in Ω (squares × sheet
 /// resistance, corners counted as half squares).
 pub fn poly_resistor(
-    tech: impl IntoGenCtx,
+    tech: &GenCtx,
     params: &ResistorParams,
 ) -> Result<(LayoutObject, f64), ModgenError> {
-    let tech = &tech.into_gen_ctx();
     let key = crate::cached::module_key(tech, "poly_resistor", |k| {
         k.push(params.legs);
         k.push(params.leg_l);
@@ -85,8 +84,7 @@ fn poly_resistor_uncached(
     tech: &GenCtx,
     params: &ResistorParams,
 ) -> Result<(LayoutObject, f64), ModgenError> {
-    let _timer = tech.metrics.stage_timer(Stage::Modgen);
-    let _span = tech.span(Stage::Modgen, || "poly_resistor");
+    let _stage = tech.stage(Stage::Modgen, || "poly_resistor");
     tech.checkpoint(Stage::Modgen)?;
     tech.fault_check(FaultSite::ModgenEntry, "poly_resistor")?;
     if params.legs == 0 {
@@ -169,11 +167,10 @@ fn poly_resistor_uncached(
 /// the same gradient — the resistor analogue of the inter-digitated
 /// transistor.
 pub fn matched_resistor_pair(
-    tech: impl IntoGenCtx,
+    tech: &GenCtx,
     legs_per_device: usize,
     leg_l: Coord,
 ) -> Result<(LayoutObject, f64, f64), ModgenError> {
-    let tech = &tech.into_gen_ctx();
     let key = crate::cached::module_key(tech, "matched_resistor_pair", |k| {
         k.push(legs_per_device);
         k.push(leg_l);
@@ -194,8 +191,7 @@ fn matched_resistor_pair_uncached(
     legs_per_device: usize,
     leg_l: Coord,
 ) -> Result<(LayoutObject, f64, f64), ModgenError> {
-    let _timer = tech.metrics.stage_timer(Stage::Modgen);
-    let _span = tech.span(Stage::Modgen, || "matched_resistor_pair");
+    let _stage = tech.stage(Stage::Modgen, || "matched_resistor_pair");
     tech.checkpoint(Stage::Modgen)?;
     tech.fault_check(FaultSite::ModgenEntry, "matched_resistor_pair")?;
     let (ra, va) = poly_resistor(
@@ -236,8 +232,8 @@ mod tests {
     use amgen_geom::um;
     use amgen_tech::Tech;
 
-    fn tech() -> Tech {
-        Tech::bicmos_1u()
+    fn tech() -> GenCtx {
+        GenCtx::from_tech(&Tech::bicmos_1u())
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! the two ends.
 
 use amgen_compact::{CompactOptions, Compactor};
-use amgen_core::{FaultSite, GenCtx, IntoGenCtx, Stage};
+use amgen_core::{FaultSite, GenCtx, Stage};
 use amgen_db::LayoutObject;
 use amgen_geom::{Coord, Dir};
 use amgen_prim::Primitives;
@@ -72,10 +72,9 @@ impl StackedParams {
 /// Generates the stack: `S g g … g D` with contact rows at the ends only.
 /// Ports: `s`, `d`, and `g` (common) or `g1..gn`.
 pub fn stacked_transistor(
-    tech: impl IntoGenCtx,
+    tech: &GenCtx,
     params: &StackedParams,
 ) -> Result<LayoutObject, ModgenError> {
-    let tech = &tech.into_gen_ctx();
     let key = crate::cached::module_key(tech, "stacked_transistor", |k| {
         k.push(crate::cached::mos_code(params.mos));
         k.push(params.gates);
@@ -92,8 +91,7 @@ fn stacked_transistor_uncached(
     tech: &GenCtx,
     params: &StackedParams,
 ) -> Result<LayoutObject, ModgenError> {
-    let _timer = tech.metrics.stage_timer(Stage::Modgen);
-    let _span = tech.span(Stage::Modgen, || "stacked_transistor");
+    let _stage = tech.stage(Stage::Modgen, || "stacked_transistor");
     tech.checkpoint(Stage::Modgen)?;
     tech.fault_check(FaultSite::ModgenEntry, "stacked_transistor")?;
     if params.gates == 0 {
@@ -176,8 +174,8 @@ mod tests {
     use amgen_geom::um;
     use amgen_tech::Tech;
 
-    fn tech() -> Tech {
-        Tech::bicmos_1u()
+    fn tech() -> GenCtx {
+        GenCtx::from_tech(&Tech::bicmos_1u())
     }
 
     #[test]

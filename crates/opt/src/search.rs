@@ -519,6 +519,7 @@ pub(crate) fn run(
             metrics: opt.ctx.snapshot(),
         });
     }
+    let mut search_span = opt.ctx.stage(Stage::Opt, || "search");
     if steps.len() > 64 {
         return Err(CompactError::Gen(GenError::stage_msg(
             Stage::Opt,
@@ -544,7 +545,6 @@ pub(crate) fn run(
     }
     .min(64);
 
-    let mut search_span = opt.ctx.span(Stage::Opt, || "search");
     search_span.arg("steps", steps.len());
     search_span.arg("workers", workers);
 
@@ -566,6 +566,8 @@ pub(crate) fn run(
         if let Some(table) = opt.ctx.cache_variants_get(Stage::Opt, k) {
             let best = &table.variants[0];
             search_span.arg("cached", 1u64);
+            // Charge the search before the snapshot below reads it.
+            drop(search_span);
             return Ok(OptResult {
                 order: best.order.clone(),
                 layout: table.layout.clone(),
@@ -747,9 +749,7 @@ pub(crate) fn run(
         }
     }
 
-    opt.ctx
-        .metrics
-        .add_stage_nanos(Stage::Opt, t0.elapsed().as_nanos() as u64);
+    drop(search_span);
     Ok(OptResult {
         order,
         layout,

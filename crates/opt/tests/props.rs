@@ -3,13 +3,14 @@
 //! search agrees with the sequential one, and results are deterministic.
 
 use amgen_compact::CompactOptions;
+use amgen_core::GenCtx;
 use amgen_db::{LayoutObject, Shape};
 use amgen_geom::{Dir, Rect};
 use amgen_opt::{Optimizer, RatingWeights, SearchOptions, Step};
 use amgen_tech::Tech;
 use proptest::prelude::*;
 
-fn steps_from(spec: &[(i64, i64, usize)], tech: &Tech) -> Vec<Step> {
+fn steps_from(spec: &[(i64, i64, usize)], tech: &GenCtx) -> Vec<Step> {
     let poly = tech.layer("poly").unwrap();
     spec.iter()
         .map(|&(w, h, side)| {
@@ -30,7 +31,7 @@ proptest! {
         spec in prop::collection::vec((1i64..8, 1i64..8, 0usize..4), 2..5),
         shuffle in prop::collection::vec(0usize..100, 2..5),
     ) {
-        let tech = Tech::bicmos_1u();
+        let tech = GenCtx::from_tech(&Tech::bicmos_1u());
         let opt = Optimizer::new(&tech, RatingWeights::default());
         let steps = steps_from(&spec, &tech);
         let best = opt
@@ -60,7 +61,7 @@ proptest! {
     fn reported_order_reproduces_rating(
         spec in prop::collection::vec((1i64..8, 1i64..8, 0usize..4), 2..5),
     ) {
-        let tech = Tech::bicmos_1u();
+        let tech = GenCtx::from_tech(&Tech::bicmos_1u());
         let opt = Optimizer::new(&tech, RatingWeights::default());
         let steps = steps_from(&spec, &tech);
         let best = opt.optimize_order(&steps, SearchOptions::default()).unwrap();
@@ -76,7 +77,7 @@ proptest! {
     fn parallel_matches_sequential(
         spec in prop::collection::vec((1i64..8, 1i64..8, 0usize..4), 3..7),
     ) {
-        let tech = Tech::bicmos_1u();
+        let tech = GenCtx::from_tech(&Tech::bicmos_1u());
         let opt = Optimizer::new(&tech, RatingWeights::default());
         let steps = steps_from(&spec, &tech);
         let base = SearchOptions { keep_first: false, max_nodes: 1_000_000, ..Default::default() };
@@ -103,7 +104,7 @@ proptest! {
     fn parallel_search_is_deterministic(
         spec in prop::collection::vec((1i64..8, 1i64..8, 0usize..4), 3..7),
     ) {
-        let tech = Tech::bicmos_1u();
+        let tech = GenCtx::from_tech(&Tech::bicmos_1u());
         let opt = Optimizer::new(&tech, RatingWeights::default());
         let steps = steps_from(&spec, &tech);
         let opts = SearchOptions {

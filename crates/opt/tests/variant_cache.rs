@@ -3,7 +3,7 @@
 //! clean, proven-complete searches are ever stored.
 
 use amgen_compact::CompactOptions;
-use amgen_core::{GenCtx, IntoGenCtx};
+use amgen_core::GenCtx;
 use amgen_db::{LayoutObject, Shape};
 use amgen_geom::{um, Dir, Rect};
 use amgen_opt::{Optimizer, RatingWeights, SearchOptions, Step};
@@ -26,7 +26,7 @@ fn steps(ctx: &GenCtx) -> Vec<Step> {
 }
 
 fn cached_ctx() -> GenCtx {
-    (&Tech::bicmos_1u()).into_gen_ctx().with_default_cache()
+    GenCtx::from_tech(&Tech::bicmos_1u()).with_default_cache()
 }
 
 #[test]
@@ -140,8 +140,7 @@ fn incomplete_searches_are_never_stored() {
 
 #[test]
 fn uncached_contexts_are_unaffected() {
-    let tech = Tech::bicmos_1u();
-    let ctx = (&tech).into_gen_ctx();
+    let ctx = GenCtx::from_tech(&Tech::bicmos_1u());
     let opt = Optimizer::new(&ctx, RatingWeights::default());
     let s = steps(&ctx);
     let a = opt.optimize_order(&s, SearchOptions::default()).unwrap();

@@ -1,6 +1,6 @@
 //! The primitive shape functions.
 
-use amgen_core::{FaultSite, GenCtx, IntoGenCtx, Stage};
+use amgen_core::{FaultSite, GenCtx, Stage};
 use amgen_db::{LayoutObject, NetId, Shape, ShapeRole};
 use amgen_geom::{Coord, Rect};
 use amgen_tech::{Layer, LayerKind, RuleSet};
@@ -18,12 +18,9 @@ pub struct Primitives {
 }
 
 impl Primitives {
-    /// Binds the primitives to a generation context (or anything that
-    /// converts into one, e.g. `&Tech`).
-    pub fn new(ctx: impl IntoGenCtx) -> Primitives {
-        Primitives {
-            ctx: ctx.into_gen_ctx(),
-        }
+    /// Binds the primitives to a generation context.
+    pub fn new(ctx: &GenCtx) -> Primitives {
+        Primitives { ctx: ctx.clone() }
     }
 
     /// The shared generation context.
@@ -144,8 +141,7 @@ impl Primitives {
         l: Option<Coord>,
     ) -> Result<usize, PrimError> {
         self.probe("inbox", layer)?;
-        let _timer = self.ctx.metrics.stage_timer(Stage::Prim);
-        let _span = self.ctx.span_fine(Stage::Prim, || "inbox");
+        let _stage = self.ctx.stage_fine(Stage::Prim, || "inbox");
         let min_w = self.ctx.min_width(layer).max(self.ctx.grid());
         if obj.is_empty() {
             let w = self.ctx.snap_up(w.unwrap_or(min_w).max(min_w));
@@ -218,8 +214,7 @@ impl Primitives {
     /// fits (paper §2.2). Returns the new shapes' indices.
     pub fn array(&self, obj: &mut LayoutObject, cut: Layer) -> Result<Vec<usize>, PrimError> {
         self.probe("array", cut)?;
-        let _timer = self.ctx.metrics.stage_timer(Stage::Prim);
-        let _span = self.ctx.span_fine(Stage::Prim, || "array");
+        let _stage = self.ctx.stage_fine(Stage::Prim, || "array");
         if obj.is_empty() {
             return Err(PrimError::EmptyObject { primitive: "array" });
         }
@@ -251,8 +246,7 @@ impl Primitives {
         extra: Coord,
     ) -> Result<usize, PrimError> {
         self.probe("around", layer)?;
-        let _timer = self.ctx.metrics.stage_timer(Stage::Prim);
-        let _span = self.ctx.span_fine(Stage::Prim, || "around");
+        let _stage = self.ctx.stage_fine(Stage::Prim, || "around");
         if obj.is_empty() {
             return Err(PrimError::EmptyObject {
                 primitive: "around",
@@ -287,8 +281,7 @@ impl Primitives {
         clearance: Option<Coord>,
     ) -> Result<[usize; 4], PrimError> {
         self.probe("ring", layer)?;
-        let _timer = self.ctx.metrics.stage_timer(Stage::Prim);
-        let _span = self.ctx.span_fine(Stage::Prim, || "ring");
+        let _stage = self.ctx.stage_fine(Stage::Prim, || "ring");
         if obj.is_empty() {
             return Err(PrimError::EmptyObject { primitive: "ring" });
         }
@@ -340,8 +333,7 @@ impl Primitives {
         l: Option<Coord>,
     ) -> Result<(usize, usize), PrimError> {
         self.probe("two_rects", gate)?;
-        let _timer = self.ctx.metrics.stage_timer(Stage::Prim);
-        let _span = self.ctx.span_fine(Stage::Prim, || "two_rects");
+        let _stage = self.ctx.stage_fine(Stage::Prim, || "two_rects");
         let w = self.ctx.snap_up(
             w.unwrap_or_else(|| self.ctx.min_width(diff))
                 .max(self.ctx.min_width(diff)),
@@ -397,8 +389,8 @@ mod tests {
     use amgen_geom::um;
     use amgen_tech::Tech;
 
-    fn setup() -> (Tech,) {
-        (Tech::bicmos_1u(),)
+    fn setup() -> (GenCtx,) {
+        (GenCtx::from_tech(&Tech::bicmos_1u()),)
     }
 
     #[test]

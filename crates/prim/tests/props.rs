@@ -1,6 +1,7 @@
 //! Property tests for the primitive shape functions: the automatic
 //! design-rule guarantees hold for arbitrary parameters.
 
+use amgen_core::GenCtx;
 use amgen_db::LayoutObject;
 use amgen_prim::Primitives;
 use amgen_tech::Tech;
@@ -17,7 +18,7 @@ proptest! {
         w1 in 1i64..30, l1 in 1i64..30,
         w2 in prop::option::of(1i64..40), l2 in prop::option::of(1i64..40),
     ) {
-        let tech = Tech::bicmos_1u();
+        let tech = GenCtx::from_tech(&Tech::bicmos_1u());
         let prim = Primitives::new(&tech);
         let poly = tech.layer("poly").unwrap();
         let m1 = tech.layer("metal1").unwrap();
@@ -40,7 +41,7 @@ proptest! {
     /// are rule-spaced, and at least one is always placed.
     #[test]
     fn array_cuts_are_enclosed_and_spaced(w in 1i64..40, l in 1i64..40) {
-        let tech = Tech::bicmos_1u();
+        let tech = GenCtx::from_tech(&Tech::bicmos_1u());
         let prim = Primitives::new(&tech);
         let poly = tech.layer("poly").unwrap();
         let m1 = tech.layer("metal1").unwrap();
@@ -71,7 +72,7 @@ proptest! {
     /// around: the cover encloses every shape by its rule margin.
     #[test]
     fn around_encloses_everything(w in 2i64..30, l in 2i64..30) {
-        let tech = Tech::bicmos_1u();
+        let tech = GenCtx::from_tech(&Tech::bicmos_1u());
         let prim = Primitives::new(&tech);
         let pdiff = tech.layer("pdiff").unwrap();
         let nwell = tech.layer("nwell").unwrap();
@@ -87,7 +88,7 @@ proptest! {
     /// any channel size (including below-minimum requests that clamp).
     #[test]
     fn two_rects_extensions_hold(w in 1i64..40, l in 1i64..10) {
-        let tech = Tech::bicmos_1u();
+        let tech = GenCtx::from_tech(&Tech::bicmos_1u());
         let prim = Primitives::new(&tech);
         let poly = tech.layer("poly").unwrap();
         let ndiff = tech.layer("ndiff").unwrap();

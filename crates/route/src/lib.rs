@@ -18,7 +18,7 @@
 //! * [`Router::crossing_counts`] — the per-net crossing audit used to
 //!   verify the "identical crossings" property.
 
-use amgen_core::{FaultSite, GenCtx, GenError, IntoGenCtx, Stage};
+use amgen_core::{FaultSite, GenCtx, GenError, Stage};
 use amgen_db::{LayoutObject, NetId, Shape};
 use amgen_geom::{Coord, Point, Rect};
 use amgen_prim::Primitives;
@@ -95,12 +95,9 @@ pub struct Router {
 }
 
 impl Router {
-    /// Binds the router to a generation context (or anything that
-    /// converts into one, e.g. `&Tech`).
-    pub fn new(ctx: impl IntoGenCtx) -> Router {
-        Router {
-            ctx: ctx.into_gen_ctx(),
-        }
+    /// Binds the router to a generation context.
+    pub fn new(ctx: &GenCtx) -> Router {
+        Router { ctx: ctx.clone() }
     }
 
     /// The shared generation context.
@@ -152,8 +149,7 @@ impl Router {
         net: Option<NetId>,
     ) -> Result<usize, RouteError> {
         self.probe("straight")?;
-        let t0 = std::time::Instant::now();
-        let _span = self.ctx.span(Stage::Route, || "straight");
+        let _stage = self.ctx.stage(Stage::Route, || "straight");
         self.conductor(layer)?;
         let w = self.wire_width(layer, width);
         let xo = from.x_range().intersection(&to.x_range());
@@ -175,11 +171,7 @@ impl Router {
         if let Some(n) = net {
             s = s.with_net(n);
         }
-        let i = obj.push(s);
-        self.ctx
-            .metrics
-            .add_stage_nanos(Stage::Route, t0.elapsed().as_nanos() as u64);
-        Ok(i)
+        Ok(obj.push(s))
     }
 
     /// Routes an L from point `a` to point `b`: a horizontal segment at
@@ -195,8 +187,7 @@ impl Router {
         net: Option<NetId>,
     ) -> Result<[usize; 3], RouteError> {
         self.probe("l_route")?;
-        let t0 = std::time::Instant::now();
-        let _span = self.ctx.span(Stage::Route, || "l_route");
+        let _stage = self.ctx.stage(Stage::Route, || "l_route");
         self.conductor(layer)?;
         let w = self.wire_width(layer, width);
         let h = Rect::new(a.x.min(b.x), a.y - w / 2, a.x.max(b.x), a.y - w / 2 + w);
@@ -207,9 +198,6 @@ impl Router {
         let ci = prim
             .angle_adaptor(obj, layer, h, v, net)
             .map_err(|e| RouteError::Prim(e.to_string()))?;
-        self.ctx
-            .metrics
-            .add_stage_nanos(Stage::Route, t0.elapsed().as_nanos() as u64);
         Ok([hi, vi, ci])
     }
 
@@ -228,8 +216,7 @@ impl Router {
         net: Option<NetId>,
     ) -> Result<Vec<usize>, RouteError> {
         self.probe("z_route")?;
-        let t0 = std::time::Instant::now();
-        let _span = self.ctx.span(Stage::Route, || "z_route");
+        let _stage = self.ctx.stage(Stage::Route, || "z_route");
         self.conductor(layer)?;
         let w = self.wire_width(layer, width);
         let h1 = Rect::new(a.x.min(mid_x), a.y - w / 2, a.x.max(mid_x), a.y - w / 2 + w);
@@ -249,9 +236,6 @@ impl Router {
             prim.angle_adaptor(obj, layer, h2, v, net)
                 .map_err(|e| RouteError::Prim(e.to_string()))?,
         );
-        self.ctx
-            .metrics
-            .add_stage_nanos(Stage::Route, t0.elapsed().as_nanos() as u64);
         Ok(out)
     }
 
@@ -267,8 +251,7 @@ impl Router {
         net: Option<NetId>,
     ) -> Result<[usize; 3], RouteError> {
         self.probe("via_stack")?;
-        let t0 = std::time::Instant::now();
-        let _span = self.ctx.span(Stage::Route, || "via_stack");
+        let _stage = self.ctx.stage(Stage::Route, || "via_stack");
         if self.ctx.kind(cut) != LayerKind::Cut || !self.ctx.connects(cut, a, b) {
             return Err(RouteError::NotConnectable {
                 cut: self.ctx.layer_name(cut).to_string(),
@@ -289,9 +272,6 @@ impl Router {
         let ia = obj.push(with_net(Shape::new(a, pad(a)), net));
         let ic = obj.push(with_net(Shape::new(cut, cut_rect), net));
         let ib = obj.push(with_net(Shape::new(b, pad(b)), net));
-        self.ctx
-            .metrics
-            .add_stage_nanos(Stage::Route, t0.elapsed().as_nanos() as u64);
         Ok([ia, ic, ib])
     }
 
@@ -435,8 +415,8 @@ mod tests {
     use amgen_geom::um;
     use amgen_tech::Tech;
 
-    fn tech() -> Tech {
-        Tech::bicmos_1u()
+    fn tech() -> GenCtx {
+        GenCtx::from_tech(&Tech::bicmos_1u())
     }
 
     #[test]
@@ -492,6 +472,21 @@ mod tests {
             r.straight(&mut obj, nwell, a, a, None, None),
             Err(RouteError::NotAConductor(_))
         ));
+    }
+
+    #[test]
+    fn error_exits_charge_their_stage_time() {
+        let t = tech();
+        let r = Router::new(&t);
+        let contact = t.contact().unwrap();
+        let mut obj = LayoutObject::new("w");
+        let a = Rect::new(0, 0, um(3), um(1));
+        assert!(matches!(
+            r.straight(&mut obj, contact, a, a, None, None),
+            Err(RouteError::NotAConductor(_))
+        ));
+        assert!(obj.is_empty());
+        assert!(t.snapshot().stage_nanos(Stage::Route) > 0);
     }
 
     #[test]

@@ -352,7 +352,7 @@ impl Shared {
         // needed to construct the interpreter — seed the ruleset map
         // with it so the compile isn't wasted.
         let rules = Tech::bicmos_1u().compile_arc();
-        let mut probe = Interpreter::new(Arc::clone(&rules));
+        let mut probe = Interpreter::new(GenCtx::new(Arc::clone(&rules)));
         probe.load_entities(stdlib.iter().cloned());
         let stdlib_hash = probe.lib_hash();
         let mut rulesets = BTreeMap::new();
@@ -584,16 +584,8 @@ impl Shared {
 /// Parses the embedded module library once. The sources are trusted
 /// compile-time constants; a parse failure is a build defect.
 fn stdlib_entities() -> Vec<Entity> {
-    use amgen_dsl::stdlib;
     let mut out = Vec::new();
-    for lib in [
-        stdlib::FIG2_CONTACT_ROW,
-        stdlib::FIG7_DIFF_PAIR,
-        stdlib::INTERDIGIT,
-        stdlib::STACKED,
-        stdlib::CENTROID_PLACEMENT,
-        stdlib::VARIANT_ROW,
-    ] {
+    for (_, lib) in amgen_dsl::stdlib::ALL {
         let prog = parse(lib).expect("embedded library parses");
         out.extend(prog.entities);
     }

@@ -12,8 +12,9 @@ use std::time::Instant;
 
 fn main() {
     let tech = Tech::bicmos_1u();
+    let ctx = GenCtx::from_tech(&tech);
     let t0 = Instant::now();
-    let (amp, report) = build_amplifier(&tech).expect("amplifier builds");
+    let (amp, report) = build_amplifier(&ctx).expect("amplifier builds");
     let elapsed = t0.elapsed();
 
     println!("BiCMOS amplifier (paper section 3):");

@@ -14,11 +14,12 @@ use std::time::Instant;
 
 fn main() {
     let tech = Tech::bicmos_1u();
+    let ctx = GenCtx::from_tech(&tech);
     let params = CentroidParams::paper(MosType::N)
         .with_w(um(6))
         .with_l(um(1));
     let t0 = Instant::now();
-    let module = centroid_diff_pair(&tech, &params).expect("module builds");
+    let module = centroid_diff_pair(&ctx, &params).expect("module builds");
     let elapsed = t0.elapsed();
     let bb = module.bbox();
     println!("block E (paper configuration):");
@@ -31,7 +32,7 @@ fn main() {
     );
 
     // "every net has identical crossings" — the audit.
-    let counts = Router::new(&tech).crossing_counts(&module);
+    let counts = Router::new(&ctx).crossing_counts(&module);
     let get = |n: &str| {
         counts
             .iter()
@@ -44,12 +45,12 @@ fn main() {
 
     // "substrate or well contacts are included into the modules" — the
     // latch-up rule passes without any external help.
-    let lu = latchup::check_latchup(&tech, &module);
+    let lu = latchup::check_latchup(&ctx, &module);
     println!("  latch-up check: {} violation(s)", lu.len());
     assert!(lu.is_empty());
 
     // Matched parasitics on the two drains.
-    let nets = Extractor::new(&tech).parasitics(&module);
+    let nets = Extractor::new(&ctx).parasitics(&module);
     for name in ["d1", "d2"] {
         if let Some(n) = nets.iter().find(|n| n.name.as_deref() == Some(name)) {
             println!("  C({name}) = {:.1} fF", n.cap_af / 1e3);

@@ -12,6 +12,7 @@ use amgen::prelude::*;
 
 fn main() {
     let tech = Tech::bicmos_1u();
+    let ctx = GenCtx::from_tech(&tech);
     let poly = tech.layer("poly").unwrap();
     let ct = tech.layer("contact").unwrap();
     std::fs::create_dir_all("out").expect("create out/");
@@ -26,7 +27,7 @@ fn main() {
     ];
     println!("Fig. 3 — contact row variants in {}:", tech.name());
     for (i, (name, params)) in variants.into_iter().enumerate() {
-        let row = contact_row(&tech, poly, &params).expect("row generates");
+        let row = contact_row(&ctx, poly, &params).expect("row generates");
         let bb = row.bbox();
         println!(
             "  {name:22} -> {:5.1} x {:4.1} um, {} contact(s), {} shapes",
@@ -35,7 +36,7 @@ fn main() {
             row.shapes_on(ct).count(),
             row.len(),
         );
-        let v = Drc::new(&tech).check(&row);
+        let v = Drc::new(&ctx).check(&row);
         assert!(v.is_empty(), "{v:?}");
         let path = format!("out/fig3_variant{}.svg", i + 1);
         std::fs::write(&path, render_svg(&tech, &row)).expect("write svg");
@@ -45,7 +46,12 @@ fn main() {
     // The same module source, other technology — the portability claim.
     let cmos = Tech::cmos_08();
     let poly8 = cmos.layer("poly").unwrap();
-    let row = contact_row(&cmos, poly8, &ContactRowParams::new().with_w(um(10))).unwrap();
+    let row = contact_row(
+        &GenCtx::from_tech(&cmos),
+        poly8,
+        &ContactRowParams::new().with_w(um(10)),
+    )
+    .unwrap();
     println!(
         "same module in {}: {:.1} x {:.1} um, {} contacts",
         cmos.name(),

@@ -10,7 +10,8 @@ use amgen::prelude::*;
 
 fn main() {
     let tech = Tech::bicmos_1u();
-    let mut interp = Interpreter::new(&tech);
+    let ctx = GenCtx::from_tech(&tech);
+    let mut interp = Interpreter::new(ctx.clone());
     interp.load(stdlib::FIG2_CONTACT_ROW).expect("load Fig. 2");
     interp.load(stdlib::FIG7_DIFF_PAIR).expect("load Fig. 7");
 
@@ -44,7 +45,7 @@ fn main() {
         .count();
     println!("gate stripes: {gates} (paper: 2 transistors)");
 
-    let violations = Drc::new(&tech).check_spacing(pair);
+    let violations = Drc::new(&ctx).check_spacing(pair);
     println!("spacing DRC: {} violation(s)", violations.len());
     assert!(violations.is_empty());
 

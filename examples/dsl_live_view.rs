@@ -15,7 +15,7 @@ use amgen::prelude::*;
 
 fn main() {
     let tech = Tech::bicmos_1u();
-    let mut interp = Interpreter::new(&tech);
+    let mut interp = Interpreter::new(GenCtx::from_tech(&tech));
     interp.load(stdlib::FIG2_CONTACT_ROW).unwrap();
     interp.load(stdlib::FIG7_DIFF_PAIR).unwrap();
 

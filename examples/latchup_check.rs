@@ -11,6 +11,7 @@ use amgen::prelude::*;
 
 fn main() {
     let tech = Tech::bicmos_1u();
+    let ctx = GenCtx::from_tech(&tech);
     let pdiff = tech.layer("pdiff").unwrap();
     let d = tech.latchup_distance();
     println!(
@@ -27,7 +28,7 @@ fn main() {
     obj.push(
         Shape::new(pdiff, Rect::new(-um(2), 0, 0, um(2))).with_role(ShapeRole::SubstrateContact),
     );
-    let rem = latchup::latchup_remainder(&tech, &obj);
+    let rem = latchup::latchup_remainder(&ctx, &obj);
     println!("with 1 contact: {} uncovered remainder rect(s)", rem.len());
     for r in rem.rects() {
         println!(
@@ -45,7 +46,7 @@ fn main() {
         Shape::new(pdiff, Rect::new(2 * d, 0, 2 * d + um(2), um(2)))
             .with_role(ShapeRole::SubstrateContact),
     );
-    let rem = latchup::latchup_remainder(&tech, &obj);
+    let rem = latchup::latchup_remainder(&ctx, &obj);
     println!("with 2 contacts: {} uncovered remainder rect(s)", rem.len());
     assert!(rem.is_empty());
     println!("latch-up rule fulfilled");

@@ -33,7 +33,7 @@ ENT ContactRow(layer, <W>, <L>)
     } else {
         Detail::Off
     });
-    let mut interp = Interpreter::new(&ctx);
+    let mut interp = Interpreter::new(ctx.clone());
     let objects = interp.run(source).expect("program runs");
     let row = &objects["row"];
     println!(

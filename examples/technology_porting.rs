@@ -46,12 +46,13 @@ fn main() {
     println!("one source, three processes: `{}`", source.trim());
     let mut areas = Vec::new();
     for tech in &decks {
-        let mut interp = Interpreter::new(tech);
+        let ctx = GenCtx::from_tech(tech);
+        let mut interp = Interpreter::new(ctx.clone());
         interp.load(stdlib::FIG2_CONTACT_ROW).unwrap();
         interp.load(stdlib::FIG7_DIFF_PAIR).unwrap();
         let out = interp.run(source).expect("module generates");
         let pair = &out["diff"];
-        let v = Drc::new(tech).check_spacing(pair);
+        let v = Drc::new(&ctx).check_spacing(pair);
         assert!(v.is_empty(), "{}: {v:?}", tech.name());
         let bb = pair.bbox();
         let area = bb.area() as f64 / 1e6;

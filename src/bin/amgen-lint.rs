@@ -155,15 +155,7 @@ fn main() -> ExitCode {
     if !sources.is_empty() {
         let mut linter = Linter::with_rules(rules.clone()).with_certify(certify_opts.clone());
         if opts.stdlib {
-            use amgen::dsl::stdlib;
-            for lib in [
-                stdlib::FIG2_CONTACT_ROW,
-                stdlib::FIG7_DIFF_PAIR,
-                stdlib::INTERDIGIT,
-                stdlib::STACKED,
-                stdlib::CENTROID_PLACEMENT,
-                stdlib::VARIANT_ROW,
-            ] {
+            for (_, lib) in amgen::dsl::stdlib::ALL {
                 if let Err(e) = linter.load(lib) {
                     eprintln!("amgen-lint: embedded library failed to load: {e}");
                     return ExitCode::from(2);
@@ -195,22 +187,16 @@ fn main() -> ExitCode {
             eprintln!("amgen-lint: embedded library failed to load: {e}");
             return ExitCode::from(2);
         }
-        for (name, src) in [
-            ("<stdlib:FIG2_CONTACT_ROW>", stdlib::FIG2_CONTACT_ROW),
-            ("<stdlib:FIG7_DIFF_PAIR>", stdlib::FIG7_DIFF_PAIR),
-            ("<stdlib:INTERDIGIT>", stdlib::INTERDIGIT),
-            ("<stdlib:STACKED>", stdlib::STACKED),
-            ("<stdlib:CENTROID_PLACEMENT>", stdlib::CENTROID_PLACEMENT),
-            ("<stdlib:VARIANT_ROW>", stdlib::VARIANT_ROW),
-        ] {
+        for (name, src) in stdlib::ALL {
+            let name = format!("<stdlib:{name}>");
             let (diags, report) = {
                 let mut span = sink.span("lint", || format!("lint:{name}"));
                 let (diags, report) = linter.certify_source(src);
                 span.arg("diagnostics", diags.len());
                 (diags, report)
             };
-            findings.push((name.to_string(), src.to_string(), diags));
-            cert_names.push(name.to_string());
+            findings.push((name.clone(), src.to_string(), diags));
+            cert_names.push(name);
             // Repeated library entities certify identically every time,
             // so last-wins merging is lossless.
             cert_report.entities.extend(report.entities);

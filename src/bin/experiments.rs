@@ -38,12 +38,12 @@ fn main() {
         let _span = ctx.trace.span("experiments", || name);
         f();
     };
-    figure("fig1", &|| fig1(&tech));
-    figure("fig3", &|| fig3(&tech));
+    figure("fig1", &|| fig1(&tech, &ctx));
+    figure("fig3", &|| fig3(&tech, &ctx));
     figure("fig4", &|| fig4(&tech));
     figure("fig5", &|| fig5(&tech, &ctx));
     figure("fig6", &|| fig6(&tech, &ctx));
-    figure("fig9", &|| fig9(&tech));
+    figure("fig9", &|| fig9(&tech, &ctx));
     figure("fig10", &|| fig10(&tech, &ctx));
     figure("code_length", &code_length);
     figure("opt_order", &|| opt_order(&tech, &ctx));
@@ -61,7 +61,7 @@ fn main() {
 }
 
 /// Fig. 1: the 16 overlap cases of the latch-up subtraction.
-fn fig1(tech: &Tech) {
+fn fig1(tech: &Tech, ctx: &GenCtx) {
     header("Fig. 1 — latch-up rule check (16 overlap cases)");
     let d = tech.latchup_distance();
     let solid = Rect::new(0, 0, 8 * d, 8 * d);
@@ -80,7 +80,7 @@ fn fig1(tech: &Tech) {
             obj.push(
                 Shape::new(pdiff, Rect::new(x0, y0, x1, y1)).with_role(ShapeRole::SubstrateContact),
             );
-            let rem = latchup::latchup_remainder(tech, &obj);
+            let rem = latchup::latchup_remainder(ctx, &obj);
             let cover = Rect::new(x0, y0, x1, y1).inflated(d);
             let cut = solid.intersection(&cover).map_or(0, |o| o.area());
             let exact = rem.area() == solid.area() - cut;
@@ -97,7 +97,7 @@ fn fig1(tech: &Tech) {
 }
 
 /// Fig. 3: the three contact-row variants.
-fn fig3(tech: &Tech) {
+fn fig3(tech: &Tech, ctx: &GenCtx) {
     header("Fig. 3 — contact row variants");
     let poly = tech.layer("poly").unwrap();
     let ct = tech.layer("contact").unwrap();
@@ -111,10 +111,10 @@ fn fig3(tech: &Tech) {
     ];
     println!("  paper: single contact | one row | 2-D array (shapes of Fig. 3)");
     for (name, p) in variants {
-        let row = contact_row(tech, poly, &p).unwrap();
+        let row = contact_row(ctx, poly, &p).unwrap();
         let xs: std::collections::HashSet<i64> = row.shapes_on(ct).map(|s| s.rect.x0).collect();
         let ys: std::collections::HashSet<i64> = row.shapes_on(ct).map(|s| s.rect.y0).collect();
-        let clean = Drc::new(tech).check(&row).is_empty();
+        let clean = Drc::new(ctx).check(&row).is_empty();
         println!(
             "  {name:14} -> {:5.1} x {:4.1} um, {:2} contacts ({}x{}), DRC clean = {clean}",
             row.bbox().width() as f64 / 1e3,
@@ -239,7 +239,7 @@ fn fig6(tech: &Tech, ctx: &GenCtx) {
     )
     .unwrap();
     let native_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let mut interp = Interpreter::new(ctx);
+    let mut interp = Interpreter::new(ctx.clone());
     interp.load(stdlib::FIG2_CONTACT_ROW).unwrap();
     interp.load(stdlib::FIG7_DIFF_PAIR).unwrap();
     let t0 = Instant::now();
@@ -281,10 +281,10 @@ fn fig6(tech: &Tech, ctx: &GenCtx) {
 }
 
 /// Figs. 8/9: the amplifier.
-fn fig9(tech: &Tech) {
+fn fig9(tech: &Tech, ctx: &GenCtx) {
     header("Figs. 8/9 — BiCMOS amplifier");
     let t0 = Instant::now();
-    let (amp, report) = build_amplifier(tech).unwrap();
+    let (amp, report) = build_amplifier(ctx).unwrap();
     let secs = t0.elapsed().as_secs_f64();
     for (name, w, h) in &report.blocks {
         println!("  block {name:18} {w:7.1} x {h:6.1} um");
@@ -304,7 +304,7 @@ fn fig9(tech: &Tech) {
     // System-level technology independence: the CMOS variant of the same
     // amplifier, generated in the 0.8 µm deck.
     let cmos = Tech::cmos_08();
-    let (_, rc) = amgen::amp::build_amplifier_cmos(&cmos).unwrap();
+    let (_, rc) = amgen::amp::build_amplifier_cmos(&GenCtx::from_tech(&cmos)).unwrap();
     println!(
         "  CMOS variant in {}: {:.1} x {:.1} um, shorts = {}, latch-up clean = {}",
         cmos.name(),
@@ -363,7 +363,7 @@ fn fig10(tech: &Tech, ctx: &GenCtx) {
         .map(str::trim)
         .filter(|l| !l.is_empty() && !l.starts_with("//"))
         .count();
-    let mut i = Interpreter::new(ctx);
+    let mut i = Interpreter::new(ctx.clone());
     i.load(stdlib::FIG2_CONTACT_ROW).unwrap();
     i.load(stdlib::CENTROID_PLACEMENT).unwrap();
     let out = i

@@ -10,7 +10,7 @@ use amgen::prelude::*;
 /// Fig. 3's three shapes: one contact, a 5x1 row, a 4x3 array.
 #[test]
 fn fig3_contact_patterns() {
-    let tech = Tech::bicmos_1u();
+    let tech = GenCtx::from_tech(&Tech::bicmos_1u());
     let poly = tech.layer("poly").unwrap();
     let ct = tech.layer("contact").unwrap();
     let grid = |p: &ContactRowParams| {
@@ -30,7 +30,7 @@ fn fig3_contact_patterns() {
 /// Fig. 5b's ablation: variable edges strictly reduce the footprint.
 #[test]
 fn fig5_variable_edges_reduce_area() {
-    let tech = Tech::bicmos_1u();
+    let tech = GenCtx::from_tech(&Tech::bicmos_1u());
     let poly = tech.layer("poly").unwrap();
     let m1 = tech.layer("metal1").unwrap();
     let comp = Compactor::new(&tech);
@@ -57,12 +57,13 @@ fn fig5_variable_edges_reduce_area() {
 #[test]
 fn dsl_to_gds_pipeline() {
     let tech = Tech::bicmos_1u();
-    let mut i = Interpreter::new(&tech);
+    let ctx = GenCtx::from_tech(&tech);
+    let mut i = Interpreter::new(ctx.clone());
     i.load(stdlib::FIG2_CONTACT_ROW).unwrap();
     i.load(stdlib::FIG7_DIFF_PAIR).unwrap();
     let out = i.run("diff = DiffPair(W = 8, L = 1)\n").unwrap();
     let pair = &out["diff"];
-    assert!(Drc::new(&tech).check_spacing(pair).is_empty());
+    assert!(Drc::new(&ctx).check_spacing(pair).is_empty());
     let gds = write_gds(&tech, pair);
     let summary = amgen::export::parse_gds_summary(&gds).unwrap();
     assert_eq!(summary.boundaries, pair.len());
@@ -73,7 +74,7 @@ fn dsl_to_gds_pipeline() {
 /// Fig. 10's three headline properties, asserted together.
 #[test]
 fn fig10_headline_properties() {
-    let tech = Tech::bicmos_1u();
+    let tech = GenCtx::from_tech(&Tech::bicmos_1u());
     let m = centroid_diff_pair(
         &tech,
         &CentroidParams::paper(MosType::N)
@@ -118,7 +119,7 @@ fn dsl_is_shorter_than_coordinate_code() {
 /// The amplifier regenerates deterministically.
 #[test]
 fn amplifier_is_deterministic() {
-    let tech = Tech::bicmos_1u();
+    let tech = GenCtx::from_tech(&Tech::bicmos_1u());
     let (a, ra) = amgen::amp::build_amplifier(&tech).unwrap();
     let (b, rb) = amgen::amp::build_amplifier(&tech).unwrap();
     assert_eq!(a.shapes(), b.shapes());

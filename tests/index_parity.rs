@@ -12,7 +12,7 @@ use amgen::modgen::diffpair::{diff_pair, DiffPairParams};
 use amgen::modgen::{contact_row, ContactRowParams, MosType};
 use amgen::prelude::*;
 
-fn fig01_workload(tech: &Tech, n: usize, every: usize) -> LayoutObject {
+fn fig01_workload(tech: &GenCtx, n: usize, every: usize) -> LayoutObject {
     let pdiff = tech.layer("pdiff").unwrap();
     let mut obj = LayoutObject::new("latchup");
     for i in 0..n {
@@ -30,7 +30,7 @@ fn fig01_workload(tech: &Tech, n: usize, every: usize) -> LayoutObject {
     obj
 }
 
-fn assert_parity(tech: &Tech, obj: &LayoutObject) {
+fn assert_parity(tech: &GenCtx, obj: &LayoutObject) {
     let drc = Drc::new(tech);
     let indexed = drc.check(obj);
     let scan = drc.check_scan(obj);
@@ -53,7 +53,7 @@ fn assert_parity(tech: &Tech, obj: &LayoutObject) {
 
 #[test]
 fn fig01_latchup_parity_across_contact_densities() {
-    let tech = Tech::bicmos_1u();
+    let tech = GenCtx::from_tech(&Tech::bicmos_1u());
     for (n, every) in [(8, 3), (32, 3), (64, 64), (128, 5)] {
         let obj = fig01_workload(&tech, n, every);
         let indexed = latchup::latchup_remainder(&tech, &obj);
@@ -69,7 +69,7 @@ fn fig01_latchup_parity_across_contact_densities() {
 
 #[test]
 fn fig03_contact_row_parity() {
-    let tech = Tech::bicmos_1u();
+    let tech = GenCtx::from_tech(&Tech::bicmos_1u());
     let poly = tech.layer("poly").unwrap();
     for params in [
         ContactRowParams::new(),
@@ -83,7 +83,7 @@ fn fig03_contact_row_parity() {
 
 #[test]
 fn fig06_diff_pair_parity() {
-    let tech = Tech::bicmos_1u();
+    let tech = GenCtx::from_tech(&Tech::bicmos_1u());
     let pair = diff_pair(
         &tech,
         &DiffPairParams::new(MosType::P).with_w(um(10)).with_l(um(2)),
@@ -94,7 +94,7 @@ fn fig06_diff_pair_parity() {
 
 #[test]
 fn fig10_centroid_parity() {
-    let tech = Tech::bicmos_1u();
+    let tech = GenCtx::from_tech(&Tech::bicmos_1u());
     let centroid = centroid_diff_pair(
         &tech,
         &CentroidParams::paper(MosType::N)

@@ -18,7 +18,7 @@ use amgen::modgen::{contact_row, mos_transistor, ContactRowParams, MosParams, Mo
 use amgen::prelude::*;
 
 /// Builds every MOS-only module of the library in the given deck.
-fn mos_library(tech: &Tech) -> Vec<(&'static str, LayoutObject)> {
+fn mos_library(tech: &GenCtx) -> Vec<(&'static str, LayoutObject)> {
     vec![
         (
             "contact_row",
@@ -89,6 +89,7 @@ fn mos_library(tech: &Tech) -> Vec<(&'static str, LayoutObject)> {
 #[test]
 fn every_module_is_short_free_in_both_decks() {
     for tech in [Tech::bicmos_1u(), Tech::cmos_08()] {
+        let tech = GenCtx::from_tech(&tech);
         let drc = Drc::new(&tech);
         for (name, m) in mos_library(&tech) {
             let shorts: Vec<_> = drc
@@ -105,7 +106,7 @@ fn every_module_is_short_free_in_both_decks() {
 #[test]
 fn every_module_survives_gds_and_cif_round_trips() {
     let tech = Tech::bicmos_1u();
-    for (name, m) in mos_library(&tech) {
+    for (name, m) in mos_library(&GenCtx::from_tech(&tech)) {
         let gds = write_gds(&tech, &m);
         let gs = parse_gds_summary(&gds).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(gs.boundaries, m.len(), "{name}");
@@ -117,7 +118,7 @@ fn every_module_survives_gds_and_cif_round_trips() {
 
 #[test]
 fn every_module_passes_min_area() {
-    let tech = Tech::bicmos_1u();
+    let tech = GenCtx::from_tech(&Tech::bicmos_1u());
     let drc = Drc::new(&tech);
     for (name, m) in mos_library(&tech) {
         let v = drc.check_min_area(&m);
@@ -128,7 +129,7 @@ fn every_module_passes_min_area() {
 #[test]
 fn every_module_renders_to_svg() {
     let tech = Tech::bicmos_1u();
-    for (name, m) in mos_library(&tech) {
+    for (name, m) in mos_library(&GenCtx::from_tech(&tech)) {
         let svg = render_svg(&tech, &m);
         assert!(svg.ends_with("</svg>\n"), "{name}");
         assert!(svg.matches("<rect ").count() > m.len(), "{name}");
