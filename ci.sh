@@ -4,6 +4,14 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 cargo build --release
+# Figure-artifact gate: the committed out/ files are exactly what the
+# experiments binary and the figure examples write (byte-identical
+# determinism, and the SVG/GDS/CIF exporters read layers unchanged).
+cargo run --release -q --bin experiments > /dev/null
+for example in quickstart contact_row diffpair centroid_pair bicmos_amplifier dsl_live_view; do
+    cargo run --release -q --example "$example" > /dev/null
+done
+git diff --exit-code -- out/
 cargo test --workspace -q
 # The end-to-end benchmark is a separate package outside the workspace:
 # build and test it here so a change to a public item it calls fails CI
@@ -24,8 +32,8 @@ cargo run --release -q --bin amgen-lint -- --deny-warnings --time --examples exa
 # stay certifiable under a generous concrete fuel limit (E502/W504
 # fire only if a program provably cannot fit), warnings fatal.
 cargo run --release -q --bin amgen-lint -- --deny-warnings --certify --certify-fuel 100000 --stdlib examples/*.amg > /dev/null
-# Bench smoke: the rule-kernel microbench doubles as a fast end-to-end
-# exercise of the compiled RuleSet path.
+# Bench smoke: the rule-kernel microbench (a pairwise query sweep and a
+# deck build) doubles as a fast end-to-end exercise of the RuleSet path.
 cargo bench -p amgen-bench --bench rule_lookup
 # Tracing overhead smoke: the coarse-traced Fig. 6 generator must stay
 # within 10% of the untraced run (the bench asserts and exits nonzero).

@@ -55,13 +55,13 @@
 //!
 //! # The rule kernel and the generation context
 //!
-//! Every stage consumes design rules through a compiled
-//! [`RuleSet`](tech::RuleSet) — dense pairwise tables, interned layer
-//! handles, no strings or hashing in hot loops — carried in a shared
-//! [`GenCtx`](core::GenCtx). Every stage entry point takes `&GenCtx`:
-//! build the context once per run — its budget, cancel token, cache and
-//! tracing then reach every stage — share it (workers bump the `Arc`),
-//! and read the per-stage counters afterwards. Stage time is inclusive
+//! Every stage consumes design rules through the technology's compiled
+//! [`RuleSet`](tech::RuleSet) (`Tech` is the same type) — dense pairwise
+//! tables, interned layer handles, no strings or hashing in hot loops —
+//! carried in a shared [`GenCtx`](core::GenCtx). Every stage entry point
+//! takes `&GenCtx`: build the context once per run — its budget, cancel
+//! token, cache and tracing then reach every stage — share it (workers
+//! bump the `Arc`), and read the per-stage counters afterwards. Stage time is inclusive
 //! (a module generator's time contains the primitives it calls) and is
 //! charged on every exit, errors included:
 //!
@@ -69,7 +69,7 @@
 //! use amgen::modgen::{contact_row, ContactRowParams};
 //! use amgen::prelude::*;
 //!
-//! let ctx = GenCtx::from_tech(&Tech::bicmos_1u()); // compile the kernel once
+//! let ctx = GenCtx::from_tech(&Tech::bicmos_1u()); // build the kernel once
 //! let poly = ctx.poly().unwrap(); // interned handle, no name lookup
 //! for _ in 0..3 {
 //!     contact_row(&ctx, poly, &ContactRowParams::new()).unwrap();

@@ -11,8 +11,10 @@
 //!   a valid layout or a typed error, never a wedged thread.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::Duration;
 
 use amgen::amp::{build_amplifier, build_amplifier_cmos};
+use amgen::compact::CompactError;
 use amgen::modgen::baseline::contact_row_by_coordinates;
 use amgen::modgen::bipolar::{bipolar_npn, bipolar_pair, NpnParams};
 use amgen::modgen::capacitor::{mos_capacitor, MosCapParams};
@@ -320,6 +322,17 @@ fn rect_on(ctx: &GenCtx, name: &str) -> LayoutObject {
     obj
 }
 
+/// The optimizer's entry point. Under an expired deadline it returns its
+/// incumbent flagged `degraded` instead of failing, so the sweep also
+/// calls it directly to read the flag.
+fn optimize_two_steps(c: &GenCtx) -> Result<OptResult, CompactError> {
+    let steps = [
+        Step::new(rect_on(c, "poly"), Dir::East, CompactOptions::new()),
+        Step::new(rect_on(c, "poly"), Dir::North, CompactOptions::new()),
+    ];
+    Optimizer::new(c, RatingWeights::default()).optimize_order(&steps, SearchOptions::default())
+}
+
 /// Every public entry point that reaches a checkpoint: the module
 /// generators, the primitives, the compactor, the wiring routines, the
 /// optimizer, the amplifier builders and the interpreter.
@@ -355,10 +368,7 @@ const ENTRY_POINTS: [(&str, Entry); 34] = [
         done(cascode_pair(c, &CascodeParams::new(MosType::N)))
     }),
     ("diode_transistor", |c| {
-        done(diode_transistor(
-            c,
-            &DiodeParams::new(MosType::N).with_w(um(8)),
-        ))
+        done(diode_transistor(c, &DiodeParams::new(MosType::N)))
     }),
     ("common_centroid_quad", |c| {
         done(common_centroid_quad(c, &QuadParams::new(MosType::N)))
@@ -446,14 +456,7 @@ const ENTRY_POINTS: [(&str, Entry); 34] = [
         let path = [Rect::new(0, 0, um(2), um(10))];
         done(Router::new(c).route_mirrored(&mut obj, layer(c, "metal1"), &path, um(5), l, r))
     }),
-    ("Optimizer::optimize_order", |c| {
-        let steps = [
-            Step::new(rect_on(c, "poly"), Dir::East, CompactOptions::new()),
-            Step::new(rect_on(c, "poly"), Dir::North, CompactOptions::new()),
-        ];
-        let opt = Optimizer::new(c, RatingWeights::default());
-        done(opt.optimize_order(&steps, SearchOptions::default()))
-    }),
+    ("Optimizer::optimize_order", |c| done(optimize_two_steps(c))),
     ("build_amplifier", |c| done(build_amplifier(c))),
     ("build_amplifier_cmos", |c| done(build_amplifier_cmos(c))),
     ("Interpreter::run", |c| {
@@ -461,23 +464,68 @@ const ENTRY_POINTS: [(&str, Entry); 34] = [
     }),
 ];
 
-/// A limit armed on a context holds in every stage the context reaches:
-/// with its token cancelled up front, no entry point finishes, and each
-/// reports the typed cancellation.
+/// A limit armed on a context holds in every stage the context reaches.
+/// Each entry point first runs on a live context (it must succeed), then
+/// again under each limit: a cancelled token, a compaction-step or fuel
+/// budget one below what the live run used, and an expired wall
+/// deadline. No entry point finishes, and each reports the typed limit —
+/// except the optimizer under the deadline, which by design returns its
+/// incumbent flagged `degraded`.
 #[test]
 fn a_cancelled_context_stops_every_entry_point() {
-    let live = GenCtx::from_tech(&tech());
+    let t = tech();
+    let (mut compacting, mut fuelled) = (0, 0);
     for (name, entry) in ENTRY_POINTS {
+        let live = GenCtx::from_tech(&t);
         if let Err(e) = entry(&live) {
             panic!("{name} must succeed on a live context: {e}");
         }
-    }
-    let ctx = GenCtx::from_tech(&tech());
-    ctx.cancel_token().cancel();
-    for (name, entry) in ENTRY_POINTS {
-        match entry(&ctx) {
+        let exhausts = |budget: Budget, resource: Resource| {
+            let e = entry(&GenCtx::from_tech(&t).with_budget(budget))
+                .err()
+                .unwrap_or_else(|| panic!("{name} finished past its {} budget", resource.name()));
+            assert_eq!(
+                e.kind,
+                GenErrorKind::BudgetExhausted(resource),
+                "{name}: {e}"
+            );
+        };
+        let steps = live.limits.compact_steps();
+        if steps > 0 {
+            compacting += 1;
+            exhausts(
+                Budget::unlimited().with_max_compact_steps(steps - 1),
+                Resource::CompactSteps,
+            );
+        }
+        let fuel = live.limits.fuel_used();
+        if fuel > 0 {
+            fuelled += 1;
+            exhausts(
+                Budget::unlimited().with_dsl_fuel(fuel - 1),
+                Resource::DslFuel,
+            );
+        }
+        let expired = Budget::unlimited().with_wall(Duration::ZERO);
+        if name == "Optimizer::optimize_order" {
+            let r = optimize_two_steps(&GenCtx::from_tech(&t).with_budget(expired));
+            assert!(
+                r.expect("the optimizer degrades, not fails").degraded,
+                "{name}"
+            );
+        } else {
+            exhausts(expired, Resource::Wall);
+        }
+        let cancelled = GenCtx::from_tech(&t);
+        cancelled.cancel_token().cancel();
+        match entry(&cancelled) {
             Ok(()) => panic!("{name} finished on a cancelled context"),
             Err(e) => assert!(e.is_cancelled(), "{name}: {e}"),
         }
     }
+    assert_eq!(
+        (compacting, fuelled),
+        (18, 1),
+        "entries that compact / burn fuel"
+    );
 }

@@ -486,7 +486,8 @@ impl GenCtx {
         }
     }
 
-    /// Compiles `tech` and wraps the result.
+    /// Wraps a shared copy of `tech`'s rule kernel
+    /// ([`RuleSet::compile_arc`]); the copy's query counter starts off.
     pub fn from_tech(tech: &Tech) -> GenCtx {
         GenCtx::new(tech.compile_arc())
     }

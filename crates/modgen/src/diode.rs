@@ -81,7 +81,8 @@ fn diode_transistor_uncached(
         .find_net("a")
         .ok_or_else(|| ModgenError::Route("net `a` missing".into()))?;
     // Gate contact: the metal1 "a" geometry below y = 0; drain row: the
-    // tall "a" column on the east side.
+    // "a" geometry above it, on the east side (a tall column, or a square
+    // pad at the minimum width).
     let mut gate_pad: Option<Rect> = None;
     let mut drain_col: Option<Rect> = None;
     for s in m.shapes() {
@@ -90,7 +91,7 @@ fn diode_transistor_uncached(
         }
         if s.rect.y1 <= 0 {
             gate_pad = Some(gate_pad.map_or(s.rect, |g| g.union_bbox(&s.rect)));
-        } else if s.rect.height() > s.rect.width() {
+        } else {
             drain_col = Some(drain_col.map_or(s.rect, |d| d.union_bbox(&s.rect)));
         }
     }
@@ -126,6 +127,7 @@ mod tests {
     use amgen_extract::Extractor;
     use amgen_geom::um;
     use amgen_tech::Tech;
+    use std::error::Error;
 
     fn tech() -> GenCtx {
         GenCtx::from_tech(&Tech::bicmos_1u())
@@ -172,6 +174,41 @@ mod tests {
             .collect();
         assert!(shorts.is_empty(), "{shorts:?}");
         Ok(())
+    }
+
+    /// At the default (minimum) width the drain pad is square; it must
+    /// still be strapped to the gate, and the strap must not short.
+    fn default_width_diodes_are_one_clean_anode(tech: Tech) -> Result<(), Box<dyn Error>> {
+        let t = GenCtx::from_tech(&tech);
+        for (mos, diff) in [(MosType::N, t.ndiff()?), (MosType::P, t.pdiff()?)] {
+            let case = format!("{} {mos:?}", tech.name());
+            let m = diode_transistor(&t, &DiodeParams::new(mos))?;
+            let anode: Vec<_> = Extractor::new(&t)
+                .connectivity(&m)
+                .into_iter()
+                .filter(|n| n.declared.iter().any(|x| x == "a"))
+                .collect();
+            assert_eq!(anode.len(), 1, "{case}: gate and drain apart");
+            let on = |l| anode[0].shapes.iter().any(|&i| m.shapes()[i].layer == l);
+            assert!(on(t.poly()?) && on(diff), "{case}");
+            let shorts: Vec<_> = Drc::new(&t)
+                .check_spacing(&m)
+                .into_iter()
+                .filter(|v| v.kind == amgen_drc::ViolationKind::Short)
+                .collect();
+            assert!(shorts.is_empty(), "{case}: {shorts:?}");
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn default_width_diodes_in_bicmos_1u() -> Result<(), Box<dyn Error>> {
+        default_width_diodes_are_one_clean_anode(Tech::bicmos_1u())
+    }
+
+    #[test]
+    fn default_width_diodes_in_cmos_08() -> Result<(), Box<dyn Error>> {
+        default_width_diodes_are_one_clean_anode(Tech::cmos_08())
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! The paper's amplifier was laid out in a proprietary *1 µm
 //! Siemens-BiCMOS* process. The [`BICMOS_1U`] deck below is a **synthetic
 //! substitute** with public-domain-typical values (λ ≈ 0.5 µm scalable
-//! rules): every algorithm consumes rules only through the [`Tech`] API,
-//! so absolute rule values shift absolute areas but not the qualitative
-//! behaviour the paper demonstrates. [`CMOS_08`] is a second, plain-CMOS
+//! rules): every algorithm reads rules only through the [`Tech`] rule
+//! kernel, so absolute rule values shift absolute areas but not the
+//! qualitative behaviour the paper demonstrates. [`CMOS_08`] is a second, plain-CMOS
 //! deck used to exercise technology independence (the same module source
 //! generates rule-clean layouts in either deck).
 
@@ -262,7 +262,7 @@ mod tests {
     fn contact_enclosures_present_for_all_contacted_conductors() {
         let t = Tech::bicmos_1u();
         let ct = t.layer("contact").unwrap();
-        for (a, b) in t.connected_pairs(ct) {
+        for &(a, b) in t.connected_pairs(ct) {
             for side in [a, b] {
                 assert!(
                     t.enclosure(side, ct) > 0,

@@ -52,9 +52,18 @@ impl Tech {
                 s.parse::<i64>()
                     .map_err(|_| err(format!("expected integer, got `{s}`")))
             };
+            // Capacitances and areas: finite and non-negative.
             let float = |s: &str| -> Result<f64, TechError> {
                 s.parse::<f64>()
-                    .map_err(|_| err(format!("expected number, got `{s}`")))
+                    .ok()
+                    .filter(|v| v.is_finite() && *v >= 0.0)
+                    .ok_or_else(|| err(format!("expected a finite number >= 0, got `{s}`")))
+            };
+            let gds = |s: &str| -> Result<i16, TechError> {
+                i16::try_from(int(s)?)
+                    .ok()
+                    .filter(|v| *v >= 0)
+                    .ok_or_else(|| err(format!("GDS number must be in 0..=32767, got `{s}`")))
             };
             if keyword == "tech" {
                 if builder.is_some() {
@@ -72,17 +81,15 @@ impl Tech {
             let b = match (keyword, rest.as_slice()) {
                 ("grid", [g]) => b.grid(int(g)?),
                 ("latchup", [d]) => b.latchup_distance(int(d)?),
-                ("layer", [name, kind, gds]) => {
+                ("layer", [name, kind, number, datatype @ ..]) if datatype.len() <= 1 => {
                     let k = LayerKind::parse(kind)
                         .ok_or_else(|| err(format!("unknown layer kind `{kind}`")))?;
-                    b.layer(name, k, int(gds)? as i16)?
-                }
-                ("layer", [name, kind, gds, dt]) => {
-                    let k = LayerKind::parse(kind)
-                        .ok_or_else(|| err(format!("unknown layer kind `{kind}`")))?;
-                    let mut b = b.layer(name, k, int(gds)? as i16)?;
-                    // Patch the datatype of the just-added layer.
-                    b.set_last_datatype(int(dt)? as i16);
+                    let mut b = b.layer(name, k, gds(number)?)?;
+                    if let Some(dt) = datatype.first() {
+                        b.last_layer_mut()
+                            .expect("layer just declared")
+                            .gds_datatype = gds(dt)?;
+                    }
                     b
                 }
                 ("width", [l, w]) => b.width(l, int(w)?)?,
@@ -190,7 +197,7 @@ impl Tech {
                 out.push_str(&format!("cutsize {} {}\n", self.layer_name(l), s));
             }
         }
-        for (c, a, b) in self.connections() {
+        for &(c, a, b) in self.connections() {
             out.push_str(&format!(
                 "connect {} {} {}\n",
                 self.layer_name(c),
@@ -221,16 +228,6 @@ impl Tech {
             }
         }
         out
-    }
-}
-
-impl TechBuilder {
-    /// Patches the GDS datatype of the most recently added layer (parser
-    /// support for the 4-argument `layer` statement).
-    fn set_last_datatype(&mut self, dt: i16) {
-        if let Some(info) = self.last_layer_mut() {
-            info.gds_datatype = dt;
-        }
     }
 }
 
@@ -347,5 +344,59 @@ sheetres poly 25000
             Tech::parse(deck),
             Err(TechError::Parse { line: 2, .. })
         ));
+    }
+
+    fn parse_err(deck: &str) -> TechError {
+        Tech::parse(deck).expect_err(deck)
+    }
+
+    #[test]
+    fn gds_numbers_outside_0_to_32767_are_rejected() {
+        for layer in ["40000", "-1", "10 70000", "10 -3"] {
+            let e = parse_err(&format!("tech x\nlayer poly poly {layer}\n"));
+            assert!(
+                matches!(e, TechError::Parse { line: 2, .. }),
+                "{layer}: {e}"
+            );
+        }
+        let t = Tech::parse("tech x\nlayer poly poly 32767 32767\n").unwrap();
+        let info = t.info(t.layer("poly").unwrap());
+        assert_eq!((info.gds_layer, info.gds_datatype), (32767, 32767));
+    }
+
+    #[test]
+    fn cap_coefficients_must_be_finite_and_non_negative() {
+        for cap in ["NaN 80", "inf 80", "30 -inf", "-0.5 80", "30 -2"] {
+            let e = parse_err(&format!("tech x\nlayer m metal 20\ncap m {cap}\n"));
+            assert!(matches!(e, TechError::Parse { line: 3, .. }), "{cap}: {e}");
+        }
+    }
+
+    #[test]
+    fn min_area_must_be_a_finite_number() {
+        for area in ["NaN", "inf", "-1"] {
+            let e = parse_err(&format!("tech x\nlayer m metal 20\nminarea m {area}\n"));
+            assert!(matches!(e, TechError::Parse { line: 3, .. }), "{area}: {e}");
+        }
+    }
+
+    #[test]
+    fn negative_latchup_distance_is_rejected() {
+        let e = parse_err("tech x\nlatchup -100\n");
+        assert!(matches!(&e, TechError::InvalidValue { rule, value: -100 } if rule == "latchup"));
+    }
+
+    #[test]
+    fn grid_below_one_is_rejected() {
+        for g in [0, -7] {
+            let e = parse_err(&format!("tech x\ngrid {g}\n"));
+            assert_eq!(
+                e,
+                TechError::InvalidValue {
+                    rule: "grid".into(),
+                    value: g
+                }
+            );
+        }
     }
 }

@@ -1,12 +1,12 @@
 //! Mask layers and their electrical roles.
 
-/// A handle to a layer in a [`crate::Tech`] database.
+/// A handle to a layer of a technology ([`crate::RuleSet`]).
 ///
 /// Layers are cheap copyable indices; all rule lookups go through the
-/// owning [`crate::Tech`]. Handles from different technologies must not be
-/// mixed (rule queries would silently use the wrong table); the database
-/// therefore brands each handle with its technology id and panics on
-/// mismatch in debug lookups.
+/// owning rule kernel. Handles from different technologies must not be
+/// mixed (rule queries would silently use the wrong table); the kernel
+/// therefore brands each handle with its technology id, which copies of
+/// the kernel share, and every lookup panics on a mismatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Layer {
     pub(crate) tech_id: u32,

@@ -9,9 +9,12 @@
 //! This crate provides:
 //!
 //! * [`Layer`] / [`LayerKind`] — mask layers with their electrical role,
-//! * [`Tech`] — the rule database: minimum widths, intra- and inter-layer
+//! * [`Tech`] — the rule database, the same type as the dense [`RuleSet`]
+//!   kernel every stage queries: minimum widths, intra- and inter-layer
 //!   spacings, enclosures, extensions, cut sizes, connectivity through cut
 //!   layers, parasitic coefficients and the latch-up coverage distance,
+//!   lowered into flat tables once by
+//!   [`TechBuilder::build`](tech::TechBuilder::build),
 //! * a tiny line-oriented **tech-file format** ([`Tech::parse`] /
 //!   [`Tech::to_tech_file`]) so decks are human-diffable like the paper's,
 //! * two built-in decks: [`Tech::bicmos_1u`], a synthetic 1 µm BiCMOS

@@ -1,20 +1,20 @@
-//! The compiled design-rule kernel.
+//! The design-rule kernel: the one store a technology's rules live in.
 //!
-//! [`Tech`] is the *editable* rule database: string-keyed layers and
-//! `HashMap`-backed pair rules, convenient for the tech-file parser and
-//! the builder but wrong for the innermost loop of the generator, where
-//! every primitive placement and compaction probe asks for a spacing or
-//! an enclosure. [`RuleSet`] is the same information compiled once into
-//! dense `n_layers × n_layers` tables and flat per-layer arrays so that
-//! every hot-path query is a bounds-checked array index — no hashing, no
-//! string comparison, no allocation.
+//! A [`RuleSet`] (also named [`Tech`](crate::Tech)) holds every rule of
+//! a deck in dense `n_layers × n_layers` tables and flat per-layer
+//! arrays, so every query is a bounds-checked array index — no hashing,
+//! no string comparison, no allocation — in the innermost loops of the
+//! generator, where every primitive placement and compaction probe asks
+//! for a spacing or an enclosure.
+//! [`TechBuilder::build`](crate::tech::TechBuilder::build) lowers a staged
+//! deck into these tables once.
 //!
-//! A `RuleSet` keeps the technology id of the [`Tech`] it was compiled
-//! from, so [`Layer`] handles interchange freely between the two; using a
-//! handle from a different technology still panics, exactly like `Tech`.
+//! Every [`Layer`] handle is branded with the id of the kernel that made
+//! it; copies ([`Clone`], [`RuleSet::compile_arc`]) keep the id, so their
+//! handles interchange, while a handle from a different technology panics.
 //!
 //! The kernel also interns the *well-known* layer names the module
-//! library relies on (`poly`, `metal1`, `contact`, ...) at compile time;
+//! library relies on (`poly`, `metal1`, `contact`, ...) when it is built;
 //! generators fetch them through accessors like [`RuleSet::poly`] that
 //! return a proper [`TechError`] when a deck lacks the layer, instead of
 //! resolving strings per call.
@@ -29,143 +29,84 @@ use std::sync::Arc;
 
 use crate::error::TechError;
 use crate::layer::{Layer, LayerInfo, LayerKind};
-use crate::tech::{CapCoeffs, Coord, Tech};
+use crate::tech::{CapCoeffs, Coord};
 
 /// Sentinel in the dense spacing table for "no rule declared" (the pair
 /// is unconstrained and may overlap freely). Distinct from an explicit
 /// `space a b 0` rule, which compacts to abutment but forbids nothing.
-const NO_SPACE_RULE: Coord = Coord::MIN;
-/// Sentinel in the flat cut-size array for non-cut layers.
-const NO_CUT_SIZE: Coord = -1;
-/// Sentinel in the flat sheet-resistance array for "not declared".
-const NO_SHEET_RES: i64 = i64::MIN;
+pub(crate) const NO_SPACE_RULE: Coord = Coord::MIN;
 
-/// The layer names interned at compile time for the module library.
-const KNOWN_NAMES: [&str; 13] = [
+/// The layer names interned at build time for the module library.
+pub(crate) const KNOWN_NAMES: [&str; 13] = [
     "poly", "metal1", "metal2", "contact", "via1", "ndiff", "pdiff", "nwell", "nplus", "pplus",
     "base", "emitter", "buried",
 ];
 
-/// A compiled, immutable design-rule kernel.
+/// A process technology: layers plus every design rule, compiled into an
+/// immutable kernel that every pipeline stage consumes read-only.
 ///
-/// Built once from a [`Tech`] via [`Tech::compile`] (or
-/// [`Tech::compile_arc`] for sharing) and then consumed read-only by
-/// every pipeline stage. All pair rules live in dense `n × n` tables
-/// indexed by `a.index() * n + b.index()`; all per-layer rules live in
-/// flat arrays.
-#[derive(Debug)]
+/// [`Tech`](crate::Tech) names the same type. Build one with
+/// [`RuleSet::builder`], [`RuleSet::parse`] (tech-file text) or use the
+/// built-in decks [`RuleSet::bicmos_1u`] / [`RuleSet::cmos_08`]; share it
+/// with [`RuleSet::compile_arc`]. All pair rules live in dense `n × n`
+/// tables indexed by `a.index() * n + b.index()`; all per-layer rules live
+/// in flat arrays.
+#[derive(Debug, Clone)]
 pub struct RuleSet {
-    tech_id: u32,
-    name: String,
-    grid: Coord,
-    latchup_distance: Coord,
-    n: usize,
-    infos: Vec<LayerInfo>,
+    pub(crate) tech_id: u32,
+    pub(crate) name: String,
+    pub(crate) grid: Coord,
+    pub(crate) latchup_distance: Coord,
+    pub(crate) n: usize,
+    pub(crate) infos: Vec<LayerInfo>,
     /// Name → index, used only by the front ends (dsl binding, tests).
-    by_name: HashMap<String, u16>,
-    min_width: Vec<Coord>,
+    pub(crate) by_name: HashMap<String, u16>,
+    pub(crate) min_width: Vec<Coord>,
     /// Symmetric; both `(a,b)` and `(b,a)` entries are filled.
-    space: Vec<Coord>,
+    pub(crate) space: Vec<Coord>,
     /// Directional: `enclosure[outer * n + inner]`.
-    enclosure: Vec<Coord>,
+    pub(crate) enclosure: Vec<Coord>,
     /// Directional: `extension[a * n + b]`.
-    extension: Vec<Coord>,
-    cut_size: Vec<Coord>,
-    cap: Vec<CapCoeffs>,
-    sheet_res_mohm: Vec<i64>,
-    min_area_um2: Vec<f64>,
+    pub(crate) extension: Vec<Coord>,
+    pub(crate) cut_size: Vec<Option<Coord>>,
+    pub(crate) cap: Vec<CapCoeffs>,
+    pub(crate) sheet_res_mohm: Vec<Option<i64>>,
+    pub(crate) min_area_um2: Vec<f64>,
     /// All declared `(cut, a, b)` connections, as resolved handles.
-    connections: Vec<(Layer, Layer, Layer)>,
+    pub(crate) connections: Vec<(Layer, Layer, Layer)>,
     /// Per-layer slice of conductor pairs connected by that cut layer.
-    cut_pairs: Vec<Vec<(Layer, Layer)>>,
+    pub(crate) cut_pairs: Vec<Vec<(Layer, Layer)>>,
     /// Interned well-known handles, in [`KNOWN_NAMES`] order.
-    known: [Option<Layer>; KNOWN_NAMES.len()],
-    counting: AtomicBool,
-    queries: AtomicU64,
+    pub(crate) known: [Option<Layer>; KNOWN_NAMES.len()],
+    pub(crate) queries: QueryCounter,
 }
 
-impl Tech {
-    /// Compiles this technology into a dense [`RuleSet`] kernel.
-    pub fn compile(&self) -> RuleSet {
-        let n = self.layers.len();
-        let id = self.id;
-        let at = |i: u16| Layer {
-            tech_id: id,
-            index: i,
-        };
+/// The opt-in rule-query counter. A clone starts switched off at 0, so a
+/// copy of a kernel never inherits another run's count.
+#[derive(Debug, Default)]
+pub(crate) struct QueryCounter {
+    on: AtomicBool,
+    count: AtomicU64,
+}
 
-        let mut space = vec![NO_SPACE_RULE; n * n];
-        for (&(a, b), &s) in &self.min_space {
-            space[a as usize * n + b as usize] = s;
-            space[b as usize * n + a as usize] = s;
-        }
-        let mut enclosure = vec![0; n * n];
-        for (&(o, i), &e) in &self.enclosure {
-            enclosure[o as usize * n + i as usize] = e;
-        }
-        let mut extension = vec![0; n * n];
-        for (&(a, b), &e) in &self.extension {
-            extension[a as usize * n + b as usize] = e;
-        }
-        let mut cut_pairs = vec![Vec::new(); n];
-        for &(c, a, b) in &self.connections {
-            cut_pairs[c as usize].push((at(a), at(b)));
-        }
-        let known = KNOWN_NAMES.map(|name| self.by_name.get(name).map(|&i| at(i)));
-
-        RuleSet {
-            tech_id: id,
-            name: self.name.clone(),
-            grid: self.grid,
-            latchup_distance: self.latchup_distance,
-            n,
-            infos: self.layers.clone(),
-            by_name: self.by_name.clone(),
-            min_width: self.min_width.clone(),
-            space,
-            enclosure,
-            extension,
-            cut_size: self
-                .cut_size
-                .iter()
-                .map(|c| c.unwrap_or(NO_CUT_SIZE))
-                .collect(),
-            cap: self.cap.clone(),
-            sheet_res_mohm: self
-                .sheet_res_mohm
-                .iter()
-                .map(|r| r.unwrap_or(NO_SHEET_RES))
-                .collect(),
-            min_area_um2: self.min_area_um2.clone(),
-            connections: self
-                .connections
-                .iter()
-                .map(|&(c, a, b)| (at(c), at(a), at(b)))
-                .collect(),
-            cut_pairs,
-            known,
-            counting: AtomicBool::new(false),
-            queries: AtomicU64::new(0),
-        }
-    }
-
-    /// Compiles into a shareable [`Arc<RuleSet>`] — the form every
-    /// pipeline stage holds.
-    pub fn compile_arc(&self) -> Arc<RuleSet> {
-        Arc::new(self.compile())
+impl Clone for QueryCounter {
+    fn clone(&self) -> QueryCounter {
+        QueryCounter::default()
     }
 }
 
 impl RuleSet {
-    /// Parses tech-file text and compiles it in one step.
-    pub fn parse(text: &str) -> Result<RuleSet, TechError> {
-        Ok(Tech::parse(text)?.compile())
+    /// A shareable copy of this kernel — the form every pipeline stage
+    /// holds. The copy keeps the layer-handle brand; its query counter
+    /// starts switched off at 0.
+    pub fn compile_arc(&self) -> Arc<RuleSet> {
+        Arc::new(self.clone())
     }
 
     #[inline]
     fn count(&self) {
-        if self.counting.load(Ordering::Relaxed) {
-            self.queries.fetch_add(1, Ordering::Relaxed);
+        if self.queries.on.load(Ordering::Relaxed) {
+            self.queries.count.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -184,8 +125,8 @@ impl RuleSet {
         &self.name
     }
 
-    /// Id of the technology this kernel was compiled from (brands
-    /// [`Layer`] handles — they interchange with the source [`Tech`]).
+    /// Unique id of this technology (brands [`Layer`] handles; copies
+    /// share it).
     pub fn id(&self) -> u32 {
         self.tech_id
     }
@@ -196,8 +137,8 @@ impl RuleSet {
         self.grid
     }
 
-    /// Maximum distance a substrate contact "covers" for the latch-up
-    /// rule.
+    /// Maximum distance a substrate contact "covers" for the latch-up rule
+    /// (the half-size of the temporary rectangles of the paper's Fig. 1).
     #[inline]
     pub fn latchup_distance(&self) -> Coord {
         self.latchup_distance
@@ -253,7 +194,8 @@ impl RuleSet {
     }
 
     /// Minimum spacing between shapes on `a` and `b`; `None` when the
-    /// pair is unconstrained.
+    /// pair is unconstrained (shapes may overlap freely, e.g. implant
+    /// over diffusion).
     #[inline]
     pub fn min_spacing(&self, a: Layer, b: Layer) -> Option<Coord> {
         self.count();
@@ -262,7 +204,7 @@ impl RuleSet {
     }
 
     /// Spacing required between *disconnected* shapes on `a` and `b`,
-    /// defaulting to 0 when no rule exists.
+    /// defaulting to 0 when no rule exists (the compactor may abut them).
     #[inline]
     pub fn clearance(&self, a: Layer, b: Layer) -> Coord {
         self.count();
@@ -282,7 +224,8 @@ impl RuleSet {
         self.enclosure[self.check(outer) * self.n + self.check(inner)]
     }
 
-    /// Required extension of `a` beyond `b`; 0 when no rule exists.
+    /// Required extension of `a` beyond `b` (e.g. poly gate past
+    /// diffusion); 0 when no rule exists.
     #[inline]
     pub fn extension(&self, a: Layer, b: Layer) -> Coord {
         self.count();
@@ -293,15 +236,8 @@ impl RuleSet {
     #[inline]
     pub fn cut_size(&self, l: Layer) -> Result<Coord, TechError> {
         self.count();
-        let s = self.cut_size[self.check(l)];
-        if s == NO_CUT_SIZE {
-            Err(TechError::MissingRule(format!(
-                "cutsize {}",
-                self.layer_name(l)
-            )))
-        } else {
-            Ok(s)
-        }
+        self.cut_size[self.check(l)]
+            .ok_or_else(|| TechError::MissingRule(format!("cutsize {}", self.layer_name(l))))
     }
 
     /// True if cut layer `cut` connects conductors `a` and `b` (in
@@ -340,8 +276,7 @@ impl RuleSet {
     #[inline]
     pub fn sheet_res_mohm(&self, l: Layer) -> Option<i64> {
         self.count();
-        let r = self.sheet_res_mohm[self.check(l)];
-        (r != NO_SHEET_RES).then_some(r)
+        self.sheet_res_mohm[self.check(l)]
     }
 
     /// Minimum area of a merged region on this layer, in µm² (0 when no
@@ -369,18 +304,18 @@ impl RuleSet {
     /// Enables or disables the rule-query counter. Off by default, so the
     /// steady-state cost is a single relaxed boolean load per query.
     pub fn set_query_counting(&self, on: bool) {
-        self.counting.store(on, Ordering::Relaxed);
+        self.queries.on.store(on, Ordering::Relaxed);
     }
 
     /// Number of rule queries answered since the last reset (0 unless
     /// counting was enabled).
     pub fn rule_queries(&self) -> u64 {
-        self.queries.load(Ordering::Relaxed)
+        self.queries.count.load(Ordering::Relaxed)
     }
 
     /// Resets the rule-query counter.
     pub fn reset_rule_queries(&self) {
-        self.queries.store(0, Ordering::Relaxed);
+        self.queries.count.store(0, Ordering::Relaxed);
     }
 
     // ---- interned well-known layers ------------------------------------
@@ -491,61 +426,107 @@ impl PartialEq for RuleSet {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::collections::HashSet;
 
+    use super::*;
+    use crate::builtin::{BICMOS_1U, CMOS_08};
+    use crate::tech::Tech;
+
+    /// An oracle independent of the builder: every rule statement of a
+    /// built-in deck, read with a plain line splitter, reads back through
+    /// its kernel query, and every pair or layer without a statement
+    /// reads as "no rule".
     #[test]
-    fn compiled_queries_match_the_source_tech() {
-        for t in [Tech::bicmos_1u(), Tech::cmos_08()] {
-            let r = t.compile();
-            assert_eq!(r.id(), t.id());
-            assert_eq!(r.layer_count(), t.layer_count());
+    fn every_deck_statement_reads_back() {
+        for text in [BICMOS_1U, CMOS_08] {
+            let t = Tech::parse(text).unwrap();
+            let l = |name: &str| t.layer(name).unwrap();
+            let int = |v: &str| v.parse::<Coord>().unwrap();
+            let float = |v: &str| v.parse::<f64>().unwrap();
+            let mut spaced = HashSet::new();
+            let mut enclosed = HashSet::new();
+            let mut extended = HashSet::new();
+            let mut cuts = HashSet::new();
+            for line in text.lines() {
+                let words: Vec<&str> = line.split('#').next().unwrap().split_whitespace().collect();
+                match words[..] {
+                    ["width", a, w] => assert_eq!(t.min_width(l(a)), int(w), "{line}"),
+                    ["space", a, b, s] => {
+                        assert_eq!(t.min_spacing(l(a), l(b)), Some(int(s)), "{line}");
+                        assert_eq!(t.min_spacing(l(b), l(a)), Some(int(s)), "{line}");
+                        spaced.extend([(a, b), (b, a)]);
+                    }
+                    ["enclose", o, i, e] => {
+                        assert_eq!(t.enclosure(l(o), l(i)), int(e), "{line}");
+                        enclosed.insert((o, i));
+                    }
+                    ["extend", a, b, e] => {
+                        assert_eq!(t.extension(l(a), l(b)), int(e), "{line}");
+                        extended.insert((a, b));
+                    }
+                    ["cutsize", c, s] => {
+                        assert_eq!(t.cut_size(l(c)), Ok(int(s)), "{line}");
+                        cuts.insert(c);
+                    }
+                    ["connect", c, a, b] => {
+                        assert!(t.connects(l(c), l(a), l(b)), "{line}");
+                        assert!(t.connects(l(c), l(b), l(a)), "{line}");
+                    }
+                    ["cap", x, area, fringe] => {
+                        let cc = CapCoeffs {
+                            area_af_per_um2: float(area),
+                            fringe_af_per_um: float(fringe),
+                        };
+                        assert_eq!(t.cap_coeffs(l(x)), cc, "{line}");
+                    }
+                    ["sheetres", x, r] => {
+                        assert_eq!(t.sheet_res_mohm(l(x)), Some(int(r)), "{line}");
+                    }
+                    ["minarea", x, a] => assert_eq!(t.min_area_um2(l(x)), float(a), "{line}"),
+                    _ => {}
+                }
+            }
             for a in t.layers() {
-                assert_eq!(r.min_width(a), t.min_width(a));
-                assert_eq!(r.cut_size(a).ok(), t.cut_size(a).ok());
-                assert_eq!(r.cap_coeffs(a), t.cap_coeffs(a));
-                assert_eq!(r.sheet_res_mohm(a), t.sheet_res_mohm(a));
-                assert_eq!(r.min_area_um2(a), t.min_area_um2(a));
-                assert_eq!(r.kind(a), t.kind(a));
-                assert_eq!(r.layer_name(a), t.layer_name(a));
+                let name = t.layer_name(a);
                 for b in t.layers() {
-                    assert_eq!(r.min_spacing(a, b), t.min_spacing(a, b));
-                    assert_eq!(r.clearance(a, b), t.clearance(a, b));
-                    assert_eq!(r.enclosure(a, b), t.enclosure(a, b));
-                    assert_eq!(r.extension(a, b), t.extension(a, b));
-                    for c in t.layers() {
-                        if t.kind(c).is_cut() {
-                            assert_eq!(r.connects(c, a, b), t.connects(c, a, b));
-                        }
+                    let pair = (name, t.layer_name(b));
+                    if !spaced.contains(&pair) {
+                        assert_eq!(t.min_spacing(a, b), None, "{pair:?}");
+                    }
+                    if !enclosed.contains(&pair) {
+                        assert_eq!(t.enclosure(a, b), 0, "{pair:?}");
+                    }
+                    if !extended.contains(&pair) {
+                        assert_eq!(t.extension(a, b), 0, "{pair:?}");
                     }
                 }
-                if t.kind(a).is_cut() {
-                    assert_eq!(r.connected_pairs(a), t.connected_pairs(a).as_slice());
+                if !cuts.contains(name) {
+                    assert!(t.cut_size(a).is_err(), "{name}");
                 }
             }
         }
     }
 
     #[test]
-    fn handles_interchange_with_the_source_tech() {
+    fn compile_arc_keeps_the_brand_and_starts_a_fresh_counter() {
         let t = Tech::bicmos_1u();
-        let r = t.compile();
+        t.set_query_counting(true);
         let poly = t.layer("poly").unwrap();
-        assert_eq!(r.min_width(poly), t.min_width(poly));
-        let poly2 = r.layer("poly").unwrap();
-        assert_eq!(poly, poly2);
-    }
-
-    #[test]
-    #[should_panic(expected = "layer handle from technology")]
-    fn cross_tech_handle_panics() {
-        let r = Tech::bicmos_1u().compile();
-        let foreign = Tech::cmos_08().layer("poly").unwrap();
-        let _ = r.min_width(foreign);
+        let shared = t.compile_arc();
+        assert_eq!(shared.id(), t.id());
+        assert_eq!(shared.layer("poly").unwrap(), poly);
+        assert_eq!(
+            shared.min_width(poly),
+            t.min_width(poly),
+            "handles interchange"
+        );
+        assert_eq!(shared.rule_queries(), 0, "the copy's counter starts off");
+        assert_eq!(t.rule_queries(), 1, "the original's counter stays on");
     }
 
     #[test]
     fn query_counter_is_gated() {
-        let r = Tech::bicmos_1u().compile();
+        let r = Tech::bicmos_1u();
         let poly = r.poly().unwrap();
         let _ = r.min_width(poly);
         assert_eq!(r.rule_queries(), 0, "counting is off by default");
@@ -559,40 +540,20 @@ mod tests {
 
     #[test]
     fn well_known_layers_are_interned() {
-        let r = Tech::bicmos_1u().compile();
+        let r = Tech::bicmos_1u();
         assert_eq!(r.poly().unwrap(), r.layer("poly").unwrap());
         assert_eq!(r.emitter().unwrap(), r.layer("emitter").unwrap());
-        let c = Tech::cmos_08().compile();
+        let c = Tech::cmos_08();
         assert!(c.base().is_err(), "plain CMOS deck has no bipolar layers");
     }
 
     #[test]
-    fn explicit_zero_space_differs_from_no_rule() {
-        let t = Tech::bicmos_1u();
-        let r = t.compile();
-        let mut saw_zero = false;
-        let mut saw_none = false;
-        for a in t.layers() {
-            for b in t.layers() {
-                match r.min_spacing(a, b) {
-                    Some(0) => saw_zero = true,
-                    None => saw_none = true,
-                    _ => {}
-                }
-                assert_eq!(r.min_spacing(a, b), t.min_spacing(a, b));
-            }
-        }
-        assert!(saw_none, "deck has unconstrained pairs");
-        let _ = saw_zero;
-    }
-
-    #[test]
     fn ruleset_equality_ignores_tech_id() {
-        let a = Tech::bicmos_1u().compile();
-        let b = Tech::bicmos_1u().compile();
+        let a = Tech::bicmos_1u();
+        let b = Tech::bicmos_1u();
         assert_ne!(a.id(), b.id());
         assert_eq!(a, b);
-        let c = Tech::cmos_08().compile();
+        let c = Tech::cmos_08();
         assert_ne!(a, c);
     }
 }

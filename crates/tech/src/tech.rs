@@ -1,10 +1,12 @@
-//! The technology rule database.
+//! Building a technology: the staged rule deck and its lowering into the
+//! compiled rule kernel.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use crate::error::TechError;
 use crate::layer::{Layer, LayerInfo, LayerKind};
+use crate::ruleset::{QueryCounter, RuleSet, KNOWN_NAMES, NO_SPACE_RULE};
 
 /// Coordinate type re-declared locally (1 du = 1 nm) to keep this crate
 /// free of a geometry dependency; it matches `amgen_geom::Coord`.
@@ -23,258 +25,56 @@ pub struct CapCoeffs {
 
 /// A process technology: layers plus the design-rule tables.
 ///
-/// Build one with [`Tech::builder`], [`Tech::parse`] (tech-file text) or
-/// use the built-in decks [`Tech::bicmos_1u`] / [`Tech::cmos_08`].
-#[derive(Debug, Clone)]
-pub struct Tech {
-    pub(crate) id: u32,
-    pub(crate) name: String,
-    pub(crate) grid: Coord,
-    pub(crate) latchup_distance: Coord,
-    pub(crate) layers: Vec<LayerInfo>,
-    pub(crate) by_name: HashMap<String, u16>,
-    pub(crate) min_width: Vec<Coord>,
-    pub(crate) min_space: HashMap<(u16, u16), Coord>,
-    pub(crate) enclosure: HashMap<(u16, u16), Coord>,
-    pub(crate) extension: HashMap<(u16, u16), Coord>,
-    pub(crate) cut_size: Vec<Option<Coord>>,
-    pub(crate) connections: Vec<(u16, u16, u16)>,
-    pub(crate) cap: Vec<CapCoeffs>,
-    pub(crate) sheet_res_mohm: Vec<Option<i64>>,
-    pub(crate) min_area_um2: Vec<f64>,
-}
+/// This is the compiled [`RuleSet`] under the name the rest of the
+/// environment builds and passes decks by, so every rule query has one
+/// implementation.
+pub type Tech = RuleSet;
 
-/// Incremental constructor for [`Tech`].
-#[derive(Debug)]
+/// Incremental constructor for a [`Tech`]: stages rule statements keyed
+/// by layer, then [`TechBuilder::build`] validates the deck and lowers it
+/// into the dense kernel.
+#[derive(Debug, Default)]
 pub struct TechBuilder {
-    tech: Tech,
+    name: String,
+    grid: Coord,
+    latchup_distance: Coord,
+    layers: Vec<LayerInfo>,
+    by_name: HashMap<String, u16>,
+    min_width: Vec<Coord>,
+    /// Symmetric: `space a b` stages both `(a, b)` and `(b, a)`.
+    min_space: HashMap<(u16, u16), Coord>,
+    enclosure: HashMap<(u16, u16), Coord>,
+    extension: HashMap<(u16, u16), Coord>,
+    cut_size: Vec<Option<Coord>>,
+    connections: Vec<(u16, u16, u16)>,
+    cap: Vec<CapCoeffs>,
+    sheet_res_mohm: Vec<Option<i64>>,
+    min_area_um2: Vec<f64>,
 }
 
-impl Tech {
+impl RuleSet {
     /// Starts building a technology with the given name.
     pub fn builder(name: impl Into<String>) -> TechBuilder {
         TechBuilder {
-            tech: Tech {
-                id: NEXT_TECH_ID.fetch_add(1, Ordering::Relaxed),
-                name: name.into(),
-                grid: 1,
-                latchup_distance: 0,
-                layers: Vec::new(),
-                by_name: HashMap::new(),
-                min_width: Vec::new(),
-                min_space: HashMap::new(),
-                enclosure: HashMap::new(),
-                extension: HashMap::new(),
-                cut_size: Vec::new(),
-                connections: Vec::new(),
-                cap: Vec::new(),
-                sheet_res_mohm: Vec::new(),
-                min_area_um2: Vec::new(),
-            },
+            name: name.into(),
+            grid: 1,
+            ..TechBuilder::default()
         }
-    }
-
-    /// Technology name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Unique id of this technology instance (brands [`Layer`] handles).
-    pub fn id(&self) -> u32 {
-        self.id
-    }
-
-    /// Manufacturing grid in du.
-    pub fn grid(&self) -> Coord {
-        self.grid
-    }
-
-    /// Maximum distance a substrate contact "covers" for the latch-up rule
-    /// (the half-size of the temporary rectangles of the paper's Fig. 1).
-    pub fn latchup_distance(&self) -> Coord {
-        self.latchup_distance
-    }
-
-    /// Looks a layer up by name.
-    pub fn layer(&self, name: &str) -> Result<Layer, TechError> {
-        self.by_name
-            .get(name)
-            .map(|&index| Layer {
-                tech_id: self.id,
-                index,
-            })
-            .ok_or_else(|| TechError::UnknownLayer(name.to_string()))
-    }
-
-    /// Number of layers.
-    pub fn layer_count(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// Iterates over all layer handles.
-    pub fn layers(&self) -> impl Iterator<Item = Layer> + '_ {
-        let id = self.id;
-        (0..self.layers.len() as u16).map(move |index| Layer { tech_id: id, index })
-    }
-
-    fn check(&self, l: Layer) -> usize {
-        assert_eq!(
-            l.tech_id, self.id,
-            "layer handle from technology {} used with technology {} ({})",
-            l.tech_id, self.id, self.name
-        );
-        l.index as usize
-    }
-
-    /// Static info of a layer.
-    pub fn info(&self, l: Layer) -> &LayerInfo {
-        &self.layers[self.check(l)]
-    }
-
-    /// Layer name.
-    pub fn layer_name(&self, l: Layer) -> &str {
-        &self.info(l).name
-    }
-
-    /// Layer kind.
-    pub fn kind(&self, l: Layer) -> LayerKind {
-        self.info(l).kind
-    }
-
-    /// Minimum feature width of a layer (0 when unspecified).
-    pub fn min_width(&self, l: Layer) -> Coord {
-        self.min_width[self.check(l)]
-    }
-
-    /// Minimum spacing between shapes on `a` and `b`; `None` when the pair
-    /// is unconstrained (shapes may overlap freely, e.g. implant over
-    /// diffusion).
-    pub fn min_spacing(&self, a: Layer, b: Layer) -> Option<Coord> {
-        let (ia, ib) = (self.check(a) as u16, self.check(b) as u16);
-        let key = (ia.min(ib), ia.max(ib));
-        self.min_space.get(&key).copied()
-    }
-
-    /// Spacing required between *disconnected* shapes on `a` and `b`,
-    /// defaulting to 0 when no rule exists (the compactor may abut them).
-    pub fn clearance(&self, a: Layer, b: Layer) -> Coord {
-        self.min_spacing(a, b).unwrap_or(0)
-    }
-
-    /// Required enclosure of `inner` by `outer` on every side (0 when no
-    /// rule exists).
-    pub fn enclosure(&self, outer: Layer, inner: Layer) -> Coord {
-        let key = (self.check(outer) as u16, self.check(inner) as u16);
-        self.enclosure.get(&key).copied().unwrap_or(0)
-    }
-
-    /// Required extension of `a` beyond `b` (e.g. poly gate past
-    /// diffusion); 0 when no rule exists.
-    pub fn extension(&self, a: Layer, b: Layer) -> Coord {
-        let key = (self.check(a) as u16, self.check(b) as u16);
-        self.extension.get(&key).copied().unwrap_or(0)
-    }
-
-    /// Fixed square size of a cut layer.
-    pub fn cut_size(&self, l: Layer) -> Result<Coord, TechError> {
-        self.cut_size[self.check(l)]
-            .ok_or_else(|| TechError::MissingRule(format!("cutsize {}", self.layer_name(l))))
-    }
-
-    /// True if cut layer `cut` connects conductors `a` and `b` (in either
-    /// order).
-    pub fn connects(&self, cut: Layer, a: Layer, b: Layer) -> bool {
-        let (ic, ia, ib) = (
-            self.check(cut) as u16,
-            self.check(a) as u16,
-            self.check(b) as u16,
-        );
-        self.connections
-            .iter()
-            .any(|&(c, x, y)| c == ic && ((x == ia && y == ib) || (x == ib && y == ia)))
-    }
-
-    /// The conductor pairs connected by `cut`.
-    pub fn connected_pairs(&self, cut: Layer) -> Vec<(Layer, Layer)> {
-        let ic = self.check(cut) as u16;
-        self.connections
-            .iter()
-            .filter(|&&(c, _, _)| c == ic)
-            .map(|&(_, a, b)| {
-                (
-                    Layer {
-                        tech_id: self.id,
-                        index: a,
-                    },
-                    Layer {
-                        tech_id: self.id,
-                        index: b,
-                    },
-                )
-            })
-            .collect()
-    }
-
-    /// All declared connections `(cut, a, b)`.
-    pub fn connections(&self) -> Vec<(Layer, Layer, Layer)> {
-        self.connections
-            .iter()
-            .map(|&(c, a, b)| {
-                (
-                    Layer {
-                        tech_id: self.id,
-                        index: c,
-                    },
-                    Layer {
-                        tech_id: self.id,
-                        index: a,
-                    },
-                    Layer {
-                        tech_id: self.id,
-                        index: b,
-                    },
-                )
-            })
-            .collect()
-    }
-
-    /// Parasitic capacitance coefficients of a layer (zero when unset).
-    pub fn cap_coeffs(&self, l: Layer) -> CapCoeffs {
-        self.cap[self.check(l)]
-    }
-
-    /// Sheet resistance in mΩ/□, if declared.
-    pub fn sheet_res_mohm(&self, l: Layer) -> Option<i64> {
-        self.sheet_res_mohm[self.check(l)]
-    }
-
-    /// Minimum area of a merged region on this layer, in µm² (0 when no
-    /// rule is declared).
-    pub fn min_area_um2(&self, l: Layer) -> f64 {
-        self.min_area_um2[self.check(l)]
-    }
-
-    /// Snaps a coordinate down to the manufacturing grid.
-    pub fn snap_down(&self, v: Coord) -> Coord {
-        v.div_euclid(self.grid) * self.grid
-    }
-
-    /// Snaps a coordinate up to the manufacturing grid.
-    pub fn snap_up(&self, v: Coord) -> Coord {
-        -self.snap_down(-v)
     }
 }
 
 impl TechBuilder {
-    /// Sets the manufacturing grid (du).
+    /// Sets the manufacturing grid (du); [`TechBuilder::build`] rejects a
+    /// grid below 1.
     pub fn grid(mut self, g: Coord) -> TechBuilder {
-        self.tech.grid = g.max(1);
+        self.grid = g;
         self
     }
 
-    /// Sets the latch-up coverage distance (du).
+    /// Sets the latch-up coverage distance (du); [`TechBuilder::build`]
+    /// rejects a negative one.
     pub fn latchup_distance(mut self, d: Coord) -> TechBuilder {
-        self.tech.latchup_distance = d;
+        self.latchup_distance = d;
         self
     }
 
@@ -285,23 +85,22 @@ impl TechBuilder {
         kind: LayerKind,
         gds_layer: i16,
     ) -> Result<TechBuilder, TechError> {
-        if self.tech.by_name.contains_key(name) {
+        if self.by_name.contains_key(name) {
             return Err(TechError::DuplicateLayer(name.to_string()));
         }
-        let index = self.tech.layers.len() as u16;
-        self.tech.layers.push(LayerInfo::new(name, kind, gds_layer));
-        self.tech.by_name.insert(name.to_string(), index);
-        self.tech.min_width.push(0);
-        self.tech.cut_size.push(None);
-        self.tech.cap.push(CapCoeffs::default());
-        self.tech.sheet_res_mohm.push(None);
-        self.tech.min_area_um2.push(0.0);
+        let index = self.layers.len() as u16;
+        self.layers.push(LayerInfo::new(name, kind, gds_layer));
+        self.by_name.insert(name.to_string(), index);
+        self.min_width.push(0);
+        self.cut_size.push(None);
+        self.cap.push(CapCoeffs::default());
+        self.sheet_res_mohm.push(None);
+        self.min_area_um2.push(0.0);
         Ok(self)
     }
 
     fn idx(&self, name: &str) -> Result<u16, TechError> {
-        self.tech
-            .by_name
+        self.by_name
             .get(name)
             .copied()
             .ok_or_else(|| TechError::UnknownLayer(name.to_string()))
@@ -321,7 +120,7 @@ impl TechBuilder {
     /// Sets a minimum width rule.
     pub fn width(mut self, layer: &str, w: Coord) -> Result<TechBuilder, TechError> {
         let i = self.idx(layer)?;
-        self.tech.min_width[i as usize] = Self::positive(&format!("width {layer}"), w)?;
+        self.min_width[i as usize] = Self::positive(&format!("width {layer}"), w)?;
         Ok(self)
     }
 
@@ -329,7 +128,8 @@ impl TechBuilder {
     pub fn space(mut self, a: &str, b: &str, s: Coord) -> Result<TechBuilder, TechError> {
         let (ia, ib) = (self.idx(a)?, self.idx(b)?);
         let s = Self::positive(&format!("space {a} {b}"), s)?;
-        self.tech.min_space.insert((ia.min(ib), ia.max(ib)), s);
+        self.min_space.insert((ia, ib), s);
+        self.min_space.insert((ib, ia), s);
         Ok(self)
     }
 
@@ -337,7 +137,7 @@ impl TechBuilder {
     pub fn enclose(mut self, outer: &str, inner: &str, e: Coord) -> Result<TechBuilder, TechError> {
         let (io, ii) = (self.idx(outer)?, self.idx(inner)?);
         let e = Self::positive(&format!("enclose {outer} {inner}"), e)?;
-        self.tech.enclosure.insert((io, ii), e);
+        self.enclosure.insert((io, ii), e);
         Ok(self)
     }
 
@@ -345,7 +145,7 @@ impl TechBuilder {
     pub fn extend(mut self, a: &str, b: &str, e: Coord) -> Result<TechBuilder, TechError> {
         let (ia, ib) = (self.idx(a)?, self.idx(b)?);
         let e = Self::positive(&format!("extend {a} {b}"), e)?;
-        self.tech.extension.insert((ia, ib), e);
+        self.extension.insert((ia, ib), e);
         Ok(self)
     }
 
@@ -358,21 +158,21 @@ impl TechBuilder {
                 value: s,
             });
         }
-        self.tech.cut_size[i as usize] = Some(s);
+        self.cut_size[i as usize] = Some(s);
         Ok(self)
     }
 
     /// Declares that `cut` connects conductors `a` and `b`.
     pub fn connect(mut self, cut: &str, a: &str, b: &str) -> Result<TechBuilder, TechError> {
         let (ic, ia, ib) = (self.idx(cut)?, self.idx(a)?, self.idx(b)?);
-        self.tech.connections.push((ic, ia, ib));
+        self.connections.push((ic, ia, ib));
         Ok(self)
     }
 
     /// Sets capacitance coefficients (aF/µm², aF/µm).
     pub fn cap(mut self, layer: &str, area: f64, fringe: f64) -> Result<TechBuilder, TechError> {
         let i = self.idx(layer)?;
-        self.tech.cap[i as usize] = CapCoeffs {
+        self.cap[i as usize] = CapCoeffs {
             area_af_per_um2: area,
             fringe_af_per_um: fringe,
         };
@@ -382,62 +182,109 @@ impl TechBuilder {
     /// Sets sheet resistance in mΩ/□.
     pub fn sheet_res(mut self, layer: &str, mohm: i64) -> Result<TechBuilder, TechError> {
         let i = self.idx(layer)?;
-        self.tech.sheet_res_mohm[i as usize] = Some(mohm);
+        self.sheet_res_mohm[i as usize] = Some(mohm);
         Ok(self)
     }
 
     /// Sets a minimum-area rule in µm².
     pub fn min_area(mut self, layer: &str, um2: f64) -> Result<TechBuilder, TechError> {
         let i = self.idx(layer)?;
-        if um2 < 0.0 {
+        if um2.is_nan() || um2 < 0.0 {
             return Err(TechError::InvalidValue {
                 rule: format!("minarea {layer}"),
                 value: um2 as i64,
             });
         }
-        self.tech.min_area_um2[i as usize] = um2;
+        self.min_area_um2[i as usize] = um2;
         Ok(self)
     }
 
     /// Mutable access to the most recently declared layer (tech-file
     /// parser support).
     pub(crate) fn last_layer_mut(&mut self) -> Option<&mut LayerInfo> {
-        self.tech.layers.last_mut()
+        self.layers.last_mut()
     }
 
-    /// Validates and returns the technology.
+    /// Validates the deck and lowers it into the dense kernel.
     ///
-    /// Every cut layer must have a cut size, and every connection's cut
-    /// must actually be a cut layer joining two conductors.
+    /// The grid must be at least 1 and the latch-up distance must not be
+    /// negative; every cut layer must have a cut size, and every
+    /// connection's cut must actually be a cut layer joining two
+    /// conductors.
     pub fn build(self) -> Result<Tech, TechError> {
-        let t = &self.tech;
-        for (i, info) in t.layers.iter().enumerate() {
-            if info.kind.is_cut() && t.cut_size[i].is_none() {
+        for (rule, value, min) in [
+            ("grid", self.grid, 1),
+            ("latchup", self.latchup_distance, 0),
+        ] {
+            if value < min {
+                return Err(TechError::InvalidValue {
+                    rule: rule.to_string(),
+                    value,
+                });
+            }
+        }
+        let name = |i: u16| &self.layers[i as usize].name;
+        for (i, info) in self.layers.iter().enumerate() {
+            if info.kind.is_cut() && self.cut_size[i].is_none() {
                 return Err(TechError::MissingRule(format!("cutsize {}", info.name)));
             }
         }
-        for &(c, a, b) in &t.connections {
-            if !t.layers[c as usize].kind.is_cut() {
+        for &(c, a, b) in &self.connections {
+            if !self.layers[c as usize].kind.is_cut() {
                 return Err(TechError::InvalidValue {
-                    rule: format!("connect {}", t.layers[c as usize].name),
+                    rule: format!("connect {}", name(c)),
                     value: c as i64,
                 });
             }
             for side in [a, b] {
-                if !t.layers[side as usize].kind.is_conductor() {
+                if !self.layers[side as usize].kind.is_conductor() {
                     return Err(TechError::InvalidValue {
-                        rule: format!(
-                            "connect {} {} {}",
-                            t.layers[c as usize].name,
-                            t.layers[a as usize].name,
-                            t.layers[b as usize].name
-                        ),
+                        rule: format!("connect {} {} {}", name(c), name(a), name(b)),
                         value: side as i64,
                     });
                 }
             }
         }
-        Ok(self.tech)
+
+        let n = self.layers.len();
+        let id = NEXT_TECH_ID.fetch_add(1, Ordering::Relaxed);
+        let at = |index: u16| Layer { tech_id: id, index };
+        let dense = |rules: &HashMap<(u16, u16), Coord>, unset: Coord| {
+            let mut table = vec![unset; n * n];
+            for (&(a, b), &v) in rules {
+                table[a as usize * n + b as usize] = v;
+            }
+            table
+        };
+        let mut cut_pairs = vec![Vec::new(); n];
+        for &(c, a, b) in &self.connections {
+            cut_pairs[c as usize].push((at(a), at(b)));
+        }
+        Ok(RuleSet {
+            tech_id: id,
+            grid: self.grid,
+            latchup_distance: self.latchup_distance,
+            n,
+            space: dense(&self.min_space, NO_SPACE_RULE),
+            enclosure: dense(&self.enclosure, 0),
+            extension: dense(&self.extension, 0),
+            connections: self
+                .connections
+                .iter()
+                .map(|&(c, a, b)| (at(c), at(a), at(b)))
+                .collect(),
+            cut_pairs,
+            known: KNOWN_NAMES.map(|name| self.by_name.get(name).map(|&i| at(i))),
+            name: self.name,
+            infos: self.layers,
+            by_name: self.by_name,
+            min_width: self.min_width,
+            cut_size: self.cut_size,
+            cap: self.cap,
+            sheet_res_mohm: self.sheet_res_mohm,
+            min_area_um2: self.min_area_um2,
+            queries: QueryCounter::default(),
+        })
     }
 }
 

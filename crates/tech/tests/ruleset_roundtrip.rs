@@ -1,7 +1,7 @@
 //! Round-trip guarantee for the compiled rule kernel: serialising a deck
-//! with `to_tech_file`, reparsing it and recompiling must reproduce an
-//! element-wise identical [`RuleSet`] — the dense tables, not just the
-//! front-end accessors. `RuleSet`'s `PartialEq` compares every table and
+//! with `to_tech_file` and reparsing it must reproduce an element-wise
+//! identical [`RuleSet`](amgen_tech::RuleSet) — the dense tables, not
+//! just the front-end accessors. `RuleSet`'s `PartialEq` compares every table and
 //! deliberately ignores technology ids, which is exactly the equivalence
 //! wanted here (the two decks' handles never interchange).
 
@@ -16,14 +16,14 @@ fn round_trip(t: &Tech) -> Result<Tech, TechError> {
 fn bicmos_deck_round_trips_to_equal_ruleset() {
     let t = Tech::bicmos_1u();
     let t2 = round_trip(&t).unwrap();
-    assert_eq!(t.compile(), t2.compile());
+    assert_eq!(t, t2);
 }
 
 #[test]
 fn cmos_deck_round_trips_to_equal_ruleset() {
     let t = Tech::cmos_08();
     let t2 = round_trip(&t).unwrap();
-    assert_eq!(t.compile(), t2.compile());
+    assert_eq!(t, t2);
 }
 
 #[test]
@@ -130,8 +130,8 @@ fn deck_text(spec: &DeckSpec) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Any parseable random deck survives serialise → reparse → compile
-    /// with an element-wise identical rule kernel.
+    /// Any parseable random deck survives serialise → reparse with an
+    /// element-wise identical rule kernel.
     #[test]
     fn random_decks_round_trip(spec in arb_deck()) {
         let text = deck_text(&spec);
@@ -139,6 +139,6 @@ proptest! {
         // builder; only accepted decks must round-trip.
         let Ok(t) = Tech::parse(&text) else { return };
         let t2 = round_trip(&t).unwrap();
-        prop_assert_eq!(t.compile(), t2.compile());
+        prop_assert_eq!(t, t2);
     }
 }
