@@ -1,7 +1,7 @@
 //! Chip-scale geometry gate: the spatial index must keep the geometry
 //! core sub-quadratic as layouts grow from module to chip size.
 //!
-//! Three gated series —
+//! Four gated series —
 //!
 //! * `latchup_n` — the latch-up check on an `n`-stripe workload, timed
 //!   both as the pre-index sequential scan and on the spatial index.
@@ -12,6 +12,10 @@
 //!   replicated 10x plus rails) from a pre-built prototype must take
 //!   under 1 ms per assembly; this is the arena-reservation path
 //!   (`with_capacity`/`reserve`) end to end.
+//! * `connectivity_t` — indexed connectivity extraction on the chip at
+//!   t ∈ {1, 2, 4, 8, 16} tiles (1,350–21,576 shapes, index built once
+//!   per chip): the fitted log-log growth exponent over the shape count
+//!   must stay below 1.5, so extraction cannot turn quadratic.
 //! * a one-shot parity audit: indexed DRC and extraction must be
 //!   byte-identical to the linear-scan baselines on the chip.
 //!
@@ -161,6 +165,24 @@ fn main() {
     let (samples, _) = series("fig_chip_10x", &[("assemble", &assemble10)]);
     let chip_p50 = samples[0][SAMPLES / 2];
 
+    // ---- connectivity scaling over the tile count --------------------
+    let ex = Extractor::new(&ctx);
+    let mut connectivity_points: Vec<(f64, f64)> = Vec::new();
+    for tiles in [1usize, 2, 4, 8, 16] {
+        let chip = workloads::fig_chip(&tech, &proto, tiles);
+        chip.spatial_index();
+        let extract = || {
+            black_box(ex.connectivity(&chip).len());
+        };
+        let (samples, _) = series(&format!("connectivity_{tiles}"), &[("indexed", &extract)]);
+        connectivity_points.push((chip.len() as f64, samples[0][0].as_nanos() as f64));
+    }
+    let connectivity_exponent = fitted_exponent(&connectivity_points);
+    println!(
+        "{:<50} fitted exponent over 1..16 tiles: {connectivity_exponent:.2}",
+        "chip/connectivity/indexed"
+    );
+
     // ---- parity audit on the assembled chip --------------------------
     let chip = workloads::fig_chip(&tech, &proto, 10);
     assert!(
@@ -168,7 +190,6 @@ fn main() {
             == latchup::latchup_remainder_scan(&ctx, &chip).rects(),
         "indexed latch-up diverged from the scan on the chip workload"
     );
-    let ex = Extractor::new(&ctx);
     assert!(
         ex.connectivity(&chip) == ex.connectivity_scan(&chip),
         "indexed connectivity diverged from the scan on the chip workload"
@@ -189,8 +210,12 @@ fn main() {
         "fig_chip 10x assembly p50 is {} (budget 1 ms)",
         fmt_dur(chip_p50)
     );
+    assert!(
+        connectivity_exponent < 1.5,
+        "indexed connectivity grows as n^{connectivity_exponent:.2} over 1..16 tiles (budget n^1.5)"
+    );
     println!(
-        "chip scale smoke: latchup@128 >= 5x ({speedup_128:.1}x), exponent < 1.5 ({exponent:.2}), fig_chip 10x p50 < 1 ms ({})",
+        "chip scale smoke: latchup@128 >= 5x ({speedup_128:.1}x), exponent < 1.5 ({exponent:.2}), fig_chip 10x p50 < 1 ms ({}), connectivity exponent < 1.5 ({connectivity_exponent:.2})",
         fmt_dur(chip_p50)
     );
 }

@@ -106,12 +106,14 @@ impl Drc {
     }
 
     fn min_area_impl(&self, obj: &LayoutObject, mode: Candidates) -> Vec<Violation> {
-        fn find(p: &mut Vec<usize>, i: usize) -> usize {
-            if p[i] != i {
-                let r = find(p, p[i]);
-                p[i] = r;
+        // Path halving, iterative: a chain of abutting shapes can build a
+        // parent chain as long as itself.
+        fn find(p: &mut [usize], mut i: usize) -> usize {
+            while p[i] != i {
+                p[i] = p[p[i]];
+                i = p[i];
             }
-            p[i]
+            i
         }
         self.ctx.metrics.add_drc_checks(1);
         let mut out = Vec::new();

@@ -1,8 +1,9 @@
 //! Geometric connectivity extraction (union-find over shapes).
 
 use amgen_core::{GenCtx, Stage};
-use amgen_db::LayoutObject;
-use amgen_tech::{LayerKind, RuleSet};
+use amgen_db::{LayoutObject, NetId};
+use amgen_geom::{Rect, RectTree};
+use amgen_tech::{Layer, LayerKind, RuleSet};
 
 /// One electrically connected component of a layout.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,6 +31,7 @@ pub struct Extractor {
     pub(crate) ctx: GenCtx,
 }
 
+/// Disjoint sets over fragment indices.
 struct UnionFind {
     parent: Vec<usize>,
 }
@@ -40,19 +42,119 @@ impl UnionFind {
             parent: (0..n).collect(),
         }
     }
-    fn find(&mut self, i: usize) -> usize {
-        if self.parent[i] != i {
-            let r = self.find(self.parent[i]);
-            self.parent[i] = r;
+
+    /// The root of `i`'s set, by path halving. Iterative: a chain of
+    /// abutting shapes can build a parent chain as long as itself.
+    fn find(&mut self, mut i: usize) -> usize {
+        while self.parent[i] != i {
+            let grandparent = self.parent[self.parent[i]];
+            self.parent[i] = grandparent;
+            i = grandparent;
         }
-        self.parent[i]
+        i
     }
+
     fn union(&mut self, a: usize, b: usize) {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra != rb {
             self.parent[ra] = rb;
         }
     }
+}
+
+/// The conductor and cut fragments of a layout, in shape order: every
+/// such shape is one fragment, except gate-split diffusion.
+struct Fragments {
+    /// `(rect, shape index)` per fragment.
+    frags: Vec<(Rect, u32)>,
+    /// Shape `i` owns fragments `first[i]..first[i + 1]`.
+    first: Vec<u32>,
+    /// Per layer index: a gate split some shape on the layer.
+    split: Vec<bool>,
+}
+
+impl Fragments {
+    /// Splits every diffusion shape by the poly shapes overlapping it,
+    /// applied in ascending shape order (the order fixes the pieces).
+    fn new(rules: &RuleSet, obj: &LayoutObject) -> Fragments {
+        let shapes = obj.shapes();
+        let ix = obj.spatial_index();
+        let gate_trees: Vec<&RectTree> = rules
+            .layers()
+            .filter(|&l| rules.kind(l) == LayerKind::Poly)
+            .filter_map(|l| ix.layer(l))
+            .collect();
+        let mut out = Fragments {
+            frags: Vec::with_capacity(shapes.len()),
+            first: Vec::with_capacity(shapes.len() + 1),
+            split: vec![false; rules.layer_count()],
+        };
+        let (mut gates, mut pieces, mut next) = (Vec::new(), Vec::new(), Vec::new());
+        for (i, s) in shapes.iter().enumerate() {
+            out.first.push(out.frags.len() as u32);
+            let k = rules.kind(s.layer);
+            if !(k.is_conductor() || k == LayerKind::Cut) {
+                continue;
+            }
+            if k == LayerKind::Diffusion {
+                gates.clear();
+                for t in &gate_trees {
+                    t.for_each_candidate(&s.rect, |g, r| {
+                        if r.overlaps(&s.rect) {
+                            gates.push(g);
+                        }
+                    });
+                }
+                if !gates.is_empty() {
+                    gates.sort_unstable();
+                    pieces.clear();
+                    pieces.push(s.rect);
+                    for &g in &gates {
+                        next.clear();
+                        for p in &pieces {
+                            next.extend(p.subtract(&shapes[g as usize].rect));
+                        }
+                        std::mem::swap(&mut pieces, &mut next);
+                    }
+                    out.frags.extend(pieces.iter().map(|&r| (r, i as u32)));
+                    out.split[s.layer.index()] = true;
+                    continue;
+                }
+            }
+            out.frags.push((s.rect, i as u32));
+        }
+        out.first.push(out.frags.len() as u32);
+        out
+    }
+
+    /// The fragment of an unsplit shape.
+    #[inline]
+    fn of(&self, shape: u32) -> usize {
+        self.first[shape as usize] as usize
+    }
+}
+
+/// Where the fragments of one conductor layer are found.
+enum LayerFrags<'a> {
+    /// No fragment on the layer, or not a conductor.
+    Absent,
+    /// The fragments are the layer's shapes: the object's own spatial
+    /// index tree, whose payloads are shape indices.
+    Shapes(&'a RectTree),
+    /// Gate-split diffusion: a private tree whose payloads are fragment
+    /// indices.
+    Split(RectTree),
+}
+
+/// One cut layer a conductor layer connects to.
+struct CutLink<'a> {
+    /// The cut layer's tree in the object's index (payloads are shape
+    /// indices; cuts are never split).
+    cuts: &'a RectTree,
+    /// `None` on the metal side. On the device side, the conductor's
+    /// rank among the cut's device layers, in the order of their first
+    /// `connect` line in the deck.
+    device_rank: Option<usize>,
 }
 
 impl Extractor {
@@ -76,17 +178,19 @@ impl Extractor {
     /// Rules:
     ///
     /// * **diffusion is split by gates**: every diffusion shape is first
-    ///   fragmented against the overlapping poly shapes — the channel
-    ///   under a gate separates source from drain even though the drawn
-    ///   diffusion is one rectangle;
+    ///   fragmented against the overlapping poly shapes, applied in
+    ///   ascending shape order — the channel under a gate separates
+    ///   source from drain even though the drawn diffusion is one
+    ///   rectangle;
     /// * two fragments on the same **conductor** layer connect when they
     ///   touch or overlap;
     /// * a **cut** connects to the overlapping fragments of its
     ///   connectable layers — all routing-metal fragments, but on the
     ///   device side only the **most specific** layer (the one with the
-    ///   smallest overlapping fragment). A contact over an
-    ///   emitter-in-base stack therefore contacts the emitter, not the
-    ///   base beneath it;
+    ///   smallest overlapping fragment; between equal areas, the layer
+    ///   whose first `connect` line for this cut comes first in the
+    ///   deck). A contact over an emitter-in-base stack therefore
+    ///   contacts the emitter, not the base beneath it;
     /// * distinct conductor layers never connect by bare overlap (stacks
     ///   are junction-isolated);
     /// * non-conductor, non-cut layers (wells, implants) are left out.
@@ -94,48 +198,118 @@ impl Extractor {
     /// A diffusion shape crossed by a gate belongs to every component one
     /// of its fragments joined (its two halves are different nets).
     ///
-    /// The gate-fragmentation, same-layer-contact and cut passes all run
-    /// on packed [`RectTree`](amgen_geom::RectTree)s over the fragment
-    /// rectangles — window queries instead of per-bucket all-pairs scans.
-    /// Queries return candidates in ascending order and every exact
-    /// predicate is re-applied, so the union-find sees the same unions in
-    /// the same order as the scan and the extracted nets are
-    /// byte-identical ([`connectivity_scan`](Extractor::connectivity_scan)
-    /// is the parity baseline).
+    /// Every query goes to the object's
+    /// [spatial index](LayoutObject::spatial_index), the per-layer trees
+    /// DRC and the latch-up check share; only gate-split diffusion gets a
+    /// private fragment tree. Each conductor fragment queries its own
+    /// layer once and each cut layer it connects to once. Components are
+    /// sets, so the order in which unions are found does not matter, and
+    /// the output is canonical: members ascending, nets ordered by member
+    /// list, declared names sorted. The one order-sensitive choice is the
+    /// device-layer tie-break above. The result is byte-identical to the
+    /// all-pairs [`connectivity_scan`](Extractor::connectivity_scan).
     pub fn connectivity(&self, obj: &LayoutObject) -> Vec<ExtractedNet> {
-        self.connectivity_impl(obj, true)
-    }
-
-    /// The pre-index all-pairs connectivity pass, kept as the baseline
-    /// the indexed pass is parity-tested against.
-    #[doc(hidden)]
-    pub fn connectivity_scan(&self, obj: &LayoutObject) -> Vec<ExtractedNet> {
-        self.connectivity_impl(obj, false)
-    }
-
-    fn connectivity_impl(&self, obj: &LayoutObject, indexed: bool) -> Vec<ExtractedNet> {
-        use amgen_geom::RectTree;
         let mut span = self
             .ctx
             .stage(Stage::Extract, || format!("connectivity:{}", obj.name()));
         span.arg("shapes", obj.len());
+        let rules = self.rules();
+        let ix = obj.spatial_index();
+        let fr = Fragments::new(rules, obj);
+        let layer_of = |f: usize| obj.shapes()[fr.frags[f].1 as usize].layer;
+        let layers: Vec<LayerFrags> = rules
+            .layers()
+            .map(|l| match ix.layer(l) {
+                Some(_) if fr.split[l.index()] => LayerFrags::Split(RectTree::build(
+                    (0..fr.frags.len())
+                        .filter(|&f| layer_of(f) == l)
+                        .map(|f| (fr.frags[f].0, f as u32)),
+                )),
+                Some(t) if rules.kind(l).is_conductor() => LayerFrags::Shapes(t),
+                _ => LayerFrags::Absent,
+            })
+            .collect();
+        let is_device = |l: Layer| rules.kind(l) != LayerKind::Metal;
+        let mut links: Vec<Vec<CutLink>> = rules.layers().map(|_| Vec::new()).collect();
+        for cut in rules.layers().filter(|&l| rules.kind(l) == LayerKind::Cut) {
+            let Some(cuts) = ix.layer(cut) else {
+                continue;
+            };
+            let mut seen: Vec<Layer> = Vec::new();
+            for &(a, b) in rules.connected_pairs(cut) {
+                for side in [a, b] {
+                    if seen.contains(&side) {
+                        continue;
+                    }
+                    let device_rank =
+                        is_device(side).then(|| seen.iter().filter(|&&l| is_device(l)).count());
+                    seen.push(side);
+                    links[side.index()].push(CutLink { cuts, device_rank });
+                }
+            }
+        }
+        let mut uf = UnionFind::new(fr.frags.len());
+        // Per cut fragment, the (area, rank) of its most specific device
+        // fragment; the device-side overlaps wait until all are known.
+        let mut best = vec![(i128::MAX, usize::MAX); fr.frags.len()];
+        let mut device: Vec<(usize, usize, usize)> = Vec::new();
+        for (f, (rect, _)) in fr.frags.iter().enumerate() {
+            let l = layer_of(f);
+            match &layers[l.index()] {
+                LayerFrags::Absent => continue,
+                LayerFrags::Shapes(t) => t.for_each_candidate(rect, |p, r| {
+                    let g = fr.of(p);
+                    if g > f && (rect.overlaps(r) || rect.abuts(r)) {
+                        uf.union(f, g);
+                    }
+                }),
+                LayerFrags::Split(t) => t.for_each_candidate(rect, |g, r| {
+                    if g as usize > f && (rect.overlaps(r) || rect.abuts(r)) {
+                        uf.union(f, g as usize);
+                    }
+                }),
+            }
+            for link in &links[l.index()] {
+                link.cuts.for_each_candidate(rect, |p, r| {
+                    if !rect.overlaps(r) {
+                        return;
+                    }
+                    let c = fr.of(p);
+                    match link.device_rank {
+                        None => uf.union(f, c),
+                        Some(rank) => {
+                            device.push((c, f, rank));
+                            best[c] = best[c].min((rect.area(), rank));
+                        }
+                    }
+                });
+            }
+        }
+        for &(c, f, rank) in &device {
+            if best[c].1 == rank {
+                uf.union(c, f);
+            }
+        }
+        canonical_nets(obj, &fr, &mut uf)
+    }
+
+    /// The all-pairs connectivity pass, kept as the oracle the indexed
+    /// kernel is parity-tested against.
+    #[doc(hidden)]
+    pub fn connectivity_scan(&self, obj: &LayoutObject) -> Vec<ExtractedNet> {
         let shapes = obj.shapes();
         // Gate regions that cut diffusion.
-        let gates: Vec<amgen_geom::Rect> = shapes
+        let gates: Vec<Rect> = shapes
             .iter()
             .filter(|s| self.ctx.kind(s.layer) == LayerKind::Poly)
             .map(|s| s.rect)
             .collect();
-        let gate_tree =
-            indexed.then(|| RectTree::build(gates.iter().enumerate().map(|(i, r)| (*r, i as u32))));
         // Fragment table.
         struct Frag {
             shape: usize,
-            rect: amgen_geom::Rect,
+            rect: Rect,
         }
         let mut frags: Vec<Frag> = Vec::new();
-        let mut cand: Vec<u32> = Vec::new();
-        let mut ids: Vec<usize> = Vec::new();
         for (i, s) in shapes.iter().enumerate() {
             let k = self.ctx.kind(s.layer);
             if !(k.is_conductor() || k == LayerKind::Cut) {
@@ -143,21 +317,7 @@ impl Extractor {
             }
             if k == LayerKind::Diffusion {
                 let mut pieces = vec![s.rect];
-                // The candidate set (sorted ascending) filtered by the
-                // exact overlap test is the scan's gate subsequence.
-                ids.clear();
-                match &gate_tree {
-                    Some(t) => {
-                        t.query_into(&s.rect, &mut cand);
-                        ids.extend(cand.iter().map(|&g| g as usize));
-                    }
-                    None => ids.extend(0..gates.len()),
-                }
-                for &gi in &ids {
-                    let g = &gates[gi];
-                    if !g.overlaps(&s.rect) {
-                        continue;
-                    }
+                for g in gates.iter().filter(|g| g.overlaps(&s.rect)) {
                     pieces = pieces.into_iter().flat_map(|p| p.subtract(g)).collect();
                 }
                 for rect in pieces {
@@ -171,49 +331,18 @@ impl Extractor {
             }
         }
         let mut uf = UnionFind::new(frags.len());
-        // Same-layer conductor contact. Only same-layer pairs can touch,
-        // so bucket the fragments per layer first (the amplifier has
-        // thousands of fragments; all-pairs across layers would dominate).
-        let mut by_layer: std::collections::BTreeMap<amgen_tech::Layer, Vec<usize>> =
-            Default::default();
+        // Same-layer conductor contact, all pairs per layer bucket.
+        let mut by_layer: std::collections::BTreeMap<Layer, Vec<usize>> = Default::default();
         for (fi, f) in frags.iter().enumerate() {
             by_layer.entry(shapes[f.shape].layer).or_default().push(fi);
         }
-        // One tree per layer bucket; payloads are *positions* in the
-        // bucket's member list (ascending position = ascending fragment).
-        let trees: Option<std::collections::BTreeMap<amgen_tech::Layer, RectTree>> =
-            indexed.then(|| {
-                by_layer
-                    .iter()
-                    .map(|(&l, members)| {
-                        (
-                            l,
-                            RectTree::build(
-                                members
-                                    .iter()
-                                    .enumerate()
-                                    .map(|(p, &fi)| (frags[fi].rect, p as u32)),
-                            ),
-                        )
-                    })
-                    .collect()
-            });
         for (layer, members) in &by_layer {
             if !self.ctx.kind(*layer).is_conductor() {
                 continue;
             }
             for (p, &i) in members.iter().enumerate() {
                 let ri = frags[i].rect;
-                ids.clear();
-                match &trees {
-                    Some(tm) => {
-                        tm[layer].query_into(&ri, &mut cand);
-                        ids.extend(cand.iter().map(|&q| q as usize).filter(|&q| q > p));
-                    }
-                    None => ids.extend((p + 1)..members.len()),
-                }
-                for &q in &ids {
-                    let j = members[q];
+                for &j in &members[p + 1..] {
                     if ri.overlaps(&frags[j].rect) || ri.abuts(&frags[j].rect) {
                         uf.union(i, j);
                     }
@@ -229,21 +358,12 @@ impl Extractor {
             let cut_rect = frags[ci].rect;
             let mut metal_side: Vec<usize> = Vec::new();
             let mut device_side: Vec<usize> = Vec::new();
-            // Only fragments on layers this cut can connect matter.
             for &(a, b) in self.ctx.connected_pairs(cut_layer) {
                 for ol in [a, b] {
                     let Some(members) = by_layer.get(&ol) else {
                         continue;
                     };
-                    ids.clear();
-                    match &trees {
-                        Some(tm) => {
-                            tm[&ol].query_into(&cut_rect, &mut cand);
-                            ids.extend(cand.iter().map(|&q| members[q as usize]));
-                        }
-                        None => ids.extend(members.iter().copied()),
-                    }
-                    for &oi in &ids {
+                    for &oi in members {
                         if oi == ci || !cut_rect.overlaps(&frags[oi].rect) {
                             continue;
                         }
@@ -260,13 +380,10 @@ impl Extractor {
             for &oi in &metal_side {
                 uf.union(ci, oi);
             }
-            if !device_side.is_empty() {
-                // Most specific device layer: smallest overlapping fragment.
-                let best_layer = device_side
-                    .iter()
-                    .min_by_key(|&&oi| frags[oi].rect.area())
-                    .map(|&oi| shapes[frags[oi].shape].layer)
-                    .expect("non-empty");
+            // Most specific device layer: the first smallest overlapping
+            // fragment in discovery (deck `connect`) order.
+            if let Some(best) = device_side.iter().min_by_key(|&&oi| frags[oi].rect.area()) {
+                let best_layer = shapes[frags[*best].shape].layer;
                 for &oi in &device_side {
                     if shapes[frags[oi].shape].layer == best_layer {
                         uf.union(ci, oi);
@@ -309,6 +426,43 @@ impl Extractor {
             .filter(ExtractedNet::is_conflict)
             .collect()
     }
+}
+
+/// The components as nets: members ascending and deduplicated, declared
+/// names sorted, nets ordered by member list. Fragments are in shape
+/// order, so each member list comes out ascending; a root→slot table
+/// groups them, and net ids are deduplicated before names are copied.
+fn canonical_nets(obj: &LayoutObject, fr: &Fragments, uf: &mut UnionFind) -> Vec<ExtractedNet> {
+    let mut slot = vec![usize::MAX; fr.frags.len()];
+    let mut members: Vec<Vec<usize>> = Vec::new();
+    for (f, &(_, shape)) in fr.frags.iter().enumerate() {
+        let root = uf.find(f);
+        if slot[root] == usize::MAX {
+            slot[root] = members.len();
+            members.push(Vec::new());
+        }
+        let m = &mut members[slot[root]];
+        if m.last() != Some(&(shape as usize)) {
+            m.push(shape as usize);
+        }
+    }
+    let mut ids: Vec<NetId> = Vec::new();
+    let mut nets: Vec<ExtractedNet> = members
+        .into_iter()
+        .map(|shapes| {
+            ids.clear();
+            ids.extend(shapes.iter().filter_map(|&i| obj.shapes()[i].net));
+            ids.sort_unstable();
+            ids.dedup();
+            let mut declared: Vec<String> =
+                ids.iter().map(|&n| obj.net_name(n).to_string()).collect();
+            declared.sort();
+            declared.dedup();
+            ExtractedNet { shapes, declared }
+        })
+        .collect();
+    nets.sort_by(|a, b| a.shapes.cmp(&b.shapes));
+    nets
 }
 
 #[cfg(test)]

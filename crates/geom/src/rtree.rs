@@ -25,8 +25,11 @@
 //! pure function of the input multiset. [`RectTree::query`] additionally
 //! sorts the surviving payloads ascending, giving consumers the same
 //! iteration order a linear scan over payload-ordered storage would
-//! produce. That property is what lets the DRC/extract rewrites stay
-//! byte-identical with their linear-scan baselines.
+//! produce. That property is what lets the DRC rewrites stay
+//! byte-identical with their linear-scan baselines; consumers whose
+//! result does not depend on visit order, such as connectivity
+//! extraction's union-find, use the unsorted
+//! [`for_each_candidate`](RectTree::for_each_candidate) instead.
 
 use crate::coord::Coord;
 use crate::rect::Rect;
