@@ -58,10 +58,11 @@ cargo bench -p amgen-bench --bench fault_overhead
 cargo bench -p amgen-bench --bench cache_overhead
 # Chip-scale geometry smoke: indexed latch-up >= 5x the linear scan at
 # 128 stripes with a fitted growth exponent < 1.5, fig_chip 10x assembly
-# p50 < 1 ms, indexed connectivity on fig_chip at 1-16 tiles with a
-# fitted growth exponent < 1.5, and indexed latch-up/extraction
-# byte-identical to the scans on the assembled chip (the bench asserts
-# and exits nonzero).
+# p50 < 1 ms, indexed connectivity (the extraction kernel, memo
+# bypassed) and the full Drc::check (index and extraction memo warm) on
+# fig_chip at 1-16 tiles, each with a fitted growth exponent < 1.5, and
+# indexed latch-up/extraction byte-identical to the scans on the
+# assembled chip (the bench asserts and exits nonzero).
 cargo bench -p amgen-bench --bench chip_scale
 # Analysis-latency smoke: one full six-pass certification sweep of the
 # 11-source corpus (stdlib + examples) <= 5 ms, corpus certifies clean

@@ -1,7 +1,7 @@
 //! Chip-scale geometry gate: the spatial index must keep the geometry
 //! core sub-quadratic as layouts grow from module to chip size.
 //!
-//! Four gated series —
+//! Five gated series —
 //!
 //! * `latchup_n` — the latch-up check on an `n`-stripe workload, timed
 //!   both as the pre-index sequential scan and on the spatial index.
@@ -15,7 +15,13 @@
 //! * `connectivity_t` — indexed connectivity extraction on the chip at
 //!   t ∈ {1, 2, 4, 8, 16} tiles (1,350–21,576 shapes, index built once
 //!   per chip): the fitted log-log growth exponent over the shape count
-//!   must stay below 1.5, so extraction cannot turn quadratic.
+//!   must stay below 1.5, so extraction cannot turn quadratic. The
+//!   chip's extraction memo is pinned to another deck, so every call
+//!   runs the extraction kernel instead of reading the memo.
+//! * `drc_t` — the full `Drc::check` on the same chips, index and
+//!   extraction memo warm, so the series times the checks alone (the
+//!   connectivity series gates the extraction): the fitted log-log growth
+//!   exponent over the shape count must stay below 1.5 as well.
 //! * a one-shot parity audit: indexed DRC and extraction must be
 //!   byte-identical to the linear-scan baselines on the chip.
 //!
@@ -165,22 +171,42 @@ fn main() {
     let (samples, _) = series("fig_chip_10x", &[("assemble", &assemble10)]);
     let chip_p50 = samples[0][SAMPLES / 2];
 
-    // ---- connectivity scaling over the tile count --------------------
+    // ---- connectivity and DRC scaling over the tile count -------------
     let ex = Extractor::new(&ctx);
+    let drc = Drc::new(&ctx);
+    // A lookup under another deck extracts without touching the memo.
+    let other_deck = Tech::cmos_08().id();
+    assert_ne!(other_deck, tech.id());
     let mut connectivity_points: Vec<(f64, f64)> = Vec::new();
+    let mut drc_points: Vec<(f64, f64)> = Vec::new();
     for tiles in [1usize, 2, 4, 8, 16] {
         let chip = workloads::fig_chip(&tech, &proto, tiles);
-        chip.spatial_index();
+        // Pin the memo to the other deck: every `connectivity` call
+        // below runs the extraction kernel.
+        chip.spatial_index().components(other_deck, Vec::new);
         let extract = || {
             black_box(ex.connectivity(&chip).len());
         };
         let (samples, _) = series(&format!("connectivity_{tiles}"), &[("indexed", &extract)]);
         connectivity_points.push((chip.len() as f64, samples[0][0].as_nanos() as f64));
+
+        let chip = workloads::fig_chip(&tech, &proto, tiles);
+        ex.connectivity(&chip); // index and extraction memo warm
+        let check = || {
+            black_box(drc.check(&chip).len());
+        };
+        let (samples, _) = series(&format!("drc_{tiles}"), &[("indexed", &check)]);
+        drc_points.push((chip.len() as f64, samples[0][0].as_nanos() as f64));
     }
     let connectivity_exponent = fitted_exponent(&connectivity_points);
     println!(
         "{:<50} fitted exponent over 1..16 tiles: {connectivity_exponent:.2}",
         "chip/connectivity/indexed"
+    );
+    let drc_exponent = fitted_exponent(&drc_points);
+    println!(
+        "{:<50} fitted exponent over 1..16 tiles: {drc_exponent:.2}",
+        "chip/drc/indexed"
     );
 
     // ---- parity audit on the assembled chip --------------------------
@@ -214,8 +240,12 @@ fn main() {
         connectivity_exponent < 1.5,
         "indexed connectivity grows as n^{connectivity_exponent:.2} over 1..16 tiles (budget n^1.5)"
     );
+    assert!(
+        drc_exponent < 1.5,
+        "indexed DRC grows as n^{drc_exponent:.2} over 1..16 tiles (budget n^1.5)"
+    );
     println!(
-        "chip scale smoke: latchup@128 >= 5x ({speedup_128:.1}x), exponent < 1.5 ({exponent:.2}), fig_chip 10x p50 < 1 ms ({}), connectivity exponent < 1.5 ({connectivity_exponent:.2})",
+        "chip scale smoke: latchup@128 >= 5x ({speedup_128:.1}x), exponent < 1.5 ({exponent:.2}), fig_chip 10x p50 < 1 ms ({}), connectivity exponent < 1.5 ({connectivity_exponent:.2}), DRC exponent < 1.5 ({drc_exponent:.2})",
         fmt_dur(chip_p50)
     );
 }

@@ -81,9 +81,10 @@ pub struct LayoutObject {
     /// mutation; [`absorb`](LayoutObject::absorb) updates it in place so
     /// the successive compactor never rescans the whole grown structure.
     bbox: std::sync::OnceLock<Rect>,
-    /// Lazily built spatial index (see [`SpatialIndex`]). Derived state
-    /// like `bbox`: dropped by every geometry mutation, rebuilt on the
-    /// next [`spatial_index`](LayoutObject::spatial_index) call, and
+    /// Lazily built spatial index (see [`SpatialIndex`]), with the
+    /// connected-component memo inside it. Derived state like `bbox`:
+    /// dropped by every geometry mutation, rebuilt on the next
+    /// [`spatial_index`](LayoutObject::spatial_index) call, and
     /// invisible to equality. Boxed so an unbuilt index costs one
     /// pointer — `LayoutObject` moves by value through the DSL
     /// interpreter's `Value` enum.
@@ -134,10 +135,11 @@ impl LayoutObject {
 
     /// The spatial index over the current shapes, built on first use.
     ///
-    /// Derived state: any geometry mutation drops it and the next call
-    /// rebuilds it from scratch. Queries return shape indices in
-    /// linear-scan (ascending) order — see [`SpatialIndex`] for the
-    /// determinism and candidate-semantics contracts.
+    /// Derived state: any geometry mutation drops it, together with its
+    /// memoised connected components, and the next call rebuilds it from
+    /// scratch. Queries return shape indices in linear-scan (ascending)
+    /// order — see [`SpatialIndex`] for the determinism and
+    /// candidate-semantics contracts.
     pub fn spatial_index(&self) -> &SpatialIndex {
         self.index
             .get_or_init(|| Box::new(SpatialIndex::build(&self.shapes)))
@@ -616,14 +618,16 @@ mod tests {
     }
 
     /// Mutate-after-query must never serve stale index results: every
-    /// geometry mutation drops the lazily built spatial index, exactly
-    /// like the bbox cache. Guards the invalidation list against new
-    /// mutators forgetting the index.
+    /// geometry mutation drops the lazily built spatial index, and the
+    /// component memo inside it, exactly like the bbox cache. Guards the
+    /// invalidation list against new mutators forgetting the index.
     #[test]
     fn spatial_index_tracks_every_mutation() {
+        const DECK: u32 = 7;
         let t = tech();
         let poly = t.layer("poly").unwrap();
         let everywhere = Rect::new(-1_000_000, -1_000_000, 1_000_000, 1_000_000);
+        let stamp = std::cell::Cell::new(0usize);
         let check = |o: &LayoutObject| {
             let got = o.spatial_index().query_overlapping(poly, &everywhere);
             let scan: Vec<usize> = o
@@ -640,6 +644,14 @@ mod tests {
                     .fold(Rect::EMPTY, |acc, s| acc.union_bbox(&s.rect)),
                 "bbox_on fast path out of sync"
             );
+            // The memo is cold: this extraction runs, and its result is
+            // what the next lookup returns.
+            stamp.set(stamp.get() + 1);
+            let fresh = vec![vec![stamp.get()]];
+            let got = o.spatial_index().components(DECK, || fresh.clone());
+            assert_eq!(*got, fresh[..], "component memo survived a mutation");
+            let got = o.spatial_index().components(DECK, || unreachable!());
+            assert_eq!(*got, fresh[..], "component memo not kept");
         };
         let mut obj = LayoutObject::new("x");
         obj.push(Shape::new(poly, Rect::new(0, 0, 10, 10)));
@@ -648,27 +660,37 @@ mod tests {
         obj.push(Shape::new(poly, Rect::new(20, -5, 30, 5)));
         check(&obj);
         // Moving an edge through shapes_mut invalidates.
-        obj.spatial_index();
         obj.shapes_mut()[1].rect = Rect::new(20, -5, 50, 5);
         check(&obj);
         // translate invalidates.
-        obj.spatial_index();
         obj.translate(Vector::new(7, 3));
         check(&obj);
         // absorb invalidates.
-        obj.spatial_index();
         let mut other = LayoutObject::new("y");
         other.push(Shape::new(poly, Rect::new(0, 0, 100, 2)));
         obj.absorb(&other, Vector::new(-200, 0));
         check(&obj);
         // remove_shapes invalidates.
-        obj.spatial_index();
         obj.remove_shapes(&[0]);
         check(&obj);
         // Mirror copies rebuild on the copy.
-        obj.spatial_index();
         check(&obj.mirrored_x(3));
         check(&obj.mirrored_y(-1));
+        // Net renames keep the memo: it holds geometry, not names.
+        let kept = obj
+            .spatial_index()
+            .components(DECK, || unreachable!())
+            .into_owned();
+        obj.net("a");
+        obj.rename_net("a", "b");
+        obj.rename_label("b", "c");
+        let p = obj.prefixed("b:");
+        for o in [&obj, &p] {
+            assert_eq!(
+                *o.spatial_index().components(DECK, || unreachable!()),
+                kept[..]
+            );
+        }
         // Index state is invisible to equality.
         let warm = obj.clone();
         warm.spatial_index();

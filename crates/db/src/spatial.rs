@@ -6,27 +6,34 @@
 //! [`RectTree`] per populated layer plus one per semantic
 //! [`ShapeRole`] (the latch-up check is role-driven,
 //! not layer-driven), and caches the whole-object and per-layer bounding
-//! boxes as a side effect of the build.
+//! boxes as a side effect of the build. It also memoises the object's
+//! connected components under one rule deck
+//! ([`components`](SpatialIndex::components)), so one sign-off extracts
+//! once.
 //!
 //! # Lifecycle and invalidation
 //!
 //! The index is **derived state**: [`LayoutObject::spatial_index`]
 //! builds it lazily on first use, and every geometry mutation
 //! (`push`, `shapes_mut`, `remove_shapes`, `translate`, `absorb`, the
-//! mirror copies) drops it. It never participates in equality,
-//! signatures or serialization — holding a warm or cold index is not an
-//! observable difference.
+//! mirror copies) drops it, and the component memo with it. It never
+//! participates in equality, signatures or serialization — holding a
+//! warm or cold index is not an observable difference. The memo holds
+//! geometry only (member shape indices), never net names, so renaming
+//! nets (`rename_net`, `rename_label`, `prefixed`) leaves it valid.
 //!
 //! # Determinism contract
 //!
 //! `query_*` methods return shape indices **sorted ascending** — the
-//! exact order a linear scan of the shape vector visits them — so every
-//! consumer rewritten onto the index reproduces its scan-based output
-//! byte for byte, preserving the content-addressed cache and signature
-//! determinism established for generation caching. The closure-visitor
-//! methods run in tree order instead (deterministic for a given shape
-//! vector, but unspecified); they are only for order-insensitive
-//! predicates.
+//! exact order a linear scan of the shape vector visits them. DRC's
+//! width check and gap-fill test read their covers in that order. The
+//! trees' visitors ([`RectTree::for_each_candidate`],
+//! [`RectTree::any_candidate`] and the joins
+//! [`RectTree::join_within`] / [`RectTree::self_join_within`]) run in
+//! tree order instead (deterministic for a given shape vector, but
+//! unspecified); their consumers either sort what they collect (DRC
+//! spacing sorts its pairs) or fold it order-free (min-area and
+//! extraction union-finds, containment probes).
 //!
 //! # Candidate semantics
 //!
@@ -38,9 +45,11 @@
 //!
 //! [`LayoutObject::spatial_index`]: crate::LayoutObject::spatial_index
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
-use amgen_geom::{Coord, Rect, RectTree};
+use amgen_geom::{Rect, RectTree};
 use amgen_tech::Layer;
 
 use crate::shape::{Shape, ShapeRole};
@@ -61,6 +70,8 @@ pub struct SpatialIndex {
     substrate: RectTree,
     /// Whole-object bounding box, `union_bbox` semantics.
     bbox: Rect,
+    /// Component member lists, with the id of the deck that made them.
+    components: OnceLock<(u32, Vec<Vec<usize>>)>,
 }
 
 impl SpatialIndex {
@@ -95,6 +106,7 @@ impl SpatialIndex {
             active: RectTree::build(active),
             substrate: RectTree::build(substrate),
             bbox,
+            components: OnceLock::new(),
         }
     }
 
@@ -117,31 +129,33 @@ impl SpatialIndex {
     /// Shape indices on `layer` overlapping or abutting `window`
     /// (candidate test), sorted ascending — linear-scan order.
     pub fn query_overlapping(&self, layer: Layer, window: &Rect) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.query_overlapping_into(layer, window, &mut out);
-        out.iter().map(|&i| i as usize).collect()
-    }
-
-    /// [`query_overlapping`](Self::query_overlapping) into a reusable
-    /// buffer (cleared first) — the hot-loop form.
-    pub fn query_overlapping_into(&self, layer: Layer, window: &Rect, out: &mut Vec<u32>) {
-        match self.layers.get(&layer) {
-            Some(t) => t.query_into(window, out),
-            None => out.clear(),
-        }
-    }
-
-    /// All shape-index pairs `(i, j)`, `i < j`, on `layer` whose rects
-    /// come within `dist` of each other (closed-interval test on the
-    /// inflated rect), in lexicographic order. `dist = 0` yields the
-    /// touching-or-overlapping candidate pairs.
-    pub fn query_pairs_within(&self, layer: Layer, dist: Coord) -> Vec<(usize, usize)> {
         self.layers.get(&layer).map_or_else(Vec::new, |t| {
-            t.pairs_within(dist)
-                .into_iter()
-                .map(|(a, b)| (a as usize, b as usize))
-                .collect()
+            t.query(window).into_iter().map(|i| i as usize).collect()
         })
+    }
+
+    /// The connected components of the shapes under the rule deck with
+    /// id `deck`: each component's member shape indices, memoised.
+    ///
+    /// The first call runs `extract` and keeps its result with `deck`;
+    /// later calls with the same id return it without running `extract`.
+    /// A call with another deck's id runs `extract` and returns the
+    /// result without keeping it. The memo lives and dies with the
+    /// index, so every geometry mutation drops it; it holds no net
+    /// names, so renaming nets does not.
+    pub fn components(
+        &self,
+        deck: u32,
+        extract: impl FnOnce() -> Vec<Vec<usize>>,
+    ) -> Cow<'_, [Vec<usize>]> {
+        let mut extract = Some(extract);
+        let (id, lists) = self
+            .components
+            .get_or_init(|| (deck, extract.take().expect("init runs at most once")()));
+        match extract {
+            Some(extract) if *id != deck => Cow::Owned(extract()),
+            _ => Cow::Borrowed(lists),
+        }
     }
 
     /// Bounding box over every shape (`union_bbox` semantics, matching
@@ -221,10 +235,30 @@ mod tests {
         assert_eq!(ix.role(ShapeRole::DeviceActive).unwrap().len(), 1);
         assert_eq!(ix.role(ShapeRole::SubstrateContact).unwrap().len(), 1);
         assert!(ix.role(ShapeRole::Normal).is_none());
+        let mut pairs = Vec::new();
+        ix.layer(pdiff)
+            .unwrap()
+            .self_join_within(10, |p, _, q, _| pairs.push((p.min(q), p.max(q))));
         assert_eq!(
-            ix.query_pairs_within(pdiff, 10),
+            pairs,
             vec![(0, 1)],
             "gaps of 10 qualify under the closed test, gaps of 16 and 30 do not"
         );
+    }
+
+    /// The memo keeps the first deck's lists; a lookup under another
+    /// deck extracts afresh and leaves the memo alone.
+    #[test]
+    fn components_are_memoised_for_one_deck() {
+        let t = Tech::bicmos_1u();
+        let mut obj = LayoutObject::new("x");
+        obj.push(Shape::new(t.layer("poly").unwrap(), Rect::new(0, 0, 8, 8)));
+        let ix = obj.spatial_index();
+        let a = vec![vec![0]];
+        let b = vec![vec![0], vec![1]];
+        assert_eq!(*ix.components(1, || a.clone()), a[..]);
+        assert_eq!(*ix.components(1, || unreachable!()), a[..]);
+        assert!(matches!(ix.components(2, || b.clone()), Cow::Owned(ref v) if *v == b));
+        assert!(matches!(ix.components(1, || unreachable!()), Cow::Borrowed(v) if *v == a[..]));
     }
 }

@@ -2,18 +2,19 @@
 
 use amgen_core::{GenCtx, Stage};
 use amgen_db::{LayoutObject, Shape};
+use amgen_extract::Extractor;
 use amgen_geom::{Axis, Coord, Rect, Region};
 use amgen_tech::{Layer, LayerKind, RuleSet};
 
 use crate::latchup;
 use crate::violation::{Violation, ViolationKind};
 
-/// Cover-rectangle source for the union tests (`covered_by` call
-/// sites): the spatial index returns only the same-layer shapes near
-/// the window — exact, because a cover that does not overlap the window
-/// cannot cut anything from it — while the scan source returns every
-/// same-layer shape, reproducing the pre-index behaviour for the
-/// equivalence baselines.
+/// Cover-rectangle source for the width and gap-fill union tests (and
+/// the enclosure baseline): the spatial index returns only the
+/// same-layer shapes near the window, in shape order — exact, because a
+/// cover that does not overlap the window cannot cut anything from it —
+/// while the scan source returns every same-layer shape, reproducing the
+/// pre-index behaviour for the equivalence baselines.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Candidates {
     Indexed,
@@ -59,9 +60,13 @@ impl Drc {
     /// Runs every check and returns all violations.
     ///
     /// Every sub-check runs on the object's
-    /// [spatial index](LayoutObject::spatial_index) — window queries
-    /// instead of all-pairs scans — and produces output byte-identical
-    /// to the pre-index checker ([`check_scan`](Drc::check_scan)).
+    /// [spatial index](LayoutObject::spatial_index) — window queries and
+    /// tree joins instead of all-pairs scans — and produces output
+    /// byte-identical to the pre-index checker
+    /// ([`check_scan`](Drc::check_scan)). The spacing check's extraction
+    /// is memoised in the index: after
+    /// [`Extractor::connectivity`] has run on the object, this runs no
+    /// extraction, and a `connectivity` call after it extracts nothing.
     pub fn check(&self, obj: &LayoutObject) -> Vec<Violation> {
         let mut span = self
             .ctx
@@ -78,8 +83,10 @@ impl Drc {
     }
 
     /// The pre-index checker: every sub-check runs its linear-scan /
-    /// all-pairs variant. Kept as the baseline the indexed checks are
-    /// parity-tested against (byte-identical violations).
+    /// all-pairs variant, with components from the all-pairs
+    /// [`connectivity_scan`](Extractor::connectivity_scan). Kept as the
+    /// baseline the indexed checks are parity-tested against
+    /// (byte-identical violations); it reads no memo.
     #[doc(hidden)]
     pub fn check_scan(&self, obj: &LayoutObject) -> Vec<Violation> {
         let mut out = Vec::new();
@@ -93,99 +100,98 @@ impl Drc {
 
     /// Minimum area per **merged region**: same-layer shapes that touch
     /// or overlap form one region; its union area must reach the layer's
-    /// `minarea` rule. Touching pairs come from the spatial index
-    /// (`query_pairs_within(layer, 0)`) instead of an all-pairs sweep.
+    /// `minarea` rule. Touching pairs come from one self-join of each
+    /// ruled layer's tree ([`RectTree::self_join_within`] at distance 0)
+    /// instead of an all-pairs sweep; the union-find they feed is
+    /// order-free.
+    ///
+    /// [`RectTree::self_join_within`]: amgen_geom::RectTree::self_join_within
     pub fn check_min_area(&self, obj: &LayoutObject) -> Vec<Violation> {
-        self.min_area_impl(obj, Candidates::Indexed)
+        self.ctx.metrics.add_drc_checks(1);
+        let shapes = obj.shapes();
+        let ruled = |l: Layer| self.ctx.min_area_um2(l) > 0.0;
+        let ix = obj.spatial_index();
+        let mut parent: Vec<usize> = (0..shapes.len()).collect();
+        for layer in ix.populated_layers().filter(|&l| ruled(l)) {
+            let tree = ix.layer(layer).expect("populated layer");
+            tree.self_join_within(0, |i, a, j, b| {
+                if a.overlaps(b) || a.abuts(b) {
+                    union(&mut parent, i as usize, j as usize);
+                }
+            });
+        }
+        // Clusters in the order of their smallest member, each listing
+        // its rectangles in shape order, then grouped by layer (stably):
+        // the scan's order, whatever order the unions came in.
+        let mut slot = vec![usize::MAX; shapes.len()];
+        let mut clusters: Vec<(Layer, Vec<Rect>)> = Vec::new();
+        for (i, s) in shapes.iter().enumerate() {
+            if !ruled(s.layer) {
+                continue;
+            }
+            let root = find(&mut parent, i);
+            if slot[root] == usize::MAX {
+                slot[root] = clusters.len();
+                clusters.push((s.layer, Vec::new()));
+            }
+            clusters[slot[root]].1.push(s.rect);
+        }
+        clusters.sort_by_key(|(layer, _)| layer.index());
+        clusters
+            .into_iter()
+            .filter_map(|(layer, rects)| self.min_area_violation(layer, rects))
+            .collect()
     }
 
-    /// All-pairs baseline of [`check_min_area`](Drc::check_min_area).
+    /// All-pairs baseline of [`check_min_area`](Drc::check_min_area):
+    /// per ruled layer, every pair of its shapes, clusters keyed by their
+    /// smallest member.
     #[doc(hidden)]
     pub fn check_min_area_scan(&self, obj: &LayoutObject) -> Vec<Violation> {
-        self.min_area_impl(obj, Candidates::Scan)
-    }
-
-    fn min_area_impl(&self, obj: &LayoutObject, mode: Candidates) -> Vec<Violation> {
-        // Path halving, iterative: a chain of abutting shapes can build a
-        // parent chain as long as itself.
-        fn find(p: &mut [usize], mut i: usize) -> usize {
-            while p[i] != i {
-                p[i] = p[p[i]];
-                i = p[i];
-            }
-            i
-        }
         self.ctx.metrics.add_drc_checks(1);
         let mut out = Vec::new();
         for layer in self.ctx.layers() {
-            let rule_um2 = self.ctx.min_area_um2(layer);
-            if rule_um2 <= 0.0 {
+            if self.ctx.min_area_um2(layer) <= 0.0 {
                 continue;
             }
-            // Shape indices on the layer, ascending (linear-scan order).
-            let ids: Vec<usize> = obj
-                .shapes()
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.layer == layer)
-                .map(|(i, _)| i)
-                .collect();
-            if ids.is_empty() {
-                continue;
-            }
-            let rects: Vec<Rect> = ids.iter().map(|&i| obj.shapes()[i].rect).collect();
-            // Cluster touching rectangles (union-find).
+            let rects: Vec<Rect> = obj.shapes_on(layer).map(|s| s.rect).collect();
             let mut parent: Vec<usize> = (0..rects.len()).collect();
-            let join = |parent: &mut Vec<usize>, i: usize, j: usize| {
-                if rects[i].overlaps(&rects[j]) || rects[i].abuts(&rects[j]) {
-                    let (ri, rj) = (find(parent, i), find(parent, j));
-                    if ri != rj {
-                        parent[ri] = rj;
-                    }
-                }
-            };
-            match mode {
-                Candidates::Indexed => {
-                    for (gi, gj) in obj.spatial_index().query_pairs_within(layer, 0) {
-                        let i = ids.binary_search(&gi).expect("indexed shape is on layer");
-                        let j = ids.binary_search(&gj).expect("indexed shape is on layer");
-                        join(&mut parent, i, j);
-                    }
-                }
-                Candidates::Scan => {
-                    for i in 0..rects.len() {
-                        for j in (i + 1)..rects.len() {
-                            join(&mut parent, i, j);
-                        }
+            for i in 0..rects.len() {
+                for j in (i + 1)..rects.len() {
+                    if rects[i].overlaps(&rects[j]) || rects[i].abuts(&rects[j]) {
+                        union(&mut parent, i, j);
                     }
                 }
             }
-            // Group clusters by their smallest member index — an order
-            // independent of how the unions happened to be discovered,
-            // so both candidate sources report identically.
-            let mut min_of_root: std::collections::HashMap<usize, usize> = Default::default();
             let mut clusters: std::collections::BTreeMap<usize, Vec<Rect>> = Default::default();
+            let mut min_of_root: std::collections::HashMap<usize, usize> = Default::default();
             for (i, rect) in rects.iter().enumerate() {
-                let r = find(&mut parent, i);
-                let key = *min_of_root.entry(r).or_insert(i);
+                let key = *min_of_root.entry(find(&mut parent, i)).or_insert(i);
                 clusters.entry(key).or_default().push(*rect);
             }
-            for cluster in clusters.values() {
-                let region: Region = cluster.iter().copied().collect();
-                let area_um2 = region.area() as f64 / 1e6;
-                if area_um2 + 1e-9 < rule_um2 {
-                    out.push(Violation {
-                        kind: ViolationKind::MinArea,
-                        rect: region.bbox(),
-                        message: format!(
-                            "{} region area {area_um2:.2} um^2 < {rule_um2} um^2",
-                            self.ctx.layer_name(layer)
-                        ),
-                    });
-                }
-            }
+            out.extend(
+                clusters
+                    .into_values()
+                    .filter_map(|cluster| self.min_area_violation(layer, cluster)),
+            );
         }
         out
+    }
+
+    /// The violation for one merged region of `layer`, if its union area
+    /// falls short of the rule.
+    fn min_area_violation(&self, layer: Layer, rects: Vec<Rect>) -> Option<Violation> {
+        let rule_um2 = self.ctx.min_area_um2(layer);
+        let region = Region::from_rects(rects);
+        let area_um2 = region.area() as f64 / 1e6;
+        (area_um2 + 1e-9 < rule_um2).then(|| Violation {
+            kind: ViolationKind::MinArea,
+            rect: region.bbox(),
+            message: format!(
+                "{} region area {area_um2:.2} um^2 < {rule_um2} um^2",
+                self.ctx.layer_name(layer)
+            ),
+        })
     }
 
     /// Minimum width / exact cut size per shape.
@@ -282,85 +288,77 @@ impl Drc {
     /// except same-layer overlap of two **different defined potentials**,
     /// which is a short. Pairs that belong to the same geometrically
     /// extracted net are also exempt (same-net spacing, e.g. two fingers
-    /// of one diffusion joined by a strap between them).
-    /// Each shape only checks against the shapes the spatial index finds
-    /// inside its rule-inflated window, instead of every other shape.
-    /// The closed-interval candidate test on `rect.inflated(rule)` admits
+    /// of one diffusion joined by a strap between them); the components
+    /// come from [`Extractor::components`], the extraction memoised in
+    /// the object's spatial index, so a later `connectivity` or
+    /// `parasitics` call on the same object does not extract again.
+    ///
+    /// Candidate pairs come from one tree join per populated layer pair
+    /// with a nonzero rule ([`RectTree::join_within`], or
+    /// [`RectTree::self_join_within`] within a layer). Spacing rules are
+    /// symmetric, so each unordered shape pair is found once. The join's
+    /// closed-interval test on a rectangle inflated by the rule admits
     /// exactly the pairs with `gap_x <= rule && gap_y <= rule` — a
     /// superset of both reportable cases (`max(gap) < rule` spacing
     /// violations and `gap <= 0` shorts) — so no naive-loop pair is
-    /// missed; candidates are then run through the identical pair logic
-    /// in the identical `i < j` ascending order.
+    /// missed. The pairs are normalised to `(i, j)` with `i < j` and
+    /// sorted, then run through the identical pair logic in the naive
+    /// loop's order.
+    ///
+    /// [`RectTree::join_within`]: amgen_geom::RectTree::join_within
+    /// [`RectTree::self_join_within`]: amgen_geom::RectTree::self_join_within
     pub fn check_spacing(&self, obj: &LayoutObject) -> Vec<Violation> {
         self.ctx.metrics.add_drc_checks(1);
-        let mut out = Vec::new();
-        let shapes = obj.shapes();
-        let comp = self.components(obj);
+        let comp =
+            ShapeComponents::new(obj.len(), Extractor::new(&self.ctx).components(obj).iter());
         let ix = obj.spatial_index();
-        // Per layer: the partner layers carrying a nonzero spacing rule
-        // against it (the only pairs the naive loop does not skip).
-        let mut partners: std::collections::BTreeMap<Layer, Vec<(Layer, Coord)>> =
-            Default::default();
-        for la in self.ctx.layers() {
-            let list: Vec<(Layer, Coord)> = self
-                .ctx
-                .layers()
-                .filter_map(|lb| match self.ctx.min_spacing(la, lb) {
-                    Some(r) if r > 0 => Some((lb, r)),
-                    _ => None,
-                })
-                .collect();
-            if !list.is_empty() {
-                partners.insert(la, list);
+        let trees: Vec<_> = ix
+            .populated_layers()
+            .filter_map(|l| Some((l, ix.layer(l)?)))
+            .collect();
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        let mut pair = |i: u32, _: &Rect, j: u32, _: &Rect| pairs.push((i.min(j), i.max(j)));
+        for (k, &(la, ta)) in trees.iter().enumerate() {
+            for &(lb, tb) in &trees[k..] {
+                match self.ctx.min_spacing(la, lb) {
+                    Some(rule) if rule > 0 && la == lb => ta.self_join_within(rule, &mut pair),
+                    Some(rule) if rule > 0 => ta.join_within(tb, rule, &mut pair),
+                    _ => {}
+                }
             }
         }
-        let mut cand: Vec<u32> = Vec::new();
-        let mut js: Vec<usize> = Vec::new();
-        for (i, a) in shapes.iter().enumerate() {
-            let Some(list) = partners.get(&a.layer) else {
-                continue;
-            };
-            js.clear();
-            for &(lb, rule) in list {
-                ix.query_overlapping_into(lb, &a.rect.inflated(rule), &mut cand);
-                js.extend(cand.iter().map(|&j| j as usize).filter(|&j| j > i));
-            }
-            js.sort_unstable();
-            for &j in &js {
-                self.spacing_pair(obj, &comp, i, j, Candidates::Indexed, &mut out);
-            }
+        pairs.sort_unstable();
+        let mut out = Vec::new();
+        for (i, j) in pairs {
+            self.spacing_pair(
+                obj,
+                &comp,
+                i as usize,
+                j as usize,
+                Candidates::Indexed,
+                &mut out,
+            );
         }
         out
     }
 
-    /// All-pairs baseline of [`check_spacing`](Drc::check_spacing).
+    /// All-pairs baseline of [`check_spacing`](Drc::check_spacing). Its
+    /// components come from the all-pairs
+    /// [`connectivity_scan`](Extractor::connectivity_scan), so the
+    /// baseline shares no code path (and no memo) with the kernel it
+    /// audits.
     #[doc(hidden)]
     pub fn check_spacing_scan(&self, obj: &LayoutObject) -> Vec<Violation> {
         self.ctx.metrics.add_drc_checks(1);
         let mut out = Vec::new();
-        let comp = self.components(obj);
+        let nets = Extractor::new(&self.ctx).connectivity_scan(obj);
+        let comp = ShapeComponents::new(obj.len(), nets.iter().map(|n| &n.shapes));
         for i in 0..obj.shapes().len() {
             for j in (i + 1)..obj.shapes().len() {
                 self.spacing_pair(obj, &comp, i, j, Candidates::Scan, &mut out);
             }
         }
         out
-    }
-
-    /// Connected components per shape (a gate-split diffusion shape
-    /// belongs to several), from geometric connectivity.
-    fn components(&self, obj: &LayoutObject) -> Vec<Vec<usize>> {
-        let mut comp: Vec<Vec<usize>> = vec![Vec::new(); obj.shapes().len()];
-        for (ci, net) in amgen_extract::Extractor::new(&self.ctx)
-            .connectivity(obj)
-            .iter()
-            .enumerate()
-        {
-            for &si in &net.shapes {
-                comp[si].push(ci);
-            }
-        }
-        comp
     }
 
     /// The spacing predicate for one ordered pair `i < j`: shorts on
@@ -370,7 +368,7 @@ impl Drc {
     fn spacing_pair(
         &self,
         obj: &LayoutObject,
-        comp: &[Vec<usize>],
+        comp: &ShapeComponents,
         i: usize,
         j: usize,
         mode: Candidates,
@@ -411,8 +409,7 @@ impl Drc {
         if gap >= rule {
             return;
         }
-        let same_component = comp[i].iter().any(|c| comp[j].contains(c));
-        if a.layer == b.layer && (same_net || same_component) {
+        if a.layer == b.layer && (same_net || comp.share(i, j)) {
             return;
         }
         // Pairwise gaps are only real when the space between the
@@ -460,17 +457,53 @@ impl Drc {
 
     /// Every cut must be enclosed (with margins) by both conductors of one
     /// of its connectable pairs; unions of same-layer shapes count.
+    ///
+    /// Containment first: a cut passes when some pair has each of its two
+    /// margin windows inside one shape (an `any_candidate` probe on the
+    /// layer's tree, once per distinct layer). Only when no pair passes
+    /// does the union cover test run, once per layer, over the layer's
+    /// shapes near the window gathered into a reused buffer. Containment
+    /// implies cover, so the result is the cover test's alone, whatever
+    /// the order of evaluation.
     pub fn check_enclosures(&self, obj: &LayoutObject) -> Vec<Violation> {
-        self.enclosures_impl(obj, Candidates::Indexed)
+        self.ctx.metrics.add_drc_checks(1);
+        let ix = obj.spatial_index();
+        let mut memo: Vec<(Layer, bool)> = Vec::new();
+        let mut covers: Vec<Rect> = Vec::new();
+        let mut out = Vec::new();
+        for s in obj.shapes() {
+            if self.ctx.kind(s.layer) != LayerKind::Cut {
+                continue;
+            }
+            let pairs = self.ctx.connected_pairs(s.layer);
+            if pairs.is_empty() {
+                continue;
+            }
+            let window = |layer: Layer| s.rect.inflated(self.ctx.enclosure(layer, s.layer));
+            let contained = |layer: Layer| {
+                let w = window(layer);
+                ix.layer(layer)
+                    .is_some_and(|t| t.any_candidate(&w, |_, r| r.contains_rect(&w)))
+            };
+            let covered = |layer: Layer| {
+                let w = window(layer);
+                covers.clear();
+                if let Some(t) = ix.layer(layer) {
+                    t.for_each_candidate(&w, |_, r| covers.push(*r));
+                }
+                Region::from_rect(w).covered_by(covers.iter().copied())
+            };
+            if !any_pair(pairs, &mut memo, contained) && !any_pair(pairs, &mut memo, covered) {
+                out.push(self.enclosure_violation(s));
+            }
+        }
+        out
     }
 
-    /// Linear-scan baseline of [`check_enclosures`](Drc::check_enclosures).
+    /// Linear-scan baseline of [`check_enclosures`](Drc::check_enclosures):
+    /// the union cover test per pair over every same-layer shape.
     #[doc(hidden)]
     pub fn check_enclosures_scan(&self, obj: &LayoutObject) -> Vec<Violation> {
-        self.enclosures_impl(obj, Candidates::Scan)
-    }
-
-    fn enclosures_impl(&self, obj: &LayoutObject, mode: Candidates) -> Vec<Violation> {
         self.ctx.metrics.add_drc_checks(1);
         let mut out = Vec::new();
         for s in obj.shapes() {
@@ -484,23 +517,111 @@ impl Drc {
             let enclosed_by = |layer: Layer, shape: &Shape| -> bool {
                 let margin = self.ctx.enclosure(layer, s.layer);
                 let window = shape.rect.inflated(margin);
-                Region::from_rect(window).covered_by(mode.covers(obj, layer, &window))
+                Region::from_rect(window).covered_by(Candidates::Scan.covers(obj, layer, &window))
             };
             let ok = pairs
                 .iter()
                 .any(|&(x, y)| enclosed_by(x, s) && enclosed_by(y, s));
             if !ok {
-                out.push(Violation {
-                    kind: ViolationKind::Enclosure,
-                    rect: s.rect,
-                    message: format!(
-                        "{} cut not enclosed by any connectable conductor pair",
-                        self.ctx.layer_name(s.layer)
-                    ),
-                });
+                out.push(self.enclosure_violation(s));
             }
         }
         out
+    }
+
+    fn enclosure_violation(&self, cut: &Shape) -> Violation {
+        Violation {
+            kind: ViolationKind::Enclosure,
+            rect: cut.rect,
+            message: format!(
+                "{} cut not enclosed by any connectable conductor pair",
+                self.ctx.layer_name(cut.layer)
+            ),
+        }
+    }
+}
+
+/// The root of `i`'s set, by path halving. Iterative: a chain of
+/// abutting shapes can build a parent chain as long as itself.
+fn find(parent: &mut [usize], mut i: usize) -> usize {
+    while parent[i] != i {
+        parent[i] = parent[parent[i]];
+        i = parent[i];
+    }
+    i
+}
+
+/// Joins the sets of `i` and `j`.
+fn union(parent: &mut [usize], i: usize, j: usize) {
+    let (ri, rj) = (find(parent, i), find(parent, j));
+    if ri != rj {
+        parent[ri] = rj;
+    }
+}
+
+/// True if `test` holds on both layers of some pair. `test` runs at most
+/// once per distinct layer; `memo` is scratch space reused across calls.
+fn any_pair(
+    pairs: &[(Layer, Layer)],
+    memo: &mut Vec<(Layer, bool)>,
+    mut test: impl FnMut(Layer) -> bool,
+) -> bool {
+    memo.clear();
+    let mut eval = |layer: Layer| match memo.iter().find(|(l, _)| *l == layer) {
+        Some(&(_, v)) => v,
+        None => {
+            let v = test(layer);
+            memo.push((layer, v));
+            v
+        }
+    };
+    pairs.iter().any(|&(x, y)| eval(x) && eval(y))
+}
+
+/// The components each shape belongs to (a gate-split diffusion shape
+/// belongs to several), flat: shape `i`'s component ids are
+/// `ids[first[i]..first[i + 1]]`, ascending.
+struct ShapeComponents {
+    first: Vec<u32>,
+    ids: Vec<u32>,
+}
+
+impl ShapeComponents {
+    /// The table for `shapes` shapes from the components' member lists.
+    fn new<'a, I>(shapes: usize, lists: I) -> ShapeComponents
+    where
+        I: Iterator<Item = &'a Vec<usize>> + Clone,
+    {
+        // Count per shape into `first[i + 1]`, prefix-sum, then fill with
+        // `first[i]` as the write cursor — which leaves it at the next
+        // shape's start, so one shift restores the offsets.
+        let mut first = vec![0u32; shapes + 1];
+        for &s in lists.clone().flatten() {
+            first[s + 1] += 1;
+        }
+        for i in 0..shapes {
+            first[i + 1] += first[i];
+        }
+        let mut ids = vec![0u32; first[shapes] as usize];
+        for (c, list) in lists.enumerate() {
+            for &s in list {
+                ids[first[s] as usize] = c as u32;
+                first[s] += 1;
+            }
+        }
+        first.rotate_right(1);
+        first[0] = 0;
+        ShapeComponents { first, ids }
+    }
+
+    fn of(&self, i: usize) -> &[u32] {
+        &self.ids[self.first[i] as usize..self.first[i + 1] as usize]
+    }
+
+    /// True if shapes `i` and `j` share a component.
+    fn share(&self, i: usize, j: usize) -> bool {
+        let b = self.of(j);
+        self.of(i).iter().any(|c| b.contains(c))
     }
 }
 
@@ -650,6 +771,28 @@ mod tests {
         obj.push(Shape::new(ct, Rect::new(1_500, 1_500, 2_500, 2_500)));
         let v = Drc::new(&t).check_enclosures(&obj);
         assert!(v.is_empty(), "{v:?}");
+    }
+
+    /// Once the object's components are memoised, the spacing check reads
+    /// them and extracts nothing itself: a memo claiming that two
+    /// unconnected bars form one component exempts their gap.
+    #[test]
+    fn spacing_reads_the_component_memo() {
+        let t = tech();
+        let poly = t.layer("poly").unwrap();
+        let mut obj = LayoutObject::new("x");
+        obj.push(Shape::new(poly, Rect::new(0, 0, um(1), um(5))));
+        obj.push(Shape::new(poly, Rect::new(um(2), 0, um(3), um(5))));
+        let drc = Drc::new(&t);
+        assert_eq!(drc.check_spacing(&obj).len(), 1);
+        obj.shapes_mut();
+        obj.spatial_index().components(t.id(), || vec![vec![0, 1]]);
+        assert!(drc.check_spacing(&obj).is_empty());
+        assert_eq!(
+            drc.check_spacing_scan(&obj).len(),
+            1,
+            "the scan reads no memo"
+        );
     }
 
     /// The indexed checker must reproduce the linear-scan checker byte

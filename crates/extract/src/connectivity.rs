@@ -1,5 +1,7 @@
 //! Geometric connectivity extraction (union-find over shapes).
 
+use std::borrow::Cow;
+
 use amgen_core::{GenCtx, Stage};
 use amgen_db::{LayoutObject, NetId};
 use amgen_geom::{Rect, RectTree};
@@ -208,11 +210,50 @@ impl Extractor {
     /// list, declared names sorted. The one order-sensitive choice is the
     /// device-layer tie-break above. The result is byte-identical to the
     /// all-pairs [`connectivity_scan`](Extractor::connectivity_scan).
+    ///
+    /// The member lists are memoised in the spatial index for this deck
+    /// ([`SpatialIndex::components`](amgen_db::SpatialIndex::components)),
+    /// so DRC's spacing check, [`parasitics`](Extractor::parasitics) and
+    /// this call share one extraction per object. Every geometry mutation
+    /// drops the memo with the index. The declared names are not
+    /// memoised: each call reads them from the object's current net
+    /// table, so renaming nets needs no invalidation.
     pub fn connectivity(&self, obj: &LayoutObject) -> Vec<ExtractedNet> {
         let mut span = self
             .ctx
             .stage(Stage::Extract, || format!("connectivity:{}", obj.name()));
         span.arg("shapes", obj.len());
+        self.member_lists(obj)
+            .iter()
+            .map(|shapes| ExtractedNet {
+                declared: declared_names(obj, shapes),
+                shapes: shapes.clone(),
+            })
+            .collect()
+    }
+
+    /// The member shape indices of every component, canonical (members
+    /// ascending, components ordered by member list), from the memo in
+    /// the object's spatial index — the geometry half of
+    /// [`connectivity`](Extractor::connectivity), without the names.
+    /// DRC's same-component spacing exemption reads it.
+    pub fn components<'a>(&self, obj: &'a LayoutObject) -> Cow<'a, [Vec<usize>]> {
+        let mut span = self
+            .ctx
+            .stage(Stage::Extract, || format!("components:{}", obj.name()));
+        span.arg("shapes", obj.len());
+        self.member_lists(obj)
+    }
+
+    /// The memo lookup; the caller holds the `Stage::Extract` guard.
+    fn member_lists<'a>(&self, obj: &'a LayoutObject) -> Cow<'a, [Vec<usize>]> {
+        obj.spatial_index()
+            .components(self.rules().id(), || self.extract(obj))
+    }
+
+    /// The extraction kernel on the spatial index (see
+    /// [`connectivity`](Extractor::connectivity) for the rules).
+    fn extract(&self, obj: &LayoutObject) -> Vec<Vec<usize>> {
         let rules = self.rules();
         let ix = obj.spatial_index();
         let fr = Fragments::new(rules, obj);
@@ -290,7 +331,7 @@ impl Extractor {
                 uf.union(c, f);
             }
         }
-        canonical_nets(obj, &fr, &mut uf)
+        canonical_members(&fr, &mut uf)
     }
 
     /// The all-pairs connectivity pass, kept as the oracle the indexed
@@ -428,11 +469,11 @@ impl Extractor {
     }
 }
 
-/// The components as nets: members ascending and deduplicated, declared
-/// names sorted, nets ordered by member list. Fragments are in shape
-/// order, so each member list comes out ascending; a root→slot table
-/// groups them, and net ids are deduplicated before names are copied.
-fn canonical_nets(obj: &LayoutObject, fr: &Fragments, uf: &mut UnionFind) -> Vec<ExtractedNet> {
+/// The components' member lists, canonical: members ascending and
+/// deduplicated, lists ordered by their members. Fragments are in shape
+/// order, so each list comes out ascending; a root→slot table groups
+/// them.
+fn canonical_members(fr: &Fragments, uf: &mut UnionFind) -> Vec<Vec<usize>> {
     let mut slot = vec![usize::MAX; fr.frags.len()];
     let mut members: Vec<Vec<usize>> = Vec::new();
     for (f, &(_, shape)) in fr.frags.iter().enumerate() {
@@ -446,23 +487,20 @@ fn canonical_nets(obj: &LayoutObject, fr: &Fragments, uf: &mut UnionFind) -> Vec
             m.push(shape as usize);
         }
     }
-    let mut ids: Vec<NetId> = Vec::new();
-    let mut nets: Vec<ExtractedNet> = members
-        .into_iter()
-        .map(|shapes| {
-            ids.clear();
-            ids.extend(shapes.iter().filter_map(|&i| obj.shapes()[i].net));
-            ids.sort_unstable();
-            ids.dedup();
-            let mut declared: Vec<String> =
-                ids.iter().map(|&n| obj.net_name(n).to_string()).collect();
-            declared.sort();
-            declared.dedup();
-            ExtractedNet { shapes, declared }
-        })
-        .collect();
-    nets.sort_by(|a, b| a.shapes.cmp(&b.shapes));
-    nets
+    members.sort();
+    members
+}
+
+/// The declared net names on a component's members, sorted and
+/// deduplicated; net ids are deduplicated before any name is copied.
+fn declared_names(obj: &LayoutObject, shapes: &[usize]) -> Vec<String> {
+    let mut ids: Vec<NetId> = shapes.iter().filter_map(|&i| obj.shapes()[i].net).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    let mut declared: Vec<String> = ids.iter().map(|&n| obj.net_name(n).to_string()).collect();
+    declared.sort();
+    declared.dedup();
+    declared
 }
 
 #[cfg(test)]

@@ -1,10 +1,10 @@
 //! The indexed connectivity kernel against its all-pairs oracle
 //! (`connectivity_scan`): random layouts in both built-in decks, the
-//! device-layer tie-break, and a chain long enough to overflow a
-//! recursive union-find.
+//! device-layer tie-break, net renames on a warm extraction memo, and a
+//! chain long enough to overflow a recursive union-find.
 
 use amgen_core::GenCtx;
-use amgen_db::{LayoutObject, Shape};
+use amgen_db::{LayoutObject, Port, Shape};
 use amgen_extract::Extractor;
 use amgen_geom::{um, Rect};
 use amgen_tech::builtin::BICMOS_1U;
@@ -190,6 +190,44 @@ fn gates_split_diffusion_in_ascending_shape_order() {
         };
         assert_eq!(shapes, expected);
     }
+}
+
+/// The extraction memo holds geometry only: once it is warm, renaming
+/// and merging nets (`rename_net`), relabelling a net and its port
+/// (`rename_label`) and prefixing a copy (`prefixed`) all show up in the
+/// declared names `connectivity` reports, which keep equalling the scan.
+#[test]
+fn renames_on_a_warm_memo_show_the_new_names() {
+    let ctx = GenCtx::from_tech(&Tech::bicmos_1u());
+    let m1 = ctx.layer("metal1").unwrap();
+    let mut obj = LayoutObject::new("nets");
+    let a = obj.net("a");
+    let b = obj.net("b");
+    obj.push(Shape::new(m1, Rect::new(0, 0, um(2), um(2))).with_net(a));
+    obj.push(Shape::new(m1, Rect::new(um(2), 0, um(4), um(2))));
+    obj.push(Shape::new(m1, Rect::new(um(8), 0, um(10), um(2))).with_net(b));
+    obj.push_port(Port {
+        name: "b".into(),
+        layer: m1,
+        rect: Rect::new(um(8), 0, um(10), um(2)),
+        net: Some(b),
+    });
+    let e = Extractor::new(&ctx);
+    let names = |o: &LayoutObject| -> Vec<Vec<String>> {
+        let nets = e.connectivity(o);
+        assert_eq!(nets, e.connectivity(o), "a memo hit changed the nets");
+        assert_eq!(nets, e.connectivity_scan(o));
+        nets.into_iter().map(|n| n.declared).collect()
+    };
+    assert_eq!(names(&obj), [vec!["a"], vec!["b"]]);
+    obj.rename_net("a", "vdd");
+    assert_eq!(names(&obj), [vec!["vdd"], vec!["b"]]);
+    obj.rename_label("b", "out");
+    assert!(obj.port("out").is_some());
+    assert_eq!(names(&obj), [vec!["vdd"], vec!["out"]]);
+    obj.rename_net("vdd", "out");
+    assert_eq!(names(&obj), [vec!["out"], vec!["out"]]);
+    assert_eq!(names(&obj.prefixed("x:")), [vec!["x:out"], vec!["x:out"]]);
 }
 
 /// A 20,000-segment metal1 rail is one net even on a 256 KiB stack: the

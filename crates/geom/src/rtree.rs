@@ -25,11 +25,14 @@
 //! pure function of the input multiset. [`RectTree::query`] additionally
 //! sorts the surviving payloads ascending, giving consumers the same
 //! iteration order a linear scan over payload-ordered storage would
-//! produce. That property is what lets the DRC rewrites stay
-//! byte-identical with their linear-scan baselines; consumers whose
-//! result does not depend on visit order, such as connectivity
-//! extraction's union-find, use the unsorted
-//! [`for_each_candidate`](RectTree::for_each_candidate) instead.
+//! produce; DRC's width check and gap-fill test rely on it. Consumers
+//! whose result does not depend on visit order use the unsorted visitors:
+//! [`for_each_candidate`](RectTree::for_each_candidate) and
+//! [`any_candidate`](RectTree::any_candidate) for one window, and the
+//! dual-tree joins [`join_within`](RectTree::join_within) and
+//! [`self_join_within`](RectTree::self_join_within) for all pairs within
+//! a distance. Joins visit in tree order; DRC spacing sorts the pairs
+//! they yield, and min-area folds them into an order-free union-find.
 
 use crate::coord::Coord;
 use crate::rect::Rect;
@@ -67,6 +70,14 @@ struct Node {
     first: u32,
     count: u32,
     leaf: bool,
+}
+
+impl Node {
+    /// The node's range into `entries` (leaf) or `nodes` (internal).
+    #[inline]
+    fn range(&self) -> std::ops::Range<usize> {
+        self.first as usize..(self.first + self.count) as usize
+    }
 }
 
 /// An immutable, bulk-loaded R-tree over `(Rect, payload)` entries.
@@ -158,7 +169,7 @@ impl RectTree {
     /// [`query`](Self::query) when ordering matters.
     #[inline]
     pub fn for_each_candidate<F: FnMut(u32, &Rect)>(&self, window: &Rect, mut f: F) {
-        if let Some(root) = self.nodes.len().checked_sub(1) {
+        if let Some(root) = self.root() {
             self.visit(root, window, &mut f);
         }
     }
@@ -168,15 +179,14 @@ impl RectTree {
         if !near(&n.bbox, window) {
             return;
         }
-        let (first, count) = (n.first as usize, n.count as usize);
         if n.leaf {
-            for (r, p) in &self.entries[first..first + count] {
+            for (r, p) in self.leaf_entries(n) {
                 if near(r, window) {
                     f(*p, r);
                 }
             }
         } else {
-            for ci in first..first + count {
+            for ci in n.range() {
                 self.visit(ci, window, f);
             }
         }
@@ -202,9 +212,7 @@ impl RectTree {
     /// first hit. Order of evaluation is tree order, so `pred` should be
     /// order-insensitive (a pure geometric test).
     pub fn any_candidate<F: FnMut(u32, &Rect) -> bool>(&self, window: &Rect, mut pred: F) -> bool {
-        self.nodes
-            .len()
-            .checked_sub(1)
+        self.root()
             .is_some_and(|root| self.visit_any(root, window, &mut pred))
     }
 
@@ -218,30 +226,122 @@ impl RectTree {
         if !near(&n.bbox, window) {
             return false;
         }
-        let (first, count) = (n.first as usize, n.count as usize);
         if n.leaf {
-            self.entries[first..first + count]
+            self.leaf_entries(n)
                 .iter()
                 .any(|(r, p)| near(r, window) && pred(*p, r))
         } else {
-            (first..first + count).any(|ci| self.visit_any(ci, window, pred))
+            n.range().any(|ci| self.visit_any(ci, window, pred))
         }
     }
 
-    /// All index pairs `(i, j)` with `i < j` whose rectangles come
-    /// within `dist` of each other (closed-interval test on rectangles
-    /// inflated by `dist`), in lexicographic order. `dist = 0` yields
-    /// exactly the touching-or-overlapping candidate pairs.
-    pub fn pairs_within(&self, dist: Coord) -> Vec<(u32, u32)> {
-        let mut out = Vec::new();
-        let mut buf = Vec::new();
-        for (r, i) in &self.entries {
-            self.query_into(&r.inflated(dist.max(0)), &mut buf);
-            out.extend(buf.iter().filter(|&&j| j > *i).map(|&j| (*i, j)));
+    /// Calls `f(p, a, q, b)` once for every pair of an entry `(a, p)` of
+    /// `self` and an entry `(b, q)` of `other` whose rectangles come
+    /// within `dist` of each other: the closed-interval test on `a`
+    /// inflated by `dist` (`dist >= 0`), so `dist = 0` yields exactly the
+    /// touching-or-overlapping candidate pairs.
+    ///
+    /// A dual-tree walk: node pairs whose hulls are farther apart than
+    /// `dist` are pruned whole. Pairs arrive in **tree order**
+    /// (deterministic for the two trees, but unordered by payload), so
+    /// callers sort or fold order-free.
+    pub fn join_within<F: FnMut(u32, &Rect, u32, &Rect)>(
+        &self,
+        other: &RectTree,
+        dist: Coord,
+        mut f: F,
+    ) {
+        debug_assert!(dist >= 0, "join distance must be non-negative");
+        if let (Some(a), Some(b)) = (self.root(), other.root()) {
+            self.join_nodes(a, other, b, dist, &mut f);
         }
-        out.sort_unstable();
-        out
     }
+
+    /// [`join_within`](Self::join_within) of the tree with itself: every
+    /// unordered pair of distinct entries within `dist`, once, in tree
+    /// order. An entry is never paired with itself.
+    pub fn self_join_within<F: FnMut(u32, &Rect, u32, &Rect)>(&self, dist: Coord, mut f: F) {
+        debug_assert!(dist >= 0, "join distance must be non-negative");
+        if let Some(root) = self.root() {
+            self.self_join_node(root, dist, &mut f);
+        }
+    }
+
+    fn root(&self) -> Option<usize> {
+        self.nodes.len().checked_sub(1)
+    }
+
+    fn join_nodes<F: FnMut(u32, &Rect, u32, &Rect)>(
+        &self,
+        ai: usize,
+        other: &RectTree,
+        bi: usize,
+        dist: Coord,
+        f: &mut F,
+    ) {
+        let (a, b) = (&self.nodes[ai], &other.nodes[bi]);
+        if !within(&a.bbox, &b.bbox, dist) {
+            return;
+        }
+        if a.leaf && b.leaf {
+            for (ra, p) in self.leaf_entries(a) {
+                for (rb, q) in other.leaf_entries(b) {
+                    if within(ra, rb, dist) {
+                        f(*p, ra, *q, rb);
+                    }
+                }
+            }
+        } else if !a.leaf && (b.leaf || half_perimeter(&a.bbox) >= half_perimeter(&b.bbox)) {
+            // Descend the internal side, or the larger hull of two.
+            for c in a.range() {
+                self.join_nodes(c, other, bi, dist, f);
+            }
+        } else {
+            for c in b.range() {
+                self.join_nodes(ai, other, c, dist, f);
+            }
+        }
+    }
+
+    fn self_join_node<F: FnMut(u32, &Rect, u32, &Rect)>(&self, ni: usize, dist: Coord, f: &mut F) {
+        let n = &self.nodes[ni];
+        if n.leaf {
+            let entries = self.leaf_entries(n);
+            for (k, (ra, p)) in entries.iter().enumerate() {
+                for (rb, q) in &entries[k + 1..] {
+                    if within(ra, rb, dist) {
+                        f(*p, ra, *q, rb);
+                    }
+                }
+            }
+        } else {
+            // Pairs inside each child, then pairs across two siblings.
+            for c in n.range() {
+                self.self_join_node(c, dist, f);
+                for d in c + 1..n.range().end {
+                    self.join_nodes(c, self, d, dist, f);
+                }
+            }
+        }
+    }
+
+    fn leaf_entries(&self, n: &Node) -> &[(Rect, u32)] {
+        &self.entries[n.range()]
+    }
+}
+
+/// The join predicate: `a` inflated by `dist` and `b` touch under the
+/// closed-interval candidate test.
+#[inline]
+fn within(a: &Rect, b: &Rect, dist: Coord) -> bool {
+    a.x0 - dist <= b.x1 && b.x0 <= a.x1 + dist && a.y0 - dist <= b.y1 && b.y0 <= a.y1 + dist
+}
+
+/// Half the perimeter of a hull: the size measure that picks which side
+/// of a join descends first.
+#[inline]
+fn half_perimeter(r: &Rect) -> Coord {
+    (r.x1 - r.x0) + (r.y1 - r.y0)
 }
 
 #[cfg(test)]
@@ -324,21 +424,78 @@ mod tests {
         assert_eq!(a.entries, b.entries, "packing is input-order independent");
     }
 
-    #[test]
-    fn pairs_within_matches_all_pairs() {
-        let items = random_rects(60, 7);
-        let tree = RectTree::build(items.clone());
-        for dist in [0, 3, 10] {
-            let mut expect = Vec::new();
-            for (i, (a, _)) in items.iter().enumerate() {
-                for (j, (b, _)) in items.iter().enumerate().skip(i + 1) {
-                    if near(&a.inflated(dist), b) {
-                        expect.push((i as u32, j as u32));
-                    }
+    /// Brute-force pairs within `dist`, `(i, j)` with `i < j`, sorted.
+    fn all_pairs(a: &[(Rect, u32)], b: &[(Rect, u32)], dist: Coord, same: bool) -> Vec<(u32, u32)> {
+        let mut out = Vec::new();
+        for (ra, p) in a {
+            for (rb, q) in b {
+                if (!same || p < q) && near(&ra.inflated(dist), rb) {
+                    out.push((*p, *q));
                 }
             }
-            expect.sort_unstable();
-            assert_eq!(tree.pairs_within(dist), expect, "dist={dist}");
+        }
+        out.sort_unstable();
+        out
+    }
+
+    /// Random rectangles with every fourth one degenerate (zero width,
+    /// zero height or a point).
+    fn with_degenerates(n: usize, seed: u64) -> Vec<(Rect, u32)> {
+        let mut items = random_rects(n, seed);
+        for (k, (r, _)) in items.iter_mut().enumerate().filter(|(k, _)| k % 4 == 0) {
+            *r = match k % 3 {
+                0 => Rect::new(r.x0, r.y0, r.x0, r.y1),
+                1 => Rect::new(r.x0, r.y0, r.x1, r.y0),
+                _ => Rect::new(r.x0, r.y0, r.x0, r.y0),
+            };
+        }
+        items
+    }
+
+    /// The joins against brute force: empty and one-entry trees, sizes
+    /// around the fan-out, degenerate rectangles, `dist` 0, 3 and 10.
+    /// Every pair comes exactly once, so the sorted output equals the
+    /// sorted brute-force list without deduplication.
+    #[test]
+    fn joins_match_brute_force() {
+        for (n, m) in [
+            (0usize, 0usize),
+            (0, 5),
+            (1, 0),
+            (1, 1),
+            (1, 9),
+            (8, 9),
+            (60, 7),
+            (65, 130),
+        ] {
+            let a = with_degenerates(n, 7 + n as u64);
+            // Payloads of `b` start past `a`'s so the two sides never collide.
+            let b: Vec<(Rect, u32)> = with_degenerates(m, 99 + m as u64)
+                .into_iter()
+                .map(|(r, q)| (r, q + 1000))
+                .collect();
+            let (ta, tb) = (RectTree::build(a.clone()), RectTree::build(b.clone()));
+            for dist in [0, 3, 10] {
+                let mut got = Vec::new();
+                ta.self_join_within(dist, |p, ra, q, rb| {
+                    assert_eq!((ra, rb), (&a[p as usize].0, &a[q as usize].0));
+                    got.push((p.min(q), p.max(q)));
+                });
+                got.sort_unstable();
+                assert_eq!(got, all_pairs(&a, &a, dist, true), "self n={n} dist={dist}");
+
+                let mut got = Vec::new();
+                ta.join_within(&tb, dist, |p, ra, q, rb| {
+                    assert_eq!((ra, rb), (&a[p as usize].0, &b[(q - 1000) as usize].0));
+                    got.push((p, q));
+                });
+                got.sort_unstable();
+                assert_eq!(
+                    got,
+                    all_pairs(&a, &b, dist, false),
+                    "join n={n} m={m} dist={dist}"
+                );
+            }
         }
     }
 
