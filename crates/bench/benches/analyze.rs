@@ -1,56 +1,35 @@
 //! Certification-pass throughput: run the full six-pass analysis —
 //! symbols, kinds, layers, dead code, constants and cost certification
-//! — over the repo's whole DSL corpus (the six embedded stdlib library
-//! sources plus every `examples/*.amg` file, certified as one set with
+//! — over the repo's whole DSL corpus (every embedded stdlib library
+//! source plus every `examples/*.amg` file, certified as one set with
 //! the stdlib loaded as a library) and time one complete sweep.
 //!
 //! Doubles as the CI smoke gate on analysis latency: certifying the
-//! 11+ sources must finish in <= 5 ms per sweep (fastest sample,
-//! release build) — static certification has to stay cheap enough to
-//! run on every `checked_run` admission, or callers will be tempted to
-//! skip it. The bench also sanity-checks the output: every corpus
-//! source certifies finite and error-free, so a regression that makes
-//! the pass trivially refuse everything cannot masquerade as a speedup.
+//! 11+ sources must finish in <= 5 ms per sweep (fastest sample of 25,
+//! release build; the method is [`amgen_bench::sample`]'s, so a sample
+//! is the mean sweep time of a ~10 ms batch) — static certification
+//! has to stay cheap enough to run on every `checked_run` admission, or
+//! callers will be tempted to skip it. The bench also sanity-checks the
+//! output: every corpus source certifies finite and error-free, so a
+//! regression that makes the pass trivially refuse everything cannot
+//! masquerade as a speedup.
 
 use amgen::dsl::stdlib;
 use amgen::lint::{CertifyOptions, CostReport, Diagnostic, Linter};
+use amgen_bench::sample::{fmt_dur, series, Mode};
 use std::hint::black_box;
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
-
-const SAMPLES: usize = 25;
-
-fn fmt_dur(d: Duration) -> String {
-    let ns = d.as_nanos();
-    if ns < 1_000 {
-        format!("{ns} ns")
-    } else if ns < 1_000_000 {
-        format!("{:.2} µs", ns as f64 / 1e3)
-    } else if ns < 1_000_000_000 {
-        format!("{:.2} ms", ns as f64 / 1e6)
-    } else {
-        format!("{:.2} s", ns as f64 / 1e9)
-    }
-}
-
-const STDLIB: &[(&str, &str)] = &[
-    ("stdlib/contact_row", stdlib::FIG2_CONTACT_ROW),
-    ("stdlib/diff_pair", stdlib::FIG7_DIFF_PAIR),
-    ("stdlib/interdigit", stdlib::INTERDIGIT),
-    ("stdlib/stacked", stdlib::STACKED),
-    ("stdlib/centroid", stdlib::CENTROID_PLACEMENT),
-    ("stdlib/variant_row", stdlib::VARIANT_ROW),
-];
+use std::time::Duration;
 
 /// One full corpus sweep: certify the stdlib sources as a set, then the
 /// example files as a set with the stdlib loaded as a library — the
 /// same shape `amgen-lint --certify --stdlib examples/*.amg` runs.
 fn sweep(examples: &[(String, String)]) -> (Vec<Vec<Diagnostic>>, CostReport) {
     let linter = Linter::new().with_certify(CertifyOptions::default());
-    let (mut diags, mut report) = linter.certify_set(STDLIB);
+    let (mut diags, mut report) = linter.certify_set(&stdlib::ALL);
 
     let mut with_lib = Linter::new().with_certify(CertifyOptions::default());
-    for (name, src) in STDLIB {
+    for (name, src) in stdlib::ALL {
         with_lib
             .load(src)
             .unwrap_or_else(|e| panic!("{name} failed to load: {e}"));
@@ -79,7 +58,7 @@ fn main() {
         })
         .collect();
     examples.sort();
-    let sources = STDLIB.len() + examples.len();
+    let sources = stdlib::ALL.len() + examples.len();
     assert!(
         sources >= 11,
         "corpus shrank to {sources} sources (want >= 11)"
@@ -92,7 +71,7 @@ fn main() {
         assert!(!d.is_error(), "corpus no longer certifies clean: {d}");
     }
     let max_variants = amgen::dsl::costmodel::DEFAULT_MAX_VARIANTS;
-    for (cert, (name, _)) in report.tops.iter().skip(STDLIB.len()).zip(&examples) {
+    for (cert, (name, _)) in report.tops.iter().skip(stdlib::ALL.len()).zip(&examples) {
         let cert = cert
             .as_ref()
             .unwrap_or_else(|| panic!("{name}: no certificate"));
@@ -102,21 +81,11 @@ fn main() {
         );
     }
 
-    let mut samples = Vec::with_capacity(SAMPLES);
-    for _ in 0..SAMPLES {
-        let t = Instant::now();
+    let case = format!("certify_corpus_{sources}");
+    let certify = Mode::new(&case, || {
         black_box(sweep(black_box(&examples)));
-        samples.push(t.elapsed());
-    }
-    samples.sort();
-    let (lo, p50, hi) = (samples[0], samples[SAMPLES / 2], samples[SAMPLES - 1]);
-    println!(
-        "{:<50} time: [{} {} {}]",
-        format!("analyze/certify_corpus_{sources}"),
-        fmt_dur(lo),
-        fmt_dur(p50),
-        fmt_dur(hi)
-    );
+    });
+    let lo = series("analyze", 25, &[certify]).fastest(0);
     println!(
         "{:<50} {} entities, {} top-level programs certified per sweep",
         "",

@@ -13,110 +13,15 @@
 //! Doubles as the CI smoke gate on the Fig. 6 path: the miss path must
 //! stay within 2% of plain and a hit must be at least 10x faster — or
 //! the bench exits nonzero. A warm `optimize_order` must likewise be
-//! served at least 10x faster than the cold search. Ratios compare
-//! paired interleaved rounds and the fastest samples (lo/lo) — on a
-//! noisy shared machine the minimum is the reproducible statistic.
+//! served at least 10x faster than the cold search. The method (25
+//! interleaved rounds, min-paired ratio) is [`amgen_bench::sample`]'s.
 
-use amgen::modgen::centroid::{centroid_diff_pair, CentroidParams};
-use amgen::modgen::diffpair::{diff_pair, DiffPairParams};
-use amgen::modgen::{contact_row, ContactRowParams, MosType};
+use amgen::modgen::{contact_row, ContactRowParams};
 use amgen::prelude::*;
+use amgen_bench::sample::{series, Mode};
 use amgen_bench::workloads;
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-const SAMPLES: usize = 25;
-const TARGET_SAMPLE: Duration = Duration::from_millis(10);
-
-fn fmt_dur(d: Duration) -> String {
-    let ns = d.as_nanos();
-    if ns < 1_000 {
-        format!("{ns} ns")
-    } else if ns < 1_000_000 {
-        format!("{:.2} µs", ns as f64 / 1e3)
-    } else if ns < 1_000_000_000 {
-        format!("{:.2} ms", ns as f64 / 1e6)
-    } else {
-        format!("{:.2} s", ns as f64 / 1e9)
-    }
-}
-
-/// Times the labelled closures interleaved — one batch of each per
-/// sample round, rotating the order every round so no mode benefits
-/// from going first under a load ramp — and returns, per mode, the
-/// better (smaller) of (a) the minimum over paired per-round ratios
-/// against mode 0 and (b) the ratio of global fastest samples.
-/// Preemption can inflate either statistic but never deflate it.
-fn series(name: &str, modes: &[(&str, &dyn Fn())]) -> Vec<f64> {
-    let n = modes.len();
-    let mut iters = 1u64;
-    loop {
-        let t = Instant::now();
-        for _ in 0..iters {
-            modes[0].1();
-        }
-        let elapsed = t.elapsed();
-        if elapsed >= TARGET_SAMPLE || iters >= 1 << 20 {
-            break;
-        }
-        let scale = (TARGET_SAMPLE.as_nanos() / elapsed.as_nanos().max(1)).max(2);
-        iters = iters.saturating_mul(scale as u64).min(1 << 20);
-    }
-    let mut samples: Vec<Vec<Duration>> = vec![Vec::new(); n];
-    let mut ratios = vec![f64::INFINITY; n];
-    for r in 0..SAMPLES {
-        let mut round = vec![Duration::ZERO; n];
-        for i in 0..n {
-            let k = (r + i) % n;
-            let t = Instant::now();
-            for _ in 0..iters {
-                modes[k].1();
-            }
-            round[k] = t.elapsed() / iters as u32;
-            samples[k].push(round[k]);
-        }
-        let base = round[0].as_nanos().max(1) as f64;
-        for k in 1..n {
-            ratios[k] = ratios[k].min(round[k].as_nanos() as f64 / base);
-        }
-    }
-    let lo = |k: usize| samples[k].iter().min().unwrap().as_nanos().max(1) as f64;
-    for (k, r) in ratios.iter_mut().enumerate().skip(1) {
-        *r = r.min(lo(k) / lo(0));
-    }
-    for (k, (mode, _)) in modes.iter().enumerate() {
-        samples[k].sort();
-        println!(
-            "{:<50} time: [{} {} {}]",
-            format!("cache/{name}/{mode}"),
-            fmt_dur(samples[k][0]),
-            fmt_dur(samples[k][SAMPLES / 2]),
-            fmt_dur(samples[k][SAMPLES - 1])
-        );
-    }
-    for k in 1..n {
-        let r = ratios[k];
-        if r < 1.0 {
-            println!(
-                "{:<50} {}: {:.1}x faster than {} (min paired)",
-                "",
-                modes[k].0,
-                1.0 / r,
-                modes[0].0
-            );
-        } else {
-            println!(
-                "{:<50} {}: {:+.1}% over {} (min paired)",
-                "",
-                modes[k].0,
-                (r - 1.0) * 100.0,
-                modes[0].0
-            );
-        }
-    }
-    ratios
-}
 
 /// Runs one generator workload in plain / miss / hit modes; returns
 /// `(miss_ratio, hit_ratio)` relative to plain.
@@ -126,13 +31,15 @@ fn gen_series(name: &str, tech: &Tech, run: &dyn Fn(&GenCtx)) -> (f64, f64) {
     let miss_ctx = GenCtx::from_tech(tech).with_cache(Arc::clone(&cache));
     let hit_ctx = GenCtx::from_tech(tech).with_default_cache();
     run(&hit_ctx); // warm
-    let plain = || run(&plain_ctx);
-    let miss = || {
-        cache.clear();
-        run(&miss_ctx)
-    };
-    let hit = || run(&hit_ctx);
-    let r = series(name, &[("plain", &plain), ("miss", &miss), ("hit", &hit)]);
+    let modes = [
+        Mode::new("plain", || run(&plain_ctx)),
+        Mode::new("miss", || {
+            cache.clear();
+            run(&miss_ctx)
+        }),
+        Mode::new("hit", || run(&hit_ctx)),
+    ];
+    let r = series(&format!("cache/{name}"), 25, &modes).ratios;
     (r[1], r[2])
 }
 
@@ -148,14 +55,10 @@ fn main() {
         );
     });
     let (fig06_miss, fig06_hit) = gen_series("fig06_diff_pair", &tech, &|ctx| {
-        let p = DiffPairParams::new(MosType::P).with_w(um(10)).with_l(um(2));
-        black_box(diff_pair(ctx, &p).unwrap().len());
+        black_box(workloads::fig6_pair(ctx).len());
     });
     gen_series("fig10_centroid", &tech, &|ctx| {
-        let p = CentroidParams::paper(MosType::N)
-            .with_w(um(6))
-            .with_l(um(1));
-        black_box(centroid_diff_pair(ctx, &p).unwrap().len());
+        black_box(workloads::fig10_centroid(ctx).len());
     });
 
     // The precomputed-variant table: a warm optimize_order against the
@@ -190,23 +93,22 @@ fn main() {
     warm_opt
         .optimize_order(&steps, SearchOptions::default())
         .unwrap();
-    let search = || {
+    let search = Mode::new("search", || {
         cold_cache.clear();
         let r = cold_opt
             .optimize_order(&steps, SearchOptions::default())
             .unwrap();
         assert!(!r.cached);
         black_box(r.rating.score);
-    };
-    let warm = || {
+    });
+    let warm = Mode::new("warm", || {
         let r = warm_opt
             .optimize_order(&steps, SearchOptions::default())
             .unwrap();
         assert!(r.cached);
         black_box(r.rating.score);
-    };
-    let r = series("optimize_order", &[("search", &search), ("warm", &warm)]);
-    let opt_warm = r[1];
+    });
+    let opt_warm = series("cache/optimize_order", 25, &[search, warm]).ratios[1];
 
     // CI smoke: the cache must be near-free when it cannot help and
     // decisively fast when it can.

@@ -25,112 +25,16 @@
 //! * a one-shot parity audit: indexed DRC and extraction must be
 //!   byte-identical to the linear-scan baselines on the chip.
 //!
-//! Ratios compare paired interleaved rounds and the fastest samples
-//! (lo/lo) — on a noisy shared machine the minimum is the reproducible
-//! statistic. The bench asserts and exits nonzero on any miss.
+//! The method (25 interleaved rounds, min-paired ratio) is
+//! [`amgen_bench::sample`]'s. The bench asserts and exits nonzero on any
+//! miss.
 
 use amgen::drc::latchup;
 use amgen::prelude::*;
+use amgen_bench::sample::{fitted_exponent, fmt_dur, series, Mode};
 use amgen_bench::workloads;
 use std::hint::black_box;
-use std::time::{Duration, Instant};
-
-const SAMPLES: usize = 25;
-const TARGET_SAMPLE: Duration = Duration::from_millis(10);
-
-fn fmt_dur(d: Duration) -> String {
-    let ns = d.as_nanos();
-    if ns < 1_000 {
-        format!("{ns} ns")
-    } else if ns < 1_000_000 {
-        format!("{:.2} µs", ns as f64 / 1e3)
-    } else if ns < 1_000_000_000 {
-        format!("{:.2} ms", ns as f64 / 1e6)
-    } else {
-        format!("{:.2} s", ns as f64 / 1e9)
-    }
-}
-
-/// Times the labelled closures interleaved (order rotated per round).
-/// Returns per-mode sorted samples and, per mode, the better (smaller)
-/// of (a) the minimum over paired per-round ratios against mode 0 and
-/// (b) the ratio of global fastest samples.
-fn series(name: &str, modes: &[(&str, &dyn Fn())]) -> (Vec<Vec<Duration>>, Vec<f64>) {
-    let n = modes.len();
-    let mut iters = 1u64;
-    loop {
-        let t = Instant::now();
-        for _ in 0..iters {
-            modes[0].1();
-        }
-        let elapsed = t.elapsed();
-        if elapsed >= TARGET_SAMPLE || iters >= 1 << 20 {
-            break;
-        }
-        let scale = (TARGET_SAMPLE.as_nanos() / elapsed.as_nanos().max(1)).max(2);
-        iters = iters.saturating_mul(scale as u64).min(1 << 20);
-    }
-    let mut samples: Vec<Vec<Duration>> = vec![Vec::new(); n];
-    let mut ratios = vec![f64::INFINITY; n];
-    for r in 0..SAMPLES {
-        let mut round = vec![Duration::ZERO; n];
-        for i in 0..n {
-            let k = (r + i) % n;
-            let t = Instant::now();
-            for _ in 0..iters {
-                modes[k].1();
-            }
-            round[k] = t.elapsed() / iters as u32;
-            samples[k].push(round[k]);
-        }
-        let base = round[0].as_nanos().max(1) as f64;
-        for k in 1..n {
-            ratios[k] = ratios[k].min(round[k].as_nanos() as f64 / base);
-        }
-    }
-    let lo = |k: usize| samples[k].iter().min().unwrap().as_nanos().max(1) as f64;
-    for (k, r) in ratios.iter_mut().enumerate().skip(1) {
-        *r = r.min(lo(k) / lo(0));
-    }
-    for (k, (mode, _)) in modes.iter().enumerate() {
-        samples[k].sort();
-        println!(
-            "{:<50} time: [{} {} {}]",
-            format!("chip/{name}/{mode}"),
-            fmt_dur(samples[k][0]),
-            fmt_dur(samples[k][SAMPLES / 2]),
-            fmt_dur(samples[k][SAMPLES - 1])
-        );
-    }
-    for k in 1..n {
-        let r = ratios[k];
-        if r < 1.0 {
-            println!(
-                "{:<50} {}: {:.1}x faster than {} (min paired)",
-                "",
-                modes[k].0,
-                1.0 / r,
-                modes[0].0
-            );
-        }
-    }
-    (samples, ratios)
-}
-
-/// Least-squares slope of `ln(time)` against `ln(n)` — the empirical
-/// growth exponent of a series.
-fn fitted_exponent(points: &[(f64, f64)]) -> f64 {
-    let n = points.len() as f64;
-    let (mut sx, mut sy, mut sxx, mut sxy) = (0.0, 0.0, 0.0, 0.0);
-    for &(x, y) in points {
-        let (lx, ly) = (x.ln(), y.ln());
-        sx += lx;
-        sy += ly;
-        sxx += lx * lx;
-        sxy += lx * ly;
-    }
-    (n * sxy - sx * sy) / (n * sxx - sx * sx)
-}
+use std::time::Duration;
 
 fn main() {
     let tech = workloads::tech();
@@ -142,19 +46,16 @@ fn main() {
     for n in [8usize, 16, 32, 64, 128] {
         let obj = workloads::latchup_workload(&tech, n, 3);
         obj.spatial_index(); // the persistent index is built once
-        let scan = || {
+        let scan = Mode::new("scan", || {
             black_box(latchup::latchup_remainder_scan(&ctx, &obj).len());
-        };
-        let indexed = || {
+        });
+        let indexed = Mode::new("indexed", || {
             black_box(latchup::latchup_remainder(&ctx, &obj).len());
-        };
-        let (samples, ratios) = series(
-            &format!("latchup_{n}"),
-            &[("scan", &scan), ("indexed", &indexed)],
-        );
-        indexed_points.push((n as f64, samples[1][0].as_nanos() as f64));
+        });
+        let s = series(&format!("chip/latchup_{n}"), 25, &[scan, indexed]);
+        indexed_points.push((n as f64, s.fastest(1).as_nanos() as f64));
         if n == 128 {
-            speedup_128 = 1.0 / ratios[1];
+            speedup_128 = 1.0 / s.ratios[1];
         }
     }
     let exponent = fitted_exponent(&indexed_points);
@@ -165,11 +66,10 @@ fn main() {
 
     // ---- chip assembly: prototype built once, replication measured ---
     let proto = workloads::chip_prototype(&tech);
-    let assemble10 = || {
+    let assemble10 = Mode::new("assemble", || {
         black_box(workloads::fig_chip(&tech, &proto, 10).len());
-    };
-    let (samples, _) = series("fig_chip_10x", &[("assemble", &assemble10)]);
-    let chip_p50 = samples[0][SAMPLES / 2];
+    });
+    let chip_p50 = series("chip/fig_chip_10x", 25, &[assemble10]).median(0);
 
     // ---- connectivity and DRC scaling over the tile count -------------
     let ex = Extractor::new(&ctx);
@@ -184,19 +84,19 @@ fn main() {
         // Pin the memo to the other deck: every `connectivity` call
         // below runs the extraction kernel.
         chip.spatial_index().components(other_deck, Vec::new);
-        let extract = || {
+        let extract = Mode::new("indexed", || {
             black_box(ex.connectivity(&chip).len());
-        };
-        let (samples, _) = series(&format!("connectivity_{tiles}"), &[("indexed", &extract)]);
-        connectivity_points.push((chip.len() as f64, samples[0][0].as_nanos() as f64));
+        });
+        let s = series(&format!("chip/connectivity_{tiles}"), 25, &[extract]);
+        connectivity_points.push((chip.len() as f64, s.fastest(0).as_nanos() as f64));
 
         let chip = workloads::fig_chip(&tech, &proto, tiles);
         ex.connectivity(&chip); // index and extraction memo warm
-        let check = || {
+        let check = Mode::new("indexed", || {
             black_box(drc.check(&chip).len());
-        };
-        let (samples, _) = series(&format!("drc_{tiles}"), &[("indexed", &check)]);
-        drc_points.push((chip.len() as f64, samples[0][0].as_nanos() as f64));
+        });
+        let s = series(&format!("chip/drc_{tiles}"), 25, &[check]);
+        drc_points.push((chip.len() as f64, s.fastest(0).as_nanos() as f64));
     }
     let connectivity_exponent = fitted_exponent(&connectivity_points);
     println!(

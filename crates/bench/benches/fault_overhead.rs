@@ -11,34 +11,17 @@
 //!
 //! Doubles as the CI smoke gate: the budget-armed Fig. 6 generator must
 //! stay within 2% of plain (and hooked within 5%), or the bench exits
-//! nonzero. Ratios compare the **fastest** samples (lo/lo) — on a noisy
-//! shared machine the minimum is the reproducible statistic.
+//! nonzero. The method (25 interleaved rounds, min-paired ratio) is
+//! [`amgen_bench::sample`]'s.
 
 use amgen::drc::latchup::check_latchup;
 use amgen::faults::FaultPlan;
-use amgen::modgen::centroid::{centroid_diff_pair, CentroidParams};
-use amgen::modgen::diffpair::{diff_pair, DiffPairParams};
-use amgen::modgen::{contact_row, ContactRowParams, MosType};
+use amgen::modgen::{contact_row, ContactRowParams};
 use amgen::prelude::*;
+use amgen_bench::sample::{self, Mode};
 use amgen_bench::workloads;
 use std::hint::black_box;
-use std::time::{Duration, Instant};
-
-const SAMPLES: usize = 25;
-const TARGET_SAMPLE: Duration = Duration::from_millis(10);
-
-fn fmt_dur(d: Duration) -> String {
-    let ns = d.as_nanos();
-    if ns < 1_000 {
-        format!("{ns} ns")
-    } else if ns < 1_000_000 {
-        format!("{:.2} µs", ns as f64 / 1e3)
-    } else if ns < 1_000_000_000 {
-        format!("{:.2} ms", ns as f64 / 1e6)
-    } else {
-        format!("{:.2} s", ns as f64 / 1e9)
-    }
-}
+use std::time::Duration;
 
 /// A budget generous enough that nothing in a figure workload ever
 /// trips it — armed so every charge and checkpoint does its real work.
@@ -53,81 +36,17 @@ fn generous_budget() -> Budget {
 
 /// Runs one workload on a plain, a budget-armed, and a hooked context;
 /// returns the (budget/plain, hooked/plain) overhead ratios.
-///
-/// The three modes are timed **interleaved** — one batch of each per
-/// sample round, in an order that rotates every round so no mode
-/// systematically benefits from being measured first under a load ramp
-/// — and the reported ratio is the better of (a) the minimum over the
-/// paired rounds and (b) the ratio of the global fastest samples: a
-/// single clean round suffices for an accurate overhead reading, while
-/// preemption can only inflate, never deflate, it.
 fn series(name: &str, tech: &Tech, run: &dyn Fn(&GenCtx)) -> (f64, f64) {
-    let modes: [(&str, GenCtx); 3] = [
-        ("plain", GenCtx::from_tech(tech)),
-        (
-            "budget",
-            GenCtx::from_tech(tech).with_budget(generous_budget()),
-        ),
-        (
-            "hooked",
-            GenCtx::from_tech(tech).with_faults(FaultPlan::new(0).build().1),
-        ),
+    let plain = GenCtx::from_tech(tech);
+    let budget = GenCtx::from_tech(tech).with_budget(generous_budget());
+    let hooked = GenCtx::from_tech(tech).with_faults(FaultPlan::new(0).build().1);
+    let modes = [
+        Mode::new("plain", || run(&plain)),
+        Mode::new("budget", || run(&budget)),
+        Mode::new("hooked", || run(&hooked)),
     ];
-    // Size the batch on the plain context.
-    let mut iters = 1u64;
-    loop {
-        let t = Instant::now();
-        for _ in 0..iters {
-            run(&modes[0].1);
-        }
-        let elapsed = t.elapsed();
-        if elapsed >= TARGET_SAMPLE || iters >= 1 << 20 {
-            break;
-        }
-        let scale = (TARGET_SAMPLE.as_nanos() / elapsed.as_nanos().max(1)).max(2);
-        iters = iters.saturating_mul(scale as u64).min(1 << 20);
-    }
-    let mut samples: [Vec<Duration>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-    let mut budget = f64::INFINITY;
-    let mut hooked = f64::INFINITY;
-    for r in 0..SAMPLES {
-        let mut round = [Duration::ZERO; 3];
-        for i in 0..3 {
-            let k = (r + i) % 3;
-            let ctx = &modes[k].1;
-            let t = Instant::now();
-            for _ in 0..iters {
-                run(ctx);
-            }
-            round[k] = t.elapsed() / iters as u32;
-            samples[k].push(round[k]);
-        }
-        let base = round[0].as_nanos().max(1) as f64;
-        budget = budget.min(round[1].as_nanos() as f64 / base);
-        hooked = hooked.min(round[2].as_nanos() as f64 / base);
-    }
-    // Second noise-robust candidate: the ratio of the global fastest
-    // samples (each mode's minimum is its least-preempted batch).
-    let lo = |k: usize| samples[k].iter().min().unwrap().as_nanos().max(1) as f64;
-    budget = budget.min(lo(1) / lo(0));
-    hooked = hooked.min(lo(2) / lo(0));
-    for (k, (mode, _)) in modes.iter().enumerate() {
-        samples[k].sort();
-        println!(
-            "{:<50} time: [{} {} {}]",
-            format!("faults/{name}/{mode}"),
-            fmt_dur(samples[k][0]),
-            fmt_dur(samples[k][SAMPLES / 2]),
-            fmt_dur(samples[k][SAMPLES - 1])
-        );
-    }
-    println!(
-        "{:<50} {:+.1}% budget-armed / {:+.1}% hooked overhead (min paired)",
-        "",
-        (budget - 1.0) * 100.0,
-        (hooked - 1.0) * 100.0
-    );
-    (budget, hooked)
+    let r = sample::series(&format!("faults/{name}"), 25, &modes).ratios;
+    (r[1], r[2])
 }
 
 fn main() {
@@ -146,14 +65,10 @@ fn main() {
         );
     });
     let (fig06_budget, fig06_hooked) = series("fig06_diff_pair", &tech, &|ctx| {
-        let p = DiffPairParams::new(MosType::P).with_w(um(10)).with_l(um(2));
-        black_box(diff_pair(ctx, &p).unwrap().len());
+        black_box(workloads::fig6_pair(ctx).len());
     });
     series("fig10_centroid", &tech, &|ctx| {
-        let p = CentroidParams::paper(MosType::N)
-            .with_w(um(6))
-            .with_l(um(1));
-        black_box(centroid_diff_pair(ctx, &p).unwrap().len());
+        black_box(workloads::fig10_centroid(ctx).len());
     });
 
     // CI smoke: the robustness layer must stay free when disarmed and

@@ -1,147 +1,41 @@
-//! Tracing overhead: each figure workload is timed twice on the same
-//! shared `GenCtx` — once with the sink disabled (the shipping default:
-//! every probe is one relaxed atomic load) and once recording — and the
-//! pair is printed side by side with the measured overhead.
+//! Tracing overhead: each figure workload is timed on three contexts —
+//! the sink disabled (the shipping default: every probe is one relaxed
+//! atomic load), recording at `Detail::Coarse` and at `Detail::Fine` —
+//! and printed side by side with the measured overhead. Each mode drains
+//! its sink after every batch, off the clock: the number reported is the
+//! cost of *recording*, since the exporters run once per process in real
+//! use.
 //!
 //! Doubles as the CI smoke gate: the traced Fig. 6 generator must stay
-//! within 10% of the untraced one, or the bench exits nonzero.
-//!
-//! Measurement matches the stub-criterion loop (warm-up sizes a ~10 ms
-//! batch, then `SAMPLES` batches; median per-iteration time), but is
-//! hand-rolled so the two series can be compared programmatically. The
-//! recording run drains the sink between samples (off the clock) — the
-//! number reported is the cost of *recording*, the exporters run once
-//! per process in real use.
-//!
-//! The three tracing levels are timed **interleaved** — one batch of
-//! each per sample round, in an order that rotates every round — so a
-//! load ramp on a noisy shared machine hits all modes alike instead of
-//! systematically penalizing whichever series runs last. The smoke
-//! ratio is the better of (a) the minimum over the paired rounds and
-//! (b) the ratio of the global fastest samples: one clean round
-//! suffices, and preemption can only inflate an overhead reading,
-//! never deflate it. (The old back-to-back measurement made this gate
-//! the flakiest in CI.)
+//! within 10% of the untraced one, or the bench exits nonzero. The
+//! method (15 interleaved rounds, min-paired ratio) is
+//! [`amgen_bench::sample`]'s.
 
 use amgen::drc::latchup::check_latchup;
-use amgen::modgen::centroid::{centroid_diff_pair, CentroidParams};
-use amgen::modgen::diffpair::{diff_pair, DiffPairParams};
-use amgen::modgen::{contact_row, ContactRowParams, MosType};
-use amgen::opt::{Optimizer, RatingWeights, SearchOptions, Step};
+use amgen::modgen::{contact_row, ContactRowParams};
+use amgen::opt::{Optimizer, RatingWeights, SearchOptions};
 use amgen::prelude::*;
+use amgen_bench::sample::{self, Mode};
 use amgen_bench::workloads;
 use std::hint::black_box;
-use std::time::{Duration, Instant};
 
-const SAMPLES: usize = 15;
-const TARGET_SAMPLE: Duration = Duration::from_millis(10);
-
-fn fmt_dur(d: Duration) -> String {
-    let ns = d.as_nanos();
-    if ns < 1_000 {
-        format!("{ns} ns")
-    } else if ns < 1_000_000 {
-        format!("{:.2} µs", ns as f64 / 1e3)
-    } else if ns < 1_000_000_000 {
-        format!("{:.2} ms", ns as f64 / 1e6)
-    } else {
-        format!("{:.2} s", ns as f64 / 1e9)
-    }
-}
-
-/// Runs one workload at each tracing level, interleaved in rotating
-/// order, and returns the coarse-traced/untraced overhead ratio (the
-/// better of min-paired-round and global-fastest — see the module
-/// docs). The workload receives the context to generate with.
+/// Runs one workload at each tracing level and returns the
+/// coarse-traced/untraced ratio. The workload receives the context to
+/// generate with.
 fn series(name: &str, tech: &Tech, run: &dyn Fn(&GenCtx)) -> f64 {
-    let modes: [(&str, GenCtx); 3] = [
-        (
-            "untraced",
-            GenCtx::from_tech(tech).with_tracing_at(Detail::Off),
-        ),
-        (
-            "traced",
-            GenCtx::from_tech(tech).with_tracing_at(Detail::Coarse),
-        ),
-        (
-            "traced_fine",
-            GenCtx::from_tech(tech).with_tracing_at(Detail::Fine),
-        ),
+    let levels = [
+        ("untraced", Detail::Off),
+        ("traced", Detail::Coarse),
+        ("traced_fine", Detail::Fine),
     ];
-    // Size the batch on the untraced context.
-    let mut iters = 1u64;
-    loop {
-        let t = Instant::now();
-        for _ in 0..iters {
-            run(&modes[0].1);
-        }
-        let elapsed = t.elapsed();
-        if elapsed >= TARGET_SAMPLE || iters >= 1 << 20 {
-            break;
-        }
-        let scale = (TARGET_SAMPLE.as_nanos() / elapsed.as_nanos().max(1)).max(2);
-        iters = iters.saturating_mul(scale as u64).min(1 << 20);
-    }
-    let mut samples: [Vec<Duration>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-    let mut coarse = f64::INFINITY;
-    let mut fine = f64::INFINITY;
-    for r in 0..SAMPLES {
-        let mut round = [Duration::ZERO; 3];
-        for i in 0..3 {
-            let k = (r + i) % 3;
-            let ctx = &modes[k].1;
-            let t = Instant::now();
-            for _ in 0..iters {
-                run(ctx);
-            }
-            round[k] = t.elapsed() / iters as u32;
-            samples[k].push(round[k]);
-            // Drain the sink off the clock: the number reported is the
-            // cost of *recording*, exporters run once per process.
-            black_box(ctx.trace.drain().events.len());
-        }
-        let base = round[0].as_nanos().max(1) as f64;
-        coarse = coarse.min(round[1].as_nanos() as f64 / base);
-        fine = fine.min(round[2].as_nanos() as f64 / base);
-    }
-    // Second noise-robust candidate: the ratio of the global fastest
-    // samples (each mode's minimum is its least-preempted batch).
-    let lo = |k: usize| samples[k].iter().min().unwrap().as_nanos().max(1) as f64;
-    coarse = coarse.min(lo(1) / lo(0));
-    fine = fine.min(lo(2) / lo(0));
-    for (k, (mode, _)) in modes.iter().enumerate() {
-        samples[k].sort();
-        println!(
-            "{:<50} time: [{} {} {}]",
-            format!("trace/{name}/{mode}"),
-            fmt_dur(samples[k][0]),
-            fmt_dur(samples[k][SAMPLES / 2]),
-            fmt_dur(samples[k][SAMPLES - 1])
-        );
-    }
-    println!(
-        "{:<50} {:+.1}% coarse / {:+.1}% fine recording overhead (min paired)",
-        "",
-        (coarse - 1.0) * 100.0,
-        (fine - 1.0) * 100.0
-    );
-    coarse
-}
-
-/// The opt_order bench's L-shape workload at `k` movable squares.
-fn opt_steps(tech: &Tech, k: usize) -> Vec<Step> {
-    let poly = tech.layer("poly").unwrap();
-    let mut seed = LayoutObject::new("L");
-    seed.push(Shape::new(poly, Rect::new(0, 0, um(1), um(8))));
-    seed.push(Shape::new(poly, Rect::new(0, 0, um(8), um(1))));
-    let mut out = vec![Step::new(seed, Dir::East, CompactOptions::new())];
-    for i in 0..k {
-        let y0 = (i as i64 % 3) * um(3);
-        let mut sq = LayoutObject::new("sq");
-        sq.push(Shape::new(poly, Rect::new(0, y0, um(2), y0 + um(2))));
-        out.push(Step::new(sq, Dir::East, CompactOptions::new()));
-    }
-    out
+    let modes = levels.map(|(mode, detail)| {
+        let ctx = GenCtx::from_tech(tech).with_tracing_at(detail);
+        let sink = ctx.trace.clone();
+        Mode::new(mode, move || run(&ctx)).off_clock(move || {
+            black_box(sink.drain().events.len());
+        })
+    });
+    sample::series(&format!("trace/{name}"), 15, &modes).ratios[1]
 }
 
 fn main() {
@@ -160,16 +54,12 @@ fn main() {
         );
     });
     let fig06 = series("fig06_diff_pair", &tech, &|ctx| {
-        let p = DiffPairParams::new(MosType::P).with_w(um(10)).with_l(um(2));
-        black_box(diff_pair(ctx, &p).unwrap().len());
+        black_box(workloads::fig6_pair(ctx).len());
     });
     series("fig10_centroid", &tech, &|ctx| {
-        let p = CentroidParams::paper(MosType::N)
-            .with_w(um(6))
-            .with_l(um(1));
-        black_box(centroid_diff_pair(ctx, &p).unwrap().len());
+        black_box(workloads::fig10_centroid(ctx).len());
     });
-    let steps = opt_steps(&tech, 4);
+    let steps = workloads::opt_steps(&tech, 4);
     series("opt_order_k4", &tech, &|ctx| {
         let opt = Optimizer::new(ctx, RatingWeights::default());
         let r = opt

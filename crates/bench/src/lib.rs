@@ -1,4 +1,6 @@
-//! Criterion benches live in `benches/`; this library hosts shared
-//! workload helpers.
+//! Benches live in `benches/`; this library hosts what they share: the
+//! figure workloads ([`workloads`]) and the sampler the CI-gated benches
+//! time with ([`sample`]).
 
+pub mod sample;
 pub mod workloads;

@@ -65,6 +65,23 @@ pub fn fig10_centroid(ctx: &GenCtx) -> LayoutObject {
     .unwrap()
 }
 
+/// The L-shape-with-notch workload where compaction order matters (see
+/// `amgen-opt`'s tests), extended to `k` movable squares.
+pub fn opt_steps(tech: &Tech, k: usize) -> Vec<Step> {
+    let poly = tech.layer("poly").unwrap();
+    let mut seed = LayoutObject::new("L");
+    seed.push(Shape::new(poly, Rect::new(0, 0, um(1), um(8))));
+    seed.push(Shape::new(poly, Rect::new(0, 0, um(8), um(1))));
+    let mut out = vec![Step::new(seed, Dir::East, CompactOptions::new())];
+    for i in 0..k {
+        let y0 = (i as i64 % 3) * um(3);
+        let mut sq = LayoutObject::new("sq");
+        sq.push(Shape::new(poly, Rect::new(0, y0, um(2), y0 + um(2))));
+        out.push(Step::new(sq, Dir::East, CompactOptions::new()));
+    }
+    out
+}
+
 /// The prototype tile for the chip workload: the full Fig. 9 amplifier
 /// (blocks A–F with guard rings and routing), generated once through a
 /// cache-aware context. Chip assembly replicates this object — the
@@ -123,6 +140,7 @@ mod tests {
         assert!(rows[1].bbox().width() > rows[0].bbox().width());
         assert!(!fig6_pair(&ctx).is_empty());
         assert!(!fig10_centroid(&ctx).is_empty());
+        assert_eq!(opt_steps(&t, 4).len(), 5);
     }
 
     #[test]

@@ -102,8 +102,8 @@ pub mod prelude {
     pub use amgen_compact::{CompactOptions, Compactor};
     pub use amgen_core::{
         Budget, CachedModule, CancelToken, CanonParam, FaultAction, FaultHook, FaultSite, GenCache,
-        GenCtx, GenError, GenErrorKind, GenKey, GenOptions, GenResult, Metrics, MetricsSnapshot,
-        Resource, Stage,
+        GenCtx, GenError, GenErrorKind, GenKey, GenResult, Metrics, MetricsSnapshot, Resource,
+        Stage,
     };
     pub use amgen_db::{LayoutObject, Port, Shape, ShapeRole};
     pub use amgen_drc::Drc;

@@ -174,9 +174,6 @@ impl BenchmarkGroup<'_> {
     pub fn finish(self) {}
 }
 
-/// Re-export for benches that use `criterion::black_box`.
-pub use std::hint::black_box;
-
 /// Declares a group of benchmark functions.
 #[macro_export]
 macro_rules! criterion_group {

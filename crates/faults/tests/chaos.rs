@@ -15,6 +15,7 @@ use std::time::Duration;
 
 use amgen::amp::{build_amplifier, build_amplifier_cmos};
 use amgen::compact::CompactError;
+use amgen::dsl::stdlib;
 use amgen::modgen::baseline::contact_row_by_coordinates;
 use amgen::modgen::bipolar::{bipolar_npn, bipolar_pair, NpnParams};
 use amgen::modgen::capacitor::{mos_capacitor, MosCapParams};
@@ -460,21 +461,25 @@ const ENTRY_POINTS: [(&str, Entry); 34] = [
     ("build_amplifier", |c| done(build_amplifier(c))),
     ("build_amplifier_cmos", |c| done(build_amplifier_cmos(c))),
     ("Interpreter::run", |c| {
-        done(Interpreter::new(c.clone()).run("x = 1\n"))
+        let mut interp = Interpreter::new(c.clone());
+        done(interp.load(stdlib::FIG2_CONTACT_ROW))?;
+        done(interp.run("row = ContactRow(layer = \"poly\")\n"))
     }),
 ];
 
 /// A limit armed on a context holds in every stage the context reaches.
 /// Each entry point first runs on a live context (it must succeed), then
 /// again under each limit: a cancelled token, a compaction-step or fuel
-/// budget one below what the live run used, and an expired wall
-/// deadline. No entry point finishes, and each reports the typed limit —
-/// except the optimizer under the deadline, which by design returns its
-/// incumbent flagged `degraded`.
+/// budget one below what the live run used, a recursion cap of 0 (only
+/// entity calls fail under it) and an expired wall deadline. No entry
+/// point finishes, and each reports the typed limit — except the
+/// optimizer, which by design returns its incumbent flagged `degraded`
+/// under the deadline and a best-effort result flagged incomplete under
+/// a node cap one below what the live search expanded.
 #[test]
 fn a_cancelled_context_stops_every_entry_point() {
     let t = tech();
-    let (mut compacting, mut fuelled) = (0, 0);
+    let (mut compacting, mut fuelled, mut recursing) = (0, 0, 0);
     for (name, entry) in ENTRY_POINTS {
         let live = GenCtx::from_tech(&t);
         if let Err(e) = entry(&live) {
@@ -506,11 +511,28 @@ fn a_cancelled_context_stops_every_entry_point() {
                 Resource::DslFuel,
             );
         }
+        let shallow = Budget::unlimited().with_max_recursion(0);
+        if let Err(e) = entry(&GenCtx::from_tech(&t).with_budget(shallow)) {
+            recursing += 1;
+            assert_eq!(
+                e.kind,
+                GenErrorKind::BudgetExhausted(Resource::Recursion),
+                "{name}: {e}"
+            );
+        }
         let expired = Budget::unlimited().with_wall(Duration::ZERO);
         if name == "Optimizer::optimize_order" {
             let r = optimize_two_steps(&GenCtx::from_tech(&t).with_budget(expired));
             assert!(
                 r.expect("the optimizer degrades, not fails").degraded,
+                "{name}"
+            );
+            let explored = optimize_two_steps(&GenCtx::from_tech(&t)).unwrap().explored;
+            let capped = Budget::unlimited().with_max_opt_nodes(explored as u64 - 1);
+            let r = optimize_two_steps(&GenCtx::from_tech(&t).with_budget(capped));
+            assert!(
+                !r.expect("the optimizer returns its best effort, not an error")
+                    .complete,
                 "{name}"
             );
         } else {
@@ -524,8 +546,8 @@ fn a_cancelled_context_stops_every_entry_point() {
         }
     }
     assert_eq!(
-        (compacting, fuelled),
-        (18, 1),
-        "entries that compact / burn fuel"
+        (compacting, fuelled, recursing),
+        (18, 1, 1),
+        "entries that compact / burn fuel / call an entity"
     );
 }

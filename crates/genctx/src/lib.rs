@@ -5,8 +5,8 @@
 //! routing, the module library, the language interpreter and the order
 //! optimizer — is design-rule driven: rule lookup is the innermost loop
 //! of the whole system. [`GenCtx`] packages the compiled, immutable
-//! [`RuleSet`] kernel together with generation options and cheap atomic
-//! [`Metrics`] so that all stages consume *one* shared context:
+//! [`RuleSet`] kernel together with cheap atomic [`Metrics`] so that all
+//! stages consume *one* shared context:
 //!
 //! * `rules` is an [`Arc<RuleSet>`] — cloning a `GenCtx` (for a parallel
 //!   search worker, say) bumps a reference count instead of deep-cloning
@@ -15,8 +15,7 @@
 //!   anywhere a `&Tech` query used to;
 //! * `metrics` carries relaxed atomic per-stage counters (objects
 //!   placed, group rebuilds, DRC checks, optimizer search statistics,
-//!   wall time per stage) plus the kernel's rule-query counter,
-//!   surfaced via [`GenCtx::snapshot`];
+//!   wall time per stage), surfaced via [`GenCtx::snapshot`];
 //! * `trace` carries a shared [`TraceSink`] recording structured span /
 //!   instant events per stage — disabled by default (one branch per
 //!   call site), switched on with [`GenCtx::with_tracing`] and drained
@@ -62,14 +61,6 @@ pub use robust::{
     GenResult, Limits, Resource,
 };
 pub use snapshot::{SnapshotError, SnapshotStats};
-
-/// Options that apply to a whole generation run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GenOptions {
-    /// Count every rule query in the kernel (off by default; the counter
-    /// costs one relaxed atomic add per query when enabled).
-    pub count_rule_queries: bool,
-}
 
 /// The pipeline stages instrumented by [`Metrics`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -242,9 +233,7 @@ impl Metrics {
         self.stage_nanos[stage as usize].load(Ordering::Relaxed)
     }
 
-    /// Reads every counter into a [`MetricsSnapshot`]. The kernel's
-    /// `rule_queries` counter lives on the `RuleSet`, not here, so it
-    /// stays 0 — [`GenCtx::snapshot`] fills it in.
+    /// Reads every counter into a [`MetricsSnapshot`].
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut stage_nanos = [0u64; Stage::ALL.len()];
         for (slot, stage) in stage_nanos.iter_mut().zip(Stage::ALL) {
@@ -357,7 +346,9 @@ impl Drop for StageGuard<'_> {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
-    /// Rule queries answered by the kernel (0 unless counting was on).
+    /// Always 0: the kernel counts no rule queries. The field stays only
+    /// because the end-to-end benchmark's replay (`e2e-bench/src/replay.rs`)
+    /// assigns it; the benchmark change that stops doing so removes both.
     pub rule_queries: u64,
     /// Objects placed into layouts.
     pub objects_placed: u64,
@@ -442,7 +433,7 @@ impl std::fmt::Display for MetricsSnapshot {
     }
 }
 
-/// The shared generation context: compiled rules + options + metrics.
+/// The shared generation context: compiled rules + metrics.
 ///
 /// Clone freely — both heavy members sit behind [`Arc`]s, so a clone is
 /// two reference-count bumps. Rule queries go straight through
@@ -451,8 +442,6 @@ impl std::fmt::Display for MetricsSnapshot {
 pub struct GenCtx {
     /// The compiled, immutable design-rule kernel.
     pub rules: Arc<RuleSet>,
-    /// Run-wide options.
-    pub options: GenOptions,
     /// Shared counters.
     pub metrics: Arc<Metrics>,
     /// Shared structured-event sink (disabled until
@@ -477,7 +466,6 @@ impl GenCtx {
     pub fn new(rules: Arc<RuleSet>) -> GenCtx {
         GenCtx {
             rules,
-            options: GenOptions::default(),
             metrics: Arc::new(Metrics::new()),
             trace: Arc::new(TraceSink::new()),
             limits: Arc::new(Limits::default()),
@@ -487,17 +475,9 @@ impl GenCtx {
     }
 
     /// Wraps a shared copy of `tech`'s rule kernel
-    /// ([`RuleSet::compile_arc`]); the copy's query counter starts off.
+    /// ([`RuleSet::compile_arc`]).
     pub fn from_tech(tech: &Tech) -> GenCtx {
         GenCtx::new(tech.compile_arc())
-    }
-
-    /// Applies options (enabling the kernel's query counter when asked).
-    #[must_use]
-    pub fn with_options(mut self, options: GenOptions) -> GenCtx {
-        self.options = options;
-        self.rules.set_query_counting(options.count_rule_queries);
-        self
     }
 
     /// Switches structured-event tracing on (or off) for this context
@@ -875,9 +855,7 @@ impl GenCtx {
 
     /// Reads all counters into a report-ready snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut snap = self.metrics.snapshot();
-        snap.rule_queries = self.rules.rule_queries();
-        snap
+        self.metrics.snapshot()
     }
 
     /// The combined run report: the recorded trace rendered as the
@@ -922,17 +900,6 @@ mod tests {
         let poly = ctx.layer("poly").unwrap();
         assert_eq!(ctx.min_width(poly), tech.min_width(poly));
         assert_eq!(ctx.grid(), tech.grid());
-    }
-
-    #[test]
-    fn query_counting_flows_into_snapshots() {
-        let ctx = GenCtx::from_tech(&Tech::bicmos_1u()).with_options(GenOptions {
-            count_rule_queries: true,
-        });
-        let poly = ctx.poly().unwrap();
-        let _ = ctx.min_width(poly);
-        let _ = ctx.clearance(poly, poly);
-        assert_eq!(ctx.snapshot().rule_queries, 2);
     }
 
     #[test]

@@ -192,8 +192,8 @@ pub struct OptResult {
     /// active [`GenCache`](amgen_core::GenCache) (empty otherwise, and
     /// empty when the search degraded before completing any order).
     pub variants: Vec<PlacementVariant>,
-    /// Snapshot of the shared generation-context counters (rule queries,
-    /// objects placed, rebuilds, per-stage wall time) taken when the
+    /// Snapshot of the shared generation-context counters (objects
+    /// placed, rebuilds, per-stage wall time) taken when the
     /// search returned.
     pub metrics: MetricsSnapshot,
 }

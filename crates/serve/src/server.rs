@@ -692,8 +692,7 @@ fn process(shared: &Shared, req: &Request, watch: Option<&WorkerState>) -> Respo
 
     // Fold this request's metrics into the tenant aggregate, then
     // attach the per-request stats section.
-    let mut snap = interp.ctx().metrics.snapshot();
-    snap.rule_queries = 0; // kernel counter is per-tech, not per-request
+    let snap = interp.ctx().metrics.snapshot();
     shared.tenant_metrics(&req.tenant).absorb(&snap);
     if req.want_stats {
         let fuel_used = interp.ctx().limits.fuel_used();

@@ -18,13 +18,8 @@
 //! generators fetch them through accessors like [`RuleSet::poly`] that
 //! return a proper [`TechError`] when a deck lacks the layer, instead of
 //! resolving strings per call.
-//!
-//! For observability the kernel carries an optional rule-query counter
-//! (see [`RuleSet::set_query_counting`]); it is off by default so the
-//! per-query cost is a single relaxed load.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::error::TechError;
@@ -78,36 +73,13 @@ pub struct RuleSet {
     pub(crate) cut_pairs: Vec<Vec<(Layer, Layer)>>,
     /// Interned well-known handles, in [`KNOWN_NAMES`] order.
     pub(crate) known: [Option<Layer>; KNOWN_NAMES.len()],
-    pub(crate) queries: QueryCounter,
-}
-
-/// The opt-in rule-query counter. A clone starts switched off at 0, so a
-/// copy of a kernel never inherits another run's count.
-#[derive(Debug, Default)]
-pub(crate) struct QueryCounter {
-    on: AtomicBool,
-    count: AtomicU64,
-}
-
-impl Clone for QueryCounter {
-    fn clone(&self) -> QueryCounter {
-        QueryCounter::default()
-    }
 }
 
 impl RuleSet {
     /// A shareable copy of this kernel — the form every pipeline stage
-    /// holds. The copy keeps the layer-handle brand; its query counter
-    /// starts switched off at 0.
+    /// holds. The copy keeps the layer-handle brand.
     pub fn compile_arc(&self) -> Arc<RuleSet> {
         Arc::new(self.clone())
-    }
-
-    #[inline]
-    fn count(&self) {
-        if self.queries.on.load(Ordering::Relaxed) {
-            self.queries.count.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     #[inline]
@@ -189,7 +161,6 @@ impl RuleSet {
     /// Minimum feature width of a layer (0 when unspecified).
     #[inline]
     pub fn min_width(&self, l: Layer) -> Coord {
-        self.count();
         self.min_width[self.check(l)]
     }
 
@@ -198,7 +169,6 @@ impl RuleSet {
     /// over diffusion).
     #[inline]
     pub fn min_spacing(&self, a: Layer, b: Layer) -> Option<Coord> {
-        self.count();
         let s = self.space[self.check(a) * self.n + self.check(b)];
         (s != NO_SPACE_RULE).then_some(s)
     }
@@ -207,7 +177,6 @@ impl RuleSet {
     /// defaulting to 0 when no rule exists (the compactor may abut them).
     #[inline]
     pub fn clearance(&self, a: Layer, b: Layer) -> Coord {
-        self.count();
         let s = self.space[self.check(a) * self.n + self.check(b)];
         if s == NO_SPACE_RULE {
             0
@@ -220,7 +189,6 @@ impl RuleSet {
     /// rule exists).
     #[inline]
     pub fn enclosure(&self, outer: Layer, inner: Layer) -> Coord {
-        self.count();
         self.enclosure[self.check(outer) * self.n + self.check(inner)]
     }
 
@@ -228,14 +196,12 @@ impl RuleSet {
     /// diffusion); 0 when no rule exists.
     #[inline]
     pub fn extension(&self, a: Layer, b: Layer) -> Coord {
-        self.count();
         self.extension[self.check(a) * self.n + self.check(b)]
     }
 
     /// Fixed square size of a cut layer.
     #[inline]
     pub fn cut_size(&self, l: Layer) -> Result<Coord, TechError> {
-        self.count();
         self.cut_size[self.check(l)]
             .ok_or_else(|| TechError::MissingRule(format!("cutsize {}", self.layer_name(l))))
     }
@@ -244,7 +210,6 @@ impl RuleSet {
     /// either order).
     #[inline]
     pub fn connects(&self, cut: Layer, a: Layer, b: Layer) -> bool {
-        self.count();
         let (ia, ib) = (self.check(a), self.check(b));
         self.cut_pairs[self.check(cut)].iter().any(|&(x, y)| {
             (x.index as usize == ia && y.index as usize == ib)
@@ -256,7 +221,6 @@ impl RuleSet {
     /// compact/drc inner loops iterate this without allocating.
     #[inline]
     pub fn connected_pairs(&self, cut: Layer) -> &[(Layer, Layer)] {
-        self.count();
         &self.cut_pairs[self.check(cut)]
     }
 
@@ -268,14 +232,12 @@ impl RuleSet {
     /// Parasitic capacitance coefficients of a layer (zero when unset).
     #[inline]
     pub fn cap_coeffs(&self, l: Layer) -> CapCoeffs {
-        self.count();
         self.cap[self.check(l)]
     }
 
     /// Sheet resistance in mΩ/□, if declared.
     #[inline]
     pub fn sheet_res_mohm(&self, l: Layer) -> Option<i64> {
-        self.count();
         self.sheet_res_mohm[self.check(l)]
     }
 
@@ -283,7 +245,6 @@ impl RuleSet {
     /// rule is declared).
     #[inline]
     pub fn min_area_um2(&self, l: Layer) -> f64 {
-        self.count();
         self.min_area_um2[self.check(l)]
     }
 
@@ -297,25 +258,6 @@ impl RuleSet {
     #[inline]
     pub fn snap_up(&self, v: Coord) -> Coord {
         -self.snap_down(-v)
-    }
-
-    // ---- query counting ------------------------------------------------
-
-    /// Enables or disables the rule-query counter. Off by default, so the
-    /// steady-state cost is a single relaxed boolean load per query.
-    pub fn set_query_counting(&self, on: bool) {
-        self.queries.on.store(on, Ordering::Relaxed);
-    }
-
-    /// Number of rule queries answered since the last reset (0 unless
-    /// counting was enabled).
-    pub fn rule_queries(&self) -> u64 {
-        self.queries.count.load(Ordering::Relaxed)
-    }
-
-    /// Resets the rule-query counter.
-    pub fn reset_rule_queries(&self) {
-        self.queries.count.store(0, Ordering::Relaxed);
     }
 
     // ---- interned well-known layers ------------------------------------
@@ -392,9 +334,9 @@ impl RuleSet {
 }
 
 /// Rule equivalence: every dense table element-wise equal, plus the layer
-/// roster, grid and latch-up distance. Technology ids and the query
-/// counter are deliberately ignored — two decks parsed from the same text
-/// are equal even though their handles don't interchange.
+/// roster, grid and latch-up distance. Technology ids are deliberately
+/// ignored — two decks parsed from the same text are equal even though
+/// their handles don't interchange.
 impl PartialEq for RuleSet {
     fn eq(&self, other: &RuleSet) -> bool {
         let pairs_eq = |a: &[(Layer, Layer)], b: &[(Layer, Layer)]| {
@@ -508,9 +450,8 @@ mod tests {
     }
 
     #[test]
-    fn compile_arc_keeps_the_brand_and_starts_a_fresh_counter() {
+    fn compile_arc_keeps_the_brand() {
         let t = Tech::bicmos_1u();
-        t.set_query_counting(true);
         let poly = t.layer("poly").unwrap();
         let shared = t.compile_arc();
         assert_eq!(shared.id(), t.id());
@@ -520,22 +461,6 @@ mod tests {
             t.min_width(poly),
             "handles interchange"
         );
-        assert_eq!(shared.rule_queries(), 0, "the copy's counter starts off");
-        assert_eq!(t.rule_queries(), 1, "the original's counter stays on");
-    }
-
-    #[test]
-    fn query_counter_is_gated() {
-        let r = Tech::bicmos_1u();
-        let poly = r.poly().unwrap();
-        let _ = r.min_width(poly);
-        assert_eq!(r.rule_queries(), 0, "counting is off by default");
-        r.set_query_counting(true);
-        let _ = r.min_width(poly);
-        let _ = r.min_spacing(poly, poly);
-        assert_eq!(r.rule_queries(), 2);
-        r.reset_rule_queries();
-        assert_eq!(r.rule_queries(), 0);
     }
 
     #[test]

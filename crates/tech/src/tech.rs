@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 
 use crate::error::TechError;
 use crate::layer::{Layer, LayerInfo, LayerKind};
-use crate::ruleset::{QueryCounter, RuleSet, KNOWN_NAMES, NO_SPACE_RULE};
+use crate::ruleset::{RuleSet, KNOWN_NAMES, NO_SPACE_RULE};
 
 /// Coordinate type re-declared locally (1 du = 1 nm) to keep this crate
 /// free of a geometry dependency; it matches `amgen_geom::Coord`.
@@ -283,7 +283,6 @@ impl TechBuilder {
             cap: self.cap,
             sheet_res_mohm: self.sheet_res_mohm,
             min_area_um2: self.min_area_um2,
-            queries: QueryCounter::default(),
         })
     }
 }
