@@ -47,7 +47,9 @@ cargo run --release -q --bin amgen-lint -- --deny-warnings --certify --certify-f
 #   to the scans on the assembled chip;
 # - analyze: one six-pass certification sweep of the 11-source corpus
 #   (stdlib + examples) <= 5 ms, the corpus certifying clean with closed
-#   top-level fuel bounds.
+#   top-level fuel bounds;
+# - ablation_compactor: fitted growth exponent < 1.5 for interdigitated
+#   builds (4-64 fingers, 78-978 shapes) over their shape count.
 cargo bench -p amgen-bench
 # Chaos gate: the seeded fault-injection sweep over the figure workloads
 # (no panic escapes a public API, every failure is typed and staged, the

@@ -1,18 +1,31 @@
 //! §2.3 ablation — successive compaction vs. a general pairwise-graph
-//! compactor.
+//! compactor, and how one successive step scales with the structure.
 //!
 //! The paper argues for its approach: *"the compaction is done
 //! successively by involving only one new object in each step. Thus, only
 //! outer edges of the main object have to be kept in the data structure
 //! and no general edge graph must be created. This speeds up the
-//! compaction time."* This bench implements the strawman — a compactor
-//! that, at every step, rebuilds the full pairwise constraint graph over
-//! **all** placed objects and re-solves the 1-D positions — and compares
-//! build time for the same row-of-modules workload.
+//! compaction time."* Two series test both halves of that claim:
+//!
+//! * `ablation/compactor_{n}` — the strawman, a compactor that at every
+//!   step rebuilds the full pairwise constraint graph over **all** placed
+//!   objects and re-solves the 1-D positions, against the successive
+//!   compactor on the same row of n = 8/16/32 modules.
+//! * `ablation/interdigit_{n}` — `interdigitated` (NMOS, n fingers,
+//!   W = 10 µm, L = 2 µm) at n = 4/8/16/32/64, 78–978 shapes. Each step
+//!   pairs the incoming finger with the structure's outer edges only, so
+//!   the build must stay well below quadratic: the fitted log-log growth
+//!   exponent of the build time over the shape count must stay below 1.5.
+//!
+//! The method (25 interleaved rounds, min-paired ratio) is
+//! [`amgen_bench::sample`]'s. The bench asserts and exits nonzero on a
+//! miss.
 
+use amgen::modgen::interdigit::{interdigitated, InterdigitParams};
+use amgen::modgen::MosType;
 use amgen::prelude::*;
+use amgen_bench::sample::{fitted_exponent, series, Mode};
 use amgen_bench::workloads;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 /// A simple module to chain: a poly/metal block pair.
@@ -76,20 +89,50 @@ fn full_graph(tech: &GenCtx, n: usize) -> i64 {
     xs[last] + objs[last].bbox().x1
 }
 
-fn bench_ablation(c: &mut Criterion) {
+fn main() {
     let tech = workloads::tech();
     let ctx = GenCtx::from_tech(&tech);
-    let mut g = c.benchmark_group("ablation/compactor");
-    for n in [8usize, 16, 32] {
-        g.bench_with_input(BenchmarkId::new("successive", n), &n, |b, &n| {
-            b.iter(|| black_box(successive(&ctx, n)))
-        });
-        g.bench_with_input(BenchmarkId::new("full_graph", n), &n, |b, &n| {
-            b.iter(|| black_box(full_graph(&ctx, n)))
-        });
-    }
-    g.finish();
-}
 
-criterion_group!(benches, bench_ablation);
-criterion_main!(benches);
+    // ---- successive vs the full pairwise graph -----------------------
+    for n in [8usize, 16, 32] {
+        series(
+            &format!("ablation/compactor_{n}"),
+            25,
+            &[
+                Mode::new("successive", || {
+                    black_box(successive(&ctx, n));
+                }),
+                Mode::new("full_graph", || {
+                    black_box(full_graph(&ctx, n));
+                }),
+            ],
+        );
+    }
+
+    // ---- growth of a successive build over the finger count ----------
+    let mut points: Vec<(f64, f64)> = Vec::new();
+    for fingers in [4usize, 8, 16, 32, 64] {
+        let params = InterdigitParams::new(MosType::N, fingers)
+            .with_w(um(10))
+            .with_l(um(2));
+        let shapes = interdigitated(&ctx, &params).unwrap().len();
+        let build = Mode::new("build", || {
+            black_box(interdigitated(&ctx, &params).unwrap().len());
+        });
+        let s = series(&format!("ablation/interdigit_{fingers}"), 25, &[build]);
+        println!("{:<50} {shapes} shapes", "");
+        points.push((shapes as f64, s.fastest(0).as_nanos() as f64));
+    }
+    let exponent = fitted_exponent(&points);
+    println!(
+        "{:<50} fitted exponent over 4..64 fingers: {exponent:.2}",
+        "ablation/interdigit/build"
+    );
+
+    // ---- gate --------------------------------------------------------
+    assert!(
+        exponent < 1.5,
+        "interdigitated builds grow as n^{exponent:.2} over 4..64 fingers (budget n^1.5)"
+    );
+    println!("ablation smoke: interdigit exponent < 1.5 ({exponent:.2})");
+}

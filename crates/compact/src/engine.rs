@@ -1,9 +1,11 @@
-//! The constraint scan and placement engine.
+//! The constraint pass and placement engine.
+
+use std::borrow::Cow;
 
 use amgen_core::{FaultSite, GenCtx, GenError, Stage};
-use amgen_db::{LayoutObject, Shape};
+use amgen_db::{LayoutObject, NetId, Shape};
 use amgen_geom::{Coord, Dir, Rect, Vector};
-use amgen_tech::{LayerKind, RuleSet};
+use amgen_tech::{Layer, LayerKind, RuleSet};
 
 use crate::options::CompactOptions;
 use crate::rebuild::rebuild_group;
@@ -138,7 +140,9 @@ impl Compactor {
                 bridges: 0,
             });
         }
-        let mut work = obj.clone();
+        // The object is copied only if a shrink edits one of its edges.
+        let mut work = Cow::Borrowed(obj);
+        let mut rules = StepRules::new(&self.ctx, obj, main, opts);
         let mut shrunk_edges = 0usize;
         let mut rebuilt_groups = 0usize;
 
@@ -146,21 +150,21 @@ impl Compactor {
         // can relax it, move the edge and rebuild, then rescan.
         let mut iters = 0usize;
         let (offset_along, rule_bound) = loop {
-            let bounds = self.scan(main, &work, side, opts);
-            let Some((best, binding)) = pick_binding(&bounds, side) else {
+            let Some(binding) = self.binding(main, &work, side, &mut rules) else {
                 break (self.fallback_offset(main, &work, side), false);
             };
+            let best = binding.bound;
             iters += 1;
             if !opts.variable_edges || iters > opts.max_shrink_iters {
                 break (best, true);
             }
             // Second-best bound: how far a shrink could usefully go.
-            let second = second_bound(&bounds, best, side);
+            let second = binding.second;
             let mut progressed = false;
-            for &(ai, bi) in &binding {
+            for &(ai, bi) in &binding.pairs {
                 for shrink in self.shrink_candidates(main, &work, ai, bi, side) {
                     let target_obj: &mut LayoutObject =
-                        if shrink.in_main { main } else { &mut work };
+                        if shrink.in_main { main } else { work.to_mut() };
                     let s = &mut target_obj.shapes_mut()[shrink.index];
                     let cur = s.rect.edge(shrink.edge);
                     // Move the edge inward by what is needed (to make the
@@ -224,101 +228,125 @@ impl Compactor {
         })
     }
 
-    /// Computes all one-sided bounds between the moving object and the
-    /// main structure, together with the contributing pair indices
-    /// `(obj_shape, main_shape)`.
-    fn scan(
+    /// One constraint pass: the binding bound between the moving object
+    /// and the main structure (max for East/North, min for West/South),
+    /// the pairs `(obj_shape, main_shape)` achieving it in ascending
+    /// order, and the strictest bound that is not the binding one — or
+    /// `None` when no pair constrains.
+    ///
+    /// The pass never builds the list of every bound. A main shape whose
+    /// facing edge, plus the largest gap the step can demand, cannot
+    /// reach the current second bound changes none of the three results,
+    /// so it is skipped without resolving a rule. The structure is
+    /// visited from its outer edge inward, so the second bound is usually
+    /// known after the first band and the interior is never visited: only
+    /// the paper's "outer edges" of the main structure are paired.
+    fn binding(
         &self,
         main: &LayoutObject,
         obj: &LayoutObject,
         side: Dir,
-        opts: &CompactOptions,
-    ) -> Vec<(Coord, usize, usize)> {
+        rules: &mut StepRules,
+    ) -> Option<Binding> {
         let axis = side.axis();
         let perp = axis.perp();
-        let mut out = Vec::new();
-        for (ai, a) in obj.shapes().iter().enumerate() {
+        let sign = side.sign();
+        // Edges in the pass's sign, where larger lies further toward the
+        // attachment side: a pair's bound is `front(b) + gap - back(a)`.
+        let front = |r: &Rect| {
+            let range = r.range(axis);
+            if sign > 0 {
+                range.hi
+            } else {
+                -range.lo
+            }
+        };
+        let back = |r: &Rect| {
+            let range = r.range(axis);
+            if sign > 0 {
+                range.lo
+            } else {
+                -range.hi
+            }
+        };
+
+        // The moving object once per pass: the furthest any of its pairs
+        // can reach (`lead`), and a hull over every shape, degenerate ones
+        // included (a bounding box skips those).
+        let reach = rules.reach;
+        let mut lead = Coord::MIN;
+        let mut hull = obj.shapes().first().map_or(Rect::EMPTY, |a| a.rect);
+        for a in obj.shapes() {
+            lead = lead.max(reach - back(&a.rect));
+            hull = Rect {
+                x0: hull.x0.min(a.rect.x0),
+                y0: hull.y0.min(a.rect.y0),
+                x1: hull.x1.max(a.rect.x1),
+                y1: hull.y1.max(a.rect.y1),
+            };
+        }
+
+        // Main is visited in bands of facing edge, outermost first, each
+        // twice as deep as the one before. Once the second bound is known
+        // and nothing below the band can reach it, the rest of the
+        // structure is skipped unvisited; the bands only order the visits.
+        let mut found = Strictest::default();
+        let mut depth = (reach + hull.range(axis).len()).max(1);
+        let mut lo = front(&main.bbox()).saturating_sub(depth);
+        let mut hi = Coord::MAX;
+        let mut deepest = Coord::MAX;
+        for band in 0.. {
             for (bi, b) in main.shapes().iter().enumerate() {
-                let Some(g) = self.required_gap(a, obj, b, main, opts) else {
-                    continue;
-                };
-                // Perpendicular conflict: projections closer than the gap.
-                if a.rect.gap_along(&b.rect, perp) >= g {
+                let front_b = front(&b.rect);
+                deepest = deepest.min(front_b);
+                if front_b < lo || (band > 0 && front_b >= hi) {
                     continue;
                 }
-                let bound = match side.sign() {
-                    1 => b.rect.range(axis).hi + g - a.rect.range(axis).lo,
-                    _ => b.rect.range(axis).lo - g - a.rect.range(axis).hi,
-                };
-                out.push((bound, ai, bi));
+                // Out of reach along the axis, or beside the object by more
+                // than any gap: no pair with `b` can matter. The gap to a
+                // shape is never smaller than the gap to a hull around it.
+                if found.second.is_some_and(|sec| front_b + lead <= sec)
+                    || hull.gap_along(&b.rect, perp) >= reach
+                {
+                    continue;
+                }
+                for (ai, a) in obj.shapes().iter().enumerate() {
+                    let back_a = back(&a.rect);
+                    if found
+                        .second
+                        .is_some_and(|sec| front_b + reach - back_a <= sec)
+                    {
+                        continue;
+                    }
+                    let Some(g) = rules.gap(main, a, b) else {
+                        continue;
+                    };
+                    // Perpendicular conflict: projections closer than the gap.
+                    if a.rect.gap_along(&b.rect, perp) >= g {
+                        continue;
+                    }
+                    found.offer(front_b + g - back_a, ai, bi);
+                }
             }
+            if deepest >= lo
+                || found
+                    .second
+                    .is_some_and(|sec| lo.saturating_add(lead) <= sec)
+            {
+                break;
+            }
+            hi = lo;
+            depth = depth.saturating_mul(2);
+            lo = hi.saturating_sub(depth);
         }
-        out
-    }
 
-    /// The spacing the rules demand between two shapes from different
-    /// objects; `None` means the pair imposes no constraint.
-    fn required_gap(
-        &self,
-        a: &Shape,
-        a_obj: &LayoutObject,
-        b: &Shape,
-        b_obj: &LayoutObject,
-        opts: &CompactOptions,
-    ) -> Option<Coord> {
-        // Ignored layers are declared mergeable for this step: pairs
-        // *within* them impose nothing (the geometry will be connected),
-        // but rules against other layers still hold — a poly contact row
-        // compacted with poly "irrelevant" must still respect poly-to-
-        // diffusion spacing.
-        if opts.is_ignored(a.layer) && opts.is_ignored(b.layer) {
-            return None;
-        }
-        let same_net = match (a.net, b.net) {
-            (Some(x), Some(y)) => a_obj.net_name(x) == b_obj.net_name(y),
-            _ => false,
-        };
-        if a.layer == b.layer {
-            if same_net {
-                // Same potential: stop at touch, then merge (Fig. 5a).
-                return Some(0);
-            }
-            return self
-                .ctx
-                .min_spacing(a.layer, b.layer)
-                .map(|s| s + opts.extra_clearance)
-                .or(if a.keepout || b.keepout {
-                    Some(0)
-                } else {
-                    None
-                });
-        }
-        if let Some(s) = self.ctx.min_spacing(a.layer, b.layer) {
-            return Some(s + opts.extra_clearance);
-        }
-        // A cut may not land on a foreign conductor it could short to.
-        let cut_vs_conductor = |cut: &Shape, cond: &Shape| {
-            self.ctx.kind(cut.layer) == LayerKind::Cut
-                && self.ctx.kind(cond.layer).is_conductor()
-                && self
-                    .ctx
-                    .connected_pairs(cut.layer)
-                    .iter()
-                    .any(|&(x, y)| x == cond.layer || y == cond.layer)
-        };
-        if cut_vs_conductor(a, b) || cut_vs_conductor(b, a) {
-            let cut_layer = if self.ctx.kind(a.layer) == LayerKind::Cut {
-                a.layer
-            } else {
-                b.layer
-            };
-            let fallback = self.ctx.min_spacing(cut_layer, cut_layer).unwrap_or(0);
-            return Some(fallback + opts.extra_clearance);
-        }
-        if a.keepout || b.keepout {
-            return Some(0);
-        }
-        None
+        let best = found.best?;
+        found.pairs.sort_unstable();
+        Some(Binding {
+            bound: sign * best,
+            pairs: found.pairs,
+            second: found.second.map(|s| sign * s),
+        })
     }
 
     /// Offset when no rule constrains the object: rest the bounding boxes
@@ -517,33 +545,200 @@ impl Compactor {
     }
 }
 
-/// The binding bound (max for East/North sides, min for West/South) and
-/// the pairs achieving it.
-fn pick_binding(
-    bounds: &[(Coord, usize, usize)],
-    side: Dir,
-) -> Option<(Coord, Vec<(usize, usize)>)> {
-    if bounds.is_empty() {
-        return None;
-    }
-    let best = match side.sign() {
-        1 => bounds.iter().map(|&(b, _, _)| b).max().expect("non-empty"),
-        _ => bounds.iter().map(|&(b, _, _)| b).min().expect("non-empty"),
-    };
-    let pairs = bounds
-        .iter()
-        .filter(|&&(b, _, _)| b == best)
-        .map(|&(_, ai, bi)| (ai, bi))
-        .collect();
-    Some((best, pairs))
+/// What one constraint pass found (see [`Compactor::binding`]).
+#[derive(Debug, PartialEq, Eq)]
+struct Binding {
+    /// The offset along the axis at which the strictest pair rests.
+    bound: Coord,
+    /// The pairs `(obj_shape, main_shape)` achieving it, ascending.
+    pairs: Vec<(usize, usize)>,
+    /// The strictest bound that is *not* the binding one.
+    second: Option<Coord>,
 }
 
-/// The strictest bound that is *not* the binding one.
-fn second_bound(bounds: &[(Coord, usize, usize)], best: Coord, side: Dir) -> Option<Coord> {
-    let it = bounds.iter().map(|&(b, _, _)| b).filter(|&b| b != best);
-    match side.sign() {
-        1 => it.max(),
-        _ => it.min(),
+/// The strictest and second-strictest bounds a pass has seen so far, in
+/// the pass's sign (larger is stricter).
+#[derive(Default)]
+struct Strictest {
+    best: Option<Coord>,
+    pairs: Vec<(usize, usize)>,
+    second: Option<Coord>,
+}
+
+impl Strictest {
+    fn offer(&mut self, t: Coord, ai: usize, bi: usize) {
+        match self.best {
+            Some(best) if t < best => {
+                if self.second.is_none_or(|s| t > s) {
+                    self.second = Some(t);
+                }
+            }
+            Some(best) if t == best => self.pairs.push((ai, bi)),
+            _ => {
+                self.second = self.best;
+                self.best = Some(t);
+                self.pairs.clear();
+                self.pairs.push((ai, bi));
+            }
+        }
+    }
+}
+
+/// A layer pair's gap for one step, before the pair's nets and keepouts
+/// are known.
+#[derive(Debug, Clone, Copy)]
+enum PairGap {
+    /// Not looked up yet this step.
+    Unresolved,
+    /// Both layers are on the step's ignore list: no constraint.
+    Ignored,
+    /// No rule: the pair constrains (at touch) only through a keepout,
+    /// or same-potential geometry on one layer.
+    Free,
+    /// A spacing rule, or the cut-vs-conductor fallback, plus the step's
+    /// extra clearance.
+    Rule(Coord),
+}
+
+/// Marks a net whose name is not resolved yet.
+const UNRESOLVED: u32 = u32::MAX;
+/// Marks a main net whose name no moving net carries.
+const NO_MATCH: u32 = u32::MAX - 1;
+
+/// The rules of one compaction step, each resolved once per step instead
+/// of once per shape pair: the largest gap the step can demand, the gap
+/// of every layer pair that meets, and which of main's nets carry a
+/// moving net's name.
+struct StepRules<'a> {
+    rules: &'a RuleSet,
+    opts: &'a CompactOptions,
+    /// The largest gap any pair can demand: the deck's widest spacing
+    /// (a cut-vs-conductor fallback is a cut's own spacing) plus the extra
+    /// clearance. Never below 0, so it stays an upper bound under a
+    /// negative extra clearance, where keepouts and same-potential pairs
+    /// still rest at touch.
+    reach: Coord,
+    /// The deck's layer handles, by index. Shapes and ignore lists are
+    /// matched against these whole, brand included, never by index.
+    layers: Vec<Layer>,
+    /// `gaps[a * n + b]`, on first use.
+    gaps: Vec<PairGap>,
+    /// The moving object's net names.
+    moving_names: &'a [String],
+    /// Per net, on first use: for a moving net, the first moving net of
+    /// the same name; for a main net (after the moving ones), the first
+    /// moving net of its name, or [`NO_MATCH`]. Same potential means
+    /// same name, so two nets share a potential when their entries do.
+    nets: Vec<u32>,
+}
+
+impl<'a> StepRules<'a> {
+    fn new(
+        rules: &'a RuleSet,
+        obj: &'a LayoutObject,
+        main: &LayoutObject,
+        opts: &'a CompactOptions,
+    ) -> StepRules<'a> {
+        let layers: Vec<Layer> = rules.layers().collect();
+        let n = layers.len();
+        let moving_names = obj.net_names();
+        StepRules {
+            rules,
+            opts,
+            reach: (rules.max_spacing() + opts.extra_clearance).max(0),
+            gaps: vec![PairGap::Unresolved; n * n],
+            layers,
+            moving_names,
+            nets: vec![UNRESOLVED; moving_names.len() + main.net_names().len()],
+        }
+    }
+
+    /// The deck index of `l`. Like every rule query, panics on a handle
+    /// from another technology.
+    fn index(&self, l: Layer) -> usize {
+        let i = l.index();
+        assert!(
+            self.layers.get(i) == Some(&l),
+            "layer handle from another technology used with technology {}",
+            self.rules.name()
+        );
+        i
+    }
+
+    /// A layer pair's gap under this step's options.
+    fn resolve(&self, a: Layer, b: Layer) -> PairGap {
+        // Ignored layers are declared mergeable for this step: pairs
+        // *within* them impose nothing (the geometry will be connected),
+        // but rules against other layers still hold — a poly contact row
+        // compacted with poly "irrelevant" must still respect poly-to-
+        // diffusion spacing.
+        if self.opts.is_ignored(a) && self.opts.is_ignored(b) {
+            return PairGap::Ignored;
+        }
+        let extra = self.opts.extra_clearance;
+        if let Some(s) = self.rules.min_spacing(a, b) {
+            return PairGap::Rule(s + extra);
+        }
+        // A cut may not land on a foreign conductor it could short to.
+        let cut_vs_conductor = |cut: Layer, cond: Layer| {
+            self.rules.kind(cut) == LayerKind::Cut
+                && self.rules.kind(cond).is_conductor()
+                && self
+                    .rules
+                    .connected_pairs(cut)
+                    .iter()
+                    .any(|&(x, y)| x == cond || y == cond)
+        };
+        if cut_vs_conductor(a, b) || cut_vs_conductor(b, a) {
+            let cut = if self.rules.kind(a) == LayerKind::Cut {
+                a
+            } else {
+                b
+            };
+            let fallback = self.rules.min_spacing(cut, cut).unwrap_or(0);
+            return PairGap::Rule(fallback + extra);
+        }
+        PairGap::Free
+    }
+
+    /// The spacing the rules demand between moving shape `a` and main
+    /// shape `b`; `None` means the pair imposes no constraint.
+    fn gap(&mut self, main: &LayoutObject, a: &Shape, b: &Shape) -> Option<Coord> {
+        let entry = self.index(a.layer) * self.layers.len() + self.index(b.layer);
+        let mut gap = self.gaps[entry];
+        if let PairGap::Unresolved = gap {
+            gap = self.resolve(a.layer, b.layer);
+            self.gaps[entry] = gap;
+        }
+        if let PairGap::Ignored = gap {
+            return None;
+        }
+        if a.layer == b.layer && self.same_net(main, a.net, b.net) {
+            // Same potential: stop at touch, then merge (Fig. 5a).
+            return Some(0);
+        }
+        match gap {
+            PairGap::Rule(g) => Some(g),
+            _ => (a.keepout || b.keepout).then_some(0),
+        }
+    }
+
+    /// True when moving net `a` and main net `b` carry the same name.
+    fn same_net(&mut self, main: &LayoutObject, a: Option<NetId>, b: Option<NetId>) -> bool {
+        let (Some(a), Some(b)) = (a, b) else {
+            return false;
+        };
+        let names = self.moving_names;
+        let (a, slot) = (a.index(), names.len() + b.index());
+        for (i, name) in [(a, names[a].as_str()), (slot, main.net_name(b))] {
+            if self.nets[i] == UNRESOLVED {
+                self.nets[i] = names
+                    .iter()
+                    .position(|m| m == name)
+                    .map_or(NO_MATCH, |x| x as u32);
+            }
+        }
+        self.nets[a] == self.nets[slot]
     }
 }
 
@@ -579,9 +774,326 @@ mod tests {
     use amgen_geom::um;
     use amgen_prim::Primitives;
     use amgen_tech::Tech;
+    use proptest::prelude::*;
+    use proptest::rng::TestRng;
+    use proptest::strategy::Gen;
 
     fn tech() -> GenCtx {
         GenCtx::from_tech(&Tech::bicmos_1u())
+    }
+
+    /// The all-pairs reference the constraint pass must agree with: the
+    /// bound of every shape pair, then the binding bound, its pairs and
+    /// the second bound picked from the full list.
+    fn binding_scan(
+        rules: &RuleSet,
+        main: &LayoutObject,
+        obj: &LayoutObject,
+        side: Dir,
+        opts: &CompactOptions,
+    ) -> Option<Binding> {
+        let axis = side.axis();
+        let perp = axis.perp();
+        let mut bounds = Vec::new();
+        for (ai, a) in obj.shapes().iter().enumerate() {
+            for (bi, b) in main.shapes().iter().enumerate() {
+                let Some(g) = required_gap_scan(rules, a, obj, b, main, opts) else {
+                    continue;
+                };
+                if a.rect.gap_along(&b.rect, perp) >= g {
+                    continue;
+                }
+                let bound = match side.sign() {
+                    1 => b.rect.range(axis).hi + g - a.rect.range(axis).lo,
+                    _ => b.rect.range(axis).lo - g - a.rect.range(axis).hi,
+                };
+                bounds.push((bound, ai, bi));
+            }
+        }
+        let all = bounds.iter().map(|&(b, _, _)| b);
+        let bound = if side.sign() > 0 {
+            all.max()
+        } else {
+            all.min()
+        }?;
+        let pairs = bounds
+            .iter()
+            .filter(|&&(b, _, _)| b == bound)
+            .map(|&(_, ai, bi)| (ai, bi))
+            .collect();
+        let others = bounds.iter().map(|&(b, _, _)| b).filter(|&b| b != bound);
+        let second = if side.sign() > 0 {
+            others.max()
+        } else {
+            others.min()
+        };
+        Some(Binding {
+            bound,
+            pairs,
+            second,
+        })
+    }
+
+    /// The reference's per-pair gap: net names compared as strings, the
+    /// ignore list searched and every rule queried for each pair.
+    fn required_gap_scan(
+        rules: &RuleSet,
+        a: &Shape,
+        a_obj: &LayoutObject,
+        b: &Shape,
+        b_obj: &LayoutObject,
+        opts: &CompactOptions,
+    ) -> Option<Coord> {
+        if opts.is_ignored(a.layer) && opts.is_ignored(b.layer) {
+            return None;
+        }
+        let same_net = match (a.net, b.net) {
+            (Some(x), Some(y)) => a_obj.net_name(x) == b_obj.net_name(y),
+            _ => false,
+        };
+        if a.layer == b.layer {
+            if same_net {
+                return Some(0);
+            }
+            return rules
+                .min_spacing(a.layer, b.layer)
+                .map(|s| s + opts.extra_clearance)
+                .or(if a.keepout || b.keepout {
+                    Some(0)
+                } else {
+                    None
+                });
+        }
+        if let Some(s) = rules.min_spacing(a.layer, b.layer) {
+            return Some(s + opts.extra_clearance);
+        }
+        let cut_vs_conductor = |cut: &Shape, cond: &Shape| {
+            rules.kind(cut.layer) == LayerKind::Cut
+                && rules.kind(cond.layer).is_conductor()
+                && rules
+                    .connected_pairs(cut.layer)
+                    .iter()
+                    .any(|&(x, y)| x == cond.layer || y == cond.layer)
+        };
+        if cut_vs_conductor(a, b) || cut_vs_conductor(b, a) {
+            let cut_layer = if rules.kind(a.layer) == LayerKind::Cut {
+                a.layer
+            } else {
+                b.layer
+            };
+            let fallback = rules.min_spacing(cut_layer, cut_layer).unwrap_or(0);
+            return Some(fallback + opts.extra_clearance);
+        }
+        if a.keepout || b.keepout {
+            return Some(0);
+        }
+        None
+    }
+
+    /// One shape of an oracle case: a deck layer index, a rectangle
+    /// (degenerate ones included), an index into the object's net pool
+    /// and the keepout flag.
+    #[derive(Debug, Clone)]
+    struct ShapeSpec {
+        layer: usize,
+        rect: Rect,
+        net: Option<usize>,
+        keepout: bool,
+    }
+
+    /// A random constraint-pass input: two objects on one deck, the
+    /// step's ignore list (`(foreign deck?, layer index)`) and extra
+    /// clearance.
+    #[derive(Debug, Clone)]
+    struct OracleCase {
+        deck: usize,
+        moving: Vec<ShapeSpec>,
+        main: Vec<ShapeSpec>,
+        ignore: Vec<(bool, usize)>,
+        extra: Coord,
+    }
+
+    const NET_POOL: usize = 6;
+
+    fn decks() -> [Tech; 2] {
+        [Tech::bicmos_1u(), Tech::cmos_08()]
+    }
+
+    /// Coordinates on a coarse grid, so that ties between bounds (several
+    /// binding pairs, a second bound equal to others) are common.
+    fn coord(rng: &mut TestRng, span: i64) -> Coord {
+        rng.i64_in(-span, span + 1) * 250
+    }
+
+    /// A deck's layer count, and the layer whose own spacing is the
+    /// deck's widest: the one rule whose gaps reach the pruning bound.
+    fn layer_pool(deck: &Tech) -> (usize, usize) {
+        let widest = deck
+            .layers()
+            .position(|l| deck.min_spacing(l, l) == Some(deck.max_spacing()))
+            .unwrap();
+        (deck.layer_count(), widest)
+    }
+
+    fn arb_shape(rng: &mut TestRng, (layers, widest): (usize, usize), span: i64) -> ShapeSpec {
+        let (x, y) = (coord(rng, span), coord(rng, span));
+        // One side in four is degenerate (zero length).
+        let mut len = || match rng.below(4) {
+            0 => 0,
+            _ => rng.i64_in(1, 25) * 250,
+        };
+        let (w, h) = (len(), len());
+        // One shape in four on the widest-spaced layer, so that gaps equal
+        // to the pruning bound are common.
+        let layer = match rng.below(4) {
+            0 => widest,
+            _ => rng.below(layers as u64) as usize,
+        };
+        ShapeSpec {
+            layer,
+            rect: Rect::new(x, y, x + w, y + h),
+            net: rng.gen_bool().then(|| rng.below(NET_POOL as u64) as usize),
+            keepout: rng.below(5) == 0,
+        }
+    }
+
+    fn arb_oracle_case() -> impl Strategy<Value = OracleCase> {
+        let pools = decks().map(|d| layer_pool(&d));
+        Gen::new(move |rng: &mut TestRng| {
+            let deck = rng.below(2) as usize;
+            let (own, other) = (pools[deck], pools[1 - deck].0);
+            let moving = (0..rng.i64_in(1, 9))
+                .map(|_| arb_shape(rng, own, 12))
+                .collect();
+            let main = (0..rng.i64_in(1, 41))
+                .map(|_| arb_shape(rng, own, 60))
+                .collect();
+            let ignore = (0..rng.below(4))
+                .map(|_| {
+                    let foreign = rng.below(3) == 0;
+                    let n = if foreign { other } else { own.0 };
+                    (foreign, rng.below(n as u64) as usize)
+                })
+                .collect();
+            // Down to -6 µm: below minus every deck's widest spacing, where
+            // only keepouts and same-potential pairs still constrain.
+            let extra = match rng.below(3) {
+                0 => 0,
+                _ => rng.i64_in(-24, 9) * 250,
+            };
+            OracleCase {
+                deck,
+                moving,
+                main,
+                ignore,
+                extra,
+            }
+        })
+    }
+
+    /// Builds an object whose net pool shares names with the other
+    /// side's under different ids, and holds two ids with one name (a
+    /// `rename_net` merge leaves the old slot renamed, not removed).
+    fn build(rules: &RuleSet, name: &str, specs: &[ShapeSpec], moving: bool) -> LayoutObject {
+        let mut obj = LayoutObject::new(name);
+        let layers: Vec<Layer> = rules.layers().collect();
+        let names: [&str; 3] = if moving {
+            ["c", "a", "z"]
+        } else {
+            ["a", "b", "c"]
+        };
+        let mut pool: Vec<NetId> = names.iter().map(|n| obj.net(n)).collect();
+        for merge_into in [names[0], names[1]] {
+            pool.push(obj.net("d"));
+            obj.rename_net("d", merge_into);
+        }
+        pool.push(obj.net(if moving { "b" } else { "<renamed:d>" }));
+        assert_eq!(pool.len(), NET_POOL);
+        for spec in specs {
+            let mut s = Shape::new(layers[spec.layer], spec.rect);
+            s.net = spec.net.map(|i| pool[i]);
+            s.keepout = spec.keepout;
+            obj.push(s);
+        }
+        obj
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1_000))]
+
+        /// The pruned constraint pass finds exactly what the all-pairs
+        /// scan finds: the same bound, the same binding pairs in the same
+        /// order and the same second bound, from every side — and again
+        /// when its step rules are reused, as the shrink loop does.
+        #[test]
+        fn constraint_pass_matches_the_all_pairs_scan(case in arb_oracle_case()) {
+            let decks = decks();
+            let rules = &decks[case.deck];
+            let foreign = &decks[1 - case.deck];
+            let main = build(rules, "main", &case.main, false);
+            let obj = build(rules, "obj", &case.moving, true);
+            let mut opts = CompactOptions::new().with_extra_clearance(case.extra);
+            for &(other_deck, i) in &case.ignore {
+                let deck = if other_deck { foreign } else { rules };
+                opts = opts.ignoring(deck.layers().nth(i).unwrap());
+            }
+            let ctx = GenCtx::from_tech(rules);
+            let c = Compactor::new(&ctx);
+            for side in Dir::ALL {
+                let want = binding_scan(rules, &main, &obj, side, &opts);
+                let mut step = StepRules::new(rules, &obj, &main, &opts);
+                prop_assert_eq!(&c.binding(&main, &obj, side, &mut step), &want, "{side}");
+                prop_assert_eq!(&c.binding(&main, &obj, side, &mut step), &want, "{side} again");
+            }
+        }
+    }
+
+    /// A zero-width moving shape counts even where it reaches beyond the
+    /// rest of its object: a bounding box would skip it, so the pass
+    /// prunes against a hull over every shape.
+    #[test]
+    fn degenerate_shapes_still_constrain() {
+        let t = Tech::bicmos_1u();
+        let poly = t.poly().unwrap();
+        let mut obj = LayoutObject::new("obj");
+        obj.push(Shape::new(poly, Rect::new(0, 0, um(1), um(1))));
+        obj.push(Shape::new(poly, Rect::new(0, 0, 0, um(20))));
+        let mut main = LayoutObject::new("main");
+        main.push(Shape::new(poly, Rect::new(-um(3), um(15), -um(2), um(16))));
+        let opts = CompactOptions::new();
+        let c = Compactor::new(&GenCtx::from_tech(&t));
+        for side in Dir::ALL {
+            let mut rules = StepRules::new(&t, &obj, &main, &opts);
+            let found = c.binding(&main, &obj, side, &mut rules);
+            assert_eq!(found, binding_scan(&t, &main, &obj, side, &opts), "{side}");
+        }
+        let mut rules = StepRules::new(&t, &obj, &main, &opts);
+        let east = c.binding(&main, &obj, Dir::East, &mut rules).unwrap();
+        assert_eq!(east.pairs, vec![(1, 0)], "only the segment meets main");
+    }
+
+    #[test]
+    fn a_foreign_ignore_handle_ignores_nothing() {
+        let (bicmos, cmos) = (Tech::bicmos_1u(), Tech::cmos_08());
+        let poly = bicmos.poly().unwrap();
+        // A cmos handle with bicmos poly's index: matched whole, it must
+        // not ignore bicmos poly.
+        let alias = cmos.layers().nth(poly.index()).unwrap();
+        let s = bicmos.min_spacing(poly, poly).unwrap();
+        let stripe = || {
+            let mut o = LayoutObject::new("poly");
+            o.push(Shape::new(poly, Rect::new(0, 0, um(2), um(2))));
+            o
+        };
+        let opts = CompactOptions::new().ignoring(alias);
+        let step = |main: &LayoutObject, obj: &LayoutObject| {
+            let mut rules = StepRules::new(&bicmos, obj, main, &opts);
+            Compactor::new(&GenCtx::from_tech(&bicmos)).binding(main, obj, Dir::East, &mut rules)
+        };
+        let (main, obj) = (stripe(), stripe());
+        let found = step(&main, &obj).expect("poly-poly spacing still binds");
+        assert_eq!(found.bound, um(2) + s);
+        assert_eq!(found.pairs, vec![(0, 0)]);
     }
 
     fn stripe(t: &GenCtx, layer: &str, w: i64, h: i64, net: Option<&str>) -> LayoutObject {

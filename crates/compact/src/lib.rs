@@ -9,9 +9,13 @@
 //! main structure from the given **attachment side** until the design
 //! rules stop it, then folds it in. The features of the paper:
 //!
-//! * **Minimum-distance abutment** — every shape pair contributes a
-//!   one-sided constraint derived from the spacing rules; the binding
-//!   constraint places the object.
+//! * **Minimum-distance abutment** — every shape pair within reach
+//!   contributes a one-sided constraint derived from the spacing rules;
+//!   the binding constraint places the object. One pass per step finds
+//!   it from the structure's outer edges inward and skips every pair that
+//!   cannot reach the second-strictest bound, which makes no difference
+//!   to the result: the paper's *"only outer edges of the main object
+//!   have to be kept"*.
 //! * **Same-potential merging** (Fig. 5a) — shape pairs on the same layer
 //!   and potential are *"not considered during compaction, because they
 //!   can be merged"*: the object stops at touch and the geometry connects.

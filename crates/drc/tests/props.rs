@@ -43,54 +43,58 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Any sequence of rule-clean stripes compacted from any sides yields
-    /// a layout without spacing violations or shorts.
+    /// a layout without spacing violations or shorts, in both decks.
     #[test]
     fn compaction_is_spacing_clean(specs in prop::collection::vec(arb_stripe(), 1..10)) {
-        let tech = GenCtx::from_tech(&Tech::bicmos_1u());
-        let c = Compactor::new(&tech);
-        let mut main = LayoutObject::new("main");
-        for spec in &specs {
-            let layer = tech.layer(LAYERS[spec.layer]).unwrap();
-            // Respect the layer's own minimum width so the width check
-            // stays out of the picture.
-            let mw = tech.min_width(layer);
-            let mut obj = LayoutObject::new("stripe");
-            let mut s = Shape::new(layer, Rect::new(0, 0, spec.w.max(mw), spec.h.max(mw)));
-            if spec.net < NETS.len() {
-                let id = obj.net(NETS[spec.net]);
-                s = s.with_net(id);
-            }
-            obj.push(s);
-            let side = Dir::ALL[spec.side];
-            c.compact(&mut main, &obj, side, &CompactOptions::new()).unwrap();
-        }
-        let violations = Drc::new(&tech).check(&main);
-        let bad: Vec<_> = violations
-            .iter()
-            .filter(|v| matches!(v.kind, ViolationKind::Spacing | ViolationKind::Short))
-            .collect();
-        prop_assert!(bad.is_empty(), "{bad:?}");
-    }
-
-    /// Compaction is deterministic: the same sequence gives the same
-    /// layout.
-    #[test]
-    fn compaction_is_deterministic(specs in prop::collection::vec(arb_stripe(), 1..6)) {
-        let tech = GenCtx::from_tech(&Tech::bicmos_1u());
-        let run = || {
+        for deck in [Tech::bicmos_1u(), Tech::cmos_08()] {
+            let tech = GenCtx::from_tech(&deck);
             let c = Compactor::new(&tech);
             let mut main = LayoutObject::new("main");
             for spec in &specs {
                 let layer = tech.layer(LAYERS[spec.layer]).unwrap();
-                let mut obj = LayoutObject::new("stripe");
+                // Respect the layer's own minimum width so the width check
+                // stays out of the picture.
                 let mw = tech.min_width(layer);
-                obj.push(Shape::new(layer, Rect::new(0, 0, spec.w.max(mw), spec.h.max(mw))));
-                c.compact(&mut main, &obj, Dir::ALL[spec.side], &CompactOptions::new()).unwrap();
+                let mut obj = LayoutObject::new("stripe");
+                let mut s = Shape::new(layer, Rect::new(0, 0, spec.w.max(mw), spec.h.max(mw)));
+                if spec.net < NETS.len() {
+                    let id = obj.net(NETS[spec.net]);
+                    s = s.with_net(id);
+                }
+                obj.push(s);
+                let side = Dir::ALL[spec.side];
+                c.compact(&mut main, &obj, side, &CompactOptions::new()).unwrap();
             }
-            main
-        };
-        let a = run();
-        let b = run();
-        prop_assert_eq!(a.shapes(), b.shapes());
+            let violations = Drc::new(&tech).check(&main);
+            let bad: Vec<_> = violations
+                .iter()
+                .filter(|v| matches!(v.kind, ViolationKind::Spacing | ViolationKind::Short))
+                .collect();
+            prop_assert!(bad.is_empty(), "{}: {bad:?}", deck.name());
+        }
+    }
+
+    /// Compaction is deterministic: the same sequence gives the same
+    /// layout, in both decks.
+    #[test]
+    fn compaction_is_deterministic(specs in prop::collection::vec(arb_stripe(), 1..6)) {
+        for deck in [Tech::bicmos_1u(), Tech::cmos_08()] {
+            let tech = GenCtx::from_tech(&deck);
+            let run = || {
+                let c = Compactor::new(&tech);
+                let mut main = LayoutObject::new("main");
+                for spec in &specs {
+                    let layer = tech.layer(LAYERS[spec.layer]).unwrap();
+                    let mut obj = LayoutObject::new("stripe");
+                    let mw = tech.min_width(layer);
+                    obj.push(Shape::new(layer, Rect::new(0, 0, spec.w.max(mw), spec.h.max(mw))));
+                    c.compact(&mut main, &obj, Dir::ALL[spec.side], &CompactOptions::new()).unwrap();
+                }
+                main
+            };
+            let a = run();
+            let b = run();
+            prop_assert_eq!(a.shapes(), b.shapes(), "{}", deck.name());
+        }
     }
 }

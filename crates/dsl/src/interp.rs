@@ -479,9 +479,10 @@ impl Interpreter {
             Stmt::Compact {
                 obj, dir, ignore, ..
             } => {
-                let Some(Value::Obj(child)) = frame.vars.get(obj).cloned() else {
-                    return self.fail(line, format!("`{obj}` is not an object"));
-                };
+                let not_an_object = || format!("`{obj}` is not an object");
+                if !matches!(frame.vars.get(obj), Some(Value::Obj(_))) {
+                    return self.fail(line, not_an_object());
+                }
                 let Some(side) = Dir::parse(dir) else {
                     return self.fail(line, format!("unknown direction `{dir}`"));
                 };
@@ -505,8 +506,14 @@ impl Interpreter {
                         }
                     }
                 }
+                // Expressions cannot assign, so the child is still the
+                // object checked above; it is borrowed from the variables
+                // while the frame's own object is compacted, not copied.
+                let Some(Value::Obj(child)) = frame.vars.get(obj) else {
+                    return self.fail(line, not_an_object());
+                };
                 let c = Compactor::new(&self.ctx);
-                if let Err(e) = c.compact(&mut frame.obj, &child, side, &opts) {
+                if let Err(e) = c.compact(&mut frame.obj, child, side, &opts) {
                     return Err(Self::stage_fail(line, e));
                 }
                 Ok(())

@@ -210,6 +210,22 @@ fn bad_direction_is_a_runtime_error() {
 }
 
 #[test]
+fn compact_reports_a_non_object_before_a_bad_ignore_layer() {
+    let t = GenCtx::from_tech(&Tech::bicmos_1u());
+    let mut i = interp(&t);
+    let program = |child: &str| {
+        format!("x = Bad()\n\nENT Bad()\n  r = {child}\n  bad = \"unobtainium\"\n  compact(r, WEST, bad)\n")
+    };
+    let e = i.run(&program("3")).unwrap_err().to_string();
+    assert!(e.contains("`r` is not an object"), "{e}");
+    let e = i
+        .run(&program("ContactRow(layer = \"poly\")"))
+        .unwrap_err()
+        .to_string();
+    assert!(e.contains("unobtainium"), "{e}");
+}
+
+#[test]
 fn fig2_works_in_the_cmos_deck_too() {
     // Technology independence: the same source, another rule deck.
     let t = GenCtx::from_tech(&Tech::cmos_08());

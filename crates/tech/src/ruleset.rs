@@ -59,6 +59,8 @@ pub struct RuleSet {
     pub(crate) min_width: Vec<Coord>,
     /// Symmetric; both `(a,b)` and `(b,a)` entries are filled.
     pub(crate) space: Vec<Coord>,
+    /// The largest entry of `space` (0 when there is none).
+    pub(crate) max_spacing: Coord,
     /// Directional: `enclosure[outer * n + inner]`.
     pub(crate) enclosure: Vec<Coord>,
     /// Directional: `extension[a * n + b]`.
@@ -171,6 +173,14 @@ impl RuleSet {
     pub fn min_spacing(&self, a: Layer, b: Layer) -> Option<Coord> {
         let s = self.space[self.check(a) * self.n + self.check(b)];
         (s != NO_SPACE_RULE).then_some(s)
+    }
+
+    /// The largest spacing any rule of the deck demands (0 when it
+    /// declares none), derived once when the deck is built: an upper
+    /// bound on every [`min_spacing`](RuleSet::min_spacing).
+    #[inline]
+    pub fn max_spacing(&self) -> Coord {
+        self.max_spacing
     }
 
     /// Spacing required between *disconnected* shapes on `a` and `b`,
@@ -389,6 +399,7 @@ mod tests {
             let mut enclosed = HashSet::new();
             let mut extended = HashSet::new();
             let mut cuts = HashSet::new();
+            let mut widest = 0;
             for line in text.lines() {
                 let words: Vec<&str> = line.split('#').next().unwrap().split_whitespace().collect();
                 match words[..] {
@@ -397,6 +408,7 @@ mod tests {
                         assert_eq!(t.min_spacing(l(a), l(b)), Some(int(s)), "{line}");
                         assert_eq!(t.min_spacing(l(b), l(a)), Some(int(s)), "{line}");
                         spaced.extend([(a, b), (b, a)]);
+                        widest = widest.max(int(s));
                     }
                     ["enclose", o, i, e] => {
                         assert_eq!(t.enclosure(l(o), l(i)), int(e), "{line}");
@@ -446,6 +458,7 @@ mod tests {
                     assert!(t.cut_size(a).is_err(), "{name}");
                 }
             }
+            assert_eq!(t.max_spacing(), widest, "{}", t.name());
         }
     }
 

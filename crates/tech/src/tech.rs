@@ -266,6 +266,7 @@ impl TechBuilder {
             latchup_distance: self.latchup_distance,
             n,
             space: dense(&self.min_space, NO_SPACE_RULE),
+            max_spacing: self.min_space.values().copied().max().unwrap_or(0),
             enclosure: dense(&self.enclosure, 0),
             extension: dense(&self.extension, 0),
             connections: self
