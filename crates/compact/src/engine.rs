@@ -10,6 +10,9 @@ use amgen_tech::{Layer, LayerKind, RuleSet};
 use crate::options::CompactOptions;
 use crate::rebuild::rebuild_group;
 
+/// Most shrink/rebuild iterations of one step (a safety valve).
+const MAX_SHRINK_ITERS: usize = 16;
+
 /// Result of one compaction step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompactReport {
@@ -155,7 +158,7 @@ impl Compactor {
             };
             let best = binding.bound;
             iters += 1;
-            if !opts.variable_edges || iters > opts.max_shrink_iters {
+            if !opts.variable_edges || iters > MAX_SHRINK_ITERS {
                 break (best, true);
             }
             // Second-best bound: how far a shrink could usefully go.

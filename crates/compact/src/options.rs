@@ -17,9 +17,6 @@ pub struct CompactOptions {
 
     /// Enables variable-edge shrinking (Fig. 5b). On by default.
     pub variable_edges: bool,
-
-    /// Maximum shrink/rebuild iterations (safety valve).
-    pub max_shrink_iters: usize,
 }
 
 impl Default for CompactOptions {
@@ -35,7 +32,6 @@ impl CompactOptions {
             ignore: Vec::new(),
             extra_clearance: 0,
             variable_edges: true,
-            max_shrink_iters: 16,
         }
     }
 
@@ -77,7 +73,6 @@ mod tests {
         assert!(o.ignore.is_empty());
         assert!(o.variable_edges);
         assert_eq!(o.extra_clearance, 0);
-        assert!(o.max_shrink_iters > 0);
     }
 
     #[test]

@@ -653,7 +653,7 @@ impl Interpreter {
         bound: Vec<(Option<String>, Value)>,
         ctx: &mut Ctx,
     ) -> Result<LayoutObject, Exec> {
-        let entity = self.entities.get(&call.name).cloned().ok_or_else(|| {
+        let entity = self.entities.get(&call.name).ok_or_else(|| {
             Exec::Fail(DslError::Runtime {
                 line: call.line(),
                 message: format!("unknown entity `{}`", call.name),
@@ -715,7 +715,7 @@ impl Interpreter {
         // Canonical cache key: entity name + tech brand + library hash +
         // the bound parameters in declaration order (never map-iteration
         // order).
-        let key = self.entity_key(&entity, &frame);
+        let key = self.entity_key(entity, &frame);
         if let Some(k) = &key {
             if let Some(hit) = self.ctx.cache_get(Stage::Dsl, k) {
                 return Ok(hit.layout.clone());

@@ -594,16 +594,6 @@ impl GenCtx {
         self.trace.span_fine(stage.name(), name)
     }
 
-    /// Records a point event only at [`Detail::Fine`].
-    #[inline]
-    pub fn trace_instant_fine<N, F>(&self, stage: Stage, name: F)
-    where
-        N: Into<amgen_trace::Name>,
-        F: FnOnce() -> N,
-    {
-        self.trace.instant_fine(stage.name(), name)
-    }
-
     /// Arms a resource [`Budget`] for this context and every clone made
     /// from it. The wall deadline (if any) starts counting immediately;
     /// a fresh [`CancelToken`] is created — fetch it with
@@ -634,13 +624,6 @@ impl GenCtx {
         self
     }
 
-    /// Removes any installed fault hook.
-    #[must_use]
-    pub fn without_faults(mut self) -> GenCtx {
-        self.faults = None;
-        self
-    }
-
     /// Shares a content-addressed [`GenCache`] with this context and
     /// every clone made from it: repeated builds of the same module
     /// (same entity, canonical parameters, technology and source) are
@@ -665,13 +648,6 @@ impl GenCtx {
     #[must_use]
     pub fn with_default_cache(self) -> GenCtx {
         self.with_cache(Arc::new(GenCache::new()))
-    }
-
-    /// Removes the generation cache (builds run fresh again).
-    #[must_use]
-    pub fn without_cache(mut self) -> GenCtx {
-        self.cache = None;
-        self
     }
 
     /// True when cached generation is in effect: a cache is installed
@@ -749,47 +725,6 @@ impl GenCtx {
         if evicted > 0 {
             self.metrics.add_cache_evicted(evicted);
         }
-    }
-
-    /// Runs `build` through the cache: a hit returns the stored module
-    /// (after a cancellation/deadline checkpoint, so cached serving
-    /// still honours the run's limits); a miss builds, stores on
-    /// success, and never stores errors — budget-exhausted, cancelled
-    /// or faulted builds always re-run.
-    ///
-    /// `key = None` (caching inactive, or a non-canonicalizable
-    /// parameter) falls straight through to `build` with no accounting.
-    /// On a hit the stored module is cloned out, and none of the
-    /// build's interior per-stage metrics recur — only the
-    /// `cache_hits` counter moves.
-    pub fn generate_cached_full<E: From<GenError>>(
-        &self,
-        stage: Stage,
-        key: Option<GenKey>,
-        build: impl FnOnce() -> Result<CachedModule, E>,
-    ) -> Result<CachedModule, E> {
-        let Some(key) = key else {
-            return build();
-        };
-        self.checkpoint(stage)?;
-        if let Some(hit) = self.cache_get(stage, &key) {
-            return Ok((*hit).clone());
-        }
-        let built = build()?;
-        self.cache_put(key, Arc::new(built.clone()));
-        Ok(built)
-    }
-
-    /// Layout-only convenience over
-    /// [`generate_cached_full`](GenCtx::generate_cached_full).
-    pub fn generate_cached<E: From<GenError>>(
-        &self,
-        stage: Stage,
-        key: Option<GenKey>,
-        build: impl FnOnce() -> Result<amgen_db::LayoutObject, E>,
-    ) -> Result<amgen_db::LayoutObject, E> {
-        self.generate_cached_full(stage, key, || build().map(CachedModule::layout))
-            .map(|m| m.layout)
     }
 
     /// A clone of the run's cancellation token: hand it to a supervisor

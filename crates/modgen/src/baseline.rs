@@ -12,10 +12,11 @@
 //! experiment harness compares the line counts (`T-code` in
 //! EXPERIMENTS.md).
 
-use amgen_core::{FaultSite, GenCtx, Stage};
+use amgen_core::{GenCtx, GenKey};
 use amgen_db::{LayoutObject, Shape};
 use amgen_geom::{Coord, Rect};
 
+use crate::cached;
 use crate::error::ModgenError;
 
 /// This module's own source text, for the code-length experiment
@@ -34,85 +35,74 @@ pub fn contact_row_by_coordinates(
     layer_name: &str,
     w: Coord,
 ) -> Result<LayoutObject, ModgenError> {
-    let key = crate::cached::module_key(tech, "contact_row_by_coordinates", |k| {
+    let key = |k: &mut GenKey| {
         k.push(layer_name);
         k.push(w);
-    });
-    tech.generate_cached(Stage::Modgen, key, || {
-        contact_row_by_coordinates_uncached(tech, layer_name, w)
-    })
-}
+    };
+    cached::generate(tech, "contact_row_by_coordinates", key, || {
+        let layer = tech.layer(layer_name)?;
+        let metal1 = tech.metal1()?;
+        let contact = tech.contact()?;
 
-fn contact_row_by_coordinates_uncached(
-    tech: &GenCtx,
-    layer_name: &str,
-    w: Coord,
-) -> Result<LayoutObject, ModgenError> {
-    let _stage = tech.stage(Stage::Modgen, || "contact_row_by_coordinates");
-    tech.checkpoint(Stage::Modgen)?;
-    tech.fault_check(FaultSite::ModgenEntry, "contact_row_by_coordinates")?;
-    let layer = tech.layer(layer_name)?;
-    let metal1 = tech.metal1()?;
-    let contact = tech.contact()?;
+        // --- manual rule arithmetic -----------------------------------
+        let cut = tech
+            .cut_size(contact)
+            .map_err(|e| ModgenError::Tech(e.to_string()))?;
+        let cut_space = tech
+            .min_spacing(contact, contact)
+            .ok_or_else(|| ModgenError::Tech("missing contact spacing".into()))?;
+        let enc_base = tech.enclosure(layer, contact);
+        let enc_metal = tech.enclosure(metal1, contact);
+        let enc = enc_base.max(enc_metal);
+        let min_w_layer = tech.min_width(layer);
+        let min_w_metal = tech.min_width(metal1);
 
-    // --- manual rule arithmetic -----------------------------------
-    let cut = tech
-        .cut_size(contact)
-        .map_err(|e| ModgenError::Tech(e.to_string()))?;
-    let cut_space = tech
-        .min_spacing(contact, contact)
-        .ok_or_else(|| ModgenError::Tech("missing contact spacing".into()))?;
-    let enc_base = tech.enclosure(layer, contact);
-    let enc_metal = tech.enclosure(metal1, contact);
-    let enc = enc_base.max(enc_metal);
-    let min_w_layer = tech.min_width(layer);
-    let min_w_metal = tech.min_width(metal1);
+        // The row must be wide enough for the requested width, the layer
+        // minima, and one contact with enclosure on both sides.
+        let need_for_cut = cut + 2 * enc;
+        let row_w = w.max(min_w_layer).max(min_w_metal).max(need_for_cut);
+        // The length is the minimum that satisfies the same constraints.
+        let row_l = min_w_layer.max(min_w_metal).max(need_for_cut);
 
-    // The row must be wide enough for the requested width, the layer
-    // minima, and one contact with enclosure on both sides.
-    let need_for_cut = cut + 2 * enc;
-    let row_w = w.max(min_w_layer).max(min_w_metal).max(need_for_cut);
-    // The length is the minimum that satisfies the same constraints.
-    let row_l = min_w_layer.max(min_w_metal).max(need_for_cut);
+        // Snap to the manufacturing grid.
+        let row_w = tech.snap_up(row_w);
+        let row_l = tech.snap_up(row_l);
 
-    // Snap to the manufacturing grid.
-    let row_w = tech.snap_up(row_w);
-    let row_l = tech.snap_up(row_l);
+        // --- explicit rectangles ---------------------------------------
+        let mut obj = LayoutObject::new(format!("baseline_row:{layer_name}"));
+        let base_rect = Rect::new(0, 0, row_w, row_l);
+        obj.push(Shape::new(layer, base_rect));
+        let metal_rect = Rect::new(0, 0, row_w, row_l);
+        obj.push(Shape::new(metal1, metal_rect));
 
-    // --- explicit rectangles ---------------------------------------
-    let mut obj = LayoutObject::new(format!("baseline_row:{layer_name}"));
-    let base_rect = Rect::new(0, 0, row_w, row_l);
-    obj.push(Shape::new(layer, base_rect));
-    let metal_rect = Rect::new(0, 0, row_w, row_l);
-    obj.push(Shape::new(metal1, metal_rect));
-
-    // Contact array: maximum count that fits, spread equidistantly from
-    // the first position flush at the frame start to the last flush at
-    // the frame end.
-    let frame_x0 = enc;
-    let frame_x1 = row_w - enc;
-    let frame_y0 = enc;
-    let frame_y1 = row_l - enc;
-    let span_x = frame_x1 - frame_x0;
-    let span_y = frame_y1 - frame_y0;
-    let nx = ((span_x + cut_space) / (cut + cut_space)).max(1);
-    let ny = ((span_y + cut_space) / (cut + cut_space)).max(1);
-    for j in 0..ny {
-        let y = if ny == 1 {
-            frame_y0 + (span_y - cut) / 2
-        } else {
-            frame_y0 + (span_y - cut) * j / (ny - 1)
-        };
-        for i in 0..nx {
-            let x = if nx == 1 {
-                frame_x0 + (span_x - cut) / 2
+        // Contact array: maximum count that fits, spread equidistantly from
+        // the first position flush at the frame start to the last flush at
+        // the frame end.
+        let frame_x0 = enc;
+        let frame_x1 = row_w - enc;
+        let frame_y0 = enc;
+        let frame_y1 = row_l - enc;
+        let span_x = frame_x1 - frame_x0;
+        let span_y = frame_y1 - frame_y0;
+        let nx = ((span_x + cut_space) / (cut + cut_space)).max(1);
+        let ny = ((span_y + cut_space) / (cut + cut_space)).max(1);
+        for j in 0..ny {
+            let y = if ny == 1 {
+                frame_y0 + (span_y - cut) / 2
             } else {
-                frame_x0 + (span_x - cut) * i / (nx - 1)
+                frame_y0 + (span_y - cut) * j / (ny - 1)
             };
-            obj.push(Shape::new(contact, Rect::new(x, y, x + cut, y + cut)));
+            for i in 0..nx {
+                let x = if nx == 1 {
+                    frame_x0 + (span_x - cut) / 2
+                } else {
+                    frame_x0 + (span_x - cut) * i / (nx - 1)
+                };
+                obj.push(Shape::new(contact, Rect::new(x, y, x + cut, y + cut)));
+            }
         }
-    }
-    Ok(obj)
+        Ok(obj)
+    })
 }
 
 #[cfg(test)]

@@ -10,11 +10,12 @@
 //! compaction steps.
 
 use amgen_compact::{CompactOptions, Compactor};
-use amgen_core::{FaultSite, GenCtx, Stage};
+use amgen_core::{GenCtx, GenKey};
 use amgen_db::{LayoutObject, Port};
 use amgen_geom::{Coord, Dir, Vector};
 use amgen_prim::Primitives;
 
+use crate::cached;
 use crate::contact_row::{contact_row, ContactRowParams};
 use crate::error::ModgenError;
 
@@ -41,127 +42,117 @@ impl NpnParams {
 
 /// Generates a single npn transistor. Ports: `e`, `b`, `c`.
 pub fn bipolar_npn(tech: &GenCtx, params: &NpnParams) -> Result<LayoutObject, ModgenError> {
-    let key = crate::cached::module_key(tech, "bipolar_npn", |k| {
+    let key = |k: &mut GenKey| {
         k.push(params.emitter_l);
-    });
-    tech.generate_cached(Stage::Modgen, key, || bipolar_npn_uncached(tech, params))
-}
+    };
+    cached::generate(tech, "bipolar_npn", key, || {
+        let prim = Primitives::new(tech);
+        let c = Compactor::new(tech);
+        let base = tech.base()?;
+        let emitter = tech.emitter()?;
+        let buried = tech.buried()?;
+        let ndiff = tech.ndiff()?;
 
-fn bipolar_npn_uncached(tech: &GenCtx, params: &NpnParams) -> Result<LayoutObject, ModgenError> {
-    let _stage = tech.stage(Stage::Modgen, || "bipolar_npn");
-    tech.checkpoint(Stage::Modgen)?;
-    tech.fault_check(FaultSite::ModgenEntry, "bipolar_npn")?;
-    let prim = Primitives::new(tech);
-    let c = Compactor::new(tech);
-    let base = tech.base()?;
-    let emitter = tech.emitter()?;
-    let buried = tech.buried()?;
-    let ndiff = tech.ndiff()?;
+        // Emitter contact row: emitter diffusion + metal + contacts.
+        let mut e_row = contact_row(tech, emitter, &ContactRowParams::new().with_net("e"))?;
+        if let Some(l) = params.emitter_l {
+            // Rebuild with explicit length.
+            e_row = contact_row(
+                tech,
+                emitter,
+                &ContactRowParams::new().with_l(l).with_net("e"),
+            )?;
+        }
 
-    // Emitter contact row: emitter diffusion + metal + contacts.
-    let mut e_row = contact_row(tech, emitter, &ContactRowParams::new().with_net("e"))?;
-    if let Some(l) = params.emitter_l {
-        // Rebuild with explicit length.
-        e_row = contact_row(
+        let mut main = LayoutObject::new("npn");
+        c.compact(&mut main, &e_row, Dir::West, &CompactOptions::new())?;
+
+        // Base region around the emitter, then a base contact row east of it.
+        prim.around(&mut main, base, 0)?;
+        let b_net = main.net("b");
+        let base_rect = main.bbox_on(base);
+        let e_h = main.bbox_on(emitter).height();
+        let b_row = contact_row(
             tech,
-            emitter,
-            &ContactRowParams::new().with_l(l).with_net("e"),
+            base,
+            &ContactRowParams::new().with_l(e_h).with_net("b"),
         )?;
-    }
+        c.compact(
+            &mut main,
+            &b_row,
+            Dir::East,
+            &CompactOptions::new().ignoring(base),
+        )?;
+        let _ = (b_net, base_rect);
 
-    let mut main = LayoutObject::new("npn");
-    c.compact(&mut main, &e_row, Dir::West, &CompactOptions::new())?;
+        // Buried subcollector around everything so far.
+        prim.around(&mut main, buried, 0)?;
 
-    // Base region around the emitter, then a base contact row east of it.
-    prim.around(&mut main, base, 0)?;
-    let b_net = main.net("b");
-    let base_rect = main.bbox_on(base);
-    let e_h = main.bbox_on(emitter).height();
-    let b_row = contact_row(
-        tech,
-        base,
-        &ContactRowParams::new().with_l(e_h).with_net("b"),
-    )?;
-    c.compact(
-        &mut main,
-        &b_row,
-        Dir::East,
-        &CompactOptions::new().ignoring(base),
-    )?;
-    let _ = (b_net, base_rect);
+        // Collector contact row directly on the buried layer (sinker stand-in),
+        // attached west; its buried rectangle merges into the subcollector.
+        let sink = contact_row(
+            tech,
+            buried,
+            &ContactRowParams::new().with_l(e_h).with_net("c"),
+        )?;
+        c.compact(
+            &mut main,
+            &sink,
+            Dir::West,
+            &CompactOptions::new().ignoring(buried),
+        )?;
+        let _ = ndiff;
 
-    // Buried subcollector around everything so far.
-    prim.around(&mut main, buried, 0)?;
-
-    // Collector contact row directly on the buried layer (sinker stand-in),
-    // attached west; its buried rectangle merges into the subcollector.
-    let sink = contact_row(
-        tech,
-        buried,
-        &ContactRowParams::new().with_l(e_h).with_net("c"),
-    )?;
-    c.compact(
-        &mut main,
-        &sink,
-        Dir::West,
-        &CompactOptions::new().ignoring(buried),
-    )?;
-    let _ = ndiff;
-
-    let ports: Vec<Port> = ["e", "b", "c"]
-        .iter()
-        .filter_map(|n| main.port(n).cloned())
-        .collect();
-    debug_assert_eq!(ports.len(), 3);
-    Ok(main)
+        let ports: Vec<Port> = ["e", "b", "c"]
+            .iter()
+            .filter_map(|n| main.port(n).cloned())
+            .collect();
+        debug_assert_eq!(ports.len(), 3);
+        Ok(main)
+    })
 }
 
 /// A symmetric npn pair: two devices mirrored about a common axis, the
 /// block-F arrangement.
 pub fn bipolar_pair(tech: &GenCtx, params: &NpnParams) -> Result<LayoutObject, ModgenError> {
-    let key = crate::cached::module_key(tech, "bipolar_pair", |k| {
+    let key = |k: &mut GenKey| {
         k.push(params.emitter_l);
-    });
-    tech.generate_cached(Stage::Modgen, key, || bipolar_pair_uncached(tech, params))
-}
-
-fn bipolar_pair_uncached(tech: &GenCtx, params: &NpnParams) -> Result<LayoutObject, ModgenError> {
-    let _stage = tech.stage(Stage::Modgen, || "bipolar_pair");
-    tech.checkpoint(Stage::Modgen)?;
-    tech.fault_check(FaultSite::ModgenEntry, "bipolar_pair")?;
-    let single = bipolar_npn(tech, params)?;
-    let buried = tech.buried()?;
-    let space = tech.min_spacing(buried, buried).unwrap_or(5_000);
-    let mut main = LayoutObject::with_capacity("npn_pair", 2 * single.len() + 4);
-    main.absorb(&single, Vector::ZERO);
-    let w = single.bbox().width();
-    let mirrored = single.mirrored_x(single.bbox().x1 + (space + w) / 2 + w / 2);
-    // Rename the mirrored ports by absorbing with prefixed nets: rebuild
-    // the mirrored object's nets as *_2.
-    let mut right = LayoutObject::new("npn2");
-    for name in mirrored.net_names() {
-        right.net(&format!("{name}_2"));
-    }
-    for s in mirrored.shapes() {
-        let mut s2 = *s;
-        s2.net = s.net.map(|id| {
-            let name = format!("{}_2", mirrored.net_name(id));
-            right.net(&name)
-        });
-        right.push(s2);
-    }
-    for p in mirrored.ports() {
-        let name = format!("{}_2", p.name);
-        let net = right.find_net(&name);
-        right.push_port(Port {
-            name,
-            layer: p.layer,
-            rect: p.rect,
-            net,
-        });
-    }
-    main.absorb(&right, Vector::ZERO);
-    Ok(main)
+    };
+    cached::generate(tech, "bipolar_pair", key, || {
+        let single = bipolar_npn(tech, params)?;
+        let buried = tech.buried()?;
+        let space = tech.min_spacing(buried, buried).unwrap_or(5_000);
+        let mut main = LayoutObject::with_capacity("npn_pair", 2 * single.len() + 4);
+        main.absorb(&single, Vector::ZERO);
+        let w = single.bbox().width();
+        let mirrored = single.mirrored_x(single.bbox().x1 + (space + w) / 2 + w / 2);
+        // Rename the mirrored ports by absorbing with prefixed nets: rebuild
+        // the mirrored object's nets as *_2.
+        let mut right = LayoutObject::new("npn2");
+        for name in mirrored.net_names() {
+            right.net(&format!("{name}_2"));
+        }
+        for s in mirrored.shapes() {
+            let mut s2 = *s;
+            s2.net = s.net.map(|id| {
+                let name = format!("{}_2", mirrored.net_name(id));
+                right.net(&name)
+            });
+            right.push(s2);
+        }
+        for p in mirrored.ports() {
+            let name = format!("{}_2", p.name);
+            let net = right.find_net(&name);
+            right.push_port(Port {
+                name,
+                layer: p.layer,
+                rect: p.rect,
+                net,
+            });
+        }
+        main.absorb(&right, Vector::ZERO);
+        Ok(main)
+    })
 }
 
 #[cfg(test)]

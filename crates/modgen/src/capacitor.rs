@@ -7,11 +7,12 @@
 //! the poly layer gives the nominal value.
 
 use amgen_compact::{CompactOptions, Compactor};
-use amgen_core::{FaultSite, GenCtx, Stage};
+use amgen_core::{GenCtx, GenKey};
 use amgen_db::LayoutObject;
 use amgen_geom::{Coord, Dir};
 use amgen_prim::Primitives;
 
+use crate::cached;
 use crate::contact_row::{contact_row, ContactRowParams};
 use crate::error::ModgenError;
 use crate::mos::MosType;
@@ -46,83 +47,67 @@ pub fn mos_capacitor(
     tech: &GenCtx,
     params: &MosCapParams,
 ) -> Result<(LayoutObject, f64), ModgenError> {
-    let key = crate::cached::module_key(tech, "mos_capacitor", |k| {
-        k.push(crate::cached::mos_code(params.mos));
+    let key = |k: &mut GenKey| {
+        k.push(cached::mos_code(params.mos));
         k.push(params.side);
-    });
-    let m = tech.generate_cached_full(Stage::Modgen, key, || {
-        let (layout, value) = mos_capacitor_uncached(tech, params)?;
-        Ok::<_, ModgenError>(amgen_core::CachedModule {
-            layout,
-            scalars: vec![value],
-        })
-    })?;
-    let value = m.scalars[0];
-    Ok((m.layout, value))
-}
-
-fn mos_capacitor_uncached(
-    tech: &GenCtx,
-    params: &MosCapParams,
-) -> Result<(LayoutObject, f64), ModgenError> {
-    let _stage = tech.stage(Stage::Modgen, || "mos_capacitor");
-    tech.checkpoint(Stage::Modgen)?;
-    tech.fault_check(FaultSite::ModgenEntry, "mos_capacitor")?;
-    let c = Compactor::new(tech);
-    let prim = Primitives::new(tech);
-    let poly = tech.poly()?;
-    let diff = params.mos.diff(tech)?;
-    let side = params.side.unwrap_or(10_000).max(4_000);
-
-    // The plate crossing: a "transistor" with W = L = side.
-    let mut core = LayoutObject::new("plate");
-    let (gi, _) = prim.two_rects(&mut core, poly, diff, Some(side), Some(side))?;
-    let top_id = core.net("top");
-    core.shapes_mut()[gi].net = Some(top_id);
-
-    let mut main = LayoutObject::new("mos_cap");
-    let opts = CompactOptions::new().ignoring(diff);
-    c.compact(&mut main, &core, Dir::West, &CompactOptions::new())?;
-    // Gate terminal on top of the plate.
-    let pc = contact_row(
-        tech,
-        poly,
-        &ContactRowParams::new().with_w(side).with_net("top"),
-    )?;
-    c.compact(
-        &mut main,
-        &pc,
-        Dir::North,
-        &CompactOptions::new().ignoring(poly),
-    )?;
-    // Bottom plate contacts on both sides, one net.
-    let row = |_: ()| {
-        contact_row(
-            tech,
-            diff,
-            &ContactRowParams::new().with_l(side).with_net("bot"),
-        )
     };
-    c.compact(&mut main, &row(())?, Dir::West, &opts)?;
-    c.compact(&mut main, &row(())?, Dir::East, &opts)?;
+    cached::generate(tech, "mos_capacitor", key, || {
+        let c = Compactor::new(tech);
+        let prim = Primitives::new(tech);
+        let poly = tech.poly()?;
+        let diff = params.mos.diff(tech)?;
+        let side = params.side.unwrap_or(10_000).max(4_000);
 
-    match params.mos {
-        MosType::N => {
-            let nplus = tech.nplus()?;
-            prim.around(&mut main, nplus, 0)?;
-        }
-        MosType::P => {
-            let pplus = tech.pplus()?;
-            prim.around(&mut main, pplus, 0)?;
-            let nwell = tech.nwell()?;
-            prim.around(&mut main, nwell, 0)?;
-        }
-    }
+        // The plate crossing: a "transistor" with W = L = side.
+        let mut core = LayoutObject::new("plate");
+        let (gi, _) = prim.two_rects(&mut core, poly, diff, Some(side), Some(side))?;
+        let top_id = core.net("top");
+        core.shapes_mut()[gi].net = Some(top_id);
 
-    // Value estimate from the plate overlap area.
-    let plate_um2 = (side as f64 / 1e3) * (side as f64 / 1e3);
-    let cap_ff = plate_um2 * tech.cap_coeffs(poly).area_af_per_um2 / 1e3;
-    Ok((main, cap_ff))
+        let mut main = LayoutObject::new("mos_cap");
+        let opts = CompactOptions::new().ignoring(diff);
+        c.compact(&mut main, &core, Dir::West, &CompactOptions::new())?;
+        // Gate terminal on top of the plate.
+        let pc = contact_row(
+            tech,
+            poly,
+            &ContactRowParams::new().with_w(side).with_net("top"),
+        )?;
+        c.compact(
+            &mut main,
+            &pc,
+            Dir::North,
+            &CompactOptions::new().ignoring(poly),
+        )?;
+        // Bottom plate contacts on both sides, one net.
+        let row = |_: ()| {
+            contact_row(
+                tech,
+                diff,
+                &ContactRowParams::new().with_l(side).with_net("bot"),
+            )
+        };
+        c.compact(&mut main, &row(())?, Dir::West, &opts)?;
+        c.compact(&mut main, &row(())?, Dir::East, &opts)?;
+
+        match params.mos {
+            MosType::N => {
+                let nplus = tech.nplus()?;
+                prim.around(&mut main, nplus, 0)?;
+            }
+            MosType::P => {
+                let pplus = tech.pplus()?;
+                prim.around(&mut main, pplus, 0)?;
+                let nwell = tech.nwell()?;
+                prim.around(&mut main, nwell, 0)?;
+            }
+        }
+
+        // Value estimate from the plate overlap area.
+        let plate_um2 = (side as f64 / 1e3) * (side as f64 / 1e3);
+        let cap_ff = plate_um2 * tech.cap_coeffs(poly).area_af_per_um2 / 1e3;
+        Ok((main, cap_ff))
+    })
 }
 
 #[cfg(test)]

@@ -10,11 +10,12 @@
 //! and are joined with one straight metal2 wire.
 
 use amgen_compact::{CompactOptions, Compactor};
-use amgen_core::{FaultSite, GenCtx, Stage};
+use amgen_core::{GenCtx, GenKey};
 use amgen_db::LayoutObject;
 use amgen_geom::{Coord, Dir};
 use amgen_route::Router;
 
+use crate::cached;
 use crate::error::ModgenError;
 use crate::interdigit::{interdigitated, InterdigitParams};
 use crate::mos::MosType;
@@ -64,59 +65,51 @@ impl CascodeParams {
 /// (top drain); the internal node `mid` joins the lower drain to the
 /// upper source.
 pub fn cascode_pair(tech: &GenCtx, params: &CascodeParams) -> Result<LayoutObject, ModgenError> {
-    let key = crate::cached::module_key(tech, "cascode_pair", |k| {
-        k.push(crate::cached::mos_code(params.mos));
+    let key = |k: &mut GenKey| {
+        k.push(cached::mos_code(params.mos));
         k.push(params.fingers);
         k.push(params.w);
         k.push(params.l);
-    });
-    tech.generate_cached(Stage::Modgen, key, || cascode_pair_uncached(tech, params))
-}
+    };
+    cached::generate(tech, "cascode_pair", key, || {
+        let c = Compactor::new(tech);
+        let router = Router::new(tech);
+        let m2 = tech.metal2()?;
 
-fn cascode_pair_uncached(
-    tech: &GenCtx,
-    params: &CascodeParams,
-) -> Result<LayoutObject, ModgenError> {
-    let _stage = tech.stage(Stage::Modgen, || "cascode_pair");
-    tech.checkpoint(Stage::Modgen)?;
-    tech.fault_check(FaultSite::ModgenEntry, "cascode_pair")?;
-    let c = Compactor::new(tech);
-    let router = Router::new(tech);
-    let m2 = tech.metal2()?;
+        let mut lower_p =
+            InterdigitParams::new(params.mos, params.fingers).with_nets("g_lo", "s", "mid");
+        lower_p.w = params.w;
+        lower_p.l = params.l;
+        let lower = interdigitated(tech, &lower_p)?;
 
-    let mut lower_p =
-        InterdigitParams::new(params.mos, params.fingers).with_nets("g_lo", "s", "mid");
-    lower_p.w = params.w;
-    lower_p.l = params.l;
-    let lower = interdigitated(tech, &lower_p)?;
+        let mut upper_p =
+            InterdigitParams::new(params.mos, params.fingers).with_nets("g_hi", "mid", "d");
+        upper_p.w = params.w;
+        upper_p.l = params.l;
+        let upper = interdigitated(tech, &upper_p)?;
 
-    let mut upper_p =
-        InterdigitParams::new(params.mos, params.fingers).with_nets("g_hi", "mid", "d");
-    upper_p.w = params.w;
-    upper_p.l = params.l;
-    let upper = interdigitated(tech, &upper_p)?;
+        let mut main = LayoutObject::with_capacity("cascode", lower.len() + upper.len() + 16);
+        c.compact(&mut main, &lower, Dir::West, &CompactOptions::new())?;
+        c.compact(&mut main, &upper, Dir::North, &CompactOptions::new())?;
 
-    let mut main = LayoutObject::with_capacity("cascode", lower.len() + upper.len() + 16);
-    c.compact(&mut main, &lower, Dir::West, &CompactOptions::new())?;
-    c.compact(&mut main, &upper, Dir::North, &CompactOptions::new())?;
-
-    // Join the internal node: lower drain bus to upper source bus.
-    let lower_mid = main
-        .ports()
-        .iter()
-        .find(|p| p.name == "mid" && p.layer == m2)
-        .map(|p| p.rect)
-        .ok_or_else(|| ModgenError::Route("cascode: lower `mid` bus port not found".into()))?;
-    let upper_mid = main
-        .ports()
-        .iter()
-        .rev()
-        .find(|p| p.name == "mid" && p.layer == m2)
-        .map(|p| p.rect)
-        .ok_or_else(|| ModgenError::Route("cascode: upper `mid` bus port not found".into()))?;
-    let mid_id = main.net("mid");
-    router.straight(&mut main, m2, lower_mid, upper_mid, None, Some(mid_id))?;
-    Ok(main)
+        // Join the internal node: lower drain bus to upper source bus.
+        let lower_mid = main
+            .ports()
+            .iter()
+            .find(|p| p.name == "mid" && p.layer == m2)
+            .map(|p| p.rect)
+            .ok_or_else(|| ModgenError::Route("cascode: lower `mid` bus port not found".into()))?;
+        let upper_mid = main
+            .ports()
+            .iter()
+            .rev()
+            .find(|p| p.name == "mid" && p.layer == m2)
+            .map(|p| p.rect)
+            .ok_or_else(|| ModgenError::Route("cascode: upper `mid` bus port not found".into()))?;
+        let mid_id = main.net("mid");
+        router.straight(&mut main, m2, lower_mid, upper_mid, None, Some(mid_id))?;
+        Ok(main)
+    })
 }
 
 #[cfg(test)]

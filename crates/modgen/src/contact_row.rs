@@ -9,12 +9,13 @@
 //!   ARRAY("contact")
 //! ```
 
-use amgen_core::{FaultSite, GenCtx, Stage};
+use amgen_core::{GenCtx, GenKey};
 use amgen_db::{LayoutObject, Port, RebuildKind};
 use amgen_geom::{Coord, Dir};
 use amgen_prim::Primitives;
 use amgen_tech::Layer;
 
+use crate::cached;
 use crate::error::ModgenError;
 
 /// Parameters of a contact row.
@@ -92,82 +93,67 @@ pub fn contact_row(
 ) -> Result<LayoutObject, ModgenError> {
     // The net is a pure relabeling: cache the canonical (α-renamed)
     // form so rows that differ only in their net share one entry.
-    if let (true, Some(net)) = (tech.cache_active(), &params.net) {
-        let key = crate::cached::module_key(tech, "contact_row", |k| {
-            k.push(layer.index());
-            k.push(params.w);
-            k.push(params.l);
-            k.push(true); // a (canonicalized) net is present
-            k.push(params.variable_edges);
-        });
-        let canon = ContactRowParams {
-            net: Some(crate::cached::ALPHA_A.to_string()),
-            ..params.clone()
-        };
-        let mut row = tech.generate_cached(Stage::Modgen, key, || {
-            contact_row_uncached(tech, layer, &canon)
-        })?;
-        row.rename_label(crate::cached::ALPHA_A, net);
-        return Ok(row);
-    }
-    let key = crate::cached::module_key(tech, "contact_row", |k| {
+    let canonical = tech.cache_active() && params.net.is_some();
+    let net = if canonical {
+        Some(cached::ALPHA_A)
+    } else {
+        params.net.as_deref()
+    };
+    let key = |k: &mut GenKey| {
         k.push(layer.index());
         k.push(params.w);
         k.push(params.l);
-        k.push(params.net.clone());
+        if canonical {
+            k.push(true); // a (canonicalized) net is present
+        } else {
+            k.push(params.net.clone());
+        }
         k.push(params.variable_edges);
-    });
-    tech.generate_cached(Stage::Modgen, key, || {
-        contact_row_uncached(tech, layer, params)
-    })
-}
-
-fn contact_row_uncached(
-    tech: &GenCtx,
-    layer: Layer,
-    params: &ContactRowParams,
-) -> Result<LayoutObject, ModgenError> {
-    let _stage = tech.stage(Stage::Modgen, || "contact_row");
-    tech.checkpoint(Stage::Modgen)?;
-    tech.fault_check(FaultSite::ModgenEntry, "contact_row")?;
-    let prim = Primitives::new(tech);
-    let metal1 = tech.metal1()?;
-    let contact = tech.contact()?;
-    let mut obj = LayoutObject::new(format!("contact_row:{}", tech.layer_name(layer)));
-    let base = prim.inbox(&mut obj, layer, params.w, params.l)?;
-    let metal = prim.inbox(&mut obj, metal1, None, None)?;
-    let cuts = prim.array(&mut obj, contact)?;
-    let mut members = vec![base, metal];
-    members.extend(cuts.iter().copied());
-    obj.add_group(
-        "row",
-        members,
-        Some(RebuildKind::ContactArray { cut: contact }),
-    );
-    if let Some(name) = &params.net {
-        let id = obj.net(name);
-        for s in obj.shapes_mut() {
-            s.net = Some(id);
-        }
-    }
-    if params.variable_edges {
-        for i in [base, metal] {
-            let mut e = obj.shapes()[i].edges;
-            for d in Dir::ALL {
-                e = e.with_variable(d);
+    };
+    let mut row = cached::generate(tech, "contact_row", key, || {
+        let prim = Primitives::new(tech);
+        let metal1 = tech.metal1()?;
+        let contact = tech.contact()?;
+        let mut obj = LayoutObject::new(format!("contact_row:{}", tech.layer_name(layer)));
+        let base = prim.inbox(&mut obj, layer, params.w, params.l)?;
+        let metal = prim.inbox(&mut obj, metal1, None, None)?;
+        let cuts = prim.array(&mut obj, contact)?;
+        let mut members = vec![base, metal];
+        members.extend(cuts.iter().copied());
+        obj.add_group(
+            "row",
+            members,
+            Some(RebuildKind::ContactArray { cut: contact }),
+        );
+        if let Some(name) = net {
+            let id = obj.net(name);
+            for s in obj.shapes_mut() {
+                s.net = Some(id);
             }
-            obj.shapes_mut()[i].edges = e;
         }
+        if params.variable_edges {
+            for i in [base, metal] {
+                let mut e = obj.shapes()[i].edges;
+                for d in Dir::ALL {
+                    e = e.with_variable(d);
+                }
+                obj.shapes_mut()[i].edges = e;
+            }
+        }
+        let port_rect = obj.shapes()[metal].rect;
+        let port_net = obj.shapes()[metal].net;
+        obj.push_port(Port {
+            name: net.unwrap_or("c").to_string(),
+            layer: metal1,
+            rect: port_rect,
+            net: port_net,
+        });
+        Ok(obj)
+    })?;
+    if let (true, Some(name)) = (canonical, &params.net) {
+        row.rename_label(cached::ALPHA_A, name);
     }
-    let port_rect = obj.shapes()[metal].rect;
-    let port_net = obj.shapes()[metal].net;
-    obj.push_port(Port {
-        name: params.net.clone().unwrap_or_else(|| "c".to_string()),
-        layer: metal1,
-        rect: port_rect,
-        net: port_net,
-    });
-    Ok(obj)
+    Ok(row)
 }
 
 #[cfg(test)]

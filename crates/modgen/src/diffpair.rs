@@ -15,12 +15,13 @@
 //! shared between the devices.
 
 use amgen_compact::{CompactOptions, Compactor};
-use amgen_core::{FaultSite, GenCtx, Stage};
+use amgen_core::{GenCtx, GenKey};
 use amgen_db::LayoutObject;
 use amgen_geom::Coord;
 use amgen_geom::Dir;
 use amgen_prim::Primitives;
 
+use crate::cached;
 use crate::contact_row::{contact_row, ContactRowParams};
 use crate::error::ModgenError;
 use crate::mos::{mos_finger, MosType};
@@ -69,56 +70,53 @@ impl DiffPairParams {
 /// Net/port names: gates `g1`/`g2`, drains `d1`/`d2` (outer rows), common
 /// source `s` (the shared middle row).
 pub fn diff_pair(tech: &GenCtx, params: &DiffPairParams) -> Result<LayoutObject, ModgenError> {
-    let key = crate::cached::module_key(tech, "diff_pair", |k| {
-        k.push(crate::cached::mos_code(params.mos));
+    let key = |k: &mut GenKey| {
+        k.push(cached::mos_code(params.mos));
         k.push(params.w);
         k.push(params.l);
         k.push(params.implants);
-    });
-    tech.generate_cached(Stage::Modgen, key, || diff_pair_uncached(tech, params))
-}
+    };
+    cached::generate(tech, "diff_pair", key, || {
+        let c = Compactor::new(tech);
+        let prim = Primitives::new(tech);
+        let diff = params.mos.diff(tech)?;
 
-fn diff_pair_uncached(tech: &GenCtx, params: &DiffPairParams) -> Result<LayoutObject, ModgenError> {
-    let _stage = tech.stage(Stage::Modgen, || "diff_pair");
-    tech.checkpoint(Stage::Modgen)?;
-    tech.fault_check(FaultSite::ModgenEntry, "diff_pair")?;
-    let c = Compactor::new(tech);
-    let prim = Primitives::new(tech);
-    let diff = params.mos.diff(tech)?;
+        // trans1 carries its own east row (drain d1); trans2 is "a copy of
+        // trans1" with its row becoming the shared source when it lands west.
+        let trans1 = mos_finger(tech, params.mos, params.w, params.l, "g1", "d1", true)?;
+        let trans2 = mos_finger(tech, params.mos, params.w, params.l, "g2", "s", true)?;
+        let w_actual = trans1.bbox_on(diff).height();
+        let diffcon = contact_row(
+            tech,
+            diff,
+            &ContactRowParams::new().with_l(w_actual).with_net("d2"),
+        )?;
 
-    // trans1 carries its own east row (drain d1); trans2 is "a copy of
-    // trans1" with its row becoming the shared source when it lands west.
-    let trans1 = mos_finger(tech, params.mos, params.w, params.l, "g1", "d1", true)?;
-    let trans2 = mos_finger(tech, params.mos, params.w, params.l, "g2", "s", true)?;
-    let w_actual = trans1.bbox_on(diff).height();
-    let diffcon = contact_row(
-        tech,
-        diff,
-        &ContactRowParams::new().with_l(w_actual).with_net("d2"),
-    )?;
+        let mut main = LayoutObject::with_capacity(
+            "diff_pair",
+            trans1.len() + trans2.len() + diffcon.len() + 8,
+        );
+        let opts = CompactOptions::new().ignoring(diff);
+        c.compact(&mut main, &trans1, Dir::West, &opts)?; // step 3
+        c.compact(&mut main, &trans2, Dir::West, &opts)?; // step 4
+        c.compact(&mut main, &diffcon, Dir::West, &opts)?; // step 5
 
-    let mut main =
-        LayoutObject::with_capacity("diff_pair", trans1.len() + trans2.len() + diffcon.len() + 8);
-    let opts = CompactOptions::new().ignoring(diff);
-    c.compact(&mut main, &trans1, Dir::West, &opts)?; // step 3
-    c.compact(&mut main, &trans2, Dir::West, &opts)?; // step 4
-    c.compact(&mut main, &diffcon, Dir::West, &opts)?; // step 5
-
-    if params.implants {
-        match params.mos {
-            MosType::N => {
-                let nplus = tech.nplus()?;
-                prim.around(&mut main, nplus, 0)?;
-            }
-            MosType::P => {
-                let pplus = tech.pplus()?;
-                prim.around(&mut main, pplus, 0)?;
-                let nwell = tech.nwell()?;
-                prim.around(&mut main, nwell, 0)?;
+        if params.implants {
+            match params.mos {
+                MosType::N => {
+                    let nplus = tech.nplus()?;
+                    prim.around(&mut main, nplus, 0)?;
+                }
+                MosType::P => {
+                    let pplus = tech.pplus()?;
+                    prim.around(&mut main, pplus, 0)?;
+                    let nwell = tech.nwell()?;
+                    prim.around(&mut main, nwell, 0)?;
+                }
             }
         }
-    }
-    Ok(main)
+        Ok(main)
+    })
 }
 
 #[cfg(test)]

@@ -6,10 +6,11 @@
 //! transistor plus one metal1 strap from the gate contact to the drain
 //! row.
 
-use amgen_core::{FaultSite, GenCtx, Stage};
+use amgen_core::{GenCtx, GenKey};
 use amgen_db::{LayoutObject, Shape};
 use amgen_geom::{Coord, Rect};
 
+use crate::cached;
 use crate::error::ModgenError;
 use crate::mos::{mos_transistor, MosParams, MosType};
 
@@ -52,72 +53,62 @@ impl DiodeParams {
 /// Generates the diode-connected transistor. The anode (gate + drain) is
 /// net `a`, the source is net `s`. Ports: `a`, `s`.
 pub fn diode_transistor(tech: &GenCtx, params: &DiodeParams) -> Result<LayoutObject, ModgenError> {
-    let key = crate::cached::module_key(tech, "diode_transistor", |k| {
-        k.push(crate::cached::mos_code(params.mos));
+    let key = |k: &mut GenKey| {
+        k.push(cached::mos_code(params.mos));
         k.push(params.w);
         k.push(params.l);
-    });
-    tech.generate_cached(Stage::Modgen, key, || {
-        diode_transistor_uncached(tech, params)
-    })
-}
-
-fn diode_transistor_uncached(
-    tech: &GenCtx,
-    params: &DiodeParams,
-) -> Result<LayoutObject, ModgenError> {
-    let _stage = tech.stage(Stage::Modgen, || "diode_transistor");
-    tech.checkpoint(Stage::Modgen)?;
-    tech.fault_check(FaultSite::ModgenEntry, "diode_transistor")?;
-    let mut p = MosParams::new(params.mos).with_nets("a", "s", "a");
-    p.w = params.w;
-    p.l = params.l;
-    let mut m = mos_transistor(tech, &p)?;
-    // Strap the gate contact row to the drain row: both carry net "a".
-    // The gate contact sits south of the gate, the drain row east — an
-    // L on metal1 joins them.
-    let m1 = tech.metal1()?;
-    let a = m
-        .find_net("a")
-        .ok_or_else(|| ModgenError::Route("net `a` missing".into()))?;
-    // Gate contact: the metal1 "a" geometry below y = 0; drain row: the
-    // "a" geometry above it, on the east side (a tall column, or a square
-    // pad at the minimum width).
-    let mut gate_pad: Option<Rect> = None;
-    let mut drain_col: Option<Rect> = None;
-    for s in m.shapes() {
-        if s.layer != m1 || s.net != Some(a) {
-            continue;
-        }
-        if s.rect.y1 <= 0 {
-            gate_pad = Some(gate_pad.map_or(s.rect, |g| g.union_bbox(&s.rect)));
-        } else {
-            drain_col = Some(drain_col.map_or(s.rect, |d| d.union_bbox(&s.rect)));
-        }
-    }
-    let (gate_pad, drain_col) = match (gate_pad, drain_col) {
-        (Some(g), Some(d)) => (g, d),
-        _ => return Err(ModgenError::Route("diode strap endpoints not found".into())),
     };
-    let w1 = tech.min_width(m1);
-    // Horizontal from the gate pad east to under the drain column, then
-    // vertical up into the column.
-    let hy = gate_pad.center().y;
-    let h = Rect::new(
-        gate_pad.x1,
-        hy - w1 / 2,
-        drain_col.center().x + w1 / 2,
-        hy - w1 / 2 + w1,
-    );
-    let v = Rect::new(
-        drain_col.center().x - w1 / 2,
-        hy - w1 / 2,
-        drain_col.center().x - w1 / 2 + w1,
-        drain_col.y0 + w1,
-    );
-    m.push(Shape::new(m1, h).with_net(a));
-    m.push(Shape::new(m1, v).with_net(a));
-    Ok(m)
+    cached::generate(tech, "diode_transistor", key, || {
+        let mut p = MosParams::new(params.mos).with_nets("a", "s", "a");
+        p.w = params.w;
+        p.l = params.l;
+        let mut m = mos_transistor(tech, &p)?;
+        // Strap the gate contact row to the drain row: both carry net "a".
+        // The gate contact sits south of the gate, the drain row east — an
+        // L on metal1 joins them.
+        let m1 = tech.metal1()?;
+        let a = m
+            .find_net("a")
+            .ok_or_else(|| ModgenError::Route("net `a` missing".into()))?;
+        // Gate contact: the metal1 "a" geometry below y = 0; drain row: the
+        // "a" geometry above it, on the east side (a tall column, or a square
+        // pad at the minimum width).
+        let mut gate_pad: Option<Rect> = None;
+        let mut drain_col: Option<Rect> = None;
+        for s in m.shapes() {
+            if s.layer != m1 || s.net != Some(a) {
+                continue;
+            }
+            if s.rect.y1 <= 0 {
+                gate_pad = Some(gate_pad.map_or(s.rect, |g| g.union_bbox(&s.rect)));
+            } else {
+                drain_col = Some(drain_col.map_or(s.rect, |d| d.union_bbox(&s.rect)));
+            }
+        }
+        let (gate_pad, drain_col) = match (gate_pad, drain_col) {
+            (Some(g), Some(d)) => (g, d),
+            _ => return Err(ModgenError::Route("diode strap endpoints not found".into())),
+        };
+        let w1 = tech.min_width(m1);
+        // Horizontal from the gate pad east to under the drain column, then
+        // vertical up into the column.
+        let hy = gate_pad.center().y;
+        let h = Rect::new(
+            gate_pad.x1,
+            hy - w1 / 2,
+            drain_col.center().x + w1 / 2,
+            hy - w1 / 2 + w1,
+        );
+        let v = Rect::new(
+            drain_col.center().x - w1 / 2,
+            hy - w1 / 2,
+            drain_col.center().x - w1 / 2 + w1,
+            drain_col.y0 + w1,
+        );
+        m.push(Shape::new(m1, h).with_net(a));
+        m.push(Shape::new(m1, v).with_net(a));
+        Ok(m)
+    })
 }
 
 #[cfg(test)]

@@ -6,11 +6,12 @@
 //! a contacted diffusion ring whose shapes carry
 //! [`ShapeRole::SubstrateContact`] so the check can find them.
 
-use amgen_core::{FaultSite, GenCtx, Stage};
+use amgen_core::{GenCtx, GenKey};
 use amgen_db::{LayoutObject, Port, Shape, ShapeRole};
 use amgen_geom::{Coord, Rect};
 use amgen_prim::Primitives;
 
+use crate::cached;
 use crate::error::ModgenError;
 
 /// Parameters of a guard ring.
@@ -40,76 +41,65 @@ pub fn guard_ring(
     core: &LayoutObject,
     params: &GuardRingParams,
 ) -> Result<LayoutObject, ModgenError> {
-    let key = crate::cached::module_key(tech, "guard_ring", |k| {
+    let key = |k: &mut GenKey| {
         k.push(amgen_core::CanonParam::object(core));
         k.push(params.net.clone());
         k.push(params.width);
-    });
-    tech.generate_cached(Stage::Modgen, key, || {
-        guard_ring_uncached(tech, core, params)
-    })
-}
+    };
+    cached::generate(tech, "guard_ring", key, || {
+        let prim = Primitives::new(tech);
+        let pdiff = tech.pdiff()?;
+        let m1 = tech.metal1()?;
+        let ct = tech.contact()?;
 
-fn guard_ring_uncached(
-    tech: &GenCtx,
-    core: &LayoutObject,
-    params: &GuardRingParams,
-) -> Result<LayoutObject, ModgenError> {
-    let _stage = tech.stage(Stage::Modgen, || "guard_ring");
-    tech.checkpoint(Stage::Modgen)?;
-    tech.fault_check(FaultSite::ModgenEntry, "guard_ring")?;
-    let prim = Primitives::new(tech);
-    let pdiff = tech.pdiff()?;
-    let m1 = tech.metal1()?;
-    let ct = tech.contact()?;
+        let mut obj = core.clone();
+        let net = obj.net(&params.net);
 
-    let mut obj = core.clone();
-    let net = obj.net(&params.net);
+        // Ring width: room for one contact with both enclosures.
+        let cut = tech.cut_size(ct)?;
+        let min_w = (cut + 2 * tech.enclosure(pdiff, ct).max(tech.enclosure(m1, ct)))
+            .max(tech.min_width(pdiff))
+            .max(tech.min_width(m1));
+        let w = params.width.unwrap_or(min_w).max(min_w);
 
-    // Ring width: room for one contact with both enclosures.
-    let cut = tech.cut_size(ct)?;
-    let min_w = (cut + 2 * tech.enclosure(pdiff, ct).max(tech.enclosure(m1, ct)))
-        .max(tech.min_width(pdiff))
-        .max(tech.min_width(m1));
-    let w = params.width.unwrap_or(min_w).max(min_w);
+        // Clearance: every layer in the core must respect both the diffusion
+        // ring and its metal.
+        let clearance = obj
+            .shapes()
+            .iter()
+            .map(|s| {
+                tech.clearance(pdiff, s.layer)
+                    .max(tech.clearance(m1, s.layer))
+            })
+            .max()
+            .unwrap_or(0);
 
-    // Clearance: every layer in the core must respect both the diffusion
-    // ring and its metal.
-    let clearance = obj
-        .shapes()
-        .iter()
-        .map(|s| {
-            tech.clearance(pdiff, s.layer)
-                .max(tech.clearance(m1, s.layer))
-        })
-        .max()
-        .unwrap_or(0);
-
-    let ring = prim.ring(&mut obj, pdiff, Some(w), Some(clearance))?;
-    let mut ring_rects = Vec::with_capacity(4);
-    for &i in &ring {
-        let s = &mut obj.shapes_mut()[i];
-        s.net = Some(net);
-        s.role = ShapeRole::SubstrateContact;
-        ring_rects.push(s.rect);
-    }
-    // Metal ring on the same rectangles, plus contact rows inside.
-    let enc = tech.enclosure(pdiff, ct).max(tech.enclosure(m1, ct));
-    for r in ring_rects {
-        obj.push(Shape::new(m1, r).with_net(net));
-        let frame = r.inflated(-enc);
-        for cut_rect in prim.array_in_frame(frame, ct)? {
-            obj.push(Shape::new(ct, cut_rect).with_net(net));
+        let ring = prim.ring(&mut obj, pdiff, Some(w), Some(clearance))?;
+        let mut ring_rects = Vec::with_capacity(4);
+        for &i in &ring {
+            let s = &mut obj.shapes_mut()[i];
+            s.net = Some(net);
+            s.role = ShapeRole::SubstrateContact;
+            ring_rects.push(s.rect);
         }
-    }
-    let bbox = obj.bbox();
-    obj.push_port(Port {
-        name: params.net.clone(),
-        layer: m1,
-        rect: Rect::new(bbox.x0, bbox.y0, bbox.x1, bbox.y0 + w),
-        net: Some(net),
-    });
-    Ok(obj)
+        // Metal ring on the same rectangles, plus contact rows inside.
+        let enc = tech.enclosure(pdiff, ct).max(tech.enclosure(m1, ct));
+        for r in ring_rects {
+            obj.push(Shape::new(m1, r).with_net(net));
+            let frame = r.inflated(-enc);
+            for cut_rect in prim.array_in_frame(frame, ct)? {
+                obj.push(Shape::new(ct, cut_rect).with_net(net));
+            }
+        }
+        let bbox = obj.bbox();
+        obj.push_port(Port {
+            name: params.net.clone(),
+            layer: m1,
+            rect: Rect::new(bbox.x0, bbox.y0, bbox.x1, bbox.y0 + w),
+            net: Some(net),
+        });
+        Ok(obj)
+    })
 }
 
 #[cfg(test)]

@@ -6,12 +6,13 @@
 //! metal2 buses collecting the source and drain rows.
 
 use amgen_compact::{CompactOptions, Compactor};
-use amgen_core::{FaultSite, GenCtx, Stage};
+use amgen_core::{GenCtx, GenKey};
 use amgen_db::{LayoutObject, Port, Shape};
 use amgen_geom::{Coord, Dir, Point, Rect};
 use amgen_prim::Primitives;
 use amgen_route::Router;
 
+use crate::cached;
 use crate::contact_row::{contact_row, ContactRowParams};
 use crate::error::ModgenError;
 use crate::mos::MosType;
@@ -104,8 +105,8 @@ pub fn interdigitated(
     tech: &GenCtx,
     params: &InterdigitParams,
 ) -> Result<LayoutObject, ModgenError> {
-    let key = crate::cached::module_key(tech, "interdigitated", |k| {
-        k.push(crate::cached::mos_code(params.mos));
+    let key = |k: &mut GenKey| {
+        k.push(cached::mos_code(params.mos));
         k.push(params.fingers);
         k.push(params.w);
         k.push(params.l);
@@ -113,131 +114,123 @@ pub fn interdigitated(
         k.push(params.s_net.clone());
         k.push(params.d_net.clone());
         k.push(params.implants);
-    });
-    tech.generate_cached(Stage::Modgen, key, || interdigitated_uncached(tech, params))
-}
-
-fn interdigitated_uncached(
-    tech: &GenCtx,
-    params: &InterdigitParams,
-) -> Result<LayoutObject, ModgenError> {
-    let _stage = tech.stage(Stage::Modgen, || "interdigitated");
-    tech.checkpoint(Stage::Modgen)?;
-    tech.fault_check(FaultSite::ModgenEntry, "interdigitated")?;
-    if params.fingers == 0 {
-        return Err(ModgenError::BadParam {
-            param: "fingers",
-            message: "must be at least 1".into(),
-        });
-    }
-    let c = Compactor::new(tech);
-    let prim = Primitives::new(tech);
-    let router = Router::new(tech);
-    let poly = tech.poly()?;
-    let diff = params.mos.diff(tech)?;
-    let m1 = tech.metal1()?;
-    let m2 = tech.metal2()?;
-    let via = tech.via1()?;
-    let w = params.w.unwrap_or(6_000).max(4_000);
-
-    let mut main = LayoutObject::new("interdigit");
-    let opts = CompactOptions::new().ignoring(diff);
-
-    // Alternating row/gate chain: S g D g S g D ...
-    let row = |net: &str| -> Result<LayoutObject, ModgenError> {
-        contact_row(tech, diff, &ContactRowParams::new().with_l(w).with_net(net))
     };
-    let mut row_centers: Vec<(String, Coord)> = Vec::new();
-    let seed = row(&params.s_net)?;
-    c.compact(&mut main, &seed, Dir::West, &opts)?;
-    row_centers.push((params.s_net.clone(), main.bbox_on(m1).center().x));
-    for i in 0..params.fingers {
-        let g = gate_unit(tech, params.mos, w, params.l, &params.g_net)?;
-        c.compact(&mut main, &g, Dir::East, &opts)?;
-        let net = if i % 2 == 0 {
-            &params.d_net
-        } else {
-            &params.s_net
+    cached::generate(tech, "interdigitated", key, || {
+        if params.fingers == 0 {
+            return Err(ModgenError::BadParam {
+                param: "fingers",
+                message: "must be at least 1".into(),
+            });
+        }
+        let c = Compactor::new(tech);
+        let prim = Primitives::new(tech);
+        let router = Router::new(tech);
+        let poly = tech.poly()?;
+        let diff = params.mos.diff(tech)?;
+        let m1 = tech.metal1()?;
+        let m2 = tech.metal2()?;
+        let via = tech.via1()?;
+        let w = params.w.unwrap_or(6_000).max(4_000);
+
+        let mut main = LayoutObject::new("interdigit");
+        let opts = CompactOptions::new().ignoring(diff);
+
+        // Alternating row/gate chain: S g D g S g D ...
+        let row = |net: &str| -> Result<LayoutObject, ModgenError> {
+            contact_row(tech, diff, &ContactRowParams::new().with_l(w).with_net(net))
         };
-        let r = row(net)?;
-        let before = main.bbox().x1;
-        c.compact(&mut main, &r, Dir::East, &opts)?;
-        let after = main.bbox().x1;
-        row_centers.push((net.clone(), (before + after) / 2));
-    }
+        let mut row_centers: Vec<(String, Coord)> = Vec::new();
+        let seed = row(&params.s_net)?;
+        c.compact(&mut main, &seed, Dir::West, &opts)?;
+        row_centers.push((params.s_net.clone(), main.bbox_on(m1).center().x));
+        for i in 0..params.fingers {
+            let g = gate_unit(tech, params.mos, w, params.l, &params.g_net)?;
+            c.compact(&mut main, &g, Dir::East, &opts)?;
+            let net = if i % 2 == 0 {
+                &params.d_net
+            } else {
+                &params.s_net
+            };
+            let r = row(net)?;
+            let before = main.bbox().x1;
+            c.compact(&mut main, &r, Dir::East, &opts)?;
+            let after = main.bbox().x1;
+            row_centers.push((net.clone(), (before + after) / 2));
+        }
 
-    // Gate strap: a poly bar across the top, merging with every finger.
-    let strap_w = tech.min_width(poly);
-    let gate_top = main.bbox_on(poly).y1;
-    let span = main.bbox_on(poly);
-    let strap = Rect::new(span.x0, gate_top, span.x1, gate_top + strap_w);
-    let g_id = main.net(&params.g_net);
-    main.push(Shape::new(poly, strap).with_net(g_id));
+        // Gate strap: a poly bar across the top, merging with every finger.
+        let strap_w = tech.min_width(poly);
+        let gate_top = main.bbox_on(poly).y1;
+        let span = main.bbox_on(poly);
+        let strap = Rect::new(span.x0, gate_top, span.x1, gate_top + strap_w);
+        let g_id = main.net(&params.g_net);
+        main.push(Shape::new(poly, strap).with_net(g_id));
 
-    // Gate contact row on the strap (west end).
-    let polycon = contact_row(tech, poly, &ContactRowParams::new().with_net(&params.g_net))?;
-    let mut polycon = polycon;
-    let pbox = polycon.bbox();
-    polycon.translate(amgen_geom::Vector::new(
-        span.x0 - pbox.x0,
-        strap.y1 - pbox.y0,
-    ));
-    main.absorb(&polycon, amgen_geom::Vector::ZERO);
+        // Gate contact row on the strap (west end).
+        let polycon = contact_row(tech, poly, &ContactRowParams::new().with_net(&params.g_net))?;
+        let mut polycon = polycon;
+        let pbox = polycon.bbox();
+        polycon.translate(amgen_geom::Vector::new(
+            span.x0 - pbox.x0,
+            strap.y1 - pbox.y0,
+        ));
+        main.absorb(&polycon, amgen_geom::Vector::ZERO);
 
-    // Buses in metal2: the source bus below the device (risers drop), the
-    // drain bus above the poly contact (risers rise) — same-layer risers
-    // never cross a foreign bus.
-    let bus_w = (tech.min_width(m2)).max(2_000);
-    let bus_span = main.bbox();
-    let s_bus_y1 = bus_span.y0 - 2_000;
-    let d_bus_y0 = bus_span.y1 + 2_000;
-    let s_id = main.net(&params.s_net);
-    let d_id = main.net(&params.d_net);
-    let s_bus = Rect::new(bus_span.x0, s_bus_y1 - bus_w, bus_span.x1, s_bus_y1);
-    let d_bus = Rect::new(bus_span.x0, d_bus_y0, bus_span.x1, d_bus_y0 + bus_w);
-    main.push(Shape::new(m2, s_bus).with_net(s_id));
-    main.push(Shape::new(m2, d_bus).with_net(d_id));
-    // Vias and vertical metal2 risers from every row to its bus.
-    let wire_w = tech.min_width(m2);
-    for (net, x) in &row_centers {
-        let id = main.net(net);
-        let via_at = Point::new(*x, w / 2);
-        router.via_stack(&mut main, via, m1, m2, via_at, Some(id))?;
-        let riser = if net == &params.s_net {
-            Rect::new(x - wire_w / 2, s_bus.y0, x - wire_w / 2 + wire_w, via_at.y)
-        } else {
-            Rect::new(x - wire_w / 2, via_at.y, x - wire_w / 2 + wire_w, d_bus.y1)
-        };
-        main.push(Shape::new(m2, riser).with_net(id));
-    }
-    main.push_port(Port {
-        name: params.s_net.clone(),
-        layer: m2,
-        rect: s_bus,
-        net: Some(s_id),
-    });
-    main.push_port(Port {
-        name: params.d_net.clone(),
-        layer: m2,
-        rect: d_bus,
-        net: Some(d_id),
-    });
+        // Buses in metal2: the source bus below the device (risers drop), the
+        // drain bus above the poly contact (risers rise) — same-layer risers
+        // never cross a foreign bus.
+        let bus_w = (tech.min_width(m2)).max(2_000);
+        let bus_span = main.bbox();
+        let s_bus_y1 = bus_span.y0 - 2_000;
+        let d_bus_y0 = bus_span.y1 + 2_000;
+        let s_id = main.net(&params.s_net);
+        let d_id = main.net(&params.d_net);
+        let s_bus = Rect::new(bus_span.x0, s_bus_y1 - bus_w, bus_span.x1, s_bus_y1);
+        let d_bus = Rect::new(bus_span.x0, d_bus_y0, bus_span.x1, d_bus_y0 + bus_w);
+        main.push(Shape::new(m2, s_bus).with_net(s_id));
+        main.push(Shape::new(m2, d_bus).with_net(d_id));
+        // Vias and vertical metal2 risers from every row to its bus.
+        let wire_w = tech.min_width(m2);
+        for (net, x) in &row_centers {
+            let id = main.net(net);
+            let via_at = Point::new(*x, w / 2);
+            router.via_stack(&mut main, via, m1, m2, via_at, Some(id))?;
+            let riser = if net == &params.s_net {
+                Rect::new(x - wire_w / 2, s_bus.y0, x - wire_w / 2 + wire_w, via_at.y)
+            } else {
+                Rect::new(x - wire_w / 2, via_at.y, x - wire_w / 2 + wire_w, d_bus.y1)
+            };
+            main.push(Shape::new(m2, riser).with_net(id));
+        }
+        main.push_port(Port {
+            name: params.s_net.clone(),
+            layer: m2,
+            rect: s_bus,
+            net: Some(s_id),
+        });
+        main.push_port(Port {
+            name: params.d_net.clone(),
+            layer: m2,
+            rect: d_bus,
+            net: Some(d_id),
+        });
 
-    if params.implants {
-        match params.mos {
-            MosType::N => {
-                let nplus = tech.nplus()?;
-                prim.around(&mut main, nplus, 0)?;
-            }
-            MosType::P => {
-                let pplus = tech.pplus()?;
-                prim.around(&mut main, pplus, 0)?;
-                let nwell = tech.nwell()?;
-                prim.around(&mut main, nwell, 0)?;
+        if params.implants {
+            match params.mos {
+                MosType::N => {
+                    let nplus = tech.nplus()?;
+                    prim.around(&mut main, nplus, 0)?;
+                }
+                MosType::P => {
+                    let pplus = tech.pplus()?;
+                    prim.around(&mut main, pplus, 0)?;
+                    let nwell = tech.nwell()?;
+                    prim.around(&mut main, nwell, 0)?;
+                }
             }
         }
-    }
-    Ok(main)
+        Ok(main)
+    })
 }
 
 #[cfg(test)]

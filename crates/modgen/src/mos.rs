@@ -18,11 +18,12 @@
 //! diffusion-contacts could be placed closer to the transistors"*.
 
 use amgen_compact::{CompactOptions, Compactor};
-use amgen_core::{FaultSite, GenCtx, Stage};
+use amgen_core::{GenCtx, GenKey};
 use amgen_db::LayoutObject;
 use amgen_geom::{Coord, Dir};
 use amgen_prim::Primitives;
 
+use crate::cached;
 use crate::contact_row::{contact_row, ContactRowParams};
 use crate::error::ModgenError;
 
@@ -135,8 +136,8 @@ impl MosParams {
 /// (south), and source/drain contact rows merged into the diffusion
 /// (west/east). Ports are named after the three net parameters.
 pub fn mos_transistor(tech: &GenCtx, params: &MosParams) -> Result<LayoutObject, ModgenError> {
-    let key = crate::cached::module_key(tech, "mos_transistor", |k| {
-        k.push(crate::cached::mos_code(params.mos));
+    let key = |k: &mut GenKey| {
+        k.push(cached::mos_code(params.mos));
         k.push(params.w);
         k.push(params.l);
         k.push(params.g_net.clone());
@@ -144,102 +145,95 @@ pub fn mos_transistor(tech: &GenCtx, params: &MosParams) -> Result<LayoutObject,
         k.push(params.d_net.clone());
         k.push(params.gate_contact);
         k.push(params.implants);
-    });
-    tech.generate_cached(Stage::Modgen, key, || mos_transistor_uncached(tech, params))
-}
+    };
+    cached::generate(tech, "mos_transistor", key, || {
+        let prim = Primitives::new(tech);
+        let c = Compactor::new(tech);
+        let poly = tech.poly()?;
+        let diff = params.mos.diff(tech)?;
 
-fn mos_transistor_uncached(tech: &GenCtx, params: &MosParams) -> Result<LayoutObject, ModgenError> {
-    let _stage = tech.stage(Stage::Modgen, || "mos_transistor");
-    tech.checkpoint(Stage::Modgen)?;
-    tech.fault_check(FaultSite::ModgenEntry, "mos_transistor")?;
-    let prim = Primitives::new(tech);
-    let c = Compactor::new(tech);
-    let poly = tech.poly()?;
-    let diff = params.mos.diff(tech)?;
+        // TWORECTS: the gate crossing.
+        let mut core = LayoutObject::new("trans");
+        let (gate_idx, _diff_idx) = prim.two_rects(&mut core, poly, diff, params.w, params.l)?;
+        let g_id = core.net(&params.g_net);
+        core.shapes_mut()[gate_idx].net = Some(g_id);
 
-    // TWORECTS: the gate crossing.
-    let mut core = LayoutObject::new("trans");
-    let (gate_idx, _diff_idx) = prim.two_rects(&mut core, poly, diff, params.w, params.l)?;
-    let g_id = core.net(&params.g_net);
-    core.shapes_mut()[gate_idx].net = Some(g_id);
-    let w_eff = core.shapes()[gate_idx].rect.height(); // incl. gate extension
-    let _ = w_eff;
+        let mut main = LayoutObject::with_capacity(
+            format!(
+                "mos_{}",
+                match params.mos {
+                    MosType::N => "n",
+                    MosType::P => "p",
+                }
+            ),
+            core.len() + 24,
+        );
+        c.compact(&mut main, &core, Dir::West, &CompactOptions::new())?;
 
-    let mut main = LayoutObject::with_capacity(
-        format!(
-            "mos_{}",
-            match params.mos {
-                MosType::N => "n",
-                MosType::P => "p",
-            }
-        ),
-        core.len() + 24,
-    );
-    c.compact(&mut main, &core, Dir::West, &CompactOptions::new())?;
+        // Step 1: the gate contact row, attached south, poly irrelevant.
+        if params.gate_contact {
+            let polycon = contact_row(
+                tech,
+                poly,
+                &ContactRowParams::new()
+                    .with_net(&params.g_net)
+                    .with_variable_edges(),
+            )?;
+            c.compact(
+                &mut main,
+                &polycon,
+                Dir::South,
+                &CompactOptions::new().ignoring(poly),
+            )?;
+        }
 
-    // Step 1: the gate contact row, attached south, poly irrelevant.
-    if params.gate_contact {
-        let polycon = contact_row(
+        // Steps 2a/2b: source west, drain east, diffusion irrelevant (rows
+        // merge into the device diffusion).
+        let w_actual = main.bbox_on(diff).height();
+        let s_row = contact_row(
             tech,
-            poly,
+            diff,
             &ContactRowParams::new()
-                .with_net(&params.g_net)
-                .with_variable_edges(),
+                .with_l(w_actual)
+                .with_net(&params.s_net),
         )?;
         c.compact(
             &mut main,
-            &polycon,
-            Dir::South,
-            &CompactOptions::new().ignoring(poly),
+            &s_row,
+            Dir::West,
+            &CompactOptions::new().ignoring(diff),
         )?;
-    }
+        let d_row = contact_row(
+            tech,
+            diff,
+            &ContactRowParams::new()
+                .with_l(w_actual)
+                .with_net(&params.d_net),
+        )?;
+        c.compact(
+            &mut main,
+            &d_row,
+            Dir::East,
+            &CompactOptions::new().ignoring(diff),
+        )?;
 
-    // Steps 2a/2b: source west, drain east, diffusion irrelevant (rows
-    // merge into the device diffusion).
-    let w_actual = main.bbox_on(diff).height();
-    let s_row = contact_row(
-        tech,
-        diff,
-        &ContactRowParams::new()
-            .with_l(w_actual)
-            .with_net(&params.s_net),
-    )?;
-    c.compact(
-        &mut main,
-        &s_row,
-        Dir::West,
-        &CompactOptions::new().ignoring(diff),
-    )?;
-    let d_row = contact_row(
-        tech,
-        diff,
-        &ContactRowParams::new()
-            .with_l(w_actual)
-            .with_net(&params.d_net),
-    )?;
-    c.compact(
-        &mut main,
-        &d_row,
-        Dir::East,
-        &CompactOptions::new().ignoring(diff),
-    )?;
-
-    // Decoration: implant, and n-well for PMOS.
-    if params.implants {
-        match params.mos {
-            MosType::N => {
-                let nplus = tech.nplus()?;
-                prim.around(&mut main, nplus, 0)?;
-            }
-            MosType::P => {
-                let pplus = tech.pplus()?;
-                prim.around(&mut main, pplus, 0)?;
-                let nwell = tech.nwell()?;
-                prim.around(&mut main, nwell, 0)?;
+        // Decoration: implant, and n-well for PMOS.
+        if params.implants {
+            match params.mos {
+                MosType::N => {
+                    let nplus = tech.nplus()?;
+                    prim.around(&mut main, nplus, 0)?;
+                }
+                MosType::P => {
+                    let pplus = tech.pplus()?;
+                    prim.around(&mut main, pplus, 0)?;
+                    let nwell = tech.nwell()?;
+                    prim.around(&mut main, nwell, 0)?;
+                }
             }
         }
-    }
-    Ok(main)
+        Ok(main)
+    })
 }
 
 /// Generates a transistor *finger*: the gate crossing, an optional gate
@@ -262,93 +256,69 @@ pub fn mos_finger(
     // centroid quad's four) share one entry. `g_net == row_net` would
     // merge the two potentials at build time, which α-renaming cannot
     // reproduce — that (shorted) corner case is keyed literally.
-    if tech.cache_active() && g_net != row_net {
-        let key = crate::cached::module_key(tech, "mos_finger", |k| {
-            k.push(crate::cached::mos_code(mos));
-            k.push(w);
-            k.push(l);
-            k.push(gate_contact);
-        });
-        let mut finger = tech.generate_cached(Stage::Modgen, key, || {
-            mos_finger_uncached(
-                tech,
-                mos,
-                w,
-                l,
-                crate::cached::ALPHA_A,
-                crate::cached::ALPHA_B,
-                gate_contact,
-            )
-        })?;
-        finger.rename_label(crate::cached::ALPHA_A, g_net);
-        finger.rename_label(crate::cached::ALPHA_B, row_net);
-        return Ok(finger);
-    }
-    let key = crate::cached::module_key(tech, "mos_finger", |k| {
-        k.push(crate::cached::mos_code(mos));
+    let canonical = tech.cache_active() && g_net != row_net;
+    let (g_label, row_label) = if canonical {
+        (cached::ALPHA_A, cached::ALPHA_B)
+    } else {
+        (g_net, row_net)
+    };
+    let key = |k: &mut GenKey| {
+        k.push(cached::mos_code(mos));
         k.push(w);
         k.push(l);
-        k.push(g_net);
-        k.push(row_net);
+        if !canonical {
+            k.push(g_net);
+            k.push(row_net);
+        }
         k.push(gate_contact);
-    });
-    tech.generate_cached(Stage::Modgen, key, || {
-        mos_finger_uncached(tech, mos, w, l, g_net, row_net, gate_contact)
-    })
-}
+    };
+    let mut finger = cached::generate(tech, "mos_finger", key, || {
+        let prim = Primitives::new(tech);
+        let c = Compactor::new(tech);
+        let poly = tech.poly()?;
+        let diff = mos.diff(tech)?;
 
-fn mos_finger_uncached(
-    tech: &GenCtx,
-    mos: MosType,
-    w: Option<Coord>,
-    l: Option<Coord>,
-    g_net: &str,
-    row_net: &str,
-    gate_contact: bool,
-) -> Result<LayoutObject, ModgenError> {
-    let _stage = tech.stage(Stage::Modgen, || "mos_finger");
-    tech.checkpoint(Stage::Modgen)?;
-    tech.fault_check(FaultSite::ModgenEntry, "mos_finger")?;
-    let prim = Primitives::new(tech);
-    let c = Compactor::new(tech);
-    let poly = tech.poly()?;
-    let diff = mos.diff(tech)?;
+        let mut core = LayoutObject::new("finger");
+        let (gate_idx, _) = prim.two_rects(&mut core, poly, diff, w, l)?;
+        let g_id = core.net(g_label);
+        core.shapes_mut()[gate_idx].net = Some(g_id);
 
-    let mut core = LayoutObject::new("finger");
-    let (gate_idx, _) = prim.two_rects(&mut core, poly, diff, w, l)?;
-    let g_id = core.net(g_net);
-    core.shapes_mut()[gate_idx].net = Some(g_id);
-
-    let mut main = LayoutObject::with_capacity("finger", core.len() + 16);
-    c.compact(&mut main, &core, Dir::West, &CompactOptions::new())?;
-    if gate_contact {
-        let polycon = contact_row(
+        let mut main = LayoutObject::with_capacity("finger", core.len() + 16);
+        c.compact(&mut main, &core, Dir::West, &CompactOptions::new())?;
+        if gate_contact {
+            let polycon = contact_row(
+                tech,
+                poly,
+                &ContactRowParams::new()
+                    .with_net(g_label)
+                    .with_variable_edges(),
+            )?;
+            c.compact(
+                &mut main,
+                &polycon,
+                Dir::South,
+                &CompactOptions::new().ignoring(poly),
+            )?;
+        }
+        let w_actual = main.bbox_on(diff).height();
+        let row = contact_row(
             tech,
-            poly,
-            &ContactRowParams::new()
-                .with_net(g_net)
-                .with_variable_edges(),
+            diff,
+            &ContactRowParams::new().with_l(w_actual).with_net(row_label),
         )?;
         c.compact(
             &mut main,
-            &polycon,
-            Dir::South,
-            &CompactOptions::new().ignoring(poly),
+            &row,
+            Dir::East,
+            &CompactOptions::new().ignoring(diff),
         )?;
+        Ok(main)
+    })?;
+    if canonical {
+        finger.rename_label(cached::ALPHA_A, g_net);
+        finger.rename_label(cached::ALPHA_B, row_net);
     }
-    let w_actual = main.bbox_on(diff).height();
-    let row = contact_row(
-        tech,
-        diff,
-        &ContactRowParams::new().with_l(w_actual).with_net(row_net),
-    )?;
-    c.compact(
-        &mut main,
-        &row,
-        Dir::East,
-        &CompactOptions::new().ignoring(diff),
-    )?;
-    Ok(main)
+    Ok(finger)
 }
 
 #[cfg(test)]

@@ -11,11 +11,12 @@
 //! enclosing module can wire diagonals on its preferred layers).
 
 use amgen_compact::{CompactOptions, Compactor};
-use amgen_core::{FaultSite, GenCtx, Stage};
+use amgen_core::{GenCtx, GenKey, Stage};
 use amgen_db::LayoutObject;
 use amgen_geom::{Coord, Dir};
 use amgen_prim::Primitives;
 
+use crate::cached;
 use crate::contact_row::{contact_row, ContactRowParams};
 use crate::error::ModgenError;
 use crate::mos::MosType;
@@ -98,47 +99,37 @@ pub fn common_centroid_quad(
     tech: &GenCtx,
     params: &QuadParams,
 ) -> Result<LayoutObject, ModgenError> {
-    let key = crate::cached::module_key(tech, "common_centroid_quad", |k| {
-        k.push(crate::cached::mos_code(params.mos));
+    let key = |k: &mut GenKey| {
+        k.push(cached::mos_code(params.mos));
         k.push(params.w);
         k.push(params.l);
-    });
-    tech.generate_cached(Stage::Modgen, key, || {
-        common_centroid_quad_uncached(tech, params)
+    };
+    cached::generate(tech, "common_centroid_quad", key, || {
+        let w = params
+            .w
+            .unwrap_or(6_000)
+            .max(tech.min_width(params.mos.diff(tech)?));
+        let c = Compactor::new(tech);
+        let bottom = quad_row(tech, params.mos, w, params.l, ("g1", "d1"), ("g2", "d2"))?;
+        let top = quad_row(tech, params.mos, w, params.l, ("g2", "d2"), ("g1", "d1"))?;
+        let mut main = LayoutObject::with_capacity("centroid_quad", bottom.len() + top.len() + 8);
+        c.compact(&mut main, &bottom, Dir::South, &CompactOptions::new())?;
+        c.compact(&mut main, &top, Dir::North, &CompactOptions::new())?;
+        let prim = Primitives::new(tech);
+        match params.mos {
+            MosType::N => {
+                let nplus = tech.nplus()?;
+                prim.around(&mut main, nplus, 0)?;
+            }
+            MosType::P => {
+                let pplus = tech.pplus()?;
+                prim.around(&mut main, pplus, 0)?;
+                let nwell = tech.nwell()?;
+                prim.around(&mut main, nwell, 0)?;
+            }
+        }
+        Ok(main)
     })
-}
-
-fn common_centroid_quad_uncached(
-    tech: &GenCtx,
-    params: &QuadParams,
-) -> Result<LayoutObject, ModgenError> {
-    let _stage = tech.stage(Stage::Modgen, || "common_centroid_quad");
-    tech.checkpoint(Stage::Modgen)?;
-    tech.fault_check(FaultSite::ModgenEntry, "common_centroid_quad")?;
-    let w = params
-        .w
-        .unwrap_or(6_000)
-        .max(tech.min_width(params.mos.diff(tech)?));
-    let c = Compactor::new(tech);
-    let bottom = quad_row(tech, params.mos, w, params.l, ("g1", "d1"), ("g2", "d2"))?;
-    let top = quad_row(tech, params.mos, w, params.l, ("g2", "d2"), ("g1", "d1"))?;
-    let mut main = LayoutObject::with_capacity("centroid_quad", bottom.len() + top.len() + 8);
-    c.compact(&mut main, &bottom, Dir::South, &CompactOptions::new())?;
-    c.compact(&mut main, &top, Dir::North, &CompactOptions::new())?;
-    let prim = Primitives::new(tech);
-    match params.mos {
-        MosType::N => {
-            let nplus = tech.nplus()?;
-            prim.around(&mut main, nplus, 0)?;
-        }
-        MosType::P => {
-            let pplus = tech.pplus()?;
-            prim.around(&mut main, pplus, 0)?;
-            let nwell = tech.nwell()?;
-            prim.around(&mut main, nwell, 0)?;
-        }
-    }
-    Ok(main)
 }
 
 /// The centroid (mean centre) of the gate stripes carrying a net.

@@ -10,11 +10,12 @@
 //! the two ends.
 
 use amgen_compact::{CompactOptions, Compactor};
-use amgen_core::{FaultSite, GenCtx, Stage};
+use amgen_core::{GenCtx, GenKey};
 use amgen_db::LayoutObject;
 use amgen_geom::{Coord, Dir};
 use amgen_prim::Primitives;
 
+use crate::cached;
 use crate::contact_row::{contact_row, ContactRowParams};
 use crate::error::ModgenError;
 use crate::mos::MosType;
@@ -75,95 +76,85 @@ pub fn stacked_transistor(
     tech: &GenCtx,
     params: &StackedParams,
 ) -> Result<LayoutObject, ModgenError> {
-    let key = crate::cached::module_key(tech, "stacked_transistor", |k| {
-        k.push(crate::cached::mos_code(params.mos));
+    let key = |k: &mut GenKey| {
+        k.push(cached::mos_code(params.mos));
         k.push(params.gates);
         k.push(params.w);
         k.push(params.l);
         k.push(params.common_gate);
-    });
-    tech.generate_cached(Stage::Modgen, key, || {
-        stacked_transistor_uncached(tech, params)
+    };
+    cached::generate(tech, "stacked_transistor", key, || {
+        if params.gates == 0 {
+            return Err(ModgenError::BadParam {
+                param: "gates",
+                message: "must be at least 1".into(),
+            });
+        }
+        let c = Compactor::new(tech);
+        let prim = Primitives::new(tech);
+        let poly = tech.poly()?;
+        let diff = params.mos.diff(tech)?;
+        let w = params
+            .w
+            .unwrap_or_else(|| tech.min_width(diff))
+            .max(tech.min_width(diff));
+
+        let mut main = LayoutObject::new("stacked");
+        let opts = CompactOptions::new().ignoring(diff);
+
+        let s_row = contact_row(tech, diff, &ContactRowParams::new().with_l(w).with_net("s"))?;
+        c.compact(&mut main, &s_row, Dir::West, &opts)?;
+        for i in 0..params.gates {
+            let mut g = LayoutObject::new("gate");
+            let (gi, _) = prim.two_rects(&mut g, poly, diff, Some(w), params.l)?;
+            let name = if params.common_gate {
+                "g".to_string()
+            } else {
+                format!("g{}", i + 1)
+            };
+            let id = g.net(&name);
+            g.shapes_mut()[gi].net = Some(id);
+            c.compact(&mut main, &g, Dir::East, &opts)?;
+        }
+        let d_row = contact_row(tech, diff, &ContactRowParams::new().with_l(w).with_net("d"))?;
+        c.compact(&mut main, &d_row, Dir::East, &opts)?;
+
+        if params.common_gate {
+            // Strap across all gate tops (as in the inter-digitated device).
+            use amgen_db::Shape;
+            use amgen_geom::Rect;
+            let strap_w = tech.min_width(poly);
+            let span = main.bbox_on(poly);
+            let g_id = main.net("g");
+            main.push(
+                Shape::new(
+                    poly,
+                    Rect::new(span.x0, span.y1, span.x1, span.y1 + strap_w),
+                )
+                .with_net(g_id),
+            );
+            let mut pc = contact_row(tech, poly, &ContactRowParams::new().with_net("g"))?;
+            let pb = pc.bbox();
+            pc.translate(amgen_geom::Vector::new(
+                main.bbox().center().x - pb.center().x,
+                span.y1 + strap_w - pb.y0,
+            ));
+            main.absorb(&pc, amgen_geom::Vector::ZERO);
+        }
+        match params.mos {
+            MosType::N => {
+                let nplus = tech.nplus()?;
+                prim.around(&mut main, nplus, 0)?;
+            }
+            MosType::P => {
+                let pplus = tech.pplus()?;
+                prim.around(&mut main, pplus, 0)?;
+                let nwell = tech.nwell()?;
+                prim.around(&mut main, nwell, 0)?;
+            }
+        }
+        Ok(main)
     })
-}
-
-fn stacked_transistor_uncached(
-    tech: &GenCtx,
-    params: &StackedParams,
-) -> Result<LayoutObject, ModgenError> {
-    let _stage = tech.stage(Stage::Modgen, || "stacked_transistor");
-    tech.checkpoint(Stage::Modgen)?;
-    tech.fault_check(FaultSite::ModgenEntry, "stacked_transistor")?;
-    if params.gates == 0 {
-        return Err(ModgenError::BadParam {
-            param: "gates",
-            message: "must be at least 1".into(),
-        });
-    }
-    let c = Compactor::new(tech);
-    let prim = Primitives::new(tech);
-    let poly = tech.poly()?;
-    let diff = params.mos.diff(tech)?;
-    let w = params
-        .w
-        .unwrap_or_else(|| tech.min_width(diff))
-        .max(tech.min_width(diff));
-
-    let mut main = LayoutObject::new("stacked");
-    let opts = CompactOptions::new().ignoring(diff);
-
-    let s_row = contact_row(tech, diff, &ContactRowParams::new().with_l(w).with_net("s"))?;
-    c.compact(&mut main, &s_row, Dir::West, &opts)?;
-    for i in 0..params.gates {
-        let mut g = LayoutObject::new("gate");
-        let (gi, _) = prim.two_rects(&mut g, poly, diff, Some(w), params.l)?;
-        let name = if params.common_gate {
-            "g".to_string()
-        } else {
-            format!("g{}", i + 1)
-        };
-        let id = g.net(&name);
-        g.shapes_mut()[gi].net = Some(id);
-        c.compact(&mut main, &g, Dir::East, &opts)?;
-    }
-    let d_row = contact_row(tech, diff, &ContactRowParams::new().with_l(w).with_net("d"))?;
-    c.compact(&mut main, &d_row, Dir::East, &opts)?;
-
-    if params.common_gate {
-        // Strap across all gate tops (as in the inter-digitated device).
-        use amgen_db::Shape;
-        use amgen_geom::Rect;
-        let strap_w = tech.min_width(poly);
-        let span = main.bbox_on(poly);
-        let g_id = main.net("g");
-        main.push(
-            Shape::new(
-                poly,
-                Rect::new(span.x0, span.y1, span.x1, span.y1 + strap_w),
-            )
-            .with_net(g_id),
-        );
-        let mut pc = contact_row(tech, poly, &ContactRowParams::new().with_net("g"))?;
-        let pb = pc.bbox();
-        pc.translate(amgen_geom::Vector::new(
-            main.bbox().center().x - pb.center().x,
-            span.y1 + strap_w - pb.y0,
-        ));
-        main.absorb(&pc, amgen_geom::Vector::ZERO);
-    }
-    match params.mos {
-        MosType::N => {
-            let nplus = tech.nplus()?;
-            prim.around(&mut main, nplus, 0)?;
-        }
-        MosType::P => {
-            let pplus = tech.pplus()?;
-            prim.around(&mut main, pplus, 0)?;
-            let nwell = tech.nwell()?;
-            prim.around(&mut main, nwell, 0)?;
-        }
-    }
-    Ok(main)
 }
 
 #[cfg(test)]

@@ -1,13 +1,18 @@
 //! Cache behaviour of the module generators: hits are structurally
 //! identical to fresh builds, hierarchical generators reuse child
-//! modules, and contexts without a cache are unaffected.
+//! modules, and contexts without a cache are unaffected. The last tests
+//! pin the generator entry protocol itself: what a hit, a cold build and
+//! a fault-probed build record.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use amgen_core::{GenCache, GenCtx};
+use amgen_core::{FaultAction, FaultHook, FaultSite, GenCache, GenCtx, Stage};
+use amgen_geom::um;
+use amgen_modgen::capacitor::{mos_capacitor, MosCapParams};
 use amgen_modgen::centroid::{centroid_diff_pair, CentroidParams};
 use amgen_modgen::diffpair::{diff_pair, DiffPairParams};
-use amgen_modgen::resistor::{poly_resistor, ResistorParams};
+use amgen_modgen::mos::mos_finger;
+use amgen_modgen::resistor::{matched_resistor_pair, poly_resistor, ResistorParams};
 use amgen_modgen::{contact_row, mos_transistor, ContactRowParams, MosParams, MosType};
 use amgen_tech::Tech;
 
@@ -159,4 +164,111 @@ fn caches_are_shared_across_clones_and_contexts() {
         rebuilt.signature(),
         "same rules still generate identically"
     );
+}
+
+/// The drained `modgen` events of `ctx`, span ends left out: each span's
+/// name where it opens, and the `cache.hit` / `cache.miss` instants.
+fn modgen_events(ctx: &GenCtx) -> Vec<String> {
+    ctx.trace
+        .drain()
+        .events
+        .into_iter()
+        .filter(|e| e.cat == "modgen" && format!("{:?}", e.phase) != "End")
+        .map(|e| e.name.to_string())
+        .collect()
+}
+
+/// A warm call is served before the `Stage::Modgen` guard opens: no
+/// span, no stage time, one `cache.hit` instant — for layout-only,
+/// value-returning and α-renamed generators alike.
+#[test]
+fn a_warm_call_records_only_a_cache_hit() {
+    let ctx = cached_ctx().with_tracing(true);
+    let poly = ctx.layer("poly").unwrap();
+    let calls: [&dyn Fn(&GenCtx); 4] = [
+        &|c| drop(diff_pair(c, &DiffPairParams::new(MosType::N)).unwrap()),
+        &|c| drop(poly_resistor(c, &ResistorParams::new(3)).unwrap()),
+        &|c| drop(contact_row(c, poly, &ContactRowParams::new().with_net("x")).unwrap()),
+        &|c| drop(mos_finger(c, MosType::P, None, None, "g", "d", true).unwrap()),
+    ];
+    for call in calls {
+        call(&ctx);
+        ctx.trace.drain();
+        let charged = ctx.snapshot().stage_nanos(Stage::Modgen);
+        call(&ctx);
+        assert_eq!(ctx.snapshot().stage_nanos(Stage::Modgen), charged);
+        assert_eq!(modgen_events(&ctx), ["cache.hit"]);
+    }
+}
+
+/// A cold fig06 build opens one span per generator entered, in call
+/// order; with a cache, each keyed entry first records its lookup, and
+/// the second finger and the `d2` row are served as α-renamed hits.
+#[test]
+fn a_cold_fig06_build_records_its_generator_spans() {
+    let fig06 = DiffPairParams::new(MosType::P).with_w(um(10)).with_l(um(2));
+    let plain = GenCtx::from_tech(&Tech::bicmos_1u()).with_tracing(true);
+    diff_pair(&plain, &fig06).unwrap();
+    assert_eq!(
+        modgen_events(&plain),
+        [
+            "diff_pair",
+            "mos_finger",
+            "contact_row",
+            "contact_row",
+            "mos_finger",
+            "contact_row",
+            "contact_row",
+            "contact_row",
+        ]
+    );
+    let cached = cached_ctx().with_tracing(true);
+    diff_pair(&cached, &fig06).unwrap();
+    assert_eq!(
+        modgen_events(&cached),
+        [
+            "cache.miss",
+            "diff_pair",
+            "cache.miss",
+            "mos_finger",
+            "cache.miss",
+            "contact_row",
+            "cache.miss",
+            "contact_row",
+            "cache.hit",
+            "cache.hit",
+        ]
+    );
+}
+
+/// Records the detail of every `ModgenEntry` probe and lets it proceed.
+#[derive(Debug, Default)]
+struct EntryProbes(Mutex<Vec<String>>);
+
+impl FaultHook for EntryProbes {
+    fn decide(&self, site: FaultSite, detail: &str) -> FaultAction {
+        if site == FaultSite::ModgenEntry {
+            self.0.lock().unwrap().push(detail.to_string());
+        }
+        FaultAction::Proceed
+    }
+}
+
+/// A fault hook bypasses the cache, so every generator entered runs its
+/// build and probes `ModgenEntry` exactly once, under its span's name.
+#[test]
+fn every_generator_entered_probes_its_entry_once() {
+    let probes = Arc::new(EntryProbes::default());
+    let ctx = cached_ctx()
+        .with_faults(Arc::clone(&probes) as Arc<dyn FaultHook>)
+        .with_tracing(true);
+    centroid_diff_pair(&ctx, &CentroidParams::paper(MosType::N)).unwrap();
+    matched_resistor_pair(&ctx, 2, um(10)).unwrap();
+    mos_capacitor(&ctx, &MosCapParams::new(MosType::P)).unwrap();
+    let spans = modgen_events(&ctx);
+    let probed = probes.0.lock().unwrap().clone();
+    assert!(probed.len() > 20, "{probed:?}");
+    assert_eq!(probed, spans);
+    let snap = ctx.snapshot();
+    assert_eq!((snap.cache_hits, snap.cache_misses), (0, 0));
 }

@@ -264,7 +264,6 @@ impl Optimizer {
             }
             key.push(CanonParam::Int(s.opts.extra_clearance));
             key.push(s.opts.variable_edges);
-            key.push(s.opts.max_shrink_iters as u64);
             key.push(CanonParam::None);
         }
         Some(key)

@@ -47,7 +47,10 @@ use crate::proto::{
 };
 
 /// Server tuning knobs. [`ServeConfig::default`] is sized for tests and
-/// small deployments; the binary exposes each as a flag.
+/// small deployments. The `amgen-serve` binary sets most of them by
+/// flag; `cache_capacity`, `breaker_threshold_pct`, `retry_hint` and the
+/// tenant budget's compaction-step and recursion caps keep their
+/// defaults there.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Worker shards. One tenant always lands on one shard.
