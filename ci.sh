@@ -7,11 +7,26 @@ cargo build --release
 # Figure-artifact gate: the committed out/ files are exactly what the
 # experiments binary and the figure examples write (byte-identical
 # determinism, and the SVG/GDS/CIF exporters read layers unchanged).
-cargo run --release -q --bin experiments > /dev/null
+cargo run --release -q --bin experiments > out/experiments.txt
 for example in quickstart contact_row diffpair centroid_pair bicmos_amplifier dsl_live_view; do
     cargo run --release -q --example "$example" > /dev/null
 done
-git diff --exit-code -- out/
+git diff --exit-code -- out/ ':!out/experiments.txt'
+# Report gate: out/experiments.txt, the binary's stdout, equals the
+# committed report except for wall-time readings and, on the parallel
+# search line, the explored count (it depends on thread timing) and the
+# worker count (the machine's core count). A count on a line that also
+# carries a time is still compared. On a match the committed copy is
+# restored, so the timings do not churn.
+mask_report() {
+    sed -E -e 's/[0-9]+\.[0-9]+ ms/<t> ms/g' -e 's/\[[0-9]+\.[0-9]+ s\]/[<t> s]/g' \
+        -e 's/^(  parallel \()[0-9]+( workers\): )[0-9]+ explored/\1<n>\2<n> explored/'
+}
+if ! diff <(git show :out/experiments.txt | mask_report) <(mask_report < out/experiments.txt); then
+    echo 'ci: out/experiments.txt drifted from the committed report' >&2
+    exit 1
+fi
+git checkout -- out/experiments.txt
 cargo test --workspace -q
 # The end-to-end benchmark is a separate package outside the workspace:
 # build and test it here so a change to a public item it calls fails CI

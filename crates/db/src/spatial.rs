@@ -1,8 +1,10 @@
 //! The spatial index over a layout object's shapes.
 //!
-//! [`SpatialIndex`] answers the window queries that DRC, extraction and
-//! the latch-up check used to answer by scanning the flat shape vector:
-//! *which shapes on layer L come near this window?* It wraps one packed
+//! [`SpatialIndex`] answers the questions that DRC, extraction and the
+//! latch-up check used to answer by scanning the flat shape vector:
+//! *which shapes on layer L come near this window?*, and through its
+//! trees' joins, *which pairs of shapes on layers L and M come within a
+//! distance of each other?* It wraps one packed
 //! [`RectTree`] per populated layer plus one per semantic
 //! [`ShapeRole`] (the latch-up check is role-driven,
 //! not layer-driven), and caches the whole-object and per-layer bounding
@@ -32,8 +34,10 @@
 //! [`RectTree::join_within`] / [`RectTree::self_join_within`]) run in
 //! tree order instead (deterministic for a given shape vector, but
 //! unspecified); their consumers either sort what they collect (DRC
-//! spacing sorts its pairs) or fold it order-free (min-area and
-//! extraction union-finds, containment probes).
+//! spacing sorts its pairs) or fold it order-free (the union-finds of
+//! min-area and extraction, which take all their pairs from joins, the
+//! enclosure check's per-cut containment flags, the latch-up check's
+//! containment probes).
 //!
 //! # Candidate semantics
 //!

@@ -458,42 +458,73 @@ impl Drc {
     /// Every cut must be enclosed (with margins) by both conductors of one
     /// of its connectable pairs; unions of same-layer shapes count.
     ///
-    /// Containment first: a cut passes when some pair has each of its two
-    /// margin windows inside one shape (an `any_candidate` probe on the
-    /// layer's tree, once per distinct layer). Only when no pair passes
-    /// does the union cover test run, once per layer, over the layer's
-    /// shapes near the window gathered into a reused buffer. Containment
-    /// implies cover, so the result is the cover test's alone, whatever
-    /// the order of evaluation.
+    /// Containment first: one distance-0 tree join per (cut layer,
+    /// connectable layer) ([`RectTree::join_within`]) records, per cut,
+    /// the layers on which a single shape contains the cut's margin
+    /// window. Distance 0 misses nothing: margins are never negative, so
+    /// a shape that contains the window contains the cut and touches it.
+    /// A cut passes when both layers of some pair contain their windows.
+    /// Only when no pair passes does the union cover test run, once per
+    /// layer, over the layer's shapes near the window gathered into a
+    /// reused buffer. Containment implies cover, so the result is the
+    /// cover test's alone, whatever the order of evaluation.
+    ///
+    /// [`RectTree::join_within`]: amgen_geom::RectTree::join_within
     pub fn check_enclosures(&self, obj: &LayoutObject) -> Vec<Violation> {
         self.ctx.metrics.add_drc_checks(1);
         let ix = obj.spatial_index();
+        // Per layer index, per shape index: the cut's margin window on
+        // that layer lies inside one shape of it. Sized only for the
+        // layers some populated cut layer connects to.
+        let mut contained_on: Vec<Vec<bool>> = vec![Vec::new(); self.ctx.layer_count()];
+        let mut sides: Vec<Layer> = Vec::new();
+        for cut in ix.populated_layers() {
+            if self.ctx.kind(cut) != LayerKind::Cut {
+                continue;
+            }
+            let cuts = ix.layer(cut).expect("populated layer");
+            sides.clear();
+            for &(a, b) in self.ctx.connected_pairs(cut) {
+                for side in [a, b] {
+                    if sides.contains(&side) {
+                        continue;
+                    }
+                    sides.push(side);
+                    let Some(tree) = ix.layer(side) else {
+                        continue;
+                    };
+                    let margin = self.ctx.enclosure(side, cut);
+                    let hit = &mut contained_on[side.index()];
+                    hit.resize(obj.len(), false);
+                    cuts.join_within(tree, 0, |c, rc, _, r| {
+                        if r.contains_rect(&rc.inflated(margin)) {
+                            hit[c as usize] = true;
+                        }
+                    });
+                }
+            }
+        }
         let mut memo: Vec<(Layer, bool)> = Vec::new();
         let mut covers: Vec<Rect> = Vec::new();
         let mut out = Vec::new();
-        for s in obj.shapes() {
+        for (i, s) in obj.shapes().iter().enumerate() {
             if self.ctx.kind(s.layer) != LayerKind::Cut {
                 continue;
             }
             let pairs = self.ctx.connected_pairs(s.layer);
-            if pairs.is_empty() {
+            let contained = |layer: Layer| contained_on[layer.index()].get(i) == Some(&true);
+            if pairs.is_empty() || pairs.iter().any(|&(x, y)| contained(x) && contained(y)) {
                 continue;
             }
-            let window = |layer: Layer| s.rect.inflated(self.ctx.enclosure(layer, s.layer));
-            let contained = |layer: Layer| {
-                let w = window(layer);
-                ix.layer(layer)
-                    .is_some_and(|t| t.any_candidate(&w, |_, r| r.contains_rect(&w)))
-            };
             let covered = |layer: Layer| {
-                let w = window(layer);
+                let w = s.rect.inflated(self.ctx.enclosure(layer, s.layer));
                 covers.clear();
                 if let Some(t) = ix.layer(layer) {
                     t.for_each_candidate(&w, |_, r| covers.push(*r));
                 }
                 Region::from_rect(w).covered_by(covers.iter().copied())
             };
-            if !any_pair(pairs, &mut memo, contained) && !any_pair(pairs, &mut memo, covered) {
+            if !any_pair(pairs, &mut memo, covered) {
                 out.push(self.enclosure_violation(s));
             }
         }

@@ -3,9 +3,9 @@
 //! built-in decks: every layer, cuts at and off cut size, touching
 //! shapes on different nets, near-miss gaps for every spaced layer pair,
 //! cuts enclosed only by the union of two shapes, min-area clusters,
-//! narrow straps and latch-up roles. Each case also runs the checker
-//! after `connectivity` has filled the extraction memo, and the other
-//! way round.
+//! narrow straps and latch-up roles, at module scale and at chip depth.
+//! Each case also runs the checker after `connectivity` has filled the
+//! extraction memo, and the other way round.
 
 use amgen_core::GenCtx;
 use amgen_db::{LayoutObject, NetId, Shape, ShapeRole};
@@ -23,25 +23,48 @@ use std::sync::OnceLock;
 const U: Coord = 250;
 const NETS: [&str; 3] = ["a", "b", "c"];
 
+/// Side of the chip-depth layouts' square in grid units (32 µm), the
+/// length of their rails.
+const CHIP: i64 = 128;
+
 /// One random layout item: `(kind, pick, (x, y), (w, h), net pick,
 /// extra)`; see [`layout`] for what each kind draws.
 type Item = (u8, usize, (i64, i64), (i64, i64), usize, usize);
 
-fn item() -> impl Strategy<Value = Item> {
+/// Items of the given kinds placed in a square of side `span`.
+fn item_in(kinds: std::ops::Range<u8>, span: i64) -> impl Strategy<Value = Item> {
     (
-        0u8..8,
+        kinds,
         0usize..64,
-        (0i64..40, 0i64..40),
+        (0i64..span, 0i64..span),
         (0i64..8, 0i64..8),
         0usize..4,
         0usize..12,
     )
 }
 
+/// Module-scale items: every kind but the rail, in a 10 µm square.
+fn item() -> impl Strategy<Value = Item> {
+    item_in(0..8, 40)
+}
+
+/// A chip-depth layout: a few hundred items in the [`CHIP`] square,
+/// which puts dozens of shapes on each layer, so the layer trees have
+/// internal nodes, and a few metal rails across it, which give some
+/// leaves a hull as long as the square.
+fn chip_items() -> impl Strategy<Value = Vec<Item>> {
+    (
+        prop::collection::vec(item_in(0..8, CHIP), 200..400),
+        prop::collection::vec(item_in(8..9, CHIP), 2..6),
+    )
+        .prop_map(|(items, rails)| [items, rails].concat())
+}
+
 /// The deck's layers by role in the layouts.
 struct Deck {
     all: Vec<Layer>,
     conductors: Vec<Layer>,
+    metals: Vec<Layer>,
     diffusions: Vec<Layer>,
     cuts: Vec<Layer>,
     /// `(a, b, rule)` for every unordered layer pair with a nonzero
@@ -65,6 +88,7 @@ impl Deck {
         }
         Deck {
             conductors: of(&|k| k.is_conductor()),
+            metals: of(&|k| k == LayerKind::Metal),
             diffusions: of(&|k| k == LayerKind::Diffusion),
             cuts: of(&|k| k == LayerKind::Cut),
             all,
@@ -221,7 +245,7 @@ fn layout(ctx: &GenCtx, items: &[Item]) -> LayoutObject {
             // A gate-crossed diffusion with a contact on one side, and a
             // narrow strap on the diffusion, sometimes widened by a
             // neighbour.
-            _ => {
+            7 => {
                 let diff = deck.diffusions[pick % deck.diffusions.len()];
                 let poly = ctx.layer("poly").unwrap();
                 let contact = ctx.layer("contact").unwrap();
@@ -250,6 +274,21 @@ fn layout(ctx: &GenCtx, items: &[Item]) -> LayoutObject {
                         None,
                     ));
                 }
+            }
+            // A metal rail across the whole chip square, along x or y,
+            // at its layer's minimum width or one grid unit wider.
+            _ => {
+                let layer = deck.metals[pick % deck.metals.len()];
+                let width = ctx.min_width(layer) + (w % 2) * U;
+                obj.push(shape(
+                    layer,
+                    if extra % 2 == 0 {
+                        Rect::new(0, y * U, CHIP * U, y * U + width)
+                    } else {
+                        Rect::new(x * U, 0, x * U + width, CHIP * U)
+                    },
+                    net,
+                ));
             }
         }
     }
@@ -300,6 +339,20 @@ proptest! {
 
     #[test]
     fn random_cmos_layouts_match_the_scan(items in prop::collection::vec(item(), 1..32)) {
+        assert_matches_scan(cmos(), &items);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    #[test]
+    fn chip_depth_bicmos_layouts_match_the_scan(items in chip_items()) {
+        assert_matches_scan(bicmos(), &items);
+    }
+
+    #[test]
+    fn chip_depth_cmos_layouts_match_the_scan(items in chip_items()) {
         assert_matches_scan(cmos(), &items);
     }
 }

@@ -200,11 +200,12 @@ impl Extractor {
     /// A diffusion shape crossed by a gate belongs to every component one
     /// of its fragments joined (its two halves are different nets).
     ///
-    /// Every query goes to the object's
-    /// [spatial index](LayoutObject::spatial_index), the per-layer trees
-    /// DRC and the latch-up check share; only gate-split diffusion gets a
-    /// private fragment tree. Each conductor fragment queries its own
-    /// layer once and each cut layer it connects to once. Components are
+    /// The touching and overlapping fragment pairs come from tree joins
+    /// over the object's [spatial index](LayoutObject::spatial_index),
+    /// the per-layer trees DRC and the latch-up check share: one
+    /// distance-0 self-join per conductor layer and one distance-0 join
+    /// per (conductor layer, cut layer it connects to). Only gate-split
+    /// diffusion gets a private fragment tree. Components are
     /// sets, so the order in which unions are found does not matter, and
     /// the output is canonical: members ascending, nets ordered by member
     /// list, declared names sorted. The one order-sensitive choice is the
@@ -294,28 +295,24 @@ impl Extractor {
         // fragment; the device-side overlaps wait until all are known.
         let mut best = vec![(i128::MAX, usize::MAX); fr.frags.len()];
         let mut device: Vec<(usize, usize, usize)> = Vec::new();
-        for (f, (rect, _)) in fr.frags.iter().enumerate() {
-            let l = layer_of(f);
-            match &layers[l.index()] {
+        for (frags, links) in layers.iter().zip(&links) {
+            let (tree, split) = match frags {
                 LayerFrags::Absent => continue,
-                LayerFrags::Shapes(t) => t.for_each_candidate(rect, |p, r| {
-                    let g = fr.of(p);
-                    if g > f && (rect.overlaps(r) || rect.abuts(r)) {
-                        uf.union(f, g);
-                    }
-                }),
-                LayerFrags::Split(t) => t.for_each_candidate(rect, |g, r| {
-                    if g as usize > f && (rect.overlaps(r) || rect.abuts(r)) {
-                        uf.union(f, g as usize);
-                    }
-                }),
-            }
-            for link in &links[l.index()] {
-                link.cuts.for_each_candidate(rect, |p, r| {
+                LayerFrags::Shapes(t) => (*t, false),
+                LayerFrags::Split(t) => (t, true),
+            };
+            let frag = |p: u32| if split { p as usize } else { fr.of(p) };
+            tree.self_join_within(0, |p, a, q, b| {
+                if a.overlaps(b) || a.abuts(b) {
+                    uf.union(frag(p), frag(q));
+                }
+            });
+            for link in links {
+                tree.join_within(link.cuts, 0, |p, rect, q, r| {
                     if !rect.overlaps(r) {
                         return;
                     }
-                    let c = fr.of(p);
+                    let (f, c) = (frag(p), fr.of(q));
                     match link.device_rank {
                         None => uf.union(f, c),
                         Some(rank) => {

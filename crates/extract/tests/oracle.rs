@@ -1,7 +1,8 @@
 //! The indexed connectivity kernel against its all-pairs oracle
-//! (`connectivity_scan`): random layouts in both built-in decks, the
-//! device-layer tie-break, net renames on a warm extraction memo, and a
-//! chain long enough to overflow a recursive union-find.
+//! (`connectivity_scan`): random layouts in both built-in decks, at
+//! module scale and at chip depth, the device-layer tie-break, net
+//! renames on a warm extraction memo, and a chain long enough to
+//! overflow a recursive union-find.
 
 use amgen_core::GenCtx;
 use amgen_db::{LayoutObject, Port, Shape};
@@ -16,21 +17,43 @@ use proptest::prelude::*;
 const U: i64 = 500;
 const NETS: [&str; 3] = ["a", "b", "c"];
 
+/// Side of the chip-depth layouts' square in grid units (50 µm), the
+/// length of their rails.
+const CHIP: i64 = 100;
+
 /// One random layout item: `(kind, layer pick, (x, y), (w, h), net
 /// pick, extra)`. The kinds bias the layout toward the cases the kernel
 /// treats specially: gate-crossed diffusion, abutting chains and cuts
 /// stacked over metal and device layers.
 type Item = (u8, usize, (i64, i64), (i64, i64), usize, usize);
 
-fn item() -> impl Strategy<Value = Item> {
+/// Items of the given kinds placed in a square of side `span`.
+fn item_in(kinds: std::ops::Range<u8>, span: i64) -> impl Strategy<Value = Item> {
     (
-        0u8..6,
+        kinds,
         0usize..8,
-        (0i64..30, 0i64..30),
+        (0i64..span, 0i64..span),
         (1i64..8, 1i64..8),
         0usize..4,
         1usize..6,
     )
+}
+
+/// Module-scale items: every kind but the rail, in a 15 µm square.
+fn item() -> impl Strategy<Value = Item> {
+    item_in(0..6, 30)
+}
+
+/// A chip-depth layout: a few hundred items in the [`CHIP`] square,
+/// which puts dozens of shapes on each layer, so the layer trees have
+/// internal nodes, and a few rails across it, which give some leaves a
+/// hull as long as the square.
+fn chip_items() -> impl Strategy<Value = Vec<Item>> {
+    (
+        prop::collection::vec(item_in(0..6, CHIP), 200..400),
+        prop::collection::vec(item_in(6..7, CHIP), 2..6),
+    )
+        .prop_map(|(items, rails)| [items, rails].concat())
 }
 
 /// Builds the layout the items describe in `ctx`'s deck.
@@ -94,13 +117,22 @@ fn layout(ctx: &GenCtx, items: &[Item]) -> LayoutObject {
             }
             // Two device layers of equal area under one contact: the
             // tie-break decides which one the contact joins.
-            _ => {
+            5 => {
                 let a = pick % devices.len();
                 let b = (a + extra) % devices.len();
                 push(devices[a], r(x - 1, y - 1, w + 1, h + 1));
                 push(devices[b], r(x - 1, y - 1, w + 1, h + 1));
                 push("contact", r(x, y, 1, 1));
                 push("metal1", r(x, y, 1, 1));
+            }
+            // A metal rail across the whole chip square, along x or y.
+            _ => {
+                let layer = ["metal1", "metal2"][pick % 2];
+                if extra % 2 == 0 {
+                    push(layer, r(0, y, CHIP, 1 + h % 2));
+                } else {
+                    push(layer, r(x, 0, 1 + w % 2, CHIP));
+                }
             }
         }
     }
@@ -124,6 +156,20 @@ proptest! {
 
     #[test]
     fn random_cmos_layouts_match_the_scan(items in prop::collection::vec(item(), 1..28)) {
+        assert_matches_scan(&GenCtx::from_tech(&Tech::cmos_08()), &items);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn chip_depth_bicmos_layouts_match_the_scan(items in chip_items()) {
+        assert_matches_scan(&GenCtx::from_tech(&Tech::bicmos_1u()), &items);
+    }
+
+    #[test]
+    fn chip_depth_cmos_layouts_match_the_scan(items in chip_items()) {
         assert_matches_scan(&GenCtx::from_tech(&Tech::cmos_08()), &items);
     }
 }

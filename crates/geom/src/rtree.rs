@@ -32,7 +32,8 @@
 //! dual-tree joins [`join_within`](RectTree::join_within) and
 //! [`self_join_within`](RectTree::self_join_within) for all pairs within
 //! a distance. Joins visit in tree order; DRC spacing sorts the pairs
-//! they yield, and min-area folds them into an order-free union-find.
+//! they yield, min-area and connectivity extraction fold them into
+//! order-free union-finds, and the enclosure check sets per-cut flags.
 
 use crate::coord::Coord;
 use crate::rect::Rect;
@@ -242,7 +243,9 @@ impl RectTree {
     /// touching-or-overlapping candidate pairs.
     ///
     /// A dual-tree walk: node pairs whose hulls are farther apart than
-    /// `dist` are pruned whole. Pairs arrive in **tree order**
+    /// `dist` are pruned whole, and at a pair of leaves only the entries
+    /// within `dist` of the other leaf's hull are tested against each
+    /// other. Pairs arrive in **tree order**
     /// (deterministic for the two trees, but unordered by payload), so
     /// callers sort or fold order-free.
     pub fn join_within<F: FnMut(u32, &Rect, u32, &Rect)>(
@@ -284,8 +287,26 @@ impl RectTree {
             return;
         }
         if a.leaf && b.leaf {
+            // Only entries within `dist` of the other leaf's hull can
+            // pair: filter `b`'s once, then `a`'s against `b`'s hull.
+            let eb = other.leaf_entries(b);
+            let mut near_a = [0usize; FANOUT];
+            let mut kept = 0;
+            for (k, (rb, _)) in eb.iter().enumerate() {
+                if within(&a.bbox, rb, dist) {
+                    near_a[kept] = k;
+                    kept += 1;
+                }
+            }
+            if kept == 0 {
+                return;
+            }
             for (ra, p) in self.leaf_entries(a) {
-                for (rb, q) in other.leaf_entries(b) {
+                if !within(ra, &b.bbox, dist) {
+                    continue;
+                }
+                for &k in &near_a[..kept] {
+                    let (rb, q) = &eb[k];
                     if within(ra, rb, dist) {
                         f(*p, ra, *q, rb);
                     }
@@ -452,9 +473,26 @@ mod tests {
         items
     }
 
+    /// [`with_degenerates`] with every 150th entry replaced by a rail
+    /// across the whole square, alternately horizontal and vertical: a
+    /// leaf holding one has a hull far larger than its other entries.
+    fn with_rails(n: usize, seed: u64) -> Vec<(Rect, u32)> {
+        let mut items = with_degenerates(n, seed);
+        for (k, (r, _)) in items.iter_mut().enumerate().filter(|(k, _)| k % 150 == 149) {
+            let at = r.x0;
+            *r = if k % 300 == 149 {
+                Rect::new(-5, at, 110, at + 2)
+            } else {
+                Rect::new(at, -5, at + 2, 110)
+            };
+        }
+        items
+    }
+
     /// The joins against brute force: empty and one-entry trees, sizes
-    /// around the fan-out, degenerate rectangles, `dist` 0, 3 and 10.
-    /// Every pair comes exactly once, so the sorted output equals the
+    /// around the fan-out, four-level trees (600 and 1,500 entries) with
+    /// rails across the square, degenerate rectangles, `dist` 0, 3 and
+    /// 10. Every pair comes exactly once, so the sorted output equals the
     /// sorted brute-force list without deduplication.
     #[test]
     fn joins_match_brute_force() {
@@ -467,12 +505,14 @@ mod tests {
             (8, 9),
             (60, 7),
             (65, 130),
+            (600, 1500),
+            (1500, 600),
         ] {
-            let a = with_degenerates(n, 7 + n as u64);
+            let a = with_rails(n, 7 + n as u64);
             // Payloads of `b` start past `a`'s so the two sides never collide.
-            let b: Vec<(Rect, u32)> = with_degenerates(m, 99 + m as u64)
+            let b: Vec<(Rect, u32)> = with_rails(m, 99 + m as u64)
                 .into_iter()
-                .map(|(r, q)| (r, q + 1000))
+                .map(|(r, q)| (r, q + 10_000))
                 .collect();
             let (ta, tb) = (RectTree::build(a.clone()), RectTree::build(b.clone()));
             for dist in [0, 3, 10] {
@@ -486,7 +526,7 @@ mod tests {
 
                 let mut got = Vec::new();
                 ta.join_within(&tb, dist, |p, ra, q, rb| {
-                    assert_eq!((ra, rb), (&a[p as usize].0, &b[(q - 1000) as usize].0));
+                    assert_eq!((ra, rb), (&a[p as usize].0, &b[(q - 10_000) as usize].0));
                     got.push((p, q));
                 });
                 got.sort_unstable();

@@ -3,16 +3,16 @@
 //! connectivity extraction, parasitics) must reproduce its pre-index
 //! linear-scan output *exactly* — same violations, same nets, same
 //! parasitics, same order — on the figure workloads and on a two-tile
-//! chip of the `cmos_08` amplifier (the `chip_scale` bench audits the
-//! `bicmos_1u` chip). This is what keeps the content-addressed generation
-//! cache and layout signatures stable across the indexed rewrite.
+//! chip of each deck's amplifier. This is what keeps the
+//! content-addressed generation cache and layout signatures stable
+//! across the indexed rewrite.
 
 use amgen::drc::{latchup, Drc};
 use amgen::modgen::centroid::{centroid_diff_pair, CentroidParams};
 use amgen::modgen::diffpair::{diff_pair, DiffPairParams};
 use amgen::modgen::{contact_row, ContactRowParams, MosType};
 use amgen::prelude::*;
-use amgen_bench::workloads::fig_chip;
+use amgen_bench::workloads::{chip_prototype, fig_chip};
 
 fn fig01_workload(tech: &GenCtx, n: usize, every: usize) -> LayoutObject {
     let pdiff = tech.layer("pdiff").unwrap();
@@ -113,5 +113,12 @@ fn cmos_fig_chip_parity() {
     let ctx = GenCtx::from_tech(&tech).with_default_cache();
     let (proto, _) = amgen::amp::build_amplifier_cmos(&ctx).unwrap();
     let chip = fig_chip(&tech, &proto, 2);
+    assert_parity(&GenCtx::from_tech(&tech), &chip);
+}
+
+#[test]
+fn bicmos_fig_chip_parity() {
+    let tech = Tech::bicmos_1u();
+    let chip = fig_chip(&tech, &chip_prototype(&tech), 2);
     assert_parity(&GenCtx::from_tech(&tech), &chip);
 }
