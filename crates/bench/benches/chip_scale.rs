@@ -16,12 +16,14 @@
 //!   t ∈ {1, 2, 4, 8, 16} tiles (1,350–21,576 shapes, index built once
 //!   per chip): the fitted log-log growth exponent over the shape count
 //!   must stay below 1.5, so extraction cannot turn quadratic. The
-//!   chip's extraction memo is pinned to another deck, so every call
-//!   runs the extraction kernel instead of reading the memo.
-//! * `drc_t` — the full `Drc::check` on the same chips, index and
-//!   extraction memo warm, so the series times the checks alone (the
-//!   connectivity series gates the extraction): the fitted log-log growth
-//!   exponent over the shape count must stay below 1.5 as well.
+//!   chip's extraction memo and its sign-off join memo are both pinned
+//!   to another deck, so every call runs the deck's join plan and the
+//!   extraction kernel together instead of reading either memo.
+//! * `drc_t` — the full `Drc::check` on the same chips, index,
+//!   extraction memo and join memo warm, so the series times the checks
+//!   alone (the connectivity series gates the joins and the extraction):
+//!   the fitted log-log growth exponent over the shape count must stay
+//!   below 1.5 as well.
 //! * a one-shot parity audit: indexed DRC and extraction must be
 //!   byte-identical to the linear-scan baselines on the chip.
 //!
@@ -74,16 +76,18 @@ fn main() {
     // ---- connectivity and DRC scaling over the tile count -------------
     let ex = Extractor::new(&ctx);
     let drc = Drc::new(&ctx);
-    // A lookup under another deck extracts without touching the memo.
-    let other_deck = Tech::cmos_08().id();
-    assert_ne!(other_deck, tech.id());
+    // A lookup under another deck extracts, or runs its join plan,
+    // without touching the memo.
+    let other_deck = Tech::cmos_08();
+    assert_ne!(other_deck.id(), tech.id());
     let mut connectivity_points: Vec<(f64, f64)> = Vec::new();
     let mut drc_points: Vec<(f64, f64)> = Vec::new();
     for tiles in [1usize, 2, 4, 8, 16] {
         let chip = workloads::fig_chip(&tech, &proto, tiles);
-        // Pin the memo to the other deck: every `connectivity` call
-        // below runs the extraction kernel.
-        chip.spatial_index().components(other_deck, Vec::new);
+        // Pin both memos to the other deck: every `connectivity` call
+        // below runs the join plan and the extraction kernel.
+        chip.spatial_index().components(other_deck.id(), Vec::new);
+        chip.spatial_index().joins(&other_deck);
         let extract = Mode::new("indexed", || {
             black_box(ex.connectivity(&chip).len());
         });
@@ -91,7 +95,7 @@ fn main() {
         connectivity_points.push((chip.len() as f64, s.fastest(0).as_nanos() as f64));
 
         let chip = workloads::fig_chip(&tech, &proto, tiles);
-        ex.connectivity(&chip); // index and extraction memo warm
+        ex.connectivity(&chip); // index, extraction and join memos warm
         let check = Mode::new("indexed", || {
             black_box(drc.check(&chip).len());
         });

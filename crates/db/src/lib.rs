@@ -41,4 +41,4 @@ pub mod spatial;
 pub use object::{Group, GroupId, LayoutObject, Port, RebuildKind};
 pub use shape::{EdgeFlags, NetId, Shape, ShapeRole};
 pub use signature::LayoutSignature;
-pub use spatial::SpatialIndex;
+pub use spatial::{PlanPairs, SpatialIndex};

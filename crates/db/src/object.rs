@@ -524,6 +524,7 @@ mod tests {
     use crate::shape::EdgeFlags;
     use amgen_geom::Dir;
     use amgen_tech::Tech;
+    use std::borrow::Cow;
 
     fn tech() -> Tech {
         Tech::bicmos_1u()
@@ -629,13 +630,13 @@ mod tests {
         let everywhere = Rect::new(-1_000_000, -1_000_000, 1_000_000, 1_000_000);
         let stamp = std::cell::Cell::new(0usize);
         let check = |o: &LayoutObject| {
-            let got = o.spatial_index().query_overlapping(poly, &everywhere);
-            let scan: Vec<usize> = o
+            let got: Vec<u32> = o.spatial_index().layer(poly).unwrap().query(&everywhere);
+            let scan: Vec<u32> = o
                 .shapes()
                 .iter()
                 .enumerate()
                 .filter(|(_, s)| s.layer == poly)
-                .map(|(i, _)| i)
+                .map(|(i, _)| i as u32)
                 .collect();
             assert_eq!(got, scan, "index out of sync with shape vector");
             assert_eq!(
@@ -652,6 +653,38 @@ mod tests {
             assert_eq!(*got, fresh[..], "component memo survived a mutation");
             let got = o.spatial_index().components(DECK, || unreachable!());
             assert_eq!(*got, fresh[..], "component memo not kept");
+            // Each check pins the join memo to a deck of its own (a new
+            // id), which only a cold memo keeps; the plan of the object's
+            // own deck then runs uncached on the current shapes.
+            let deck = Tech::bicmos_1u();
+            let ix = o.spatial_index();
+            assert!(
+                matches!(ix.joins(&deck), Cow::Borrowed(_)),
+                "join memo survived a mutation"
+            );
+            assert!(
+                matches!(ix.joins(&deck), Cow::Borrowed(_)),
+                "join memo not kept"
+            );
+            let rule = t.min_spacing(poly, poly).unwrap();
+            let mut got: Vec<(u32, u32)> = ix
+                .joins(&t)
+                .between(poly, poly)
+                .map(|(p, q)| (p.min(q), p.max(q)))
+                .collect();
+            got.sort_unstable();
+            let s = o.shapes();
+            let scan: Vec<(u32, u32)> = (0..s.len())
+                .flat_map(|i| (i + 1..s.len()).map(move |j| (i, j)))
+                .filter(|&(i, j)| s[i].layer == poly && s[j].layer == poly)
+                .filter(|&(i, j)| {
+                    let (a, b) = (s[i].rect.inflated(rule), s[j].rect);
+                    a.x0 <= b.x1 && b.x0 <= a.x1 && a.y0 <= b.y1 && b.y0 <= a.y1
+                })
+                .map(|(i, j)| (i as u32, j as u32))
+                .collect();
+            assert_eq!(got, scan, "join pairs out of sync with shape vector");
+            deck
         };
         let mut obj = LayoutObject::new("x");
         obj.push(Shape::new(poly, Rect::new(0, 0, 10, 10)));
@@ -672,7 +705,7 @@ mod tests {
         check(&obj);
         // remove_shapes invalidates.
         obj.remove_shapes(&[0]);
-        check(&obj);
+        let pinned = check(&obj);
         // Mirror copies rebuild on the copy.
         check(&obj.mirrored_x(3));
         check(&obj.mirrored_y(-1));
@@ -690,6 +723,7 @@ mod tests {
                 *o.spatial_index().components(DECK, || unreachable!()),
                 kept[..]
             );
+            assert!(matches!(o.spatial_index().joins(&pinned), Cow::Borrowed(_)));
         }
         // Index state is invisible to equality.
         let warm = obj.clone();

@@ -8,8 +8,11 @@
 //! [`RectTree`] per populated layer plus one per semantic
 //! [`ShapeRole`] (the latch-up check is role-driven,
 //! not layer-driven), and caches the whole-object and per-layer bounding
-//! boxes as a side effect of the build. It also memoises the object's
-//! connected components under one rule deck
+//! boxes as a side effect of the build. It also memoises two results
+//! under one rule deck: the candidate pairs of the deck's sign-off plan
+//! ([`joins`](SpatialIndex::joins)), so each layer pair is joined once
+//! per object and every sign-off consumer filters the same pairs, and
+//! the object's connected components
 //! ([`components`](SpatialIndex::components)), so one sign-off extracts
 //! once.
 //!
@@ -18,26 +21,32 @@
 //! The index is **derived state**: [`LayoutObject::spatial_index`]
 //! builds it lazily on first use, and every geometry mutation
 //! (`push`, `shapes_mut`, `remove_shapes`, `translate`, `absorb`, the
-//! mirror copies) drops it, and the component memo with it. It never
+//! mirror copies) drops it, and both memos with it. It never
 //! participates in equality, signatures or serialization — holding a
-//! warm or cold index is not an observable difference. The memo holds
-//! geometry only (member shape indices), never net names, so renaming
-//! nets (`rename_net`, `rename_label`, `prefixed`) leaves it valid.
+//! warm or cold index is not an observable difference. The memos hold
+//! geometry only (shape indices), never net names, so renaming nets
+//! (`rename_net`, `rename_label`, `prefixed`) leaves them valid.
 //!
 //! # Determinism contract
 //!
-//! `query_*` methods return shape indices **sorted ascending** — the
-//! exact order a linear scan of the shape vector visits them. DRC's
-//! width check and gap-fill test read their covers in that order. The
-//! trees' visitors ([`RectTree::for_each_candidate`],
+//! The trees' visitors ([`RectTree::for_each_candidate`],
 //! [`RectTree::any_candidate`] and the joins
 //! [`RectTree::join_within`] / [`RectTree::self_join_within`]) run in
-//! tree order instead (deterministic for a given shape vector, but
-//! unspecified); their consumers either sort what they collect (DRC
-//! spacing sorts its pairs) or fold it order-free (the union-finds of
-//! min-area and extraction, which take all their pairs from joins, the
-//! enclosure check's per-cut containment flags, the latch-up check's
-//! containment probes).
+//! tree order (deterministic for a given shape vector, but
+//! unspecified), and so do the pair lists of [`PlanPairs`]. Their
+//! consumers either sort what they collect or fold it order-free:
+//!
+//! * DRC spacing sorts its violations by their normalised pairs;
+//! * gate splitting sorts each diffusion shape's gates into ascending
+//!   shape order, the order that fixes the fragments;
+//! * extraction and min-area feed order-free union-finds;
+//! * the enclosure check sets per-cut containment flags;
+//! * DRC's width, gap-fill and enclosure cover tests gather their
+//!   covers with `for_each_candidate`, and a cover test's answer is a
+//!   bool, which no order of the covers can change;
+//! * the latch-up check probes containment with `any_candidate` and
+//!   subtracts its covers in the ascending order of
+//!   [`RectTree::query_into`].
 //!
 //! # Candidate semantics
 //!
@@ -54,7 +63,7 @@ use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 use amgen_geom::{Rect, RectTree};
-use amgen_tech::Layer;
+use amgen_tech::{Layer, RuleSet};
 
 use crate::shape::{Shape, ShapeRole};
 
@@ -76,6 +85,43 @@ pub struct SpatialIndex {
     bbox: Rect,
     /// Component member lists, with the id of the deck that made them.
     components: OnceLock<(u32, Vec<Vec<usize>>)>,
+    /// The sign-off plan's pair lists, with the id of the deck whose
+    /// plan made them.
+    joins: OnceLock<(u32, PlanPairs)>,
+}
+
+/// The candidate shape pairs of a deck's sign-off plan
+/// ([`RuleSet::signoff_plan`]) over one object: for every plan entry
+/// `(a, b, distance)`, each pair of a shape on `a` and a shape on `b`
+/// whose rectangles come within `distance` under the closed-interval
+/// candidate test ([`RectTree::join_within`], or
+/// [`RectTree::self_join_within`] when `a == b`). Obtained from
+/// [`SpatialIndex::joins`].
+#[derive(Debug, Clone)]
+pub struct PlanPairs {
+    /// The plan's layer pairs, `a <= b`, ascending.
+    entries: Vec<(Layer, Layer)>,
+    /// Entry `k`'s pairs are `pairs[first[k]..first[k + 1]]`.
+    first: Vec<u32>,
+    /// `(shape on a, shape on b)`, in tree order.
+    pairs: Vec<(u32, u32)>,
+}
+
+impl PlanPairs {
+    /// The candidate pairs between layers `a` and `b` as `(shape on a,
+    /// shape on b)` shape indices, in tree order; within one layer each
+    /// unordered pair comes once. Empty when the plan has no join for
+    /// the pair or a layer is unpopulated.
+    pub fn between(&self, a: Layer, b: Layer) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let swap = b < a;
+        let key = if swap { (b, a) } else { (a, b) };
+        let list = match self.entries.binary_search(&key) {
+            Ok(k) => &self.pairs[self.first[k] as usize..self.first[k + 1] as usize],
+            Err(_) => &[],
+        };
+        list.iter()
+            .map(move |&(p, q)| if swap { (q, p) } else { (p, q) })
+    }
 }
 
 impl SpatialIndex {
@@ -111,6 +157,7 @@ impl SpatialIndex {
             substrate: RectTree::build(substrate),
             bbox,
             components: OnceLock::new(),
+            joins: OnceLock::new(),
         }
     }
 
@@ -128,14 +175,6 @@ impl SpatialIndex {
             ShapeRole::DeviceActive => Some(&self.active),
             ShapeRole::SubstrateContact => Some(&self.substrate),
         }
-    }
-
-    /// Shape indices on `layer` overlapping or abutting `window`
-    /// (candidate test), sorted ascending — linear-scan order.
-    pub fn query_overlapping(&self, layer: Layer, window: &Rect) -> Vec<usize> {
-        self.layers.get(&layer).map_or_else(Vec::new, |t| {
-            t.query(window).into_iter().map(|i| i as usize).collect()
-        })
     }
 
     /// The connected components of the shapes under the rule deck with
@@ -160,6 +199,48 @@ impl SpatialIndex {
             Some(extract) if *id != deck => Cow::Owned(extract()),
             _ => Cow::Borrowed(lists),
         }
+    }
+
+    /// The candidate pairs of `rules`' sign-off plan over the shapes,
+    /// memoised: the one place sign-off runs its tree joins.
+    ///
+    /// The first call runs every join of the plan once, each at its
+    /// entry's distance, and keeps the pair lists with the deck's id;
+    /// later calls with the same deck return them. A call with another
+    /// deck runs its plan and returns the result without keeping it.
+    /// Like the component memo, it lives and dies with the index.
+    pub fn joins(&self, rules: &RuleSet) -> Cow<'_, PlanPairs> {
+        let deck = rules.id();
+        let (id, pairs) = self.joins.get_or_init(|| (deck, self.run_plan(rules)));
+        if *id == deck {
+            Cow::Borrowed(pairs)
+        } else {
+            Cow::Owned(self.run_plan(rules))
+        }
+    }
+
+    /// Runs each join of `rules`' sign-off plan over the layer trees.
+    fn run_plan(&self, rules: &RuleSet) -> PlanPairs {
+        let plan = rules.signoff_plan();
+        let mut out = PlanPairs {
+            entries: Vec::with_capacity(plan.len()),
+            first: Vec::with_capacity(plan.len() + 1),
+            pairs: Vec::new(),
+        };
+        out.first.push(0);
+        for &(a, b, dist) in plan {
+            if let (Some(ta), Some(tb)) = (self.layer(a), self.layer(b)) {
+                let pair = |p: u32, _: &Rect, q: u32, _: &Rect| out.pairs.push((p, q));
+                if a == b {
+                    ta.self_join_within(dist, pair);
+                } else {
+                    ta.join_within(tb, dist, pair);
+                }
+            }
+            out.entries.push((a, b));
+            out.first.push(out.pairs.len() as u32);
+        }
+        out
     }
 
     /// Bounding box over every shape (`union_bbox` semantics, matching
@@ -211,8 +292,11 @@ mod tests {
             .map(|(i, _)| i)
             .collect();
         let queried: Vec<usize> = ix
-            .query_overlapping(poly, &w)
+            .layer(poly)
+            .unwrap()
+            .query(&w)
             .into_iter()
+            .map(|i| i as usize)
             .filter(|&i| {
                 let r = obj.shapes()[i].rect;
                 r.overlaps(&w) || r.abuts(&w)
@@ -264,5 +348,40 @@ mod tests {
         assert_eq!(*ix.components(1, || unreachable!()), a[..]);
         assert!(matches!(ix.components(2, || b.clone()), Cow::Owned(ref v) if *v == b));
         assert!(matches!(ix.components(1, || unreachable!()), Cow::Borrowed(v) if *v == a[..]));
+    }
+
+    /// The join memo keeps the first deck's pairs; a lookup under another
+    /// deck runs that deck's plan and leaves the memo alone. The pairs
+    /// are the plan's: poly with itself at its 1.5 µm rule, poly with
+    /// pdiff at its 0.5 µm rule, each oriented as asked.
+    #[test]
+    fn joins_are_memoised_for_one_deck() {
+        let t = Tech::bicmos_1u();
+        let other = Tech::bicmos_1u();
+        let (poly, pdiff) = (t.layer("poly").unwrap(), t.layer("pdiff").unwrap());
+        let mut obj = LayoutObject::new("x");
+        obj.push(Shape::new(poly, Rect::new(0, 0, 1_000, 5_000)));
+        obj.push(Shape::new(poly, Rect::new(2_500, 0, 3_500, 5_000)));
+        obj.push(Shape::new(pdiff, Rect::new(4_000, 0, 6_000, 5_000)));
+        obj.push(Shape::new(poly, Rect::new(9_000, 0, 10_000, 5_000)));
+        let ix = obj.spatial_index();
+        let sorted = |it: &mut dyn Iterator<Item = (u32, u32)>| {
+            let mut v: Vec<(u32, u32)> = it.map(|(p, q)| (p.min(q), p.max(q))).collect();
+            v.sort_unstable();
+            v
+        };
+        let first = ix.joins(&t);
+        assert!(matches!(first, Cow::Borrowed(_)));
+        assert_eq!(sorted(&mut first.between(poly, poly)), [(0, 1)]);
+        assert_eq!(first.between(poly, pdiff).collect::<Vec<_>>(), [(1, 2)]);
+        assert_eq!(first.between(pdiff, poly).collect::<Vec<_>>(), [(2, 1)]);
+        assert!(std::ptr::eq(&*ix.joins(&t), &*first), "a memo hit");
+        // Another deck's layers match no tree of this object: its plan
+        // runs, finds nothing, and is not kept.
+        let foreign = ix.joins(&other);
+        assert!(matches!(foreign, Cow::Owned(_)));
+        let foreign_poly = other.layer("poly").unwrap();
+        assert_eq!(foreign.between(foreign_poly, foreign_poly).count(), 0);
+        assert!(matches!(ix.joins(&t), Cow::Borrowed(p) if std::ptr::eq(p, &*first)));
     }
 }

@@ -10,27 +10,31 @@ use crate::latchup;
 use crate::violation::{Violation, ViolationKind};
 
 /// Cover-rectangle source for the width and gap-fill union tests (and
-/// the enclosure baseline): the spatial index returns only the
-/// same-layer shapes near the window, in shape order — exact, because a
-/// cover that does not overlap the window cannot cut anything from it —
-/// while the scan source returns every same-layer shape, reproducing the
-/// pre-index behaviour for the equivalence baselines.
-#[derive(Clone, Copy, PartialEq, Eq)]
+/// the enclosure check's fallback and baseline): the spatial index
+/// gathers only the same-layer shapes near the window into a reused
+/// buffer — exact, because a cover that does not overlap the window
+/// cannot cut anything from it — while the scan source passes every
+/// same-layer shape, reproducing the pre-index behaviour for the
+/// equivalence baselines. The cover test's answer is a bool, so the
+/// order of the covers cannot change it.
 enum Candidates {
-    Indexed,
+    Indexed(Vec<Rect>),
     Scan,
 }
 
 impl Candidates {
-    fn covers(self, obj: &LayoutObject, layer: Layer, window: &Rect) -> Vec<Rect> {
+    /// True if the same-layer shapes cover `window`.
+    fn covered(&mut self, obj: &LayoutObject, layer: Layer, window: &Rect) -> bool {
+        let region = Region::from_rect(*window);
         match self {
-            Candidates::Indexed => obj
-                .spatial_index()
-                .query_overlapping(layer, window)
-                .into_iter()
-                .map(|i| obj.shapes()[i].rect)
-                .collect(),
-            Candidates::Scan => obj.shapes_on(layer).map(|s| s.rect).collect(),
+            Candidates::Indexed(covers) => {
+                covers.clear();
+                if let Some(t) = obj.spatial_index().layer(layer) {
+                    t.for_each_candidate(window, |_, r| covers.push(*r));
+                }
+                region.covered_by(covers.iter().copied())
+            }
+            Candidates::Scan => region.covered_by(obj.shapes_on(layer).map(|s| s.rect)),
         }
     }
 }
@@ -61,12 +65,15 @@ impl Drc {
     ///
     /// Every sub-check runs on the object's
     /// [spatial index](LayoutObject::spatial_index) — window queries and
-    /// tree joins instead of all-pairs scans — and produces output
-    /// byte-identical to the pre-index checker
-    /// ([`check_scan`](Drc::check_scan)). The spacing check's extraction
-    /// is memoised in the index: after
+    /// the shared sign-off pairs instead of all-pairs scans — and
+    /// produces output byte-identical to the pre-index checker
+    /// ([`check_scan`](Drc::check_scan)). Spacing, enclosure, min-area
+    /// and extraction filter the pairs of one run of the deck's join plan
+    /// ([`SpatialIndex::joins`](amgen_db::SpatialIndex::joins)), and the
+    /// spacing check's extraction is memoised in the index too: after
     /// [`Extractor::connectivity`] has run on the object, this runs no
-    /// extraction, and a `connectivity` call after it extracts nothing.
+    /// join and no extraction, and a `connectivity` call after it runs
+    /// neither.
     pub fn check(&self, obj: &LayoutObject) -> Vec<Violation> {
         let mut span = self
             .ctx
@@ -100,25 +107,25 @@ impl Drc {
 
     /// Minimum area per **merged region**: same-layer shapes that touch
     /// or overlap form one region; its union area must reach the layer's
-    /// `minarea` rule. Touching pairs come from one self-join of each
-    /// ruled layer's tree ([`RectTree::self_join_within`] at distance 0)
-    /// instead of an all-pairs sweep; the union-find they feed is
-    /// order-free.
-    ///
-    /// [`RectTree::self_join_within`]: amgen_geom::RectTree::self_join_within
+    /// `minarea` rule. Touching pairs come from each ruled layer's
+    /// self-join in the object's sign-off pairs
+    /// ([`SpatialIndex::joins`](amgen_db::SpatialIndex::joins)), filtered
+    /// by `overlaps || abuts`, instead of an all-pairs sweep; the
+    /// union-find they feed is order-free.
     pub fn check_min_area(&self, obj: &LayoutObject) -> Vec<Violation> {
         self.ctx.metrics.add_drc_checks(1);
         let shapes = obj.shapes();
         let ruled = |l: Layer| self.ctx.min_area_um2(l) > 0.0;
         let ix = obj.spatial_index();
+        let joins = ix.joins(self.rules());
         let mut parent: Vec<usize> = (0..shapes.len()).collect();
         for layer in ix.populated_layers().filter(|&l| ruled(l)) {
-            let tree = ix.layer(layer).expect("populated layer");
-            tree.self_join_within(0, |i, a, j, b| {
+            for (i, j) in joins.between(layer, layer) {
+                let (a, b) = (&shapes[i as usize].rect, &shapes[j as usize].rect);
                 if a.overlaps(b) || a.abuts(b) {
                     union(&mut parent, i as usize, j as usize);
                 }
-            });
+            }
         }
         // Clusters in the order of their smallest member, each listing
         // its rectangles in shape order, then grouped by layer (stably):
@@ -196,7 +203,7 @@ impl Drc {
 
     /// Minimum width / exact cut size per shape.
     pub fn check_widths(&self, obj: &LayoutObject) -> Vec<Violation> {
-        self.widths_impl(obj, Candidates::Indexed)
+        self.widths_impl(obj, Candidates::Indexed(Vec::new()))
     }
 
     /// Linear-scan baseline of [`check_widths`](Drc::check_widths).
@@ -205,7 +212,7 @@ impl Drc {
         self.widths_impl(obj, Candidates::Scan)
     }
 
-    fn widths_impl(&self, obj: &LayoutObject, mode: Candidates) -> Vec<Violation> {
+    fn widths_impl(&self, obj: &LayoutObject, mut covers: Candidates) -> Vec<Violation> {
         self.ctx.metrics.add_drc_checks(1);
         let mut out = Vec::new();
         for s in obj.shapes() {
@@ -228,7 +235,7 @@ impl Drc {
             }
             let w = self.ctx.min_width(s.layer);
             let min_dim = s.rect.width().min(s.rect.height());
-            if w > 0 && min_dim < w && !self.widened_is_covered(obj, s, w, mode) {
+            if w > 0 && min_dim < w && !self.widened_is_covered(obj, s, w, &mut covers) {
                 out.push(Violation {
                     kind: ViolationKind::Width,
                     rect: s.rect,
@@ -248,7 +255,7 @@ impl Drc {
         obj: &LayoutObject,
         s: &Shape,
         min_w: Coord,
-        mode: Candidates,
+        covers: &mut Candidates,
     ) -> bool {
         let r = s.rect;
         let narrow_x = r.width() < r.height();
@@ -277,7 +284,7 @@ impl Drc {
         };
         candidates
             .iter()
-            .any(|window| Region::from_rect(*window).covered_by(mode.covers(obj, s.layer, window)))
+            .any(|window| covers.covered(obj, s.layer, window))
     }
 
     /// Spacing between disconnected shape pairs and same-layer shorts.
@@ -293,53 +300,37 @@ impl Drc {
     /// the object's spatial index, so a later `connectivity` or
     /// `parasitics` call on the same object does not extract again.
     ///
-    /// Candidate pairs come from one tree join per populated layer pair
-    /// with a nonzero rule ([`RectTree::join_within`], or
-    /// [`RectTree::self_join_within`] within a layer). Spacing rules are
-    /// symmetric, so each unordered shape pair is found once. The join's
-    /// closed-interval test on a rectangle inflated by the rule admits
-    /// exactly the pairs with `gap_x <= rule && gap_y <= rule` — a
+    /// Candidate pairs are the object's sign-off pairs
+    /// ([`SpatialIndex::joins`](amgen_db::SpatialIndex::joins)) of every
+    /// layer pair with a nonzero rule: the plan joins such a pair at its
+    /// rule, the largest distance any consumer asks of it. Spacing rules
+    /// are symmetric, so each unordered shape pair is found once. The
+    /// join's closed-interval test on a rectangle inflated by the rule
+    /// admits exactly the pairs with `gap_x <= rule && gap_y <= rule` — a
     /// superset of both reportable cases (`max(gap) < rule` spacing
     /// violations and `gap <= 0` shorts) — so no naive-loop pair is
-    /// missed. The pairs are normalised to `(i, j)` with `i < j` and
-    /// sorted, then run through the identical pair logic in the naive
+    /// missed. Each pair, normalised to `(i, j)` with `i < j`, runs
+    /// through the identical pair logic and yields at most one violation;
+    /// the violations are sorted by their pairs, which is the naive
     /// loop's order.
-    ///
-    /// [`RectTree::join_within`]: amgen_geom::RectTree::join_within
-    /// [`RectTree::self_join_within`]: amgen_geom::RectTree::self_join_within
     pub fn check_spacing(&self, obj: &LayoutObject) -> Vec<Violation> {
         self.ctx.metrics.add_drc_checks(1);
         let comp =
             ShapeComponents::new(obj.len(), Extractor::new(&self.ctx).components(obj).iter());
-        let ix = obj.spatial_index();
-        let trees: Vec<_> = ix
-            .populated_layers()
-            .filter_map(|l| Some((l, ix.layer(l)?)))
-            .collect();
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
-        let mut pair = |i: u32, _: &Rect, j: u32, _: &Rect| pairs.push((i.min(j), i.max(j)));
-        for (k, &(la, ta)) in trees.iter().enumerate() {
-            for &(lb, tb) in &trees[k..] {
-                match self.ctx.min_spacing(la, lb) {
-                    Some(rule) if rule > 0 && la == lb => ta.self_join_within(rule, &mut pair),
-                    Some(rule) if rule > 0 => ta.join_within(tb, rule, &mut pair),
-                    _ => {}
+        let joins = obj.spatial_index().joins(self.rules());
+        let mut covers = Candidates::Indexed(Vec::new());
+        let (mut found, mut one) = (Vec::new(), Vec::new());
+        for &(a, b, _) in self.ctx.signoff_plan() {
+            if self.ctx.min_spacing(a, b).is_some_and(|rule| rule > 0) {
+                for (i, j) in joins.between(a, b) {
+                    let (i, j) = (i.min(j) as usize, i.max(j) as usize);
+                    self.spacing_pair(obj, &comp, i, j, &mut covers, &mut one);
+                    found.extend(one.drain(..).map(|v| ((i, j), v)));
                 }
             }
         }
-        pairs.sort_unstable();
-        let mut out = Vec::new();
-        for (i, j) in pairs {
-            self.spacing_pair(
-                obj,
-                &comp,
-                i as usize,
-                j as usize,
-                Candidates::Indexed,
-                &mut out,
-            );
-        }
-        out
+        found.sort_unstable_by_key(|(pair, _)| *pair);
+        found.into_iter().map(|(_, v)| v).collect()
     }
 
     /// All-pairs baseline of [`check_spacing`](Drc::check_spacing). Its
@@ -355,7 +346,7 @@ impl Drc {
         let comp = ShapeComponents::new(obj.len(), nets.iter().map(|n| &n.shapes));
         for i in 0..obj.shapes().len() {
             for j in (i + 1)..obj.shapes().len() {
-                self.spacing_pair(obj, &comp, i, j, Candidates::Scan, &mut out);
+                self.spacing_pair(obj, &comp, i, j, &mut Candidates::Scan, &mut out);
             }
         }
         out
@@ -371,7 +362,7 @@ impl Drc {
         comp: &ShapeComponents,
         i: usize,
         j: usize,
-        mode: Candidates,
+        covers: &mut Candidates,
         out: &mut Vec<Violation>,
     ) {
         let a = &obj.shapes()[i];
@@ -438,7 +429,7 @@ impl Drc {
                 })
             };
             match between {
-                Some(bx) => Region::from_rect(bx).covered_by(mode.covers(obj, a.layer, &bx)),
+                Some(bx) => covers.covered(obj, a.layer, &bx),
                 None => false,
             }
         };
@@ -458,21 +449,23 @@ impl Drc {
     /// Every cut must be enclosed (with margins) by both conductors of one
     /// of its connectable pairs; unions of same-layer shapes count.
     ///
-    /// Containment first: one distance-0 tree join per (cut layer,
-    /// connectable layer) ([`RectTree::join_within`]) records, per cut,
-    /// the layers on which a single shape contains the cut's margin
-    /// window. Distance 0 misses nothing: margins are never negative, so
-    /// a shape that contains the window contains the cut and touches it.
-    /// A cut passes when both layers of some pair contain their windows.
-    /// Only when no pair passes does the union cover test run, once per
-    /// layer, over the layer's shapes near the window gathered into a
-    /// reused buffer. Containment implies cover, so the result is the
-    /// cover test's alone, whatever the order of evaluation.
-    ///
-    /// [`RectTree::join_within`]: amgen_geom::RectTree::join_within
+    /// Containment first: the object's sign-off pairs
+    /// ([`SpatialIndex::joins`](amgen_db::SpatialIndex::joins)) of each
+    /// (cut layer, connectable layer) record, per cut, the layers on
+    /// which a single shape contains the cut's margin window. The plan
+    /// joins such a pair at distance 0 or more, which misses nothing:
+    /// margins are never negative, so a shape that contains the window
+    /// contains the cut and touches it. A cut passes when both layers of
+    /// some pair contain their windows. Only when no pair passes does the
+    /// union cover test run, once per layer, over the layer's shapes near
+    /// the window gathered into a reused buffer. Containment implies
+    /// cover, so the result is the cover test's alone, whatever the order
+    /// of evaluation.
     pub fn check_enclosures(&self, obj: &LayoutObject) -> Vec<Violation> {
         self.ctx.metrics.add_drc_checks(1);
+        let shapes = obj.shapes();
         let ix = obj.spatial_index();
+        let joins = ix.joins(self.rules());
         // Per layer index, per shape index: the cut's margin window on
         // that layer lies inside one shape of it. Sized only for the
         // layers some populated cut layer connects to.
@@ -482,7 +475,6 @@ impl Drc {
             if self.ctx.kind(cut) != LayerKind::Cut {
                 continue;
             }
-            let cuts = ix.layer(cut).expect("populated layer");
             sides.clear();
             for &(a, b) in self.ctx.connected_pairs(cut) {
                 for side in [a, b] {
@@ -490,24 +482,22 @@ impl Drc {
                         continue;
                     }
                     sides.push(side);
-                    let Some(tree) = ix.layer(side) else {
-                        continue;
-                    };
                     let margin = self.ctx.enclosure(side, cut);
                     let hit = &mut contained_on[side.index()];
                     hit.resize(obj.len(), false);
-                    cuts.join_within(tree, 0, |c, rc, _, r| {
-                        if r.contains_rect(&rc.inflated(margin)) {
+                    for (c, r) in joins.between(cut, side) {
+                        let window = shapes[c as usize].rect.inflated(margin);
+                        if shapes[r as usize].rect.contains_rect(&window) {
                             hit[c as usize] = true;
                         }
-                    });
+                    }
                 }
             }
         }
         let mut memo: Vec<(Layer, bool)> = Vec::new();
-        let mut covers: Vec<Rect> = Vec::new();
+        let mut covers = Candidates::Indexed(Vec::new());
         let mut out = Vec::new();
-        for (i, s) in obj.shapes().iter().enumerate() {
+        for (i, s) in shapes.iter().enumerate() {
             if self.ctx.kind(s.layer) != LayerKind::Cut {
                 continue;
             }
@@ -518,11 +508,7 @@ impl Drc {
             }
             let covered = |layer: Layer| {
                 let w = s.rect.inflated(self.ctx.enclosure(layer, s.layer));
-                covers.clear();
-                if let Some(t) = ix.layer(layer) {
-                    t.for_each_candidate(&w, |_, r| covers.push(*r));
-                }
-                Region::from_rect(w).covered_by(covers.iter().copied())
+                covers.covered(obj, layer, &w)
             };
             if !any_pair(pairs, &mut memo, covered) {
                 out.push(self.enclosure_violation(s));
@@ -547,8 +533,7 @@ impl Drc {
             }
             let enclosed_by = |layer: Layer, shape: &Shape| -> bool {
                 let margin = self.ctx.enclosure(layer, s.layer);
-                let window = shape.rect.inflated(margin);
-                Region::from_rect(window).covered_by(Candidates::Scan.covers(obj, layer, &window))
+                Candidates::Scan.covered(obj, layer, &shape.rect.inflated(margin))
             };
             let ok = pairs
                 .iter()

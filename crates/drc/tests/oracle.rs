@@ -1,9 +1,10 @@
 //! The indexed checker against its all-pairs oracle (`check_scan` and
 //! each sub-check's `*_scan` twin) on random dirty layouts in both
-//! built-in decks: every layer, cuts at and off cut size, touching
-//! shapes on different nets, near-miss gaps for every spaced layer pair,
-//! cuts enclosed only by the union of two shapes, min-area clusters,
-//! narrow straps and latch-up roles, at module scale and at chip depth.
+//! built-in decks and in `bicmos_1u` without its spacing rules: every
+//! layer, cuts at and off cut size, touching shapes on different nets,
+//! near-miss gaps for every spaced layer pair, cuts enclosed only by the
+//! union of two shapes, min-area clusters, narrow straps and latch-up
+//! roles, at module scale and at chip depth.
 //! Each case also runs the checker after `connectivity` has filled the
 //! extraction memo, and the other way round.
 
@@ -13,6 +14,7 @@ use amgen_drc::latchup::{check_latchup, check_latchup_scan};
 use amgen_drc::{Drc, ViolationKind};
 use amgen_extract::Extractor;
 use amgen_geom::{Coord, Rect};
+use amgen_tech::builtin::BICMOS_1U;
 use amgen_tech::{Layer, LayerKind, Tech};
 use proptest::prelude::*;
 use proptest::rng::TestRng;
@@ -68,7 +70,8 @@ struct Deck {
     diffusions: Vec<Layer>,
     cuts: Vec<Layer>,
     /// `(a, b, rule)` for every unordered layer pair with a nonzero
-    /// spacing rule.
+    /// spacing rule; in a deck without any, every conductor with itself
+    /// at a notional rule of one unit, so near misses are still drawn.
     spaced: Vec<(Layer, Layer, Coord)>,
 }
 
@@ -86,8 +89,12 @@ impl Deck {
                 }
             }
         }
+        let conductors = of(&|k| k.is_conductor());
+        if spaced.is_empty() {
+            spaced = conductors.iter().map(|&l| (l, l, U)).collect();
+        }
         Deck {
-            conductors: of(&|k| k.is_conductor()),
+            conductors,
             metals: of(&|k| k == LayerKind::Metal),
             diffusions: of(&|k| k == LayerKind::Diffusion),
             cuts: of(&|k| k == LayerKind::Cut),
@@ -329,6 +336,24 @@ fn cmos() -> &'static GenCtx {
     CTX.get_or_init(|| GenCtx::from_tech(&Tech::cmos_08()))
 }
 
+/// `bicmos_1u` with its `space` lines removed. In the built-in decks
+/// nearly every distance-0 join of the sign-off plan rides on a spacing
+/// join; here none does, so each consumer reads its own entries. See
+/// [`bicmos`].
+fn unspaced() -> &'static GenCtx {
+    static CTX: OnceLock<GenCtx> = OnceLock::new();
+    CTX.get_or_init(|| {
+        let text: String = BICMOS_1U
+            .lines()
+            .filter(|line| !line.starts_with("space "))
+            .map(|line| format!("{line}\n"))
+            .collect();
+        let tech = Tech::parse(&text).unwrap();
+        assert_eq!(tech.max_spacing(), 0, "no spacing rule is left");
+        GenCtx::from_tech(&tech)
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -340,6 +365,11 @@ proptest! {
     #[test]
     fn random_cmos_layouts_match_the_scan(items in prop::collection::vec(item(), 1..32)) {
         assert_matches_scan(cmos(), &items);
+    }
+
+    #[test]
+    fn random_unspaced_layouts_match_the_scan(items in prop::collection::vec(item(), 1..32)) {
+        assert_matches_scan(unspaced(), &items);
     }
 }
 
@@ -354,6 +384,11 @@ proptest! {
     #[test]
     fn chip_depth_cmos_layouts_match_the_scan(items in chip_items()) {
         assert_matches_scan(cmos(), &items);
+    }
+
+    #[test]
+    fn chip_depth_unspaced_layouts_match_the_scan(items in chip_items()) {
+        assert_matches_scan(unspaced(), &items);
     }
 }
 

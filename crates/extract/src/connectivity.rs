@@ -3,8 +3,8 @@
 use std::borrow::Cow;
 
 use amgen_core::{GenCtx, Stage};
-use amgen_db::{LayoutObject, NetId};
-use amgen_geom::{Rect, RectTree};
+use amgen_db::{LayoutObject, NetId, PlanPairs, Shape};
+use amgen_geom::Rect;
 use amgen_tech::{Layer, LayerKind, RuleSet};
 
 /// One electrically connected component of a layout.
@@ -71,92 +71,68 @@ struct Fragments {
     frags: Vec<(Rect, u32)>,
     /// Shape `i` owns fragments `first[i]..first[i + 1]`.
     first: Vec<u32>,
-    /// Per layer index: a gate split some shape on the layer.
-    split: Vec<bool>,
 }
 
 impl Fragments {
     /// Splits every diffusion shape by the poly shapes overlapping it,
     /// applied in ascending shape order (the order fixes the pieces).
-    fn new(rules: &RuleSet, obj: &LayoutObject) -> Fragments {
-        let shapes = obj.shapes();
-        let ix = obj.spatial_index();
-        let gate_trees: Vec<&RectTree> = rules
-            .layers()
-            .filter(|&l| rules.kind(l) == LayerKind::Poly)
-            .filter_map(|l| ix.layer(l))
-            .collect();
+    /// The gates come from the plan's (poly, diffusion) pairs.
+    fn new(rules: &RuleSet, shapes: &[Shape], joins: &PlanPairs) -> Fragments {
+        // (diffusion shape, gate) pairs, ascending: each shape's gates
+        // form one run, in shape order.
+        let mut gated: Vec<(u32, u32)> = Vec::new();
+        for poly in rules.layers().filter(|&l| rules.kind(l) == LayerKind::Poly) {
+            for diff in rules
+                .layers()
+                .filter(|&l| rules.kind(l) == LayerKind::Diffusion)
+            {
+                gated.extend(
+                    joins.between(diff, poly).filter(|&(d, g)| {
+                        shapes[g as usize].rect.overlaps(&shapes[d as usize].rect)
+                    }),
+                );
+            }
+        }
+        gated.sort_unstable();
         let mut out = Fragments {
             frags: Vec::with_capacity(shapes.len()),
             first: Vec::with_capacity(shapes.len() + 1),
-            split: vec![false; rules.layer_count()],
         };
-        let (mut gates, mut pieces, mut next) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut pieces, mut next) = (Vec::new(), Vec::new());
+        let mut run = gated.as_slice();
         for (i, s) in shapes.iter().enumerate() {
             out.first.push(out.frags.len() as u32);
+            let split = run.partition_point(|&(d, _)| d as usize == i);
+            let gates = &run[..split];
+            run = &run[split..];
             let k = rules.kind(s.layer);
             if !(k.is_conductor() || k == LayerKind::Cut) {
                 continue;
             }
-            if k == LayerKind::Diffusion {
-                gates.clear();
-                for t in &gate_trees {
-                    t.for_each_candidate(&s.rect, |g, r| {
-                        if r.overlaps(&s.rect) {
-                            gates.push(g);
-                        }
-                    });
-                }
-                if !gates.is_empty() {
-                    gates.sort_unstable();
-                    pieces.clear();
-                    pieces.push(s.rect);
-                    for &g in &gates {
-                        next.clear();
-                        for p in &pieces {
-                            next.extend(p.subtract(&shapes[g as usize].rect));
-                        }
-                        std::mem::swap(&mut pieces, &mut next);
-                    }
-                    out.frags.extend(pieces.iter().map(|&r| (r, i as u32)));
-                    out.split[s.layer.index()] = true;
-                    continue;
-                }
+            if gates.is_empty() {
+                out.frags.push((s.rect, i as u32));
+                continue;
             }
-            out.frags.push((s.rect, i as u32));
+            pieces.clear();
+            pieces.push(s.rect);
+            for &(_, g) in gates {
+                next.clear();
+                for p in &pieces {
+                    next.extend(p.subtract(&shapes[g as usize].rect));
+                }
+                std::mem::swap(&mut pieces, &mut next);
+            }
+            out.frags.extend(pieces.iter().map(|&r| (r, i as u32)));
         }
         out.first.push(out.frags.len() as u32);
         out
     }
 
-    /// The fragment of an unsplit shape.
+    /// The fragments of a shape.
     #[inline]
-    fn of(&self, shape: u32) -> usize {
-        self.first[shape as usize] as usize
+    fn of(&self, shape: u32) -> std::ops::Range<usize> {
+        self.first[shape as usize] as usize..self.first[shape as usize + 1] as usize
     }
-}
-
-/// Where the fragments of one conductor layer are found.
-enum LayerFrags<'a> {
-    /// No fragment on the layer, or not a conductor.
-    Absent,
-    /// The fragments are the layer's shapes: the object's own spatial
-    /// index tree, whose payloads are shape indices.
-    Shapes(&'a RectTree),
-    /// Gate-split diffusion: a private tree whose payloads are fragment
-    /// indices.
-    Split(RectTree),
-}
-
-/// One cut layer a conductor layer connects to.
-struct CutLink<'a> {
-    /// The cut layer's tree in the object's index (payloads are shape
-    /// indices; cuts are never split).
-    cuts: &'a RectTree,
-    /// `None` on the metal side. On the device side, the conductor's
-    /// rank among the cut's device layers, in the order of their first
-    /// `connect` line in the deck.
-    device_rank: Option<usize>,
 }
 
 impl Extractor {
@@ -200,23 +176,29 @@ impl Extractor {
     /// A diffusion shape crossed by a gate belongs to every component one
     /// of its fragments joined (its two halves are different nets).
     ///
-    /// The touching and overlapping fragment pairs come from tree joins
-    /// over the object's [spatial index](LayoutObject::spatial_index),
-    /// the per-layer trees DRC and the latch-up check share: one
-    /// distance-0 self-join per conductor layer and one distance-0 join
-    /// per (conductor layer, cut layer it connects to). Only gate-split
-    /// diffusion gets a private fragment tree. Components are
-    /// sets, so the order in which unions are found does not matter, and
-    /// the output is canonical: members ascending, nets ordered by member
-    /// list, declared names sorted. The one order-sensitive choice is the
-    /// device-layer tie-break above. The result is byte-identical to the
-    /// all-pairs [`connectivity_scan`](Extractor::connectivity_scan).
+    /// Every shape pair comes from the deck's sign-off plan, run once per
+    /// object by the [spatial index](LayoutObject::spatial_index) and
+    /// shared with DRC ([`SpatialIndex::joins`](amgen_db::SpatialIndex::joins)):
+    /// each conductor layer with itself, each (cut layer, layer it
+    /// connects), and each (poly, diffusion) pair for the gates. Each
+    /// join may run at a spacing rule rather than at 0, so every pair is
+    /// filtered by the rule's exact predicate. A gate-split shape maps a
+    /// shape pair to its fragments, and the touching pieces of one split
+    /// shape are joined directly. Components are sets, so the order in
+    /// which unions are found does not matter, and the output is
+    /// canonical: members ascending, nets ordered by member list,
+    /// declared names sorted. The order-sensitive choices are explicit:
+    /// the gates of a diffusion shape are applied in ascending shape
+    /// order, and the device-layer tie-break above. The result is
+    /// byte-identical to the all-pairs
+    /// [`connectivity_scan`](Extractor::connectivity_scan).
     ///
     /// The member lists are memoised in the spatial index for this deck
     /// ([`SpatialIndex::components`](amgen_db::SpatialIndex::components)),
     /// so DRC's spacing check, [`parasitics`](Extractor::parasitics) and
-    /// this call share one extraction per object. Every geometry mutation
-    /// drops the memo with the index. The declared names are not
+    /// this call share one extraction per object, as the checks and this
+    /// call share one run of the plan. Every geometry mutation drops both
+    /// memos with the index. The declared names are not
     /// memoised: each call reads them from the object's current net
     /// table, so renaming nets needs no invalidation.
     pub fn connectivity(&self, obj: &LayoutObject) -> Vec<ExtractedNet> {
@@ -252,75 +234,75 @@ impl Extractor {
             .components(self.rules().id(), || self.extract(obj))
     }
 
-    /// The extraction kernel on the spatial index (see
+    /// The extraction kernel on the spatial index's sign-off pairs (see
     /// [`connectivity`](Extractor::connectivity) for the rules).
     fn extract(&self, obj: &LayoutObject) -> Vec<Vec<usize>> {
         let rules = self.rules();
-        let ix = obj.spatial_index();
-        let fr = Fragments::new(rules, obj);
-        let layer_of = |f: usize| obj.shapes()[fr.frags[f].1 as usize].layer;
-        let layers: Vec<LayerFrags> = rules
-            .layers()
-            .map(|l| match ix.layer(l) {
-                Some(_) if fr.split[l.index()] => LayerFrags::Split(RectTree::build(
-                    (0..fr.frags.len())
-                        .filter(|&f| layer_of(f) == l)
-                        .map(|f| (fr.frags[f].0, f as u32)),
-                )),
-                Some(t) if rules.kind(l).is_conductor() => LayerFrags::Shapes(t),
-                _ => LayerFrags::Absent,
-            })
-            .collect();
+        let shapes = obj.shapes();
+        let joins = obj.spatial_index().joins(rules);
+        let fr = Fragments::new(rules, shapes, &joins);
+        let mut uf = UnionFind::new(fr.frags.len());
+        let touch = |a: &Rect, b: &Rect| a.overlaps(b) || a.abuts(b);
+        for layer in rules.layers().filter(|&l| rules.kind(l).is_conductor()) {
+            for (p, q) in joins.between(layer, layer) {
+                for f in fr.of(p) {
+                    for g in fr.of(q) {
+                        if touch(&fr.frags[f].0, &fr.frags[g].0) {
+                            uf.union(f, g);
+                        }
+                    }
+                }
+            }
+        }
+        // The pieces of one gate-split shape touch each other across no
+        // gate; no pair of distinct shapes holds them.
+        for i in 0..shapes.len() as u32 {
+            let pieces = fr.of(i);
+            for f in pieces.clone() {
+                for g in f + 1..pieces.end {
+                    if touch(&fr.frags[f].0, &fr.frags[g].0) {
+                        uf.union(f, g);
+                    }
+                }
+            }
+        }
+        // Per cut fragment, the (area, rank) of its most specific device
+        // fragment; the device-side overlaps wait until all are known.
+        let mut best = vec![(i128::MAX, usize::MAX); fr.frags.len()];
+        let mut device: Vec<(usize, usize, usize)> = Vec::new();
         let is_device = |l: Layer| rules.kind(l) != LayerKind::Metal;
-        let mut links: Vec<Vec<CutLink>> = rules.layers().map(|_| Vec::new()).collect();
+        let mut seen: Vec<Layer> = Vec::new();
         for cut in rules.layers().filter(|&l| rules.kind(l) == LayerKind::Cut) {
-            let Some(cuts) = ix.layer(cut) else {
-                continue;
-            };
-            let mut seen: Vec<Layer> = Vec::new();
+            seen.clear();
             for &(a, b) in rules.connected_pairs(cut) {
                 for side in [a, b] {
                     if seen.contains(&side) {
                         continue;
                     }
+                    // `None` on the metal side. On the device side, the
+                    // layer's rank among the cut's device layers, in the
+                    // order of their first `connect` line in the deck.
                     let device_rank =
                         is_device(side).then(|| seen.iter().filter(|&&l| is_device(l)).count());
                     seen.push(side);
-                    links[side.index()].push(CutLink { cuts, device_rank });
-                }
-            }
-        }
-        let mut uf = UnionFind::new(fr.frags.len());
-        // Per cut fragment, the (area, rank) of its most specific device
-        // fragment; the device-side overlaps wait until all are known.
-        let mut best = vec![(i128::MAX, usize::MAX); fr.frags.len()];
-        let mut device: Vec<(usize, usize, usize)> = Vec::new();
-        for (frags, links) in layers.iter().zip(&links) {
-            let (tree, split) = match frags {
-                LayerFrags::Absent => continue,
-                LayerFrags::Shapes(t) => (*t, false),
-                LayerFrags::Split(t) => (t, true),
-            };
-            let frag = |p: u32| if split { p as usize } else { fr.of(p) };
-            tree.self_join_within(0, |p, a, q, b| {
-                if a.overlaps(b) || a.abuts(b) {
-                    uf.union(frag(p), frag(q));
-                }
-            });
-            for link in links {
-                tree.join_within(link.cuts, 0, |p, rect, q, r| {
-                    if !rect.overlaps(r) {
-                        return;
-                    }
-                    let (f, c) = (frag(p), fr.of(q));
-                    match link.device_rank {
-                        None => uf.union(f, c),
-                        Some(rank) => {
-                            device.push((c, f, rank));
-                            best[c] = best[c].min((rect.area(), rank));
+                    for (q, p) in joins.between(cut, side) {
+                        // Cuts are never split: one fragment each.
+                        let c = fr.of(q).start;
+                        for f in fr.of(p) {
+                            let rect = fr.frags[f].0;
+                            if !rect.overlaps(&fr.frags[c].0) {
+                                continue;
+                            }
+                            match device_rank {
+                                None => uf.union(f, c),
+                                Some(rank) => {
+                                    device.push((c, f, rank));
+                                    best[c] = best[c].min((rect.area(), rank));
+                                }
+                            }
                         }
                     }
-                });
+                }
             }
         }
         for &(c, f, rank) in &device {

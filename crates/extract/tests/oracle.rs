@@ -1,8 +1,8 @@
 //! The indexed connectivity kernel against its all-pairs oracle
-//! (`connectivity_scan`): random layouts in both built-in decks, at
-//! module scale and at chip depth, the device-layer tie-break, net
-//! renames on a warm extraction memo, and a chain long enough to
-//! overflow a recursive union-find.
+//! (`connectivity_scan`): random layouts in both built-in decks and in
+//! `bicmos_1u` without its spacing rules, at module scale and at chip
+//! depth, the device-layer tie-break, net renames on a warm extraction
+//! memo, and a chain long enough to overflow a recursive union-find.
 
 use amgen_core::GenCtx;
 use amgen_db::{LayoutObject, Port, Shape};
@@ -139,6 +139,20 @@ fn layout(ctx: &GenCtx, items: &[Item]) -> LayoutObject {
     obj
 }
 
+/// `bicmos_1u` with its `space` lines removed. In the built-in decks
+/// nearly every distance-0 join of the sign-off plan rides on a spacing
+/// join; here none does, so extraction reads its own entries.
+fn unspaced() -> GenCtx {
+    let text: String = BICMOS_1U
+        .lines()
+        .filter(|line| !line.starts_with("space "))
+        .map(|line| format!("{line}\n"))
+        .collect();
+    let tech = Tech::parse(&text).unwrap();
+    assert_eq!(tech.max_spacing(), 0, "no spacing rule is left");
+    GenCtx::from_tech(&tech)
+}
+
 fn assert_matches_scan(ctx: &GenCtx, items: &[Item]) {
     let obj = layout(ctx, items);
     let e = Extractor::new(ctx);
@@ -158,6 +172,11 @@ proptest! {
     fn random_cmos_layouts_match_the_scan(items in prop::collection::vec(item(), 1..28)) {
         assert_matches_scan(&GenCtx::from_tech(&Tech::cmos_08()), &items);
     }
+
+    #[test]
+    fn random_unspaced_layouts_match_the_scan(items in prop::collection::vec(item(), 1..28)) {
+        assert_matches_scan(&unspaced(), &items);
+    }
 }
 
 proptest! {
@@ -171,6 +190,11 @@ proptest! {
     #[test]
     fn chip_depth_cmos_layouts_match_the_scan(items in chip_items()) {
         assert_matches_scan(&GenCtx::from_tech(&Tech::cmos_08()), &items);
+    }
+
+    #[test]
+    fn chip_depth_unspaced_layouts_match_the_scan(items in chip_items()) {
+        assert_matches_scan(&unspaced(), &items);
     }
 }
 

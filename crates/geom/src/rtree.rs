@@ -25,15 +25,19 @@
 //! pure function of the input multiset. [`RectTree::query`] additionally
 //! sorts the surviving payloads ascending, giving consumers the same
 //! iteration order a linear scan over payload-ordered storage would
-//! produce; DRC's width check and gap-fill test rely on it. Consumers
-//! whose result does not depend on visit order use the unsorted visitors:
-//! [`for_each_candidate`](RectTree::for_each_candidate) and
-//! [`any_candidate`](RectTree::any_candidate) for one window, and the
-//! dual-tree joins [`join_within`](RectTree::join_within) and
+//! produce; the latch-up check subtracts its covers in that order.
+//! Consumers whose result does not depend on visit order use the unsorted
+//! visitors: [`for_each_candidate`](RectTree::for_each_candidate) and
+//! [`any_candidate`](RectTree::any_candidate) for one window (DRC's
+//! width, gap-fill and enclosure cover tests, whose answer is a bool),
+//! and the dual-tree joins [`join_within`](RectTree::join_within) and
 //! [`self_join_within`](RectTree::self_join_within) for all pairs within
-//! a distance. Joins visit in tree order; DRC spacing sorts the pairs
-//! they yield, min-area and connectivity extraction fold them into
-//! order-free union-finds, and the enclosure check sets per-cut flags.
+//! a distance. Sign-off runs its joins once per object, through the
+//! layout database's spatial index, and shares the pairs, which come in
+//! tree order: DRC spacing sorts the violations they yield by pair,
+//! min-area and connectivity extraction fold them into order-free
+//! union-finds, gate splitting sorts each diffusion shape's gates, and
+//! the enclosure check sets per-cut flags.
 
 use crate::coord::Coord;
 use crate::rect::Rect;

@@ -73,6 +73,8 @@ pub struct RuleSet {
     pub(crate) connections: Vec<(Layer, Layer, Layer)>,
     /// Per-layer slice of conductor pairs connected by that cut layer.
     pub(crate) cut_pairs: Vec<Vec<(Layer, Layer)>>,
+    /// The sign-off plan: `(a, b, distance)` with `a <= b`, ascending.
+    pub(crate) signoff_plan: Vec<(Layer, Layer, Coord)>,
     /// Interned well-known handles, in [`KNOWN_NAMES`] order.
     pub(crate) known: [Option<Layer>; KNOWN_NAMES.len()],
 }
@@ -239,6 +241,27 @@ impl RuleSet {
         &self.connections
     }
 
+    /// The sign-off plan: every `(a, b, distance)` layer join that
+    /// sign-off reads, derived once when the deck is built. Each layer
+    /// pair appears once, as `a <= b`, in ascending order, at the largest
+    /// distance any of its consumers needs:
+    ///
+    /// * DRC spacing: every layer pair with a positive `space` rule, at
+    ///   the rule;
+    /// * extraction: every conductor layer with itself, and every cut
+    ///   layer with each layer it connects, at 0;
+    /// * gate splitting: every (poly, diffusion) layer pair, at 0;
+    /// * the enclosure check: every cut layer with each layer it
+    ///   connects, at 0;
+    /// * min-area: every layer with a `minarea` rule, with itself, at 0.
+    ///
+    /// The object's spatial index runs each join once and keeps the
+    /// candidate pairs; each consumer filters them with its own exact
+    /// predicate.
+    pub fn signoff_plan(&self) -> &[(Layer, Layer, Coord)] {
+        &self.signoff_plan
+    }
+
     /// Parasitic capacitance coefficients of a layer (zero when unset).
     #[inline]
     pub fn cap_coeffs(&self, l: Layer) -> CapCoeffs {
@@ -378,7 +401,7 @@ impl PartialEq for RuleSet {
 
 #[cfg(test)]
 mod tests {
-    use std::collections::HashSet;
+    use std::collections::{HashMap, HashSet};
 
     use super::*;
     use crate::builtin::{BICMOS_1U, CMOS_08};
@@ -459,6 +482,62 @@ mod tests {
                 }
             }
             assert_eq!(t.max_spacing(), widest, "{}", t.name());
+        }
+    }
+
+    /// The sign-off plan of each built-in deck, against the same plain
+    /// line splitter: every positive `space` pair at its value, every
+    /// (cut, connected layer) pair, every conductor and every `minarea`
+    /// layer with itself and every (poly, diffusion) pair, each at the
+    /// largest distance asked of it, and nothing else, once per pair in
+    /// ascending order.
+    #[test]
+    fn every_deck_plan_holds_what_sign_off_reads() {
+        for text in [BICMOS_1U, CMOS_08] {
+            let t = Tech::parse(text).unwrap();
+            let l = |name: &str| t.layer(name).unwrap();
+            let mut want: HashMap<(Layer, Layer), Coord> = HashMap::new();
+            let mut need = |a: &str, b: &str, dist: Coord| {
+                let (a, b) = (l(a), l(b));
+                let d = want.entry((a.min(b), a.max(b))).or_insert(dist);
+                *d = (*d).max(dist);
+            };
+            let mut kinds: Vec<(&str, LayerKind)> = Vec::new();
+            for line in text.lines() {
+                let words: Vec<&str> = line.split('#').next().unwrap().split_whitespace().collect();
+                match words[..] {
+                    ["layer", x, kind, _] => kinds.push((x, LayerKind::parse(kind).unwrap())),
+                    ["space", a, b, s] if s.parse::<Coord>().unwrap() > 0 => {
+                        need(a, b, s.parse().unwrap())
+                    }
+                    ["connect", c, a, b] => {
+                        need(c, a, 0);
+                        need(c, b, 0);
+                    }
+                    ["minarea", x, a] if a.parse::<f64>().unwrap() > 0.0 => need(x, x, 0),
+                    _ => {}
+                }
+            }
+            for &(x, kind) in &kinds {
+                if kind.is_conductor() {
+                    need(x, x, 0);
+                }
+                if kind == LayerKind::Poly {
+                    for &(d, _) in kinds.iter().filter(|(_, k)| *k == LayerKind::Diffusion) {
+                        need(x, d, 0);
+                    }
+                }
+            }
+            let plan = t.signoff_plan();
+            assert!(
+                plan.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)),
+                "{}: one entry per pair, ascending",
+                t.name()
+            );
+            let got: HashMap<(Layer, Layer), Coord> =
+                plan.iter().map(|&(a, b, d)| ((a, b), d)).collect();
+            assert!(plan.iter().all(|&(a, b, _)| a <= b), "{}", t.name());
+            assert_eq!(got, want, "{}", t.name());
         }
     }
 

@@ -260,6 +260,11 @@ impl TechBuilder {
         for &(c, a, b) in &self.connections {
             cut_pairs[c as usize].push((at(a), at(b)));
         }
+        let signoff_plan = self
+            .signoff_joins()
+            .into_iter()
+            .map(|(a, b, dist)| (at(a), at(b), dist))
+            .collect();
         Ok(RuleSet {
             tech_id: id,
             grid: self.grid,
@@ -275,6 +280,7 @@ impl TechBuilder {
                 .map(|&(c, a, b)| (at(c), at(a), at(b)))
                 .collect(),
             cut_pairs,
+            signoff_plan,
             known: KNOWN_NAMES.map(|name| self.by_name.get(name).map(|&i| at(i))),
             name: self.name,
             infos: self.layers,
@@ -285,6 +291,53 @@ impl TechBuilder {
             sheet_res_mohm: self.sheet_res_mohm,
             min_area_um2: self.min_area_um2,
         })
+    }
+
+    /// The joins sign-off reads, as `(a, b, distance)` layer indices
+    /// with `a <= b`, ascending, each at the largest distance any
+    /// consumer needs (see [`RuleSet::signoff_plan`]). The one place that
+    /// decides which consumer reads which join.
+    fn signoff_joins(&self) -> Vec<(u16, u16, Coord)> {
+        let n = self.layers.len();
+        let mut dist: Vec<Option<Coord>> = vec![None; n * n];
+        let mut need = |a: u16, b: u16, d: Coord| {
+            let slot = &mut dist[a.min(b) as usize * n + a.max(b) as usize];
+            *slot = Some(slot.map_or(d, |s| s.max(d)));
+        };
+        // DRC spacing, at the rule.
+        for (&(a, b), &rule) in &self.min_space {
+            if rule > 0 {
+                need(a, b, rule);
+            }
+        }
+        // Extraction and the enclosure check: each cut with each layer
+        // it connects.
+        for &(c, a, b) in &self.connections {
+            need(c, a, 0);
+            need(c, b, 0);
+        }
+        for (i, info) in (0u16..).zip(&self.layers) {
+            // Extraction: touching shapes of one conductor layer.
+            if info.kind.is_conductor() {
+                need(i, i, 0);
+            }
+            // Gate splitting: poly over diffusion.
+            if info.kind == LayerKind::Poly {
+                for (d, other) in (0u16..).zip(&self.layers) {
+                    if other.kind == LayerKind::Diffusion {
+                        need(i, d, 0);
+                    }
+                }
+            }
+            // Min-area: touching shapes of one ruled layer.
+            if self.min_area_um2[i as usize] > 0.0 {
+                need(i, i, 0);
+            }
+        }
+        (0..n as u16)
+            .flat_map(|a| (a..n as u16).map(move |b| (a, b)))
+            .filter_map(|(a, b)| Some((a, b, dist[a as usize * n + b as usize]?)))
+            .collect()
     }
 }
 
