@@ -56,7 +56,8 @@ cargo run --release -q --bin amgen-lint -- --deny-warnings --certify --certify-f
 #   faster, warm optimize_order >= 10x faster than the cold search;
 # - chip_scale: indexed latch-up >= 5x the scan at 128 stripes; fitted
 #   growth exponents < 1.5 for latch-up (8-128 stripes), connectivity
-#   (join plan and extraction kernel, both memos bypassed) and the full
+#   (join plan and extraction kernel, both memos bypassed), the index
+#   build (a fresh clone's first spatial_index()) and the full
 #   Drc::check (index and both memos warm) on fig_chip at 1-16 tiles;
 #   fig_chip 10x assembly p50 < 1 ms; indexed latch-up and extraction
 #   byte-identical to the scans on the assembled chip;

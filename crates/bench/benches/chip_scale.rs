@@ -1,7 +1,7 @@
 //! Chip-scale geometry gate: the spatial index must keep the geometry
 //! core sub-quadratic as layouts grow from module to chip size.
 //!
-//! Five gated series —
+//! Six gated series —
 //!
 //! * `latchup_n` — the latch-up check on an `n`-stripe workload, timed
 //!   both as the pre-index sequential scan and on the spatial index.
@@ -19,6 +19,11 @@
 //!   chip's extraction memo and its sign-off join memo are both pinned
 //!   to another deck, so every call runs the deck's join plan and the
 //!   extraction kernel together instead of reading either memo.
+//! * `index_t` — the spatial-index build on the same chips: a fresh
+//!   clone's first `spatial_index()`, beside a clone-only mode so the
+//!   build's share reads off the ratio. The fitted log-log growth
+//!   exponent of the clone-plus-build time over the shape count must
+//!   stay below 1.5.
 //! * `drc_t` — the full `Drc::check` on the same chips, index,
 //!   extraction memo and join memo warm, so the series times the checks
 //!   alone (the connectivity series gates the joins and the extraction):
@@ -81,9 +86,20 @@ fn main() {
     let other_deck = Tech::cmos_08();
     assert_ne!(other_deck.id(), tech.id());
     let mut connectivity_points: Vec<(f64, f64)> = Vec::new();
+    let mut index_points: Vec<(f64, f64)> = Vec::new();
     let mut drc_points: Vec<(f64, f64)> = Vec::new();
     for tiles in [1usize, 2, 4, 8, 16] {
         let chip = workloads::fig_chip(&tech, &proto, tiles);
+        // No index yet, so every clone builds its own on first use.
+        let clone = Mode::new("clone", || {
+            black_box(chip.clone().len());
+        });
+        let build = Mode::new("index", || {
+            black_box(chip.clone().spatial_index().bbox());
+        });
+        let s = series(&format!("chip/index_{tiles}"), 25, &[clone, build]);
+        index_points.push((chip.len() as f64, s.fastest(1).as_nanos() as f64));
+
         // Pin both memos to the other deck: every `connectivity` call
         // below runs the join plan and the extraction kernel.
         chip.spatial_index().components(other_deck.id(), Vec::new);
@@ -106,6 +122,11 @@ fn main() {
     println!(
         "{:<50} fitted exponent over 1..16 tiles: {connectivity_exponent:.2}",
         "chip/connectivity/indexed"
+    );
+    let index_exponent = fitted_exponent(&index_points);
+    println!(
+        "{:<50} fitted exponent over 1..16 tiles: {index_exponent:.2}",
+        "chip/index/build"
     );
     let drc_exponent = fitted_exponent(&drc_points);
     println!(
@@ -145,11 +166,15 @@ fn main() {
         "indexed connectivity grows as n^{connectivity_exponent:.2} over 1..16 tiles (budget n^1.5)"
     );
     assert!(
+        index_exponent < 1.5,
+        "the index build grows as n^{index_exponent:.2} over 1..16 tiles (budget n^1.5)"
+    );
+    assert!(
         drc_exponent < 1.5,
         "indexed DRC grows as n^{drc_exponent:.2} over 1..16 tiles (budget n^1.5)"
     );
     println!(
-        "chip scale smoke: latchup@128 >= 5x ({speedup_128:.1}x), exponent < 1.5 ({exponent:.2}), fig_chip 10x p50 < 1 ms ({}), connectivity exponent < 1.5 ({connectivity_exponent:.2}), DRC exponent < 1.5 ({drc_exponent:.2})",
+        "chip scale smoke: latchup@128 >= 5x ({speedup_128:.1}x), exponent < 1.5 ({exponent:.2}), fig_chip 10x p50 < 1 ms ({}), connectivity exponent < 1.5 ({connectivity_exponent:.2}), index build exponent < 1.5 ({index_exponent:.2}), DRC exponent < 1.5 ({drc_exponent:.2})",
         fmt_dur(chip_p50)
     );
 }

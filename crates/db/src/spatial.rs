@@ -8,7 +8,17 @@
 //! [`RectTree`] per populated layer plus one per semantic
 //! [`ShapeRole`] (the latch-up check is role-driven,
 //! not layer-driven), and caches the whole-object and per-layer bounding
-//! boxes as a side effect of the build. It also memoises two results
+//! boxes as a side effect of the build.
+//!
+//! The build stages the shapes through one dense table indexed by
+//! [`Layer::index`]: a counting pass finds each populated layer's slot,
+//! entry count and bounds, and a filling pass writes exact-capacity
+//! entry lists. A handle is branded with its deck, and two decks' handles
+//! may share an index, so each index heads a chain of slots and a lookup
+//! compares whole handles: every brand gets its own tree and bounds, and
+//! a handle of a deck the object does not use finds nothing.
+//!
+//! It also memoises two results
 //! under one rule deck: the candidate pairs of the deck's sign-off plan
 //! ([`joins`](SpatialIndex::joins)), so each layer pair is joined once
 //! per object and every sign-off consumer filters the same pairs, and
@@ -59,7 +69,6 @@
 //! [`LayoutObject::spatial_index`]: crate::LayoutObject::spatial_index
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 use amgen_geom::{Rect, RectTree};
@@ -75,10 +84,14 @@ use crate::shape::{Shape, ShapeRole};
 /// [`LayoutObject::spatial_index`]: crate::LayoutObject::spatial_index
 #[derive(Debug, Clone)]
 pub struct SpatialIndex {
-    layers: BTreeMap<Layer, RectTree>,
-    /// Bounding boxes per layer with [`Rect::union_bbox`] semantics
-    /// (empty shape rects are ignored), matching a `bbox_on` scan.
-    layer_bounds: BTreeMap<Layer, Rect>,
+    /// The populated layers, one slot each, ascending by handle.
+    table: LayerTable,
+    /// Per slot, the tree over the layer's shapes.
+    trees: Vec<RectTree>,
+    /// Per slot, the layer's bounding box with [`Rect::union_bbox`]
+    /// semantics (empty shape rects are ignored), matching a `bbox_on`
+    /// scan.
+    bounds: Vec<Rect>,
     active: RectTree,
     substrate: RectTree,
     /// Whole-object bounding box, `union_bbox` semantics.
@@ -88,6 +101,50 @@ pub struct SpatialIndex {
     /// The sign-off plan's pair lists, with the id of the deck whose
     /// plan made them.
     joins: OnceLock<(u32, PlanPairs)>,
+}
+
+/// The end of a chain in [`LayerTable`], and an index with no slot.
+const NONE: u32 = u32::MAX;
+
+/// The dense layer table: a slot per populated layer, found through the
+/// layer's index. Handles of two decks may share an index, so each index
+/// heads a chain of slots; an object built in one deck has one slot per
+/// chain, and a lookup is one compare.
+#[derive(Debug, Clone, Default)]
+struct LayerTable {
+    /// `head[i]`: the first slot whose layer has index `i`, or [`NONE`].
+    head: Vec<u32>,
+    /// Per slot, its layer and the next slot on the same index's chain.
+    keys: Vec<(Layer, u32)>,
+}
+
+impl LayerTable {
+    /// The slot of `layer`, if it has one.
+    fn find(&self, layer: Layer) -> Option<usize> {
+        let mut k = *self.head.get(layer.index())?;
+        while let Some(&(l, next)) = self.keys.get(k as usize) {
+            if l == layer {
+                return Some(k as usize);
+            }
+            k = next;
+        }
+        None
+    }
+
+    /// The slot of `layer`, added as the next slot if it has none.
+    fn slot(&mut self, layer: Layer) -> usize {
+        if let Some(k) = self.find(layer) {
+            return k;
+        }
+        let i = layer.index();
+        if i >= self.head.len() {
+            self.head.resize(i + 1, NONE);
+        }
+        let k = self.keys.len();
+        self.keys.push((layer, self.head[i]));
+        self.head[i] = k as u32;
+        k
+    }
 }
 
 /// The candidate shape pairs of a deck's sign-off plan
@@ -128,31 +185,55 @@ impl SpatialIndex {
     /// Builds the index for a shape vector. Pure function of the input:
     /// identical shapes produce identical trees and query results.
     pub(crate) fn build(shapes: &[Shape]) -> SpatialIndex {
-        let mut per_layer: BTreeMap<Layer, Vec<(Rect, u32)>> = BTreeMap::new();
-        let mut layer_bounds: BTreeMap<Layer, Rect> = BTreeMap::new();
-        let mut active = Vec::new();
-        let mut substrate = Vec::new();
+        // Counting pass: a slot per layer in order of first use, with its
+        // entry count and bounds; the role counts; the object's bounds.
+        let mut table = LayerTable::default();
+        let mut sizes: Vec<(usize, Rect)> = Vec::new();
+        let (mut actives, mut substrates) = (0, 0);
         let mut bbox = Rect::EMPTY;
-        for (i, s) in shapes.iter().enumerate() {
-            per_layer
-                .entry(s.layer)
-                .or_default()
-                .push((s.rect, i as u32));
-            let lb = layer_bounds.entry(s.layer).or_insert(Rect::EMPTY);
-            *lb = lb.union_bbox(&s.rect);
+        for s in shapes {
+            let k = table.slot(s.layer);
+            if k == sizes.len() {
+                sizes.push((0, Rect::EMPTY));
+            }
+            sizes[k].0 += 1;
+            sizes[k].1 = sizes[k].1.union_bbox(&s.rect);
             bbox = bbox.union_bbox(&s.rect);
             match s.role {
                 ShapeRole::Normal => {}
-                ShapeRole::DeviceActive => active.push((s.rect, i as u32)),
-                ShapeRole::SubstrateContact => substrate.push((s.rect, i as u32)),
+                ShapeRole::DeviceActive => actives += 1,
+                ShapeRole::SubstrateContact => substrates += 1,
+            }
+        }
+        // Renumber the slots ascending by handle, the order
+        // `populated_layers` promises.
+        let mut order: Vec<usize> = (0..sizes.len()).collect();
+        order.sort_unstable_by_key(|&k| table.keys[k].0);
+        let mut sorted = LayerTable::default();
+        for &k in &order {
+            sorted.slot(table.keys[k].0);
+        }
+        let table = sorted;
+        // Filling pass: exact-capacity entry lists.
+        let mut lists: Vec<Vec<(Rect, u32)>> = order
+            .iter()
+            .map(|&k| Vec::with_capacity(sizes[k].0))
+            .collect();
+        let mut active = Vec::with_capacity(actives);
+        let mut substrate = Vec::with_capacity(substrates);
+        for (i, s) in shapes.iter().enumerate() {
+            let entry = (s.rect, i as u32);
+            lists[table.find(s.layer).expect("a slot per staged layer")].push(entry);
+            match s.role {
+                ShapeRole::Normal => {}
+                ShapeRole::DeviceActive => active.push(entry),
+                ShapeRole::SubstrateContact => substrate.push(entry),
             }
         }
         SpatialIndex {
-            layers: per_layer
-                .into_iter()
-                .map(|(l, v)| (l, RectTree::build(v)))
-                .collect(),
-            layer_bounds,
+            trees: lists.into_iter().map(RectTree::build).collect(),
+            bounds: order.iter().map(|&k| sizes[k].1).collect(),
+            table,
             active: RectTree::build(active),
             substrate: RectTree::build(substrate),
             bbox,
@@ -164,7 +245,7 @@ impl SpatialIndex {
     /// The tree over one layer's shapes, if the layer is populated.
     /// Payloads are indices into the owning object's shape vector.
     pub fn layer(&self, layer: Layer) -> Option<&RectTree> {
-        self.layers.get(&layer)
+        self.table.find(layer).map(|k| &self.trees[k])
     }
 
     /// The tree over one role's shapes ([`ShapeRole::Normal`] is not
@@ -252,15 +333,14 @@ impl SpatialIndex {
     /// Bounding box over one layer's shapes ([`Rect::EMPTY`] when the
     /// layer is unpopulated), matching a `bbox_on` scan.
     pub fn bounds_on(&self, layer: Layer) -> Rect {
-        self.layer_bounds
-            .get(&layer)
-            .copied()
-            .unwrap_or(Rect::EMPTY)
+        self.table
+            .find(layer)
+            .map_or(Rect::EMPTY, |k| self.bounds[k])
     }
 
     /// The populated layers, ascending.
     pub fn populated_layers(&self) -> impl Iterator<Item = Layer> + '_ {
-        self.layers.keys().copied()
+        self.table.keys.iter().map(|&(l, _)| l)
     }
 }
 
@@ -332,6 +412,44 @@ mod tests {
             vec![(0, 1)],
             "gaps of 10 qualify under the closed test, gaps of 16 and 30 do not"
         );
+    }
+
+    /// Two decks' handles at the same layer index get a slot each: every
+    /// shape is indexed, each brand has its own tree and bounds, and the
+    /// populated layers ascend by handle. A handle of a third deck, and
+    /// one whose index lies past every populated layer's, find nothing.
+    #[test]
+    fn layer_table_keeps_decks_apart() {
+        let (a, b, c) = (Tech::bicmos_1u(), Tech::bicmos_1u(), Tech::bicmos_1u());
+        let (a_poly, b_poly) = (a.layer("poly").unwrap(), b.layer("poly").unwrap());
+        let a_m1 = a.layer("metal1").unwrap();
+        assert_eq!(a_poly.index(), b_poly.index());
+        let mut obj = LayoutObject::new("x");
+        obj.push(Shape::new(b_poly, Rect::new(0, 0, 10, 10)));
+        obj.push(Shape::new(a_m1, Rect::new(0, 0, 40, 5)));
+        obj.push(Shape::new(a_poly, Rect::new(20, 0, 30, 10)));
+        obj.push(Shape::new(b_poly, Rect::new(0, 20, 10, 30)));
+        let ix = obj.spatial_index();
+        let payloads = |l| ix.layer(l).unwrap().query(&Rect::new(-99, -99, 99, 99));
+        assert_eq!(payloads(b_poly), [0, 3]);
+        assert_eq!(payloads(a_poly), [2]);
+        assert_eq!(payloads(a_m1), [1]);
+        assert_eq!(ix.bounds_on(a_poly), Rect::new(20, 0, 30, 10));
+        assert_eq!(ix.bounds_on(b_poly), Rect::new(0, 0, 10, 30));
+        let populated: Vec<Layer> = ix.populated_layers().collect();
+        let mut ascending = vec![a_poly, a_m1, b_poly];
+        ascending.sort_unstable();
+        assert_eq!(populated, ascending);
+
+        let last = a.layers().max_by_key(|l| l.index()).unwrap();
+        assert!(
+            last.index() > a_m1.index().max(a_poly.index()),
+            "past the table"
+        );
+        for missing in [c.layer("poly").unwrap(), last] {
+            assert!(ix.layer(missing).is_none(), "{missing:?}");
+            assert_eq!(ix.bounds_on(missing), Rect::EMPTY, "{missing:?}");
+        }
     }
 
     /// The memo keeps the first deck's lists; a lookup under another

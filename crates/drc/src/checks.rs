@@ -127,16 +127,28 @@ impl Drc {
                 }
             }
         }
+        // A cluster with one non-empty member at the rule cannot fall
+        // short: its union's area is at least the member's. Mark it
+        // cleared and gather rects only for the clusters that can.
+        const CLEARED: usize = usize::MAX - 1;
+        let mut slot = vec![usize::MAX; shapes.len()];
+        for (i, s) in shapes.iter().enumerate() {
+            if ruled(s.layer) && !s.rect.is_empty() && !self.short_of_rule(s.layer, s.rect.area()) {
+                slot[find(&mut parent, i)] = CLEARED;
+            }
+        }
         // Clusters in the order of their smallest member, each listing
         // its rectangles in shape order, then grouped by layer (stably):
         // the scan's order, whatever order the unions came in.
-        let mut slot = vec![usize::MAX; shapes.len()];
         let mut clusters: Vec<(Layer, Vec<Rect>)> = Vec::new();
         for (i, s) in shapes.iter().enumerate() {
             if !ruled(s.layer) {
                 continue;
             }
             let root = find(&mut parent, i);
+            if slot[root] == CLEARED {
+                continue;
+            }
             if slot[root] == usize::MAX {
                 slot[root] = clusters.len();
                 clusters.push((s.layer, Vec::new()));
@@ -188,17 +200,25 @@ impl Drc {
     /// The violation for one merged region of `layer`, if its union area
     /// falls short of the rule.
     fn min_area_violation(&self, layer: Layer, rects: Vec<Rect>) -> Option<Violation> {
-        let rule_um2 = self.ctx.min_area_um2(layer);
         let region = Region::from_rects(rects);
-        let area_um2 = region.area() as f64 / 1e6;
-        (area_um2 + 1e-9 < rule_um2).then(|| Violation {
+        let area = region.area();
+        self.short_of_rule(layer, area).then(|| Violation {
             kind: ViolationKind::MinArea,
             rect: region.bbox(),
             message: format!(
-                "{} region area {area_um2:.2} um^2 < {rule_um2} um^2",
-                self.ctx.layer_name(layer)
+                "{} region area {:.2} um^2 < {} um^2",
+                self.ctx.layer_name(layer),
+                area as f64 / 1e6,
+                self.ctx.min_area_um2(layer)
             ),
         })
+    }
+
+    /// True if an area in du² falls short of `layer`'s `minarea` rule.
+    /// Monotone in the area, so a region is never short of a rule that
+    /// one of its non-empty rectangles meets.
+    fn short_of_rule(&self, layer: Layer, area: i128) -> bool {
+        area as f64 / 1e6 + 1e-9 < self.ctx.min_area_um2(layer)
     }
 
     /// Minimum width / exact cut size per shape.
@@ -905,6 +925,34 @@ mod min_area_tests {
         obj.push(Shape::new(m1, Rect::new(100, 0, 1_600, 1_500)));
         let v = Drc::new(&t).check_min_area(&obj);
         assert_eq!(v.len(), 1);
+    }
+
+    /// A member exactly at the rule clears its cluster without a sweep:
+    /// a 2 x 2 um square is bicmos_1u's 4 um^2, and the 0.1 x 0.1 um
+    /// square abutting it changes nothing. The same tiny square on its
+    /// own still fails, and so does a 2 x 1.999 um rect, 1 nm short of
+    /// the rule. (`touching_fragments_count_as_one_region` is the
+    /// cluster that reaches the rule only jointly, through the sweep.)
+    #[test]
+    fn one_member_at_the_rule_clears_its_cluster() {
+        let t = GenCtx::from_tech(&Tech::bicmos_1u());
+        let m1 = t.layer("metal1").unwrap();
+        let mut obj = LayoutObject::new("x");
+        obj.push(Shape::new(m1, Rect::new(0, 0, 2_000, 2_000)));
+        obj.push(Shape::new(m1, Rect::new(2_000, 0, 2_100, 100)));
+        obj.push(Shape::new(m1, Rect::new(9_000, 0, 9_100, 100)));
+        obj.push(Shape::new(m1, Rect::new(0, 9_000, 2_000, 10_999)));
+        let drc = Drc::new(&t);
+        let v = drc.check_min_area(&obj);
+        let rects: Vec<Rect> = v.iter().map(|v| v.rect).collect();
+        assert_eq!(
+            rects,
+            [
+                Rect::new(9_000, 0, 9_100, 100),
+                Rect::new(0, 9_000, 2_000, 10_999)
+            ]
+        );
+        assert_eq!(v, drc.check_min_area_scan(&obj));
     }
 
     #[test]

@@ -20,9 +20,13 @@
 //!
 //! # Determinism
 //!
-//! Construction sorts entries by a total key (tile centre, corner,
-//! payload), so the packing — and therefore every traversal order — is a
-//! pure function of the input multiset. [`RectTree::query`] additionally
+//! Construction orders entries by two keys (tile centre, corner,
+//! payload): it partitions them into vertical slices by rank under the x
+//! key, which places each entry where a full x-sort would, then sorts
+//! each slice by the y key. Both keys end in the payload, so with
+//! distinct payloads (shape indices, as every caller passes) they are
+//! total, and the packing — and therefore every traversal order — is a
+//! pure function of the input set. [`RectTree::query`] additionally
 //! sorts the surviving payloads ascending, giving consumers the same
 //! iteration order a linear scan over payload-ordered storage would
 //! produce; the latch-up check subtracts its covers in that order.
@@ -67,7 +71,7 @@ fn hull(a: &Rect, b: &Rect) -> Rect {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct Node {
     /// Coordinate hull of everything below this node.
     bbox: Rect,
@@ -98,23 +102,33 @@ pub struct RectTree {
 }
 
 impl RectTree {
-    /// Bulk-loads a tree with Sort-Tile-Recursive packing.
+    /// Bulk-loads a tree with Sort-Tile-Recursive packing: the entries
+    /// are cut into vertical slices of `√leaves` leaves each by the x key
+    /// (tile centre, corner, payload), each slice is sorted by the y key
+    /// and cut into leaves, and each level above packs consecutive nodes.
     ///
-    /// Deterministic: the packing depends only on the multiset of
-    /// entries (ties broken by corner coordinates, then payload).
+    /// Only slice membership depends on the x order, so the slices are
+    /// found by rank, with a quickselect at each slice boundary, instead
+    /// of a full sort; the packing is the one a full x-sort gives.
+    /// Deterministic: with distinct payloads both keys are total, so the
+    /// packing depends only on the set of entries.
     pub fn build<I: IntoIterator<Item = (Rect, u32)>>(items: I) -> RectTree {
         let mut entries: Vec<(Rect, u32)> = items.into_iter().collect();
         if entries.is_empty() {
             return RectTree::default();
         }
-        let leaves = entries.len().div_ceil(FANOUT);
-        // Vertical slices of √(leaves) tiles, each sliced by y: classic STR.
-        let slice = leaves.isqrt().max(1);
-        let per_slice = slice * FANOUT;
-        entries.sort_unstable_by_key(|(r, p)| (r.x0 + r.x1, r.x0, r.y0, *p));
+        let per_slice = slice_len(entries.len());
+        partition_slices(&mut entries, per_slice);
         for chunk in entries.chunks_mut(per_slice) {
-            chunk.sort_unstable_by_key(|(r, p)| (r.y0 + r.y1, r.y0, r.x0, *p));
+            chunk.sort_unstable_by_key(y_key);
         }
+        RectTree::pack(entries)
+    }
+
+    /// Cuts STR-ordered entries into leaves of `FANOUT` and packs each
+    /// level's consecutive nodes under parents until one root remains.
+    fn pack(entries: Vec<(Rect, u32)>) -> RectTree {
+        let leaves = entries.len().div_ceil(FANOUT);
         let mut nodes: Vec<Node> = Vec::with_capacity(2 * leaves);
         let mut first = 0u32;
         for chunk in entries.chunks(FANOUT) {
@@ -130,8 +144,7 @@ impl RectTree {
             });
             first += chunk.len() as u32;
         }
-        // Pack each level's consecutive nodes under parents until one
-        // root remains. Consecutive grouping keeps the STR locality.
+        // Consecutive grouping keeps the STR locality.
         let (mut lo, mut hi) = (0usize, nodes.len());
         while hi - lo > 1 {
             for start in (lo..hi).step_by(FANOUT) {
@@ -362,6 +375,37 @@ fn within(a: &Rect, b: &Rect, dist: Coord) -> bool {
     a.x0 - dist <= b.x1 && b.x0 <= a.x1 + dist && a.y0 - dist <= b.y1 && b.y0 <= a.y1 + dist
 }
 
+/// Entries per STR slice for `n` entries: `√leaves` leaves' worth.
+fn slice_len(n: usize) -> usize {
+    n.div_ceil(FANOUT).isqrt().max(1) * FANOUT
+}
+
+/// The STR slice key: tile centre in x, then corner, then payload.
+fn x_key(&(r, p): &(Rect, u32)) -> (Coord, Coord, Coord, u32) {
+    (r.x0 + r.x1, r.x0, r.y0, p)
+}
+
+/// The STR leaf key within a slice: tile centre in y, then corner, then
+/// payload.
+fn y_key(&(r, p): &(Rect, u32)) -> (Coord, Coord, Coord, u32) {
+    (r.y0 + r.y1, r.y0, r.x0, p)
+}
+
+/// Rearranges `entries` so that each run of `per_slice` (the last may
+/// be shorter) holds the entries that a full sort by [`x_key`] would put
+/// there, in no particular order: a quickselect at the middle slice
+/// boundary, then the same on each side.
+fn partition_slices(entries: &mut [(Rect, u32)], per_slice: usize) {
+    let slices = entries.len().div_ceil(per_slice);
+    if slices > 1 {
+        let mid = slices / 2 * per_slice;
+        entries.select_nth_unstable_by_key(mid, x_key);
+        let (lo, hi) = entries.split_at_mut(mid);
+        partition_slices(lo, per_slice);
+        partition_slices(hi, per_slice);
+    }
+}
+
 /// Half the perimeter of a hull: the size measure that picks which side
 /// of a join descends first.
 #[inline]
@@ -438,6 +482,52 @@ mod tests {
         assert!(tree.query(&Rect::new(-100, -100, 100, 100)).is_empty());
         let tree = RectTree::build([(Rect::new(2, 3, 10, 7), 7), (Rect::new(-4, 5, 1, 20), 9)]);
         assert_eq!(tree.bounds(), Rect::new(-4, 3, 10, 20));
+    }
+
+    /// The two-sort STR packer: every entry sorted by the x key, then
+    /// each slice by the y key. [`RectTree::build`] must pack the same.
+    fn build_by_full_sort(mut entries: Vec<(Rect, u32)>) -> RectTree {
+        if entries.is_empty() {
+            return RectTree::default();
+        }
+        let per_slice = slice_len(entries.len());
+        entries.sort_unstable_by_key(x_key);
+        for chunk in entries.chunks_mut(per_slice) {
+            chunk.sort_unstable_by_key(y_key);
+        }
+        RectTree::pack(entries)
+    }
+
+    /// [`with_degenerates`] with heavy key ties: every third rect moved
+    /// into one of four columns of equal `x0 + x1` and `x0`, and every
+    /// fifth a copy of its predecessor's rect under its own payload.
+    fn with_ties(n: usize, seed: u64) -> Vec<(Rect, u32)> {
+        let mut items = with_degenerates(n, seed);
+        for (k, (r, _)) in items.iter_mut().enumerate().filter(|(k, _)| k % 3 == 0) {
+            let x = (k % 4) as Coord * 10;
+            *r = Rect::new(x, r.y0, x + 6, r.y1);
+        }
+        for k in (1..n).step_by(5) {
+            items[k].0 = items[k - 1].0;
+        }
+        items
+    }
+
+    /// Packing by rank equals packing by a full sort, entry for entry and
+    /// node for node: sizes around the fan-out and the slice boundaries
+    /// (144 entries make 18 leaves in slices of four; 145 a 19th leaf),
+    /// and up to 5,000 entries, in 97-unit squares whose coordinates tie
+    /// often, with and without columns of tied x keys.
+    #[test]
+    fn rank_partition_packs_like_a_full_sort() {
+        for n in [0usize, 1, 8, 9, 63, 64, 65, 144, 145, 1_500, 5_000] {
+            for items in [random_rects(n, 11 + n as u64), with_ties(n, 23 + n as u64)] {
+                let got = RectTree::build(items.clone());
+                let want = build_by_full_sort(items);
+                assert_eq!(got.entries, want.entries, "entries, n={n}");
+                assert_eq!(got.nodes, want.nodes, "nodes, n={n}");
+            }
+        }
     }
 
     #[test]
