@@ -60,7 +60,10 @@ cargo run --release -q --bin amgen-lint -- --deny-warnings --certify --certify-f
 #   build (a fresh clone's first spatial_index()) and the full
 #   Drc::check (index and both memos warm) on fig_chip at 1-16 tiles;
 #   fig_chip 10x assembly p50 < 1 ms; indexed latch-up and extraction
-#   byte-identical to the scans on the assembled chip;
+#   byte-identical to the scans on the assembled chip; the sign-off
+#   plan's sweep joins alone (join memo bypassed) on the same chips,
+#   its growth exponent printed but not gated (it grows as shapes x
+#   tile rows);
 # - analyze: one six-pass certification sweep of the 11-source corpus
 #   (stdlib + examples) <= 5 ms, the corpus certifying clean with closed
 #   top-level fuel bounds;

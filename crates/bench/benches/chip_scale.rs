@@ -1,7 +1,7 @@
 //! Chip-scale geometry gate: the spatial index must keep the geometry
 //! core sub-quadratic as layouts grow from module to chip size.
 //!
-//! Six gated series —
+//! Six gated series and one reported one —
 //!
 //! * `latchup_n` — the latch-up check on an `n`-stripe workload, timed
 //!   both as the pre-index sequential scan and on the spatial index.
@@ -24,6 +24,15 @@
 //!   build's share reads off the ratio. The fitted log-log growth
 //!   exponent of the clone-plus-build time over the shape count must
 //!   stay below 1.5.
+//! * `plan_t` — the deck's sign-off plan alone on the same chips:
+//!   `SpatialIndex::joins` with the join memo pinned to another deck, so
+//!   every call runs every join of the plan. Its fitted log-log growth
+//!   exponent is printed but not gated: each join is a forward-scan
+//!   sweep in x, and an entry's scan covers its x-strip across every
+//!   tile row, so the plan grows as the shape count times the row
+//!   count. That approaches n^1.5 on square chips, right at the budget,
+//!   so a gate would flake: eight runs on a shared 2-vCPU VM read
+//!   1.21–1.49.
 //! * `drc_t` — the full `Drc::check` on the same chips, index,
 //!   extraction memo and join memo warm, so the series times the checks
 //!   alone (the connectivity series gates the joins and the extraction):
@@ -87,6 +96,7 @@ fn main() {
     assert_ne!(other_deck.id(), tech.id());
     let mut connectivity_points: Vec<(f64, f64)> = Vec::new();
     let mut index_points: Vec<(f64, f64)> = Vec::new();
+    let mut plan_points: Vec<(f64, f64)> = Vec::new();
     let mut drc_points: Vec<(f64, f64)> = Vec::new();
     for tiles in [1usize, 2, 4, 8, 16] {
         let chip = workloads::fig_chip(&tech, &proto, tiles);
@@ -104,6 +114,12 @@ fn main() {
         // below runs the join plan and the extraction kernel.
         chip.spatial_index().components(other_deck.id(), Vec::new);
         chip.spatial_index().joins(&other_deck);
+        let plan = Mode::new("joins", || {
+            black_box(chip.spatial_index().joins(&tech));
+        });
+        let s = series(&format!("chip/plan_{tiles}"), 25, &[plan]);
+        plan_points.push((chip.len() as f64, s.fastest(0).as_nanos() as f64));
+
         let extract = Mode::new("indexed", || {
             black_box(ex.connectivity(&chip).len());
         });
@@ -127,6 +143,11 @@ fn main() {
     println!(
         "{:<50} fitted exponent over 1..16 tiles: {index_exponent:.2}",
         "chip/index/build"
+    );
+    let plan_exponent = fitted_exponent(&plan_points);
+    println!(
+        "{:<50} fitted exponent over 1..16 tiles: {plan_exponent:.2} (not gated)",
+        "chip/plan/joins"
     );
     let drc_exponent = fitted_exponent(&drc_points);
     println!(

@@ -39,11 +39,11 @@
 //!
 //! # Determinism contract
 //!
-//! The trees' visitors ([`RectTree::for_each_candidate`],
-//! [`RectTree::any_candidate`] and the joins
-//! [`RectTree::join_within`] / [`RectTree::self_join_within`]) run in
-//! tree order (deterministic for a given shape vector, but
-//! unspecified), and so do the pair lists of [`PlanPairs`]. Their
+//! The trees' window visitors ([`RectTree::for_each_candidate`] and
+//! [`RectTree::any_candidate`]) run in tree order. Their joins
+//! ([`RectTree::join_within`] / [`RectTree::self_join_within`]) and the
+//! pair lists of [`PlanPairs`] come in sweep order. Both orders are
+//! deterministic for a given shape vector, but unspecified. Their
 //! consumers either sort what they collect or fold it order-free:
 //!
 //! * DRC spacing sorts its violations by their normalised pairs;
@@ -160,13 +160,13 @@ pub struct PlanPairs {
     entries: Vec<(Layer, Layer)>,
     /// Entry `k`'s pairs are `pairs[first[k]..first[k + 1]]`.
     first: Vec<u32>,
-    /// `(shape on a, shape on b)`, in tree order.
+    /// `(shape on a, shape on b)`, in sweep order.
     pairs: Vec<(u32, u32)>,
 }
 
 impl PlanPairs {
     /// The candidate pairs between layers `a` and `b` as `(shape on a,
-    /// shape on b)` shape indices, in tree order; within one layer each
+    /// shape on b)` shape indices, in sweep order; within one layer each
     /// unordered pair comes once. Empty when the plan has no join for
     /// the pair or a layer is unpopulated.
     pub fn between(&self, a: Layer, b: Layer) -> impl Iterator<Item = (u32, u32)> + '_ {

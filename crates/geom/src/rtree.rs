@@ -3,10 +3,11 @@
 //! [`RectTree`] is the window-query engine behind the layout database's
 //! spatial index: it answers *"which rectangles come near this window?"*
 //! in logarithmic time instead of a linear scan. The tree is bulk-loaded
-//! once (Sort-Tile-Recursive packing) and immutable afterwards — the
-//! database rebuilds it lazily after mutations, which matches the
-//! generator pipeline where bursts of construction alternate with bursts
-//! of read-only analysis (DRC, extraction, latch-up).
+//! once (entries sorted by left edge, leaves and nodes packed in that
+//! order) and immutable afterwards — the database rebuilds it lazily
+//! after mutations, which matches the generator pipeline where bursts of
+//! construction alternate with bursts of read-only analysis (DRC,
+//! extraction, latch-up).
 //!
 //! # Candidate semantics
 //!
@@ -20,13 +21,10 @@
 //!
 //! # Determinism
 //!
-//! Construction orders entries by two keys (tile centre, corner,
-//! payload): it partitions them into vertical slices by rank under the x
-//! key, which places each entry where a full x-sort would, then sorts
-//! each slice by the y key. Both keys end in the payload, so with
-//! distinct payloads (shape indices, as every caller passes) they are
-//! total, and the packing — and therefore every traversal order — is a
-//! pure function of the input set. [`RectTree::query`] additionally
+//! Construction sorts the entries by `(x0, payload)`. With distinct
+//! payloads (shape indices, as every caller passes) the key is total,
+//! so the packing — and therefore every traversal and sweep order — is
+//! a pure function of the input set. [`RectTree::query`] additionally
 //! sorts the surviving payloads ascending, giving consumers the same
 //! iteration order a linear scan over payload-ordered storage would
 //! produce; the latch-up check subtracts its covers in that order.
@@ -34,11 +32,12 @@
 //! visitors: [`for_each_candidate`](RectTree::for_each_candidate) and
 //! [`any_candidate`](RectTree::any_candidate) for one window (DRC's
 //! width, gap-fill and enclosure cover tests, whose answer is a bool),
-//! and the dual-tree joins [`join_within`](RectTree::join_within) and
+//! which visit in tree order, and the sweep joins
+//! [`join_within`](RectTree::join_within) and
 //! [`self_join_within`](RectTree::self_join_within) for all pairs within
-//! a distance. Sign-off runs its joins once per object, through the
-//! layout database's spatial index, and shares the pairs, which come in
-//! tree order: DRC spacing sorts the violations they yield by pair,
+//! a distance, which report in sweep order. Sign-off runs its joins once
+//! per object, through the layout database's spatial index, and shares
+//! the pairs: DRC spacing sorts the violations they yield by pair,
 //! min-area and connectivity extraction fold them into order-free
 //! union-finds, gate splitting sorts each diffusion shape's gates, and
 //! the enclosure check sets per-cut flags.
@@ -102,30 +101,20 @@ pub struct RectTree {
 }
 
 impl RectTree {
-    /// Bulk-loads a tree with Sort-Tile-Recursive packing: the entries
-    /// are cut into vertical slices of `√leaves` leaves each by the x key
-    /// (tile centre, corner, payload), each slice is sorted by the y key
-    /// and cut into leaves, and each level above packs consecutive nodes.
+    /// Bulk-loads a tree: the entries are sorted once by `(x0, payload)`,
+    /// cut into leaves in that order, and each level above packs
+    /// consecutive nodes. The sorted entry array is also what the joins
+    /// sweep.
     ///
-    /// Only slice membership depends on the x order, so the slices are
-    /// found by rank, with a quickselect at each slice boundary, instead
-    /// of a full sort; the packing is the one a full x-sort gives.
-    /// Deterministic: with distinct payloads both keys are total, so the
+    /// Deterministic: with distinct payloads the key is total, so the
     /// packing depends only on the set of entries.
     pub fn build<I: IntoIterator<Item = (Rect, u32)>>(items: I) -> RectTree {
         let mut entries: Vec<(Rect, u32)> = items.into_iter().collect();
-        if entries.is_empty() {
-            return RectTree::default();
-        }
-        let per_slice = slice_len(entries.len());
-        partition_slices(&mut entries, per_slice);
-        for chunk in entries.chunks_mut(per_slice) {
-            chunk.sort_unstable_by_key(y_key);
-        }
+        entries.sort_unstable_by_key(|&(r, p)| (r.x0, p));
         RectTree::pack(entries)
     }
 
-    /// Cuts STR-ordered entries into leaves of `FANOUT` and packs each
+    /// Cuts x-ordered entries into leaves of `FANOUT` and packs each
     /// level's consecutive nodes under parents until one root remains.
     fn pack(entries: Vec<(Rect, u32)>) -> RectTree {
         let leaves = entries.len().div_ceil(FANOUT);
@@ -144,7 +133,7 @@ impl RectTree {
             });
             first += chunk.len() as u32;
         }
-        // Consecutive grouping keeps the STR locality.
+        // Consecutive grouping keeps the x locality.
         let (mut lo, mut hi) = (0usize, nodes.len());
         while hi - lo > 1 {
             for start in (lo..hi).step_by(FANOUT) {
@@ -259,12 +248,16 @@ impl RectTree {
     /// inflated by `dist` (`dist >= 0`), so `dist = 0` yields exactly the
     /// touching-or-overlapping candidate pairs.
     ///
-    /// A dual-tree walk: node pairs whose hulls are farther apart than
-    /// `dist` are pruned whole, and at a pair of leaves only the entries
-    /// within `dist` of the other leaf's hull are tested against each
-    /// other. Pairs arrive in **tree order**
-    /// (deterministic for the two trees, but unordered by payload), so
-    /// callers sort or fold order-free.
+    /// A forward-scan sweep that merges the two x-sorted entry arrays.
+    /// Each step takes the next entry of `self` when its left edge, less
+    /// `dist`, is not right of the next entry of `other`'s, and the next
+    /// entry of `other` otherwise. The taken entry scans the other
+    /// side's entries not yet taken, forward while their left edge lies
+    /// within `dist` of its right edge, and tests each against the full
+    /// predicate on both axes. So a pair is reported once, by whichever
+    /// of its two entries the merge takes first. Pairs arrive in **sweep
+    /// order** (deterministic for the two entry sets, but unordered by
+    /// payload), so callers sort or fold order-free.
     pub fn join_within<F: FnMut(u32, &Rect, u32, &Rect)>(
         &self,
         other: &RectTree,
@@ -272,95 +265,45 @@ impl RectTree {
         mut f: F,
     ) {
         debug_assert!(dist >= 0, "join distance must be non-negative");
-        if let (Some(a), Some(b)) = (self.root(), other.root()) {
-            self.join_nodes(a, other, b, dist, &mut f);
+        let (ea, eb) = (&self.entries[..], &other.entries[..]);
+        let (mut i, mut j) = (0, 0);
+        while let (Some((ra, p)), Some((rb, q))) = (ea.get(i), eb.get(j)) {
+            if ra.x0 - dist <= rb.x0 {
+                for (rb, q) in reach(&eb[j..], ra, dist) {
+                    if within(ra, rb, dist) {
+                        f(*p, ra, *q, rb);
+                    }
+                }
+                i += 1;
+            } else {
+                for (ra, p) in reach(&ea[i..], rb, dist) {
+                    if within(ra, rb, dist) {
+                        f(*p, ra, *q, rb);
+                    }
+                }
+                j += 1;
+            }
         }
     }
 
     /// [`join_within`](Self::join_within) of the tree with itself: every
-    /// unordered pair of distinct entries within `dist`, once, in tree
-    /// order. An entry is never paired with itself.
+    /// unordered pair of distinct entries within `dist`, once, in sweep
+    /// order. Each entry scans the entries after it, forward while their
+    /// left edge lies within `dist` of its right edge. An entry is never
+    /// paired with itself.
     pub fn self_join_within<F: FnMut(u32, &Rect, u32, &Rect)>(&self, dist: Coord, mut f: F) {
         debug_assert!(dist >= 0, "join distance must be non-negative");
-        if let Some(root) = self.root() {
-            self.self_join_node(root, dist, &mut f);
+        for (k, (ra, p)) in self.entries.iter().enumerate() {
+            for (rb, q) in reach(&self.entries[k + 1..], ra, dist) {
+                if within(ra, rb, dist) {
+                    f(*p, ra, *q, rb);
+                }
+            }
         }
     }
 
     fn root(&self) -> Option<usize> {
         self.nodes.len().checked_sub(1)
-    }
-
-    fn join_nodes<F: FnMut(u32, &Rect, u32, &Rect)>(
-        &self,
-        ai: usize,
-        other: &RectTree,
-        bi: usize,
-        dist: Coord,
-        f: &mut F,
-    ) {
-        let (a, b) = (&self.nodes[ai], &other.nodes[bi]);
-        if !within(&a.bbox, &b.bbox, dist) {
-            return;
-        }
-        if a.leaf && b.leaf {
-            // Only entries within `dist` of the other leaf's hull can
-            // pair: filter `b`'s once, then `a`'s against `b`'s hull.
-            let eb = other.leaf_entries(b);
-            let mut near_a = [0usize; FANOUT];
-            let mut kept = 0;
-            for (k, (rb, _)) in eb.iter().enumerate() {
-                if within(&a.bbox, rb, dist) {
-                    near_a[kept] = k;
-                    kept += 1;
-                }
-            }
-            if kept == 0 {
-                return;
-            }
-            for (ra, p) in self.leaf_entries(a) {
-                if !within(ra, &b.bbox, dist) {
-                    continue;
-                }
-                for &k in &near_a[..kept] {
-                    let (rb, q) = &eb[k];
-                    if within(ra, rb, dist) {
-                        f(*p, ra, *q, rb);
-                    }
-                }
-            }
-        } else if !a.leaf && (b.leaf || half_perimeter(&a.bbox) >= half_perimeter(&b.bbox)) {
-            // Descend the internal side, or the larger hull of two.
-            for c in a.range() {
-                self.join_nodes(c, other, bi, dist, f);
-            }
-        } else {
-            for c in b.range() {
-                self.join_nodes(ai, other, c, dist, f);
-            }
-        }
-    }
-
-    fn self_join_node<F: FnMut(u32, &Rect, u32, &Rect)>(&self, ni: usize, dist: Coord, f: &mut F) {
-        let n = &self.nodes[ni];
-        if n.leaf {
-            let entries = self.leaf_entries(n);
-            for (k, (ra, p)) in entries.iter().enumerate() {
-                for (rb, q) in &entries[k + 1..] {
-                    if within(ra, rb, dist) {
-                        f(*p, ra, *q, rb);
-                    }
-                }
-            }
-        } else {
-            // Pairs inside each child, then pairs across two siblings.
-            for c in n.range() {
-                self.self_join_node(c, dist, f);
-                for d in c + 1..n.range().end {
-                    self.join_nodes(c, self, d, dist, f);
-                }
-            }
-        }
     }
 
     fn leaf_entries(&self, n: &Node) -> &[(Rect, u32)] {
@@ -375,42 +318,18 @@ fn within(a: &Rect, b: &Rect, dist: Coord) -> bool {
     a.x0 - dist <= b.x1 && b.x0 <= a.x1 + dist && a.y0 - dist <= b.y1 && b.y0 <= a.y1 + dist
 }
 
-/// Entries per STR slice for `n` entries: `√leaves` leaves' worth.
-fn slice_len(n: usize) -> usize {
-    n.div_ceil(FANOUT).isqrt().max(1) * FANOUT
-}
-
-/// The STR slice key: tile centre in x, then corner, then payload.
-fn x_key(&(r, p): &(Rect, u32)) -> (Coord, Coord, Coord, u32) {
-    (r.x0 + r.x1, r.x0, r.y0, p)
-}
-
-/// The STR leaf key within a slice: tile centre in y, then corner, then
-/// payload.
-fn y_key(&(r, p): &(Rect, u32)) -> (Coord, Coord, Coord, u32) {
-    (r.y0 + r.y1, r.y0, r.x0, p)
-}
-
-/// Rearranges `entries` so that each run of `per_slice` (the last may
-/// be shorter) holds the entries that a full sort by [`x_key`] would put
-/// there, in no particular order: a quickselect at the middle slice
-/// boundary, then the same on each side.
-fn partition_slices(entries: &mut [(Rect, u32)], per_slice: usize) {
-    let slices = entries.len().div_ceil(per_slice);
-    if slices > 1 {
-        let mid = slices / 2 * per_slice;
-        entries.select_nth_unstable_by_key(mid, x_key);
-        let (lo, hi) = entries.split_at_mut(mid);
-        partition_slices(lo, per_slice);
-        partition_slices(hi, per_slice);
-    }
-}
-
-/// Half the perimeter of a hull: the size measure that picks which side
-/// of a join descends first.
+/// The leading run of x-sorted `entries` whose left edge lies within
+/// `dist` of `r`'s right edge. It holds every entry that can come within
+/// `dist` of `r`, since [`within`] tests exactly that bound, among
+/// others: the sort order only bounds the scan.
 #[inline]
-fn half_perimeter(r: &Rect) -> Coord {
-    (r.x1 - r.x0) + (r.y1 - r.y0)
+fn reach<'e>(
+    entries: &'e [(Rect, u32)],
+    r: &Rect,
+    dist: Coord,
+) -> impl Iterator<Item = &'e (Rect, u32)> {
+    let edge = r.x1 + dist;
+    entries.iter().take_while(move |(e, _)| e.x0 <= edge)
 }
 
 #[cfg(test)]
@@ -484,23 +403,9 @@ mod tests {
         assert_eq!(tree.bounds(), Rect::new(-4, 3, 10, 20));
     }
 
-    /// The two-sort STR packer: every entry sorted by the x key, then
-    /// each slice by the y key. [`RectTree::build`] must pack the same.
-    fn build_by_full_sort(mut entries: Vec<(Rect, u32)>) -> RectTree {
-        if entries.is_empty() {
-            return RectTree::default();
-        }
-        let per_slice = slice_len(entries.len());
-        entries.sort_unstable_by_key(x_key);
-        for chunk in entries.chunks_mut(per_slice) {
-            chunk.sort_unstable_by_key(y_key);
-        }
-        RectTree::pack(entries)
-    }
-
     /// [`with_degenerates`] with heavy key ties: every third rect moved
-    /// into one of four columns of equal `x0 + x1` and `x0`, and every
-    /// fifth a copy of its predecessor's rect under its own payload.
+    /// into one of four columns that share one `x0`, and every fifth a
+    /// copy of its predecessor's rect under its own payload.
     fn with_ties(n: usize, seed: u64) -> Vec<(Rect, u32)> {
         let mut items = with_degenerates(n, seed);
         for (k, (r, _)) in items.iter_mut().enumerate().filter(|(k, _)| k % 3 == 0) {
@@ -513,19 +418,38 @@ mod tests {
         items
     }
 
-    /// Packing by rank equals packing by a full sort, entry for entry and
-    /// node for node: sizes around the fan-out and the slice boundaries
-    /// (144 entries make 18 leaves in slices of four; 145 a 19th leaf),
-    /// and up to 5,000 entries, in 97-unit squares whose coordinates tie
-    /// often, with and without columns of tied x keys.
+    /// The packing: entries ascend by `(x0, payload)`, the leaves cut
+    /// them in order, every node's hull is the hull of its range (a
+    /// leaf's entries, an internal node's children), and the root's hull
+    /// is [`RectTree::bounds`], the hull of every entry. Sizes around the
+    /// fan-out's powers (8, 64, 512) and up to 5,000 entries, in 97-unit
+    /// squares whose coordinates tie often, with and without columns of
+    /// tied `x0` and duplicated rects.
     #[test]
-    fn rank_partition_packs_like_a_full_sort() {
-        for n in [0usize, 1, 8, 9, 63, 64, 65, 144, 145, 1_500, 5_000] {
+    fn packing_is_x_sorted_with_exact_hulls() {
+        let hull_of = |rects: &mut dyn Iterator<Item = Rect>| rects.reduce(|a, b| hull(&a, &b));
+        for n in [0usize, 1, 8, 9, 63, 64, 65, 512, 513, 1_500, 5_000] {
             for items in [random_rects(n, 11 + n as u64), with_ties(n, 23 + n as u64)] {
-                let got = RectTree::build(items.clone());
-                let want = build_by_full_sort(items);
-                assert_eq!(got.entries, want.entries, "entries, n={n}");
-                assert_eq!(got.nodes, want.nodes, "nodes, n={n}");
+                let tree = RectTree::build(items);
+                assert_eq!(tree.len(), n);
+                let keys: Vec<(Coord, u32)> =
+                    tree.entries.iter().map(|&(r, p)| (r.x0, p)).collect();
+                assert!(keys.windows(2).all(|w| w[0] < w[1]), "order, n={n}");
+                let mut next = 0;
+                for node in &tree.nodes {
+                    let want = if node.leaf {
+                        assert_eq!(node.first as usize, next, "leaves in order, n={n}");
+                        next = node.range().end;
+                        hull_of(&mut tree.entries[node.range()].iter().map(|&(r, _)| r))
+                    } else {
+                        hull_of(&mut tree.nodes[node.range()].iter().map(|c| c.bbox))
+                    };
+                    assert_eq!(Some(node.bbox), want, "node hull, n={n}");
+                }
+                assert_eq!(next, n, "the leaves cover every entry");
+                let all = hull_of(&mut tree.entries.iter().map(|&(r, _)| r));
+                assert_eq!(tree.nodes.last().map(|root| root.bbox), all, "n={n}");
+                assert_eq!(tree.bounds(), all.unwrap_or(Rect::EMPTY), "n={n}");
             }
         }
     }
@@ -539,12 +463,20 @@ mod tests {
         assert_eq!(a.entries, b.entries, "packing is input-order independent");
     }
 
-    /// Brute-force pairs within `dist`, `(i, j)` with `i < j`, sorted.
+    /// Brute-force pairs within `dist`, `(i, j)` with `i < j`, sorted:
+    /// the closed-interval test on `a`'s raw corners moved out by `dist`
+    /// ([`Rect::inflated`] would normalise an inverted rect).
     fn all_pairs(a: &[(Rect, u32)], b: &[(Rect, u32)], dist: Coord, same: bool) -> Vec<(u32, u32)> {
         let mut out = Vec::new();
         for (ra, p) in a {
+            let grown = Rect {
+                x0: ra.x0 - dist,
+                y0: ra.y0 - dist,
+                x1: ra.x1 + dist,
+                y1: ra.y1 + dist,
+            };
             for (rb, q) in b {
-                if (!same || p < q) && near(&ra.inflated(dist), rb) {
+                if (!same || p < q) && near(&grown, rb) {
                     out.push((*p, *q));
                 }
             }
@@ -569,7 +501,7 @@ mod tests {
 
     /// [`with_degenerates`] with every 150th entry replaced by a rail
     /// across the whole square, alternately horizontal and vertical: a
-    /// leaf holding one has a hull far larger than its other entries.
+    /// rail's x-range covers every other entry's, or its y-range does.
     fn with_rails(n: usize, seed: u64) -> Vec<(Rect, u32)> {
         let mut items = with_degenerates(n, seed);
         for (k, (r, _)) in items.iter_mut().enumerate().filter(|(k, _)| k % 150 == 149) {
@@ -583,52 +515,99 @@ mod tests {
         items
     }
 
+    /// [`with_degenerates`] with every other entry moved into one of
+    /// three tall stacks: one x-range each, repeated in y-bands up to
+    /// 600 units high, so a sweep over a stack's strip meets every band.
+    fn with_stacks(n: usize, seed: u64) -> Vec<(Rect, u32)> {
+        let mut items = with_degenerates(n, seed);
+        for (k, (r, _)) in items.iter_mut().enumerate().filter(|(k, _)| k % 2 == 0) {
+            let x = (k % 3) as Coord * 30;
+            let y = (k as Coord * 7) % 600;
+            *r = Rect::new(x, y, x + 9, y + r.y1 - r.y0);
+        }
+        items
+    }
+
+    /// [`with_degenerates`] with every third entry inverted by struct
+    /// literal, past its own size: `x1 < x0` or, every other time,
+    /// `y1 < y0`. No rect built by [`Rect::new`] is inverted, but the
+    /// fields are public.
+    fn with_inverted(n: usize, seed: u64) -> Vec<(Rect, u32)> {
+        let mut items = with_degenerates(n, seed);
+        for (k, (r, _)) in items.iter_mut().enumerate().filter(|(k, _)| k % 3 == 1) {
+            *r = if k % 2 == 0 {
+                Rect {
+                    x0: r.x1 + 20,
+                    x1: r.x0,
+                    ..*r
+                }
+            } else {
+                Rect {
+                    y0: r.y1 + 20,
+                    y1: r.y0,
+                    ..*r
+                }
+            };
+        }
+        items
+    }
+
     /// The joins against brute force: empty and one-entry trees, sizes
-    /// around the fan-out, four-level trees (600 and 1,500 entries) with
-    /// rails across the square, degenerate rectangles, `dist` 0, 3 and
-    /// 10. Every pair comes exactly once, so the sorted output equals the
-    /// sorted brute-force list without deduplication.
+    /// around the fan-out, 600 and 1,500 entries, `dist` 0, 3 and 10, in
+    /// four entry sets, each with degenerate rectangles: rails across the
+    /// square; columns of entries that share one `x0`; tall stacks, where
+    /// one x-range repeats in many y-bands; and rects inverted in x or
+    /// y, on both sides of the join. Every pair comes exactly once, so
+    /// the sorted output equals the sorted brute-force list without
+    /// deduplication.
     #[test]
     fn joins_match_brute_force() {
-        for (n, m) in [
-            (0usize, 0usize),
-            (0, 5),
-            (1, 0),
-            (1, 1),
-            (1, 9),
-            (8, 9),
-            (60, 7),
-            (65, 130),
-            (600, 1500),
-            (1500, 600),
-        ] {
-            let a = with_rails(n, 7 + n as u64);
-            // Payloads of `b` start past `a`'s so the two sides never collide.
-            let b: Vec<(Rect, u32)> = with_rails(m, 99 + m as u64)
-                .into_iter()
-                .map(|(r, q)| (r, q + 10_000))
-                .collect();
-            let (ta, tb) = (RectTree::build(a.clone()), RectTree::build(b.clone()));
-            for dist in [0, 3, 10] {
-                let mut got = Vec::new();
-                ta.self_join_within(dist, |p, ra, q, rb| {
-                    assert_eq!((ra, rb), (&a[p as usize].0, &a[q as usize].0));
-                    got.push((p.min(q), p.max(q)));
-                });
-                got.sort_unstable();
-                assert_eq!(got, all_pairs(&a, &a, dist, true), "self n={n} dist={dist}");
+        type Entries = fn(usize, u64) -> Vec<(Rect, u32)>;
+        let sets: [(&str, Entries); 4] = [
+            ("rails", with_rails),
+            ("ties", with_ties),
+            ("stacks", with_stacks),
+            ("inverted", with_inverted),
+        ];
+        for (set, make) in sets {
+            for (n, m) in [
+                (0usize, 0usize),
+                (0, 5),
+                (1, 0),
+                (1, 1),
+                (1, 9),
+                (8, 9),
+                (60, 7),
+                (65, 130),
+                (600, 1500),
+                (1500, 600),
+            ] {
+                let a = make(n, 7 + n as u64);
+                // Payloads of `b` start past `a`'s so the two sides never collide.
+                let b: Vec<(Rect, u32)> = make(m, 99 + m as u64)
+                    .into_iter()
+                    .map(|(r, q)| (r, q + 10_000))
+                    .collect();
+                let (ta, tb) = (RectTree::build(a.clone()), RectTree::build(b.clone()));
+                for dist in [0, 3, 10] {
+                    let mut got = Vec::new();
+                    ta.self_join_within(dist, |p, ra, q, rb| {
+                        assert_eq!((ra, rb), (&a[p as usize].0, &a[q as usize].0));
+                        got.push((p.min(q), p.max(q)));
+                    });
+                    got.sort_unstable();
+                    let want = all_pairs(&a, &a, dist, true);
+                    assert_eq!(got, want, "{set}: self n={n} dist={dist}");
 
-                let mut got = Vec::new();
-                ta.join_within(&tb, dist, |p, ra, q, rb| {
-                    assert_eq!((ra, rb), (&a[p as usize].0, &b[(q - 10_000) as usize].0));
-                    got.push((p, q));
-                });
-                got.sort_unstable();
-                assert_eq!(
-                    got,
-                    all_pairs(&a, &b, dist, false),
-                    "join n={n} m={m} dist={dist}"
-                );
+                    let mut got = Vec::new();
+                    ta.join_within(&tb, dist, |p, ra, q, rb| {
+                        assert_eq!((ra, rb), (&a[p as usize].0, &b[(q - 10_000) as usize].0));
+                        got.push((p, q));
+                    });
+                    got.sort_unstable();
+                    let want = all_pairs(&a, &b, dist, false);
+                    assert_eq!(got, want, "{set}: join n={n} m={m} dist={dist}");
+                }
             }
         }
     }
