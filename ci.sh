@@ -63,7 +63,9 @@ cargo run --release -q --bin amgen-lint -- --deny-warnings --certify --certify-f
 #   byte-identical to the scans on the assembled chip; the sign-off
 #   plan's sweep joins alone (join memo bypassed) on the same chips,
 #   its growth exponent printed but not gated (it grows as shapes x
-#   tile rows);
+#   tile rows); the extraction kernel alone (join memo warm, component
+#   memo bypassed) on the same chips, its growth exponent printed but
+#   not gated (the connectivity series gates plan and kernel together);
 # - analyze: one six-pass certification sweep of the 11-source corpus
 #   (stdlib + examples) <= 5 ms, the corpus certifying clean with closed
 #   top-level fuel bounds;

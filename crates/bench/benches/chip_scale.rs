@@ -1,7 +1,7 @@
 //! Chip-scale geometry gate: the spatial index must keep the geometry
 //! core sub-quadratic as layouts grow from module to chip size.
 //!
-//! Six gated series and one reported one —
+//! Six gated series and two reported ones —
 //!
 //! * `latchup_n` — the latch-up check on an `n`-stripe workload, timed
 //!   both as the pre-index sequential scan and on the spatial index.
@@ -33,6 +33,12 @@
 //!   count. That approaches n^1.5 on square chips, right at the budget,
 //!   so a gate would flake: eight runs on a shared 2-vCPU VM read
 //!   1.21–1.49.
+//! * `extract_t` — the extraction kernel alone on the same chips:
+//!   `Extractor::components` with the join memo warm for the deck and
+//!   the component memo pinned to another deck, so every call runs the
+//!   kernel on memoised pairs. Its fitted log-log growth exponent is
+//!   printed but not gated: the connectivity series already gates the
+//!   plan and the kernel together.
 //! * `drc_t` — the full `Drc::check` on the same chips, index,
 //!   extraction memo and join memo warm, so the series times the checks
 //!   alone (the connectivity series gates the joins and the extraction):
@@ -97,6 +103,7 @@ fn main() {
     let mut connectivity_points: Vec<(f64, f64)> = Vec::new();
     let mut index_points: Vec<(f64, f64)> = Vec::new();
     let mut plan_points: Vec<(f64, f64)> = Vec::new();
+    let mut extract_points: Vec<(f64, f64)> = Vec::new();
     let mut drc_points: Vec<(f64, f64)> = Vec::new();
     for tiles in [1usize, 2, 4, 8, 16] {
         let chip = workloads::fig_chip(&tech, &proto, tiles);
@@ -112,7 +119,8 @@ fn main() {
 
         // Pin both memos to the other deck: every `connectivity` call
         // below runs the join plan and the extraction kernel.
-        chip.spatial_index().components(other_deck.id(), Vec::new);
+        chip.spatial_index()
+            .components(other_deck.id(), Default::default);
         chip.spatial_index().joins(&other_deck);
         let plan = Mode::new("joins", || {
             black_box(chip.spatial_index().joins(&tech));
@@ -125,6 +133,18 @@ fn main() {
         });
         let s = series(&format!("chip/connectivity_{tiles}"), 25, &[extract]);
         connectivity_points.push((chip.len() as f64, s.fastest(0).as_nanos() as f64));
+
+        // The join memo warm for the deck, the component memo pinned to
+        // the other: every call runs the kernel alone.
+        let chip = workloads::fig_chip(&tech, &proto, tiles);
+        chip.spatial_index().joins(&tech);
+        chip.spatial_index()
+            .components(other_deck.id(), Default::default);
+        let kernel = Mode::new("kernel", || {
+            black_box(ex.components(&chip).len());
+        });
+        let s = series(&format!("chip/extract_{tiles}"), 25, &[kernel]);
+        extract_points.push((chip.len() as f64, s.fastest(0).as_nanos() as f64));
 
         let chip = workloads::fig_chip(&tech, &proto, tiles);
         ex.connectivity(&chip); // index, extraction and join memos warm
@@ -148,6 +168,11 @@ fn main() {
     println!(
         "{:<50} fitted exponent over 1..16 tiles: {plan_exponent:.2} (not gated)",
         "chip/plan/joins"
+    );
+    let extract_exponent = fitted_exponent(&extract_points);
+    println!(
+        "{:<50} fitted exponent over 1..16 tiles: {extract_exponent:.2} (not gated)",
+        "chip/extract/kernel"
     );
     let drc_exponent = fitted_exponent(&drc_points);
     println!(

@@ -33,11 +33,13 @@
 //! assert_eq!(obj.bbox().width(), 1_000);
 //! ```
 
+pub mod components;
 pub mod object;
 pub mod shape;
 pub mod signature;
 pub mod spatial;
 
+pub use components::{Components, DisjointSets};
 pub use object::{Group, GroupId, LayoutObject, Port, RebuildKind};
 pub use shape::{EdgeFlags, NetId, Shape, ShapeRole};
 pub use signature::LayoutSignature;

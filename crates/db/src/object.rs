@@ -522,6 +522,7 @@ impl std::fmt::Display for LayoutObject {
 mod tests {
     use super::*;
     use crate::shape::EdgeFlags;
+    use crate::{Components, DisjointSets};
     use amgen_geom::Dir;
     use amgen_tech::Tech;
     use std::borrow::Cow;
@@ -646,13 +647,16 @@ mod tests {
                 "bbox_on fast path out of sync"
             );
             // The memo is cold: this extraction runs, and its result is
-            // what the next lookup returns.
+            // what the next lookup returns. Each check's table has one
+            // more singleton than the last.
             stamp.set(stamp.get() + 1);
-            let fresh = vec![vec![stamp.get()]];
+            let n = stamp.get() as u32;
+            let fresh =
+                Components::from_sets(&mut DisjointSets::new(n as usize), (0..n).map(|i| i..i + 1));
             let got = o.spatial_index().components(DECK, || fresh.clone());
-            assert_eq!(*got, fresh[..], "component memo survived a mutation");
+            assert_eq!(*got, fresh, "component memo survived a mutation");
             let got = o.spatial_index().components(DECK, || unreachable!());
-            assert_eq!(*got, fresh[..], "component memo not kept");
+            assert_eq!(*got, fresh, "component memo not kept");
             // Each check pins the join memo to a deck of its own (a new
             // id), which only a cold memo keeps; the plan of the object's
             // own deck then runs uncached on the current shapes.
@@ -719,10 +723,7 @@ mod tests {
         obj.rename_label("b", "c");
         let p = obj.prefixed("b:");
         for o in [&obj, &p] {
-            assert_eq!(
-                *o.spatial_index().components(DECK, || unreachable!()),
-                kept[..]
-            );
+            assert_eq!(*o.spatial_index().components(DECK, || unreachable!()), kept);
             assert!(matches!(o.spatial_index().joins(&pinned), Cow::Borrowed(_)));
         }
         // Index state is invisible to equality.

@@ -49,33 +49,16 @@ fn hash_str(s: &str) -> u64 {
 }
 
 impl LayoutObject {
-    /// Hashes one shape in a way that is stable across shape order and
-    /// net-id numbering (the net is hashed by name, not id).
-    pub fn shape_hash(&self, s: &Shape) -> u64 {
-        let mut h = mix(s.rect.x0 as u64 ^ mix(s.rect.y0 as u64));
-        h = mix(h ^ s.rect.x1 as u64 ^ mix(s.rect.y1 as u64));
-        h = mix(h ^ ((s.layer.index() as u64) << 8));
-        if let Some(net) = s.net {
-            h = mix(h ^ hash_str(self.net_name(net)));
-        }
-        let role = match s.role {
-            ShapeRole::Normal => 0u64,
-            ShapeRole::DeviceActive => 1,
-            ShapeRole::SubstrateContact => 2,
-        };
-        // EdgeFlags has no public accessor for the raw bits; fold the four
-        // directions explicitly.
-        let mut flag_bits = 0u64;
-        for (i, d) in amgen_geom::Dir::ALL.iter().enumerate() {
-            if s.edges.is_variable(*d) {
-                flag_bits |= 1 << i;
-            }
-        }
-        mix(h ^ (role << 5) ^ (flag_bits << 1) ^ (s.keepout as u64))
+    /// Each shape's hash, in shape order, stable across net-id numbering
+    /// (a net is hashed by name, not id). Each net name is hashed once
+    /// per call, not once per shape on the net.
+    pub fn shape_hashes(&self) -> impl Iterator<Item = u64> + '_ {
+        let nets: Vec<u64> = self.net_names().iter().map(|n| hash_str(n)).collect();
+        self.shapes().iter().map(move |s| shape_hash(s, &nets))
     }
 
     /// Computes the object's [`LayoutSignature`] in one pass over the
-    /// shapes.
+    /// shapes; the bounding box is the cached [`bbox`](LayoutObject::bbox).
     ///
     /// The shape hashes are combined with wrapping addition, so the result
     /// does not depend on the order of the shape list — exactly what the
@@ -91,18 +74,36 @@ impl LayoutObject {
     /// generation cache keys on this hash — a silent collision here
     /// would become a wrong-layout cache hit there.
     pub fn signature(&self) -> LayoutSignature {
-        let mut hash = 0u64;
-        let mut bbox = Rect::EMPTY;
-        for s in self.shapes() {
-            hash = hash.wrapping_add(self.shape_hash(s));
-            bbox = bbox.union_bbox(&s.rect);
-        }
         LayoutSignature {
-            bbox,
+            bbox: self.bbox(),
             shapes: self.len(),
-            hash,
+            hash: self.shape_hashes().fold(0u64, u64::wrapping_add),
         }
     }
+}
+
+/// Hashes one shape; `nets[i]` is the hash of net `i`'s name.
+fn shape_hash(s: &Shape, nets: &[u64]) -> u64 {
+    let mut h = mix(s.rect.x0 as u64 ^ mix(s.rect.y0 as u64));
+    h = mix(h ^ s.rect.x1 as u64 ^ mix(s.rect.y1 as u64));
+    h = mix(h ^ ((s.layer.index() as u64) << 8));
+    if let Some(net) = s.net {
+        h = mix(h ^ nets[net.index()]);
+    }
+    let role = match s.role {
+        ShapeRole::Normal => 0u64,
+        ShapeRole::DeviceActive => 1,
+        ShapeRole::SubstrateContact => 2,
+    };
+    // EdgeFlags has no public accessor for the raw bits; fold the four
+    // directions explicitly.
+    let mut flag_bits = 0u64;
+    for (i, d) in amgen_geom::Dir::ALL.iter().enumerate() {
+        if s.edges.is_variable(*d) {
+            flag_bits |= 1 << i;
+        }
+    }
+    mix(h ^ (role << 5) ^ (flag_bits << 1) ^ (s.keepout as u64))
 }
 
 #[cfg(test)]

@@ -22,9 +22,9 @@
 //! under one rule deck: the candidate pairs of the deck's sign-off plan
 //! ([`joins`](SpatialIndex::joins)), so each layer pair is joined once
 //! per object and every sign-off consumer filters the same pairs, and
-//! the object's connected components
-//! ([`components`](SpatialIndex::components)), so one sign-off extracts
-//! once.
+//! the object's connected components as one flat table
+//! ([`components`](SpatialIndex::components), a [`Components`]), so one
+//! sign-off extracts once.
 //!
 //! # Lifecycle and invalidation
 //!
@@ -74,6 +74,7 @@ use std::sync::OnceLock;
 use amgen_geom::{Rect, RectTree};
 use amgen_tech::{Layer, RuleSet};
 
+use crate::components::Components;
 use crate::shape::{Shape, ShapeRole};
 
 /// Per-layer and per-role window-query index over one object's shapes.
@@ -96,8 +97,8 @@ pub struct SpatialIndex {
     substrate: RectTree,
     /// Whole-object bounding box, `union_bbox` semantics.
     bbox: Rect,
-    /// Component member lists, with the id of the deck that made them.
-    components: OnceLock<(u32, Vec<Vec<usize>>)>,
+    /// The component table, with the id of the deck that made it.
+    components: OnceLock<(u32, Components)>,
     /// The sign-off plan's pair lists, with the id of the deck whose
     /// plan made them.
     joins: OnceLock<(u32, PlanPairs)>,
@@ -259,9 +260,9 @@ impl SpatialIndex {
     }
 
     /// The connected components of the shapes under the rule deck with
-    /// id `deck`: each component's member shape indices, memoised.
+    /// id `deck`, memoised.
     ///
-    /// The first call runs `extract` and keeps its result with `deck`;
+    /// The first call runs `extract` and keeps its table with `deck`;
     /// later calls with the same id return it without running `extract`.
     /// A call with another deck's id runs `extract` and returns the
     /// result without keeping it. The memo lives and dies with the
@@ -270,15 +271,15 @@ impl SpatialIndex {
     pub fn components(
         &self,
         deck: u32,
-        extract: impl FnOnce() -> Vec<Vec<usize>>,
-    ) -> Cow<'_, [Vec<usize>]> {
+        extract: impl FnOnce() -> Components,
+    ) -> Cow<'_, Components> {
         let mut extract = Some(extract);
-        let (id, lists) = self
+        let (id, table) = self
             .components
             .get_or_init(|| (deck, extract.take().expect("init runs at most once")()));
         match extract {
             Some(extract) if *id != deck => Cow::Owned(extract()),
-            _ => Cow::Borrowed(lists),
+            _ => Cow::Borrowed(table),
         }
     }
 
@@ -347,7 +348,7 @@ impl SpatialIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{LayoutObject, Shape};
+    use crate::{DisjointSets, LayoutObject, Shape};
     use amgen_tech::Tech;
 
     #[test]
@@ -452,7 +453,7 @@ mod tests {
         }
     }
 
-    /// The memo keeps the first deck's lists; a lookup under another
+    /// The memo keeps the first deck's table; a lookup under another
     /// deck extracts afresh and leaves the memo alone.
     #[test]
     fn components_are_memoised_for_one_deck() {
@@ -460,12 +461,12 @@ mod tests {
         let mut obj = LayoutObject::new("x");
         obj.push(Shape::new(t.layer("poly").unwrap(), Rect::new(0, 0, 8, 8)));
         let ix = obj.spatial_index();
-        let a = vec![vec![0]];
-        let b = vec![vec![0], vec![1]];
-        assert_eq!(*ix.components(1, || a.clone()), a[..]);
-        assert_eq!(*ix.components(1, || unreachable!()), a[..]);
+        let a = Components::from_sets(&mut DisjointSets::new(1), std::iter::once(0..1));
+        let b = Components::default();
+        assert_eq!(*ix.components(1, || a.clone()), a);
+        assert_eq!(*ix.components(1, || unreachable!()), a);
         assert!(matches!(ix.components(2, || b.clone()), Cow::Owned(ref v) if *v == b));
-        assert!(matches!(ix.components(1, || unreachable!()), Cow::Borrowed(v) if *v == a[..]));
+        assert!(matches!(ix.components(1, || unreachable!()), Cow::Borrowed(v) if *v == a));
     }
 
     /// The join memo keeps the first deck's pairs; a lookup under another

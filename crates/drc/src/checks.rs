@@ -1,7 +1,7 @@
 //! The rule checks: width, spacing, shorts, enclosure, cut size.
 
 use amgen_core::{GenCtx, Stage};
-use amgen_db::{LayoutObject, Shape};
+use amgen_db::{DisjointSets, LayoutObject, Shape};
 use amgen_extract::Extractor;
 use amgen_geom::{Axis, Coord, Rect, Region};
 use amgen_tech::{Layer, LayerKind, RuleSet};
@@ -118,12 +118,12 @@ impl Drc {
         let ruled = |l: Layer| self.ctx.min_area_um2(l) > 0.0;
         let ix = obj.spatial_index();
         let joins = ix.joins(self.rules());
-        let mut parent: Vec<usize> = (0..shapes.len()).collect();
+        let mut sets = DisjointSets::new(shapes.len());
         for layer in ix.populated_layers().filter(|&l| ruled(l)) {
             for (i, j) in joins.between(layer, layer) {
                 let (a, b) = (&shapes[i as usize].rect, &shapes[j as usize].rect);
                 if a.overlaps(b) || a.abuts(b) {
-                    union(&mut parent, i as usize, j as usize);
+                    sets.union(i, j);
                 }
             }
         }
@@ -134,7 +134,7 @@ impl Drc {
         let mut slot = vec![usize::MAX; shapes.len()];
         for (i, s) in shapes.iter().enumerate() {
             if ruled(s.layer) && !s.rect.is_empty() && !self.short_of_rule(s.layer, s.rect.area()) {
-                slot[find(&mut parent, i)] = CLEARED;
+                slot[sets.find(i as u32) as usize] = CLEARED;
             }
         }
         // Clusters in the order of their smallest member, each listing
@@ -145,7 +145,7 @@ impl Drc {
             if !ruled(s.layer) {
                 continue;
             }
-            let root = find(&mut parent, i);
+            let root = sets.find(i as u32) as usize;
             if slot[root] == CLEARED {
                 continue;
             }
@@ -174,18 +174,18 @@ impl Drc {
                 continue;
             }
             let rects: Vec<Rect> = obj.shapes_on(layer).map(|s| s.rect).collect();
-            let mut parent: Vec<usize> = (0..rects.len()).collect();
+            let mut sets = DisjointSets::new(rects.len());
             for i in 0..rects.len() {
                 for j in (i + 1)..rects.len() {
                     if rects[i].overlaps(&rects[j]) || rects[i].abuts(&rects[j]) {
-                        union(&mut parent, i, j);
+                        sets.union(i as u32, j as u32);
                     }
                 }
             }
             let mut clusters: std::collections::BTreeMap<usize, Vec<Rect>> = Default::default();
-            let mut min_of_root: std::collections::HashMap<usize, usize> = Default::default();
+            let mut min_of_root: std::collections::HashMap<u32, usize> = Default::default();
             for (i, rect) in rects.iter().enumerate() {
-                let key = *min_of_root.entry(find(&mut parent, i)).or_insert(i);
+                let key = *min_of_root.entry(sets.find(i as u32)).or_insert(i);
                 clusters.entry(key).or_default().push(*rect);
             }
             out.extend(
@@ -317,8 +317,9 @@ impl Drc {
     /// extracted net are also exempt (same-net spacing, e.g. two fingers
     /// of one diffusion joined by a strap between them); the components
     /// come from [`Extractor::components`], the extraction memoised in
-    /// the object's spatial index, so a later `connectivity` or
-    /// `parasitics` call on the same object does not extract again.
+    /// the object's spatial index, whose table lists each shape's
+    /// component ids, so a later `connectivity` or `parasitics` call on
+    /// the same object does not extract again.
     ///
     /// Candidate pairs are the object's sign-off pairs
     /// ([`SpatialIndex::joins`](amgen_db::SpatialIndex::joins)) of every
@@ -335,8 +336,8 @@ impl Drc {
     /// loop's order.
     pub fn check_spacing(&self, obj: &LayoutObject) -> Vec<Violation> {
         self.ctx.metrics.add_drc_checks(1);
-        let comp =
-            ShapeComponents::new(obj.len(), Extractor::new(&self.ctx).components(obj).iter());
+        let comp = Extractor::new(&self.ctx).components(obj);
+        let same = |i, j| comp.share(i, j);
         let joins = obj.spatial_index().joins(self.rules());
         let mut covers = Candidates::Indexed(Vec::new());
         let (mut found, mut one) = (Vec::new(), Vec::new());
@@ -344,7 +345,7 @@ impl Drc {
             if self.ctx.min_spacing(a, b).is_some_and(|rule| rule > 0) {
                 for (i, j) in joins.between(a, b) {
                     let (i, j) = (i.min(j) as usize, i.max(j) as usize);
-                    self.spacing_pair(obj, &comp, i, j, &mut covers, &mut one);
+                    self.spacing_pair(obj, same, i, j, &mut covers, &mut one);
                     found.extend(one.drain(..).map(|v| ((i, j), v)));
                 }
             }
@@ -362,11 +363,20 @@ impl Drc {
     pub fn check_spacing_scan(&self, obj: &LayoutObject) -> Vec<Violation> {
         self.ctx.metrics.add_drc_checks(1);
         let mut out = Vec::new();
-        let nets = Extractor::new(&self.ctx).connectivity_scan(obj);
-        let comp = ShapeComponents::new(obj.len(), nets.iter().map(|n| &n.shapes));
+        let mut comp: Vec<Vec<usize>> = vec![Vec::new(); obj.len()];
+        for (c, net) in Extractor::new(&self.ctx)
+            .connectivity_scan(obj)
+            .iter()
+            .enumerate()
+        {
+            for &i in &net.shapes {
+                comp[i].push(c);
+            }
+        }
+        let same = |i: usize, j: usize| comp[i].iter().any(|c| comp[j].contains(c));
         for i in 0..obj.shapes().len() {
             for j in (i + 1)..obj.shapes().len() {
-                self.spacing_pair(obj, &comp, i, j, &mut Candidates::Scan, &mut out);
+                self.spacing_pair(obj, same, i, j, &mut Candidates::Scan, &mut out);
             }
         }
         out
@@ -375,11 +385,12 @@ impl Drc {
     /// The spacing predicate for one ordered pair `i < j`: shorts on
     /// touch with differing defined potentials, otherwise a spacing
     /// violation when the Manhattan gap undercuts the rule and no
-    /// exemption (same net / same component / filled gap) applies.
+    /// exemption applies: same net, same component (`same_component(i,
+    /// j)`) or a filled gap.
     fn spacing_pair(
         &self,
         obj: &LayoutObject,
-        comp: &ShapeComponents,
+        same_component: impl Fn(usize, usize) -> bool,
         i: usize,
         j: usize,
         covers: &mut Candidates,
@@ -420,7 +431,7 @@ impl Drc {
         if gap >= rule {
             return;
         }
-        if a.layer == b.layer && (same_net || comp.share(i, j)) {
+        if a.layer == b.layer && (same_net || same_component(i, j)) {
             return;
         }
         // Pairwise gaps are only real when the space between the
@@ -577,24 +588,6 @@ impl Drc {
     }
 }
 
-/// The root of `i`'s set, by path halving. Iterative: a chain of
-/// abutting shapes can build a parent chain as long as itself.
-fn find(parent: &mut [usize], mut i: usize) -> usize {
-    while parent[i] != i {
-        parent[i] = parent[parent[i]];
-        i = parent[i];
-    }
-    i
-}
-
-/// Joins the sets of `i` and `j`.
-fn union(parent: &mut [usize], i: usize, j: usize) {
-    let (ri, rj) = (find(parent, i), find(parent, j));
-    if ri != rj {
-        parent[ri] = rj;
-    }
-}
-
 /// True if `test` holds on both layers of some pair. `test` runs at most
 /// once per distinct layer; `memo` is scratch space reused across calls.
 fn any_pair(
@@ -614,57 +607,10 @@ fn any_pair(
     pairs.iter().any(|&(x, y)| eval(x) && eval(y))
 }
 
-/// The components each shape belongs to (a gate-split diffusion shape
-/// belongs to several), flat: shape `i`'s component ids are
-/// `ids[first[i]..first[i + 1]]`, ascending.
-struct ShapeComponents {
-    first: Vec<u32>,
-    ids: Vec<u32>,
-}
-
-impl ShapeComponents {
-    /// The table for `shapes` shapes from the components' member lists.
-    fn new<'a, I>(shapes: usize, lists: I) -> ShapeComponents
-    where
-        I: Iterator<Item = &'a Vec<usize>> + Clone,
-    {
-        // Count per shape into `first[i + 1]`, prefix-sum, then fill with
-        // `first[i]` as the write cursor — which leaves it at the next
-        // shape's start, so one shift restores the offsets.
-        let mut first = vec![0u32; shapes + 1];
-        for &s in lists.clone().flatten() {
-            first[s + 1] += 1;
-        }
-        for i in 0..shapes {
-            first[i + 1] += first[i];
-        }
-        let mut ids = vec![0u32; first[shapes] as usize];
-        for (c, list) in lists.enumerate() {
-            for &s in list {
-                ids[first[s] as usize] = c as u32;
-                first[s] += 1;
-            }
-        }
-        first.rotate_right(1);
-        first[0] = 0;
-        ShapeComponents { first, ids }
-    }
-
-    fn of(&self, i: usize) -> &[u32] {
-        &self.ids[self.first[i] as usize..self.first[i + 1] as usize]
-    }
-
-    /// True if shapes `i` and `j` share a component.
-    fn share(&self, i: usize, j: usize) -> bool {
-        let b = self.of(j);
-        self.of(i).iter().any(|c| b.contains(c))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amgen_db::Shape;
+    use amgen_db::{Components, Shape};
     use amgen_geom::{um, Rect};
     use amgen_prim::Primitives;
     use amgen_tech::Tech;
@@ -822,7 +768,10 @@ mod tests {
         let drc = Drc::new(&t);
         assert_eq!(drc.check_spacing(&obj).len(), 1);
         obj.shapes_mut();
-        obj.spatial_index().components(t.id(), || vec![vec![0, 1]]);
+        let mut sets = DisjointSets::new(2);
+        sets.union(0, 1);
+        obj.spatial_index()
+            .components(t.id(), || Components::from_sets(&mut sets, [0..1, 1..2]));
         assert!(drc.check_spacing(&obj).is_empty());
         assert_eq!(
             drc.check_spacing_scan(&obj).len(),

@@ -1,9 +1,10 @@
 //! Geometric connectivity extraction (union-find over shapes).
 
 use std::borrow::Cow;
+use std::ops::Range;
 
 use amgen_core::{GenCtx, Stage};
-use amgen_db::{LayoutObject, NetId, PlanPairs, Shape};
+use amgen_db::{Components, DisjointSets, LayoutObject, NetId, PlanPairs, Shape};
 use amgen_geom::Rect;
 use amgen_tech::{Layer, LayerKind, RuleSet};
 
@@ -33,51 +34,32 @@ pub struct Extractor {
     pub(crate) ctx: GenCtx,
 }
 
-/// Disjoint sets over fragment indices.
-struct UnionFind {
-    parent: Vec<usize>,
-}
+/// A cut with no device fragment yet.
+const NONE: u32 = u32::MAX;
 
-impl UnionFind {
-    fn new(n: usize) -> UnionFind {
-        UnionFind {
-            parent: (0..n).collect(),
-        }
-    }
-
-    /// The root of `i`'s set, by path halving. Iterative: a chain of
-    /// abutting shapes can build a parent chain as long as itself.
-    fn find(&mut self, mut i: usize) -> usize {
-        while self.parent[i] != i {
-            let grandparent = self.parent[self.parent[i]];
-            self.parent[i] = grandparent;
-            i = grandparent;
-        }
-        i
-    }
-
-    fn union(&mut self, a: usize, b: usize) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra != rb {
-            self.parent[ra] = rb;
-        }
-    }
-}
-
-/// The conductor and cut fragments of a layout, in shape order: every
-/// such shape is one fragment, except gate-split diffusion.
-struct Fragments {
-    /// `(rect, shape index)` per fragment.
-    frags: Vec<(Rect, u32)>,
-    /// Shape `i` owns fragments `first[i]..first[i + 1]`.
+/// The diffusion shapes that gates cross, cut into pieces. Every shape
+/// is the union-find node of its own index; a split shape's node stays
+/// alone, and its pieces are extra nodes, numbered from the shape count
+/// on, in the order of the split shapes.
+struct Pieces {
+    /// The shape count: piece `p` is node `base + p`.
+    base: u32,
+    /// Bit `i % 64` of `split[i / 64]` is set when shape `i` is split.
+    split: Vec<u64>,
+    /// `before[w]`: the split shapes below shape `64 * w`, so a split
+    /// shape's rank among them is one popcount away.
+    before: Vec<u32>,
+    /// The `k`-th split shape owns pieces `first[k]..first[k + 1]`.
     first: Vec<u32>,
+    /// Per piece, its rectangle.
+    rects: Vec<Rect>,
 }
 
-impl Fragments {
+impl Pieces {
     /// Splits every diffusion shape by the poly shapes overlapping it,
     /// applied in ascending shape order (the order fixes the pieces).
     /// The gates come from the plan's (poly, diffusion) pairs.
-    fn new(rules: &RuleSet, shapes: &[Shape], joins: &PlanPairs) -> Fragments {
+    fn new(rules: &RuleSet, shapes: &[Shape], joins: &PlanPairs) -> Pieces {
         // (diffusion shape, gate) pairs, ascending: each shape's gates
         // form one run, in shape order.
         let mut gated: Vec<(u32, u32)> = Vec::new();
@@ -94,44 +76,75 @@ impl Fragments {
             }
         }
         gated.sort_unstable();
-        let mut out = Fragments {
-            frags: Vec::with_capacity(shapes.len()),
-            first: Vec::with_capacity(shapes.len() + 1),
+        let words = shapes.len().div_ceil(64);
+        let mut out = Pieces {
+            base: shapes.len() as u32,
+            split: vec![0; words],
+            before: Vec::with_capacity(words),
+            first: vec![0],
+            rects: Vec::new(),
         };
-        let (mut pieces, mut next) = (Vec::new(), Vec::new());
-        let mut run = gated.as_slice();
-        for (i, s) in shapes.iter().enumerate() {
-            out.first.push(out.frags.len() as u32);
-            let split = run.partition_point(|&(d, _)| d as usize == i);
-            let gates = &run[..split];
-            run = &run[split..];
-            let k = rules.kind(s.layer);
-            if !(k.is_conductor() || k == LayerKind::Cut) {
-                continue;
-            }
-            if gates.is_empty() {
-                out.frags.push((s.rect, i as u32));
-                continue;
-            }
-            pieces.clear();
-            pieces.push(s.rect);
-            for &(_, g) in gates {
+        let mut next = Vec::new();
+        for run in gated.chunk_by(|a, b| a.0 == b.0) {
+            let d = run[0].0 as usize;
+            out.split[d / 64] |= 1 << (d % 64);
+            let start = out.rects.len();
+            out.rects.push(shapes[d].rect);
+            for &(_, g) in run {
                 next.clear();
-                for p in &pieces {
+                for p in &out.rects[start..] {
                     next.extend(p.subtract(&shapes[g as usize].rect));
                 }
-                std::mem::swap(&mut pieces, &mut next);
+                out.rects.truncate(start);
+                out.rects.extend_from_slice(&next);
             }
-            out.frags.extend(pieces.iter().map(|&r| (r, i as u32)));
+            out.first.push(out.rects.len() as u32);
         }
-        out.first.push(out.frags.len() as u32);
+        let mut below = 0;
+        for word in &out.split {
+            out.before.push(below);
+            below += word.count_ones();
+        }
         out
     }
 
-    /// The fragments of a shape.
-    #[inline]
-    fn of(&self, shape: u32) -> std::ops::Range<usize> {
-        self.first[shape as usize] as usize..self.first[shape as usize + 1] as usize
+    /// The number of split shapes.
+    fn len(&self) -> usize {
+        self.first.len() - 1
+    }
+
+    /// True if a shape on `layer` may be split.
+    fn on(&self, rules: &RuleSet, layer: Layer) -> bool {
+        self.len() > 0 && rules.kind(layer) == LayerKind::Diffusion
+    }
+
+    /// True if `shape` is split.
+    fn is_split(&self, shape: u32) -> bool {
+        self.split[shape as usize / 64] >> (shape % 64) & 1 == 1
+    }
+
+    /// The nodes standing for `shape`, a conductor or cut shape: its
+    /// pieces if it is split, else its own index.
+    fn nodes(&self, shape: u32) -> Range<u32> {
+        if !self.is_split(shape) {
+            return shape..shape + 1;
+        }
+        let (w, bit) = (shape as usize / 64, shape % 64);
+        let below = (self.split[w] & ((1 << bit) - 1)).count_ones();
+        self.range((self.before[w] + below) as usize)
+    }
+
+    /// The nodes of the `k`-th split shape's pieces.
+    fn range(&self, k: usize) -> Range<u32> {
+        self.base + self.first[k]..self.base + self.first[k + 1]
+    }
+
+    /// The rectangle of `node`.
+    fn rect(&self, shapes: &[Shape], node: u32) -> Rect {
+        match node.checked_sub(self.base) {
+            Some(p) => self.rects[p as usize],
+            None => shapes[node as usize].rect,
+        }
     }
 }
 
@@ -182,9 +195,11 @@ impl Extractor {
     /// each conductor layer with itself, each (cut layer, layer it
     /// connects), and each (poly, diffusion) pair for the gates. Each
     /// join may run at a spacing rule rather than at 0, so every pair is
-    /// filtered by the rule's exact predicate. A gate-split shape maps a
-    /// shape pair to its fragments, and the touching pieces of one split
-    /// shape are joined directly. Components are sets, so the order in
+    /// filtered by the rule's exact predicate. The union-find runs over
+    /// shape indices: every shape is its own node, and only a gate-split
+    /// diffusion shape gets more, one per piece, to which its shape
+    /// pairs fan out; the touching pieces of one split shape are joined
+    /// directly. Components are sets, so the order in
     /// which unions are found does not matter, and the output is
     /// canonical: members ascending, nets ordered by member list,
     /// declared names sorted. The order-sensitive choices are explicit:
@@ -193,8 +208,9 @@ impl Extractor {
     /// byte-identical to the all-pairs
     /// [`connectivity_scan`](Extractor::connectivity_scan).
     ///
-    /// The member lists are memoised in the spatial index for this deck
-    /// ([`SpatialIndex::components`](amgen_db::SpatialIndex::components)),
+    /// The components are memoised in the spatial index for this deck as
+    /// one flat table ([`Components`], from
+    /// [`SpatialIndex::components`](amgen_db::SpatialIndex::components)),
     /// so DRC's spacing check, [`parasitics`](Extractor::parasitics) and
     /// this call share one extraction per object, as the checks and this
     /// call share one run of the plan. Every geometry mutation drops both
@@ -206,71 +222,92 @@ impl Extractor {
             .ctx
             .stage(Stage::Extract, || format!("connectivity:{}", obj.name()));
         span.arg("shapes", obj.len());
-        self.member_lists(obj)
+        let table = self.table(obj);
+        let mut ids = Vec::new();
+        table
             .iter()
-            .map(|shapes| ExtractedNet {
-                declared: declared_names(obj, shapes),
-                shapes: shapes.clone(),
+            .map(|members| ExtractedNet {
+                declared: declared_names(obj, members, &mut ids),
+                shapes: members.iter().map(|&i| i as usize).collect(),
             })
             .collect()
     }
 
-    /// The member shape indices of every component, canonical (members
-    /// ascending, components ordered by member list), from the memo in
-    /// the object's spatial index — the geometry half of
+    /// The components as the flat table memoised in the object's spatial
+    /// index: each component's member shape indices, canonical (members
+    /// ascending, components ordered by member list), and each shape's
+    /// component ids — the geometry half of
     /// [`connectivity`](Extractor::connectivity), without the names.
     /// DRC's same-component spacing exemption reads it.
-    pub fn components<'a>(&self, obj: &'a LayoutObject) -> Cow<'a, [Vec<usize>]> {
+    pub fn components<'a>(&self, obj: &'a LayoutObject) -> Cow<'a, Components> {
         let mut span = self
             .ctx
             .stage(Stage::Extract, || format!("components:{}", obj.name()));
         span.arg("shapes", obj.len());
-        self.member_lists(obj)
+        self.table(obj)
     }
 
     /// The memo lookup; the caller holds the `Stage::Extract` guard.
-    fn member_lists<'a>(&self, obj: &'a LayoutObject) -> Cow<'a, [Vec<usize>]> {
+    fn table<'a>(&self, obj: &'a LayoutObject) -> Cow<'a, Components> {
         obj.spatial_index()
             .components(self.rules().id(), || self.extract(obj))
     }
 
     /// The extraction kernel on the spatial index's sign-off pairs (see
-    /// [`connectivity`](Extractor::connectivity) for the rules).
-    fn extract(&self, obj: &LayoutObject) -> Vec<Vec<usize>> {
+    /// [`connectivity`](Extractor::connectivity) for the rules): a
+    /// union-find over shape indices, plus one node per piece of a
+    /// gate-split diffusion shape.
+    fn extract(&self, obj: &LayoutObject) -> Components {
         let rules = self.rules();
         let shapes = obj.shapes();
         let joins = obj.spatial_index().joins(rules);
-        let fr = Fragments::new(rules, shapes, &joins);
-        let mut uf = UnionFind::new(fr.frags.len());
-        let touch = |a: &Rect, b: &Rect| a.overlaps(b) || a.abuts(b);
+        let pieces = Pieces::new(rules, shapes, &joins);
+        let mut sets = DisjointSets::new(pieces.base as usize + pieces.rects.len());
+        let rect = |node: u32| pieces.rect(shapes, node);
+        // A piece lies inside its shape, so two pieces touch, or a piece
+        // overlaps a cut, only if their shapes do: each pair is tested on
+        // the shapes first.
         for layer in rules.layers().filter(|&l| rules.kind(l).is_conductor()) {
+            let split = pieces.on(rules, layer);
             for (p, q) in joins.between(layer, layer) {
-                for f in fr.of(p) {
-                    for g in fr.of(q) {
-                        if touch(&fr.frags[f].0, &fr.frags[g].0) {
-                            uf.union(f, g);
+                if !touch(&shapes[p as usize].rect, &shapes[q as usize].rect) {
+                    continue;
+                }
+                if !split {
+                    sets.union(p, q);
+                    continue;
+                }
+                let (fs, gs) = (pieces.nodes(p), pieces.nodes(q));
+                for f in fs {
+                    for g in gs.clone() {
+                        if touch(&rect(f), &rect(g)) {
+                            sets.union(f, g);
                         }
                     }
                 }
             }
         }
-        // The pieces of one gate-split shape touch each other across no
-        // gate; no pair of distinct shapes holds them.
-        for i in 0..shapes.len() as u32 {
-            let pieces = fr.of(i);
-            for f in pieces.clone() {
-                for g in f + 1..pieces.end {
-                    if touch(&fr.frags[f].0, &fr.frags[g].0) {
-                        uf.union(f, g);
+        // The pieces of one split shape touch each other across no gate;
+        // no pair of distinct shapes holds them.
+        for k in 0..pieces.len() {
+            let nodes = pieces.range(k);
+            for f in nodes.clone() {
+                for g in f + 1..nodes.end {
+                    if touch(&rect(f), &rect(g)) {
+                        sets.union(f, g);
                     }
                 }
             }
         }
-        // Per cut fragment, the (area, rank) of its most specific device
-        // fragment; the device-side overlaps wait until all are known.
-        let mut best = vec![(i128::MAX, usize::MAX); fr.frags.len()];
-        let mut device: Vec<(usize, usize, usize)> = Vec::new();
+        // Per cut, the (node, rank) of its most specific device fragment
+        // so far; the device-side overlaps wait until all are known.
+        let mut best = vec![(NONE, NONE); shapes.len()];
+        let mut device: Vec<(u32, u32, u32)> = Vec::new();
         let is_device = |l: Layer| rules.kind(l) != LayerKind::Metal;
+        let has_node = |l: Layer| {
+            let kind = rules.kind(l);
+            kind.is_conductor() || kind == LayerKind::Cut
+        };
         let mut seen: Vec<Layer> = Vec::new();
         for cut in rules.layers().filter(|&l| rules.kind(l) == LayerKind::Cut) {
             seen.clear();
@@ -282,23 +319,33 @@ impl Extractor {
                     // `None` on the metal side. On the device side, the
                     // layer's rank among the cut's device layers, in the
                     // order of their first `connect` line in the deck.
-                    let device_rank =
-                        is_device(side).then(|| seen.iter().filter(|&&l| is_device(l)).count());
+                    let device_rank = is_device(side)
+                        .then(|| seen.iter().filter(|&&l| is_device(l)).count() as u32);
                     seen.push(side);
-                    for (q, p) in joins.between(cut, side) {
-                        // Cuts are never split: one fragment each.
-                        let c = fr.of(q).start;
-                        for f in fr.of(p) {
-                            let rect = fr.frags[f].0;
-                            if !rect.overlaps(&fr.frags[c].0) {
+                    if !has_node(side) {
+                        continue;
+                    }
+                    let split = pieces.on(rules, side);
+                    for (c, p) in joins.between(cut, side) {
+                        // Cuts are never split.
+                        let cut_rect = shapes[c as usize].rect;
+                        if !cut_rect.overlaps(&shapes[p as usize].rect) {
+                            continue;
+                        }
+                        let Some(rank) = device_rank else {
+                            sets.union(p, c);
+                            continue;
+                        };
+                        let nodes = if split { pieces.nodes(p) } else { p..p + 1 };
+                        for f in nodes {
+                            let r = rect(f);
+                            if !r.overlaps(&cut_rect) {
                                 continue;
                             }
-                            match device_rank {
-                                None => uf.union(f, c),
-                                Some(rank) => {
-                                    device.push((c, f, rank));
-                                    best[c] = best[c].min((rect.area(), rank));
-                                }
+                            device.push((c, f, rank));
+                            let (b, b_rank) = best[c as usize];
+                            if b == NONE || (r.area(), rank) < (rect(b).area(), b_rank) {
+                                best[c as usize] = (f, rank);
                             }
                         }
                     }
@@ -306,11 +353,24 @@ impl Extractor {
             }
         }
         for &(c, f, rank) in &device {
-            if best[c].1 == rank {
-                uf.union(c, f);
+            if best[c as usize].1 == rank {
+                sets.union(c, f);
             }
         }
-        canonical_members(&fr, &mut uf)
+        // Each shape stands for its own node, or its pieces', or none.
+        let mut k = 0;
+        let nodes = shapes.iter().enumerate().map(|(i, s)| {
+            let i = i as u32;
+            if pieces.is_split(i) {
+                k += 1;
+                pieces.range(k - 1)
+            } else if has_node(s.layer) {
+                i..i + 1
+            } else {
+                i..i
+            }
+        });
+        Components::from_sets(&mut sets, nodes)
     }
 
     /// The all-pairs connectivity pass, kept as the oracle the indexed
@@ -350,7 +410,7 @@ impl Extractor {
                 });
             }
         }
-        let mut uf = UnionFind::new(frags.len());
+        let mut uf = DisjointSets::new(frags.len());
         // Same-layer conductor contact, all pairs per layer bucket.
         let mut by_layer: std::collections::BTreeMap<Layer, Vec<usize>> = Default::default();
         for (fi, f) in frags.iter().enumerate() {
@@ -364,7 +424,7 @@ impl Extractor {
                 let ri = frags[i].rect;
                 for &j in &members[p + 1..] {
                     if ri.overlaps(&frags[j].rect) || ri.abuts(&frags[j].rect) {
-                        uf.union(i, j);
+                        uf.union(i as u32, j as u32);
                     }
                 }
             }
@@ -398,7 +458,7 @@ impl Extractor {
                 }
             }
             for &oi in &metal_side {
-                uf.union(ci, oi);
+                uf.union(ci as u32, oi as u32);
             }
             // Most specific device layer: the first smallest overlapping
             // fragment in discovery (deck `connect`) order.
@@ -406,15 +466,15 @@ impl Extractor {
                 let best_layer = shapes[frags[*best].shape].layer;
                 for &oi in &device_side {
                     if shapes[frags[oi].shape].layer == best_layer {
-                        uf.union(ci, oi);
+                        uf.union(ci as u32, oi as u32);
                     }
                 }
             }
         }
         // Collect components (shape indices, deduplicated).
-        let mut by_root: std::collections::HashMap<usize, Vec<usize>> = Default::default();
+        let mut by_root: std::collections::HashMap<u32, Vec<usize>> = Default::default();
         for (fi, f) in frags.iter().enumerate() {
-            by_root.entry(uf.find(fi)).or_default().push(f.shape);
+            by_root.entry(uf.find(fi as u32)).or_default().push(f.shape);
         }
         let mut nets: Vec<ExtractedNet> = by_root
             .into_values()
@@ -448,32 +508,29 @@ impl Extractor {
     }
 }
 
-/// The components' member lists, canonical: members ascending and
-/// deduplicated, lists ordered by their members. Fragments are in shape
-/// order, so each list comes out ascending; a root→slot table groups
-/// them.
-fn canonical_members(fr: &Fragments, uf: &mut UnionFind) -> Vec<Vec<usize>> {
-    let mut slot = vec![usize::MAX; fr.frags.len()];
-    let mut members: Vec<Vec<usize>> = Vec::new();
-    for (f, &(_, shape)) in fr.frags.iter().enumerate() {
-        let root = uf.find(f);
-        if slot[root] == usize::MAX {
-            slot[root] = members.len();
-            members.push(Vec::new());
-        }
-        let m = &mut members[slot[root]];
-        if m.last() != Some(&(shape as usize)) {
-            m.push(shape as usize);
-        }
-    }
-    members.sort();
-    members
+/// True if two rectangles overlap or abut (`a.overlaps(b) ||
+/// a.abuts(b)`): both are non-empty and their closed extents meet. One
+/// branch-free test, since the plan's pairs touch or not at random.
+#[inline]
+fn touch(a: &Rect, b: &Rect) -> bool {
+    !a.is_empty()
+        & !b.is_empty()
+        & (a.x0 <= b.x1)
+        & (b.x0 <= a.x1)
+        & (a.y0 <= b.y1)
+        & (b.y0 <= a.y1)
 }
 
 /// The declared net names on a component's members, sorted and
-/// deduplicated; net ids are deduplicated before any name is copied.
-fn declared_names(obj: &LayoutObject, shapes: &[usize]) -> Vec<String> {
-    let mut ids: Vec<NetId> = shapes.iter().filter_map(|&i| obj.shapes()[i].net).collect();
+/// deduplicated; net ids are deduplicated, in the reused buffer `ids`,
+/// before any name is copied.
+pub(crate) fn declared_names(
+    obj: &LayoutObject,
+    members: &[u32],
+    ids: &mut Vec<NetId>,
+) -> Vec<String> {
+    ids.clear();
+    ids.extend(members.iter().filter_map(|&i| obj.shapes()[i as usize].net));
     ids.sort_unstable();
     ids.dedup();
     let mut declared: Vec<String> = ids.iter().map(|&n| obj.net_name(n).to_string()).collect();
@@ -622,6 +679,122 @@ mod tests {
         assert!(indexed.len() > 1);
         assert_eq!(indexed, scan);
         assert_eq!(e.parasitics(&obj), e.parasitics_scan(&obj));
+    }
+
+    /// `connectivity` and `parasitics` equal their all-pairs oracles.
+    fn assert_matches_scan(e: &Extractor, obj: &LayoutObject) -> Vec<Vec<usize>> {
+        let nets = e.connectivity(obj);
+        assert_eq!(nets, e.connectivity_scan(obj));
+        assert_eq!(e.parasitics(obj), e.parasitics_scan(obj));
+        nets.into_iter().map(|n| n.shapes).collect()
+    }
+
+    /// A diffusion that poly covers completely has no piece, so it joins
+    /// no component, while the contact over both still reaches the poly.
+    #[test]
+    fn a_covered_diffusion_joins_nothing() {
+        let t = tech();
+        let l = |name: &str| t.layer(name).unwrap();
+        let mut obj = LayoutObject::new("covered");
+        obj.push(Shape::new(l("pdiff"), Rect::new(0, 0, um(4), um(2))));
+        obj.push(Shape::new(
+            l("poly"),
+            Rect::new(-um(1), -um(1), um(5), um(3)),
+        ));
+        obj.push(Shape::new(l("contact"), Rect::new(500, 500, 1_500, 1_500)));
+        obj.push(Shape::new(l("metal1"), Rect::new(0, 0, um(2), um(2))));
+        let e = Extractor::new(&t);
+        assert_eq!(assert_matches_scan(&e, &obj), [vec![1, 2, 3]]);
+        assert!(e.components(&obj).of(0).is_empty());
+    }
+
+    /// A gate that notches a diffusion without crossing it leaves three
+    /// pieces that touch around the notch: they rejoin into one
+    /// component, which holds the diffusion once.
+    #[test]
+    fn a_notched_diffusion_rejoins() {
+        let t = tech();
+        let l = |name: &str| t.layer(name).unwrap();
+        let mut obj = LayoutObject::new("notch");
+        obj.push(Shape::new(l("pdiff"), Rect::new(0, 0, um(6), um(4))));
+        obj.push(Shape::new(l("poly"), Rect::new(um(2), um(2), um(3), um(5))));
+        obj.push(Shape::new(
+            l("contact"),
+            Rect::new(500, 2_500, 1_500, 3_500),
+        ));
+        obj.push(Shape::new(
+            l("contact"),
+            Rect::new(4_500, 2_500, 5_500, 3_500),
+        ));
+        obj.push(Shape::new(l("metal1"), Rect::new(0, um(2), um(2), um(4))));
+        obj.push(Shape::new(
+            l("metal1"),
+            Rect::new(um(4), um(2), um(6), um(4)),
+        ));
+        let e = Extractor::new(&t);
+        assert_eq!(
+            assert_matches_scan(&e, &obj),
+            [vec![0, 2, 3, 4, 5], vec![1]]
+        );
+        assert_eq!(e.components(&obj).of(0), [0]);
+    }
+
+    /// A gate crossing a diffusion leaves two halves, each joining its
+    /// own contact and strap, so both components start with the
+    /// diffusion. The left half comes first, but the right half's next
+    /// member is smaller, so its component comes first.
+    #[test]
+    fn halves_that_share_a_first_member_order_by_the_next() {
+        let t = tech();
+        let l = |name: &str| t.layer(name).unwrap();
+        let mut obj = LayoutObject::new("halves");
+        obj.push(Shape::new(l("pdiff"), Rect::new(0, 0, um(10), um(4))));
+        obj.push(Shape::new(
+            l("poly"),
+            Rect::new(um(4), -um(1), um(5), um(5)),
+        ));
+        obj.push(Shape::new(
+            l("contact"),
+            Rect::new(um(7), um(1), um(8), um(2)),
+        ));
+        obj.push(Shape::new(l("metal1"), Rect::new(6_500, 500, 8_500, 2_500)));
+        obj.push(Shape::new(
+            l("contact"),
+            Rect::new(um(1), um(1), um(2), um(2)),
+        ));
+        obj.push(Shape::new(l("metal1"), Rect::new(500, 500, 2_500, 2_500)));
+        let e = Extractor::new(&t);
+        assert_eq!(
+            assert_matches_scan(&e, &obj),
+            [vec![0, 2, 3], vec![0, 4, 5], vec![1]]
+        );
+        let table = e.components(&obj);
+        assert_eq!(table.of(0), [0, 1]);
+        assert_eq!(table.of(4), [1]);
+    }
+
+    /// A contact over a gate-split pdiff and an ndiff picks its device
+    /// layer by the overlapping fragment's area: the pdiff's left half
+    /// (8 µm²) is smaller than the ndiff (10 µm²), though the whole
+    /// pdiff (40 µm²) is larger.
+    #[test]
+    fn a_piece_not_its_shape_decides_the_device_layer() {
+        let t = tech();
+        let l = |name: &str| t.layer(name).unwrap();
+        let mut obj = LayoutObject::new("piece");
+        obj.push(Shape::new(l("pdiff"), Rect::new(0, 0, um(10), um(4))));
+        obj.push(Shape::new(
+            l("poly"),
+            Rect::new(um(2), -um(1), um(3), um(5)),
+        ));
+        obj.push(Shape::new(l("ndiff"), Rect::new(0, 0, 2_500, um(4))));
+        obj.push(Shape::new(l("contact"), Rect::new(500, 500, 1_500, 1_500)));
+        obj.push(Shape::new(l("metal1"), Rect::new(0, 0, um(2), um(2))));
+        let e = Extractor::new(&t);
+        assert_eq!(
+            assert_matches_scan(&e, &obj),
+            [vec![0], vec![0, 3, 4], vec![1], vec![2]]
+        );
     }
 
     #[test]

@@ -3,9 +3,9 @@
 use amgen_core::{GenCtx, Stage};
 use amgen_db::LayoutObject;
 use amgen_geom::Region;
-use amgen_tech::LayerKind;
+use amgen_tech::{Layer, LayerKind};
 
-use crate::connectivity::Extractor;
+use crate::connectivity::{declared_names, Extractor};
 
 /// Parasitics of one extracted net.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,79 +27,88 @@ impl Extractor {
     /// Extracts connectivity and computes parasitics for every net.
     ///
     /// Overlapping same-layer geometry is merged before the capacitance
-    /// integral, so abutting rectangles are not double counted.
+    /// integral, so abutting rectangles are not double counted. The nets
+    /// are the [`components`](Extractor::components) memoised in the
+    /// object's spatial index, in their order, as
+    /// [`connectivity`](Extractor::connectivity) lists them.
     pub fn parasitics(&self, obj: &LayoutObject) -> Vec<NetParasitics> {
-        let nets = self.connectivity(obj);
-        self.parasitics_of(obj, nets)
+        let table = self.components(obj);
+        let _span = self
+            .ctx
+            .span(Stage::Extract, || format!("parasitics:{}", obj.name()));
+        let mut ids = Vec::new();
+        table
+            .iter()
+            .map(|members| {
+                let shapes = members.iter().map(|&i| i as usize).collect();
+                let declared = declared_names(obj, members, &mut ids);
+                self.net_parasitics(obj, shapes, &declared)
+            })
+            .collect()
     }
 
     /// [`parasitics`](Extractor::parasitics) over the linear-scan
     /// connectivity pass, for the byte-identity parity baseline.
     #[doc(hidden)]
     pub fn parasitics_scan(&self, obj: &LayoutObject) -> Vec<NetParasitics> {
-        let nets = self.connectivity_scan(obj);
-        self.parasitics_of(obj, nets)
+        self.connectivity_scan(obj)
+            .into_iter()
+            .map(|net| self.net_parasitics(obj, net.shapes, &net.declared))
+            .collect()
     }
 
-    fn parasitics_of(
+    /// The parasitics of one net with member `shapes` and `declared`
+    /// names.
+    fn net_parasitics(
         &self,
         obj: &LayoutObject,
-        nets: Vec<crate::ExtractedNet>,
-    ) -> Vec<NetParasitics> {
-        let _span = self
-            .ctx
-            .span(Stage::Extract, || format!("parasitics:{}", obj.name()));
+        shapes: Vec<usize>,
+        declared: &[String],
+    ) -> NetParasitics {
         let tech = self.rules();
-        nets.into_iter()
-            .map(|net| {
-                let mut cap = 0.0f64;
-                let mut res = 0.0f64;
-                // Group the member shapes per layer.
-                let mut layers: Vec<amgen_tech::Layer> =
-                    net.shapes.iter().map(|&i| obj.shapes()[i].layer).collect();
-                layers.sort_unstable();
-                layers.dedup();
-                for layer in layers {
-                    if !tech.kind(layer).is_conductor() {
+        let mut cap = 0.0f64;
+        let mut res = 0.0f64;
+        // Group the member shapes per layer.
+        let mut layers: Vec<Layer> = shapes.iter().map(|&i| obj.shapes()[i].layer).collect();
+        layers.sort_unstable();
+        layers.dedup();
+        for layer in layers {
+            if !tech.kind(layer).is_conductor() {
+                continue;
+            }
+            let region: Region = shapes
+                .iter()
+                .map(|&i| &obj.shapes()[i])
+                .filter(|s| s.layer == layer)
+                .map(|s| s.rect)
+                .collect();
+            let cc = tech.cap_coeffs(layer);
+            // Convert du² (nm²) to µm² and du (nm) to µm.
+            let area_um2 = region.area() as f64 / 1e6;
+            let perim_um = region.perimeter() as f64 / 1e3;
+            cap += area_um2 * cc.area_af_per_um2 + perim_um * cc.fringe_af_per_um;
+            if let Some(sheet) = tech.sheet_res_mohm(layer) {
+                for &i in &shapes {
+                    let s = &obj.shapes()[i];
+                    if s.layer != layer {
                         continue;
                     }
-                    let region: Region = net
-                        .shapes
-                        .iter()
-                        .map(|&i| &obj.shapes()[i])
-                        .filter(|s| s.layer == layer)
-                        .map(|s| s.rect)
-                        .collect();
-                    let cc = tech.cap_coeffs(layer);
-                    // Convert du² (nm²) to µm² and du (nm) to µm.
-                    let area_um2 = region.area() as f64 / 1e6;
-                    let perim_um = region.perimeter() as f64 / 1e3;
-                    cap += area_um2 * cc.area_af_per_um2 + perim_um * cc.fringe_af_per_um;
-                    if let Some(sheet) = tech.sheet_res_mohm(layer) {
-                        for &i in &net.shapes {
-                            let s = &obj.shapes()[i];
-                            if s.layer != layer {
-                                continue;
-                            }
-                            let (w, h) = (s.rect.width().max(1), s.rect.height().max(1));
-                            let squares = w.max(h) as f64 / w.min(h) as f64;
-                            res += sheet as f64 * squares;
-                        }
-                    }
+                    let (w, h) = (s.rect.width().max(1), s.rect.height().max(1));
+                    let squares = w.max(h) as f64 / w.min(h) as f64;
+                    res += sheet as f64 * squares;
                 }
-                let name = if net.declared.len() == 1 {
-                    Some(net.declared[0].clone())
-                } else {
-                    None
-                };
-                NetParasitics {
-                    name,
-                    shapes: net.shapes,
-                    cap_af: cap,
-                    res_mohm: res,
-                }
-            })
-            .collect()
+            }
+        }
+        let name = match declared {
+            [name] => Some(name.clone()),
+            _ => None,
+        };
+        NetParasitics {
+            name,
+            shapes,
+            cap_af: cap,
+            res_mohm: res,
+        }
     }
 
     /// Total parasitic capacitance of the layout in attofarads —

@@ -142,8 +142,8 @@ impl CanonParam {
     pub fn object(o: &LayoutObject) -> CanonParam {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         mix_str(&mut h, o.name());
-        for s in o.shapes() {
-            mix(&mut h, o.shape_hash(s));
+        for shape in o.shape_hashes() {
+            mix(&mut h, shape);
         }
         mix(&mut h, 0xa5a5);
         for p in o.ports() {
