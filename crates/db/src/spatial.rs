@@ -5,8 +5,8 @@
 //! *which shapes on layer L come near this window?*, and through its
 //! trees' joins, *which pairs of shapes on layers L and M come within a
 //! distance of each other?* It wraps one packed
-//! [`RectTree`] per populated layer plus one per semantic
-//! [`ShapeRole`] (the latch-up check is role-driven,
+//! [`RectTree`] per populated layer plus one over the substrate contacts
+//! ([`ShapeRole::SubstrateContact`]: the latch-up check is role-driven,
 //! not layer-driven), and caches the whole-object and per-layer bounding
 //! boxes as a side effect of the build.
 //!
@@ -77,7 +77,8 @@ use amgen_tech::{Layer, RuleSet};
 use crate::components::Components;
 use crate::shape::{Shape, ShapeRole};
 
-/// Per-layer and per-role window-query index over one object's shapes.
+/// Per-layer and substrate-contact window-query index over one object's
+/// shapes.
 ///
 /// Obtained from [`LayoutObject::spatial_index`]; see the module docs
 /// for the lifecycle, determinism and candidate-semantics contracts.
@@ -93,7 +94,7 @@ pub struct SpatialIndex {
     /// semantics (empty shape rects are ignored), matching a `bbox_on`
     /// scan.
     bounds: Vec<Rect>,
-    active: RectTree,
+    /// The tree over the substrate contacts.
     substrate: RectTree,
     /// Whole-object bounding box, `union_bbox` semantics.
     bbox: Rect,
@@ -187,10 +188,11 @@ impl SpatialIndex {
     /// identical shapes produce identical trees and query results.
     pub(crate) fn build(shapes: &[Shape]) -> SpatialIndex {
         // Counting pass: a slot per layer in order of first use, with its
-        // entry count and bounds; the role counts; the object's bounds.
+        // entry count and bounds; the substrate contacts; the object's
+        // bounds.
         let mut table = LayerTable::default();
         let mut sizes: Vec<(usize, Rect)> = Vec::new();
-        let (mut actives, mut substrates) = (0, 0);
+        let mut substrates = 0;
         let mut bbox = Rect::EMPTY;
         for s in shapes {
             let k = table.slot(s.layer);
@@ -200,10 +202,8 @@ impl SpatialIndex {
             sizes[k].0 += 1;
             sizes[k].1 = sizes[k].1.union_bbox(&s.rect);
             bbox = bbox.union_bbox(&s.rect);
-            match s.role {
-                ShapeRole::Normal => {}
-                ShapeRole::DeviceActive => actives += 1,
-                ShapeRole::SubstrateContact => substrates += 1,
+            if s.role == ShapeRole::SubstrateContact {
+                substrates += 1;
             }
         }
         // Renumber the slots ascending by handle, the order
@@ -220,22 +220,18 @@ impl SpatialIndex {
             .iter()
             .map(|&k| Vec::with_capacity(sizes[k].0))
             .collect();
-        let mut active = Vec::with_capacity(actives);
         let mut substrate = Vec::with_capacity(substrates);
         for (i, s) in shapes.iter().enumerate() {
             let entry = (s.rect, i as u32);
             lists[table.find(s.layer).expect("a slot per staged layer")].push(entry);
-            match s.role {
-                ShapeRole::Normal => {}
-                ShapeRole::DeviceActive => active.push(entry),
-                ShapeRole::SubstrateContact => substrate.push(entry),
+            if s.role == ShapeRole::SubstrateContact {
+                substrate.push(entry);
             }
         }
         SpatialIndex {
             trees: lists.into_iter().map(RectTree::build).collect(),
             bounds: order.iter().map(|&k| sizes[k].1).collect(),
             table,
-            active: RectTree::build(active),
             substrate: RectTree::build(substrate),
             bbox,
             components: OnceLock::new(),
@@ -249,14 +245,11 @@ impl SpatialIndex {
         self.table.find(layer).map(|k| &self.trees[k])
     }
 
-    /// The tree over one role's shapes ([`ShapeRole::Normal`] is not
-    /// indexed by role — use the layer trees).
-    pub fn role(&self, role: ShapeRole) -> Option<&RectTree> {
-        match role {
-            ShapeRole::Normal => None,
-            ShapeRole::DeviceActive => Some(&self.active),
-            ShapeRole::SubstrateContact => Some(&self.substrate),
-        }
+    /// The tree over the [`ShapeRole::SubstrateContact`] shapes, on every
+    /// layer; the latch-up check's window queries run on it. Payloads are
+    /// indices into the owning object's shape vector.
+    pub fn substrate_contacts(&self) -> &RectTree {
+        &self.substrate
     }
 
     /// The connected components of the shapes under the rule deck with
@@ -401,9 +394,12 @@ mod tests {
         obj.push(Shape::new(pdiff, Rect::new(20, 0, 24, 4)).with_role(ShapeRole::SubstrateContact));
         obj.push(Shape::new(pdiff, Rect::new(40, 0, 50, 10)));
         let ix = obj.spatial_index();
-        assert_eq!(ix.role(ShapeRole::DeviceActive).unwrap().len(), 1);
-        assert_eq!(ix.role(ShapeRole::SubstrateContact).unwrap().len(), 1);
-        assert!(ix.role(ShapeRole::Normal).is_none());
+        assert_eq!(ix.substrate_contacts().len(), 1);
+        assert_eq!(
+            ix.substrate_contacts().query(&Rect::new(-99, -99, 99, 99)),
+            [1],
+            "neither the active nor the normal shape is a substrate contact"
+        );
         let mut pairs = Vec::new();
         ix.layer(pdiff)
             .unwrap()

@@ -9,34 +9,28 @@ use amgen_tech::{Layer, LayerKind, RuleSet};
 use crate::latchup;
 use crate::violation::{Violation, ViolationKind};
 
-/// Cover-rectangle source for the width and gap-fill union tests (and
-/// the enclosure check's fallback and baseline): the spatial index
-/// gathers only the same-layer shapes near the window into a reused
-/// buffer — exact, because a cover that does not overlap the window
-/// cannot cut anything from it — while the scan source passes every
-/// same-layer shape, reproducing the pre-index behaviour for the
-/// equivalence baselines. The cover test's answer is a bool, so the
-/// order of the covers cannot change it.
-enum Candidates {
-    Indexed(Vec<Rect>),
-    Scan,
+/// The kernel's cover test for the width and gap-fill union tests and
+/// the enclosure fallback: `covered(layer, window)` is true if the shapes
+/// on `layer` cover `window`. The spatial index gathers only the shapes
+/// near the window into a reused buffer — exact, because a cover that
+/// does not overlap the window cannot cut anything from it. The answer is
+/// a bool, so the order of the covers cannot change it.
+fn cover_test(obj: &LayoutObject) -> impl FnMut(Layer, &Rect) -> bool + '_ {
+    let ix = obj.spatial_index();
+    let mut covers = Vec::new();
+    move |layer, window| {
+        covers.clear();
+        if let Some(t) = ix.layer(layer) {
+            t.for_each_candidate(window, |_, r| covers.push(*r));
+        }
+        Region::from_rect(*window).covered_by(covers.iter().copied())
+    }
 }
 
-impl Candidates {
-    /// True if the same-layer shapes cover `window`.
-    fn covered(&mut self, obj: &LayoutObject, layer: Layer, window: &Rect) -> bool {
-        let region = Region::from_rect(*window);
-        match self {
-            Candidates::Indexed(covers) => {
-                covers.clear();
-                if let Some(t) = obj.spatial_index().layer(layer) {
-                    t.for_each_candidate(window, |_, r| covers.push(*r));
-                }
-                region.covered_by(covers.iter().copied())
-            }
-            Candidates::Scan => region.covered_by(obj.shapes_on(layer).map(|s| s.rect)),
-        }
-    }
+/// The `*_scan` baselines' cover test: every shape on the layer is a
+/// cover, as before the index.
+fn cover_test_scan(obj: &LayoutObject) -> impl FnMut(Layer, &Rect) -> bool + '_ {
+    |layer, window| Region::from_rect(*window).covered_by(obj.shapes_on(layer).map(|s| s.rect))
 }
 
 /// The design-rule checker, bound to one generation context.
@@ -223,16 +217,20 @@ impl Drc {
 
     /// Minimum width / exact cut size per shape.
     pub fn check_widths(&self, obj: &LayoutObject) -> Vec<Violation> {
-        self.widths_impl(obj, Candidates::Indexed(Vec::new()))
+        self.widths_impl(obj, cover_test(obj))
     }
 
     /// Linear-scan baseline of [`check_widths`](Drc::check_widths).
     #[doc(hidden)]
     pub fn check_widths_scan(&self, obj: &LayoutObject) -> Vec<Violation> {
-        self.widths_impl(obj, Candidates::Scan)
+        self.widths_impl(obj, cover_test_scan(obj))
     }
 
-    fn widths_impl(&self, obj: &LayoutObject, mut covers: Candidates) -> Vec<Violation> {
+    fn widths_impl(
+        &self,
+        obj: &LayoutObject,
+        mut covered: impl FnMut(Layer, &Rect) -> bool,
+    ) -> Vec<Violation> {
         self.ctx.metrics.add_drc_checks(1);
         let mut out = Vec::new();
         for s in obj.shapes() {
@@ -255,7 +253,7 @@ impl Drc {
             }
             let w = self.ctx.min_width(s.layer);
             let min_dim = s.rect.width().min(s.rect.height());
-            if w > 0 && min_dim < w && !self.widened_is_covered(obj, s, w, &mut covers) {
+            if w > 0 && min_dim < w && !self.widened_is_covered(s, w, &mut covered) {
                 out.push(Violation {
                     kind: ViolationKind::Width,
                     rect: s.rect,
@@ -272,10 +270,9 @@ impl Drc {
     /// inserts between two wide diffusion areas).
     fn widened_is_covered(
         &self,
-        obj: &LayoutObject,
         s: &Shape,
         min_w: Coord,
-        covers: &mut Candidates,
+        covered: &mut impl FnMut(Layer, &Rect) -> bool,
     ) -> bool {
         let r = s.rect;
         let narrow_x = r.width() < r.height();
@@ -302,9 +299,7 @@ impl Drc {
                 ),
             ]
         };
-        candidates
-            .iter()
-            .any(|window| covers.covered(obj, s.layer, window))
+        candidates.iter().any(|window| covered(s.layer, window))
     }
 
     /// Spacing between disconnected shape pairs and same-layer shorts.
@@ -339,13 +334,13 @@ impl Drc {
         let comp = Extractor::new(&self.ctx).components(obj);
         let same = |i, j| comp.share(i, j);
         let joins = obj.spatial_index().joins(self.rules());
-        let mut covers = Candidates::Indexed(Vec::new());
+        let mut covered = cover_test(obj);
         let (mut found, mut one) = (Vec::new(), Vec::new());
         for &(a, b, _) in self.ctx.signoff_plan() {
             if self.ctx.min_spacing(a, b).is_some_and(|rule| rule > 0) {
                 for (i, j) in joins.between(a, b) {
                     let (i, j) = (i.min(j) as usize, i.max(j) as usize);
-                    self.spacing_pair(obj, same, i, j, &mut covers, &mut one);
+                    self.spacing_pair(obj, same, i, j, &mut covered, &mut one);
                     found.extend(one.drain(..).map(|v| ((i, j), v)));
                 }
             }
@@ -374,9 +369,10 @@ impl Drc {
             }
         }
         let same = |i: usize, j: usize| comp[i].iter().any(|c| comp[j].contains(c));
+        let mut covered = cover_test_scan(obj);
         for i in 0..obj.shapes().len() {
             for j in (i + 1)..obj.shapes().len() {
-                self.spacing_pair(obj, same, i, j, &mut Candidates::Scan, &mut out);
+                self.spacing_pair(obj, same, i, j, &mut covered, &mut out);
             }
         }
         out
@@ -393,7 +389,7 @@ impl Drc {
         same_component: impl Fn(usize, usize) -> bool,
         i: usize,
         j: usize,
-        covers: &mut Candidates,
+        covered: &mut impl FnMut(Layer, &Rect) -> bool,
         out: &mut Vec<Violation>,
     ) {
         let a = &obj.shapes()[i];
@@ -460,7 +456,7 @@ impl Drc {
                 })
             };
             match between {
-                Some(bx) => covers.covered(obj, a.layer, &bx),
+                Some(bx) => covered(a.layer, &bx),
                 None => false,
             }
         };
@@ -526,7 +522,7 @@ impl Drc {
             }
         }
         let mut memo: Vec<(Layer, bool)> = Vec::new();
-        let mut covers = Candidates::Indexed(Vec::new());
+        let mut covered = cover_test(obj);
         let mut out = Vec::new();
         for (i, s) in shapes.iter().enumerate() {
             if self.ctx.kind(s.layer) != LayerKind::Cut {
@@ -537,11 +533,9 @@ impl Drc {
             if pairs.is_empty() || pairs.iter().any(|&(x, y)| contained(x) && contained(y)) {
                 continue;
             }
-            let covered = |layer: Layer| {
-                let w = s.rect.inflated(self.ctx.enclosure(layer, s.layer));
-                covers.covered(obj, layer, &w)
-            };
-            if !any_pair(pairs, &mut memo, covered) {
+            let encloses =
+                |layer: Layer| covered(layer, &s.rect.inflated(self.ctx.enclosure(layer, s.layer)));
+            if !any_pair(pairs, &mut memo, encloses) {
                 out.push(self.enclosure_violation(s));
             }
         }
@@ -553,6 +547,7 @@ impl Drc {
     #[doc(hidden)]
     pub fn check_enclosures_scan(&self, obj: &LayoutObject) -> Vec<Violation> {
         self.ctx.metrics.add_drc_checks(1);
+        let mut covered = cover_test_scan(obj);
         let mut out = Vec::new();
         for s in obj.shapes() {
             if self.ctx.kind(s.layer) != LayerKind::Cut {
@@ -562,9 +557,9 @@ impl Drc {
             if pairs.is_empty() {
                 continue;
             }
-            let enclosed_by = |layer: Layer, shape: &Shape| -> bool {
+            let mut enclosed_by = |layer: Layer, shape: &Shape| -> bool {
                 let margin = self.ctx.enclosure(layer, s.layer);
-                Candidates::Scan.covered(obj, layer, &shape.rect.inflated(margin))
+                covered(layer, &shape.rect.inflated(margin))
             };
             let ok = pairs
                 .iter()

@@ -59,26 +59,34 @@ pub fn latchup_remainder(ctx: &GenCtx, obj: &LayoutObject) -> Region {
 /// coverage rectangle from the global active region, in shape order.
 /// Kept as the reference the indexed path is equivalence-tested against.
 ///
-/// The indexed path is byte-identical because `subtract_rect` replaces
-/// each fragment by its remainder pieces *in place*: fragments of one
-/// active rectangle stay contiguous and in source order for the whole
-/// pass, a cover that does not overlap a fragment maps it to itself, and
-/// the global early exit only skips covers that could no longer change
+/// The indexed path is byte-identical because each cover replaces every
+/// fragment by its remainder pieces *in place*: fragments of one active
+/// rectangle stay contiguous and in source order for the whole pass, a
+/// cover that does not overlap a fragment maps it to itself, and the
+/// global early exit only skips covers that could no longer change
 /// anything. Folding each active rectangle independently over the same
 /// cover order therefore produces the same final rectangle sequence.
+///
+/// The pass keeps its own allocating loop over [`Rect::subtract`] rather
+/// than [`Region::subtract_rect`], so the baseline shares no code with
+/// the indexed path beyond the 16 cases.
 #[doc(hidden)]
 pub fn latchup_remainder_scan(ctx: &GenCtx, obj: &LayoutObject) -> Region {
-    let mut remaining = active_region(obj);
     if ctx.latchup_distance() == 0 {
         return Region::new();
     }
+    let mut remaining = active_region(obj).rects().to_vec();
     for cover in coverage_rects(ctx, obj) {
-        remaining.subtract_rect(cover);
+        let mut next = Vec::with_capacity(remaining.len());
+        for r in &remaining {
+            next.extend(r.subtract(&cover));
+        }
+        remaining = next;
         if remaining.is_empty() {
             break;
         }
     }
-    remaining
+    Region::from_rects(remaining)
 }
 
 /// Index-backed latch-up: for each active rectangle, query the contacts
@@ -88,14 +96,11 @@ pub fn latchup_remainder_scan(ctx: &GenCtx, obj: &LayoutObject) -> Region {
 /// in shape order.
 fn latchup_remainder_indexed(d: Coord, obj: &LayoutObject) -> Region {
     let ix = obj.spatial_index();
-    let contacts = ix
-        .role(ShapeRole::SubstrateContact)
-        .expect("role is indexed");
+    let contacts = ix.substrate_contacts();
     let shapes = obj.shapes();
     let mut out = Region::new();
     let mut cand: Vec<u32> = Vec::new();
-    let mut frags: Vec<Rect> = Vec::new();
-    let mut next: Vec<Rect> = Vec::new();
+    let mut frags = Region::new();
     for s in shapes {
         if s.role != ShapeRole::DeviceActive || s.rect.is_empty() {
             continue;
@@ -113,17 +118,12 @@ fn latchup_remainder_indexed(d: Coord, obj: &LayoutObject) -> Region {
         frags.clear();
         frags.push(a);
         for &j in &cand {
-            let cover = shapes[j as usize].rect.inflated(d);
-            next.clear();
-            for f in &frags {
-                next.extend(f.subtract(&cover));
-            }
-            std::mem::swap(&mut frags, &mut next);
+            frags.subtract_rect(shapes[j as usize].rect.inflated(d));
             if frags.is_empty() {
                 break;
             }
         }
-        for f in &frags {
+        for f in frags.rects() {
             out.push(*f);
         }
     }

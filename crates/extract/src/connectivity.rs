@@ -5,7 +5,7 @@ use std::ops::Range;
 
 use amgen_core::{GenCtx, Stage};
 use amgen_db::{Components, DisjointSets, LayoutObject, NetId, PlanPairs, Shape};
-use amgen_geom::Rect;
+use amgen_geom::{Rect, Region};
 use amgen_tech::{Layer, LayerKind, RuleSet};
 
 /// One electrically connected component of a layout.
@@ -84,20 +84,16 @@ impl Pieces {
             first: vec![0],
             rects: Vec::new(),
         };
-        let mut next = Vec::new();
+        let mut pieces = Region::new();
         for run in gated.chunk_by(|a, b| a.0 == b.0) {
             let d = run[0].0 as usize;
             out.split[d / 64] |= 1 << (d % 64);
-            let start = out.rects.len();
-            out.rects.push(shapes[d].rect);
+            pieces.clear();
+            pieces.push(shapes[d].rect);
             for &(_, g) in run {
-                next.clear();
-                for p in &out.rects[start..] {
-                    next.extend(p.subtract(&shapes[g as usize].rect));
-                }
-                out.rects.truncate(start);
-                out.rects.extend_from_slice(&next);
+                pieces.subtract_rect(shapes[g as usize].rect);
             }
+            out.rects.extend_from_slice(pieces.rects());
             out.first.push(out.rects.len() as u32);
         }
         let mut below = 0;

@@ -48,6 +48,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use amgen_tech::{RuleSet, Tech};
+pub use amgen_trace::chrome::push_json_string;
 pub use amgen_trace::Detail;
 pub use amgen_trace::{name, Name};
 use amgen_trace::{ArgValue, Span, TraceSink};

@@ -3,7 +3,9 @@
 //! [`Region`] implements the data structure behind the paper's latch-up
 //! rule check (Fig. 1): a list of "solid" rectangles from which enclosing
 //! "temporary" rectangles are subtracted one by one; the rule is fulfilled
-//! when nothing remains.
+//! when nothing remains. That one subtraction step
+//! ([`Region::subtract_rect`]) serves every consumer of the geometry
+//! core, and one slab sweep measures a region's area and perimeter.
 
 use crate::coord::Coord;
 use crate::rect::Rect;
@@ -43,6 +45,11 @@ impl Region {
         }
     }
 
+    /// Removes every rectangle, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.rects.clear();
+    }
+
     /// The stored rectangles.
     pub fn rects(&self) -> &[Rect] {
         &self.rects
@@ -66,188 +73,90 @@ impl Region {
     }
 
     /// Exact covered area, counting overlapping parts once.
-    ///
-    /// Uses a coordinate-compressed sweep; cost is O(n² log n) which is
-    /// ample for module-sized rectangle counts.
     pub fn area(&self) -> i128 {
-        if self.rects.is_empty() {
-            return 0;
-        }
-        let mut xs: Vec<Coord> = Vec::with_capacity(self.rects.len() * 2);
-        for r in &self.rects {
-            xs.push(r.x0);
-            xs.push(r.x1);
-        }
-        xs.sort_unstable();
-        xs.dedup();
-        let mut total: i128 = 0;
-        for w in xs.windows(2) {
-            let (x0, x1) = (w[0], w[1]);
-            if x0 == x1 {
-                continue;
-            }
-            // Union of y-intervals of rects spanning this slab.
-            let mut ys: Vec<(Coord, Coord)> = self
-                .rects
-                .iter()
-                .filter(|r| r.x0 <= x0 && r.x1 >= x1)
-                .map(|r| (r.y0, r.y1))
-                .collect();
-            ys.sort_unstable();
-            let mut covered: i128 = 0;
-            let mut cur: Option<(Coord, Coord)> = None;
-            for (lo, hi) in ys {
-                match cur {
-                    None => cur = Some((lo, hi)),
-                    Some((clo, chi)) => {
-                        if lo > chi {
-                            covered += (chi - clo) as i128;
-                            cur = Some((lo, hi));
-                        } else {
-                            cur = Some((clo, chi.max(hi)));
-                        }
-                    }
-                }
-            }
-            if let Some((clo, chi)) = cur {
-                covered += (chi - clo) as i128;
-            }
-            total += covered * (x1 - x0) as i128;
-        }
-        total
+        self.sweep().0
     }
 
     /// Exact perimeter of the covered area (outer + hole boundaries),
     /// counting overlapping parts once.
-    ///
-    /// Implemented by coordinate compression: the plane is cut into cells
-    /// by all rectangle edges; every cell boundary between a covered and
-    /// an uncovered cell contributes its length.
     pub fn perimeter(&self) -> i128 {
-        if self.rects.is_empty() {
-            return 0;
-        }
-        let mut xs: Vec<Coord> = Vec::new();
-        let mut ys: Vec<Coord> = Vec::new();
-        for r in &self.rects {
-            xs.extend([r.x0, r.x1]);
-            ys.extend([r.y0, r.y1]);
-        }
+        self.sweep().1
+    }
+
+    /// The coordinate-compressed slab sweep behind [`area`](Region::area)
+    /// and [`perimeter`](Region::perimeter), as `(area, perimeter)`.
+    ///
+    /// The rectangles' x-edges cut the plane into slabs, inside which the
+    /// region is a set of maximal y-intervals. A slab adds its covered
+    /// length times its width to the area, and twice its width per
+    /// interval to the perimeter (the horizontal edges); each breakpoint
+    /// adds the length of the symmetric difference of the y-sets on its
+    /// two sides (the vertical edges). Any decomposition of the same
+    /// point set therefore measures the same. Each slab filters every
+    /// rectangle, O(n² log n) in all, which is ample for module-sized and
+    /// per-net rectangle counts.
+    fn sweep(&self) -> (i128, i128) {
+        let mut xs: Vec<Coord> = self.rects.iter().flat_map(|r| [r.x0, r.x1]).collect();
         xs.sort_unstable();
         xs.dedup();
-        ys.sort_unstable();
-        ys.dedup();
-        let nx = xs.len() - 1;
-        let ny = ys.len() - 1;
-        // covered[i][j] for cell (xs[i]..xs[i+1]) x (ys[j]..ys[j+1]).
-        let mut covered = vec![false; nx * ny];
-        for r in &self.rects {
-            let i0 = xs.binary_search(&r.x0).expect("edge is a breakpoint");
-            let i1 = xs.binary_search(&r.x1).expect("edge is a breakpoint");
-            let j0 = ys.binary_search(&r.y0).expect("edge is a breakpoint");
-            let j1 = ys.binary_search(&r.y1).expect("edge is a breakpoint");
-            for i in i0..i1 {
-                for j in j0..j1 {
-                    covered[i * ny + j] = true;
-                }
+        let (mut area, mut perimeter) = (0, 0);
+        // The y-sets of the slabs left and right of the breakpoint.
+        let (mut left, mut right) = (Vec::new(), Vec::new());
+        for (k, &x) in xs.iter().enumerate() {
+            right.clear();
+            if let Some(&x1) = xs.get(k + 1) {
+                // Every edge is a breakpoint, so a rectangle either spans
+                // the slab or misses it.
+                right.extend(
+                    self.rects
+                        .iter()
+                        .filter(|r| r.x0 <= x && r.x1 >= x1)
+                        .map(|r| (r.y0, r.y1)),
+                );
+                merge_intervals(&mut right);
+                let w = (x1 - x) as i128;
+                area += w * length(&right);
+                perimeter += 2 * w * right.len() as i128;
             }
+            perimeter += length(&left) + length(&right) - 2 * overlap(&left, &right);
+            std::mem::swap(&mut left, &mut right);
         }
-        let cell = |i: isize, j: isize| -> bool {
-            if i < 0 || j < 0 || i as usize >= nx || j as usize >= ny {
-                false
-            } else {
-                covered[i as usize * ny + j as usize]
-            }
-        };
-        let mut total: i128 = 0;
-        for i in 0..nx as isize {
-            for j in 0..ny as isize {
-                if !cell(i, j) {
-                    continue;
-                }
-                let w = (xs[i as usize + 1] - xs[i as usize]) as i128;
-                let h = (ys[j as usize + 1] - ys[j as usize]) as i128;
-                if !cell(i - 1, j) {
-                    total += h;
-                }
-                if !cell(i + 1, j) {
-                    total += h;
-                }
-                if !cell(i, j - 1) {
-                    total += w;
-                }
-                if !cell(i, j + 1) {
-                    total += w;
-                }
-            }
-        }
-        total
+        (area, perimeter)
     }
 
     /// Subtracts one rectangle from every stored rectangle, replacing each
     /// by its remainders — the paper's *"only the overlapping part is cut
     /// while the remaining part of the rectangle is still stored in the
-    /// database"*.
+    /// database"*. This is the one subtraction step of the geometry core.
+    ///
+    /// Works in place, with no allocation per fragment: the rectangles
+    /// come out exactly as `rects().iter().flat_map(|r| r.subtract(&cutter))`
+    /// would list them — each rectangle's remainders in
+    /// [`Rect::subtract`]'s order, the rectangles in their order. The
+    /// latch-up check's byte-identity rests on that order.
     pub fn subtract_rect(&mut self, cutter: Rect) {
-        if cutter.is_empty() {
+        // The rectangles before the first one the cutter overlaps keep
+        // their places. From there on, each rectangle appends its
+        // remainders to the end, and draining the originals closes the
+        // gap in order.
+        let Some(first) = self.rects.iter().position(|r| r.overlaps(&cutter)) else {
             return;
+        };
+        let n = self.rects.len();
+        for i in first..n {
+            let r = self.rects[i];
+            r.subtract_into(&cutter, &mut self.rects);
         }
-        let mut out = Vec::with_capacity(self.rects.len());
-        for r in self.rects.drain(..) {
-            out.extend(r.subtract(&cutter));
-        }
-        self.rects = out;
-    }
-
-    /// Subtracts every rectangle of `other`.
-    ///
-    /// Small operand pairs run the classic sequential 16-case
-    /// subtraction (allocation-light, fastest at module scale); larger
-    /// ones run the banded x-sweep. The two paths cover the identical
-    /// point set but may decompose the remainder into different
-    /// rectangle lists — only set semantics are part of the contract.
-    pub fn subtract_region(&mut self, other: &Region) {
-        if self.rects.is_empty() || other.rects.is_empty() {
-            return;
-        }
-        if self.rects.len().saturating_mul(other.rects.len()) <= BAND_THRESHOLD {
-            self.subtract_region_allpairs(other);
-        } else {
-            self.subtract_region_banded(other);
-        }
-    }
-
-    /// The pre-index all-pairs subtraction: one [`subtract_rect`]
-    /// (16-case) pass per cutter. Kept public (hidden) as the reference
-    /// implementation the banded path is property-tested against.
-    ///
-    /// [`subtract_rect`]: Region::subtract_rect
-    #[doc(hidden)]
-    pub fn subtract_region_allpairs(&mut self, other: &Region) {
-        for c in &other.rects {
-            self.subtract_rect(*c);
-            if self.rects.is_empty() {
-                return;
-            }
-        }
-    }
-
-    /// Banded subtraction: sweep the x-breakpoints of both operands and
-    /// do one-dimensional interval arithmetic per band, coalescing
-    /// x-adjacent bands with identical column footprints. Replaces the
-    /// all-pairs cascade for chip-scale operands; output is disjoint,
-    /// ordered left-to-right then bottom-to-top.
-    #[doc(hidden)]
-    pub fn subtract_region_banded(&mut self, other: &Region) {
-        self.rects = band_subtract(&self.rects, &other.rects, false);
+        self.rects.drain(first..n);
     }
 
     /// True if the given cover rectangles jointly contain every rectangle
     /// of this region — the latch-up cover test of Fig. 1.
     ///
-    /// Dispatches like [`subtract_region`](Region::subtract_region):
-    /// all-pairs subtraction for small inputs, banded sweep at scale.
-    /// The result is a pure set predicate, identical on both paths.
+    /// Streams the covers through [`subtract_rect`](Region::subtract_rect)
+    /// on one copy of the region and stops at the first cover that leaves
+    /// nothing. The answer is a set predicate, so the order of the covers
+    /// cannot change it.
     ///
     /// # Example
     /// ```
@@ -257,49 +166,19 @@ impl Region {
     /// assert!(!active.covered_by([Rect::new(0, 0, 5, 2)]));
     /// ```
     pub fn covered_by<I: IntoIterator<Item = Rect>>(&self, covers: I) -> bool {
-        if self.rects.is_empty() {
-            return true;
-        }
-        let covers: Vec<Rect> = covers.into_iter().collect();
-        if self.rects.len().saturating_mul(covers.len()) <= BAND_THRESHOLD {
-            self.covered_by_allpairs(covers)
-        } else {
-            self.covered_by_banded(&covers)
-        }
-    }
-
-    /// The pre-index cover test: clone and subtract covers one by one.
-    /// Reference implementation for the banded path's property tests.
-    #[doc(hidden)]
-    pub fn covered_by_allpairs<I: IntoIterator<Item = Rect>>(&self, covers: I) -> bool {
-        let mut remaining = self.clone();
+        let mut rest = self.clone();
         for c in covers {
-            remaining.subtract_rect(c);
-            if remaining.is_empty() {
-                return true;
+            if rest.is_empty() {
+                break;
             }
+            rest.subtract_rect(c);
         }
-        remaining.is_empty()
-    }
-
-    /// Banded cover test: the x-sweep of
-    /// [`subtract_region_banded`](Region::subtract_region_banded) with an
-    /// early exit on the first uncovered band.
-    #[doc(hidden)]
-    pub fn covered_by_banded(&self, covers: &[Rect]) -> bool {
-        band_subtract(&self.rects, covers, true).is_empty()
+        rest.is_empty()
     }
 
     /// True if any stored rectangle overlaps `r`.
     pub fn intersects(&self, r: &Rect) -> bool {
         self.rects.iter().any(|s| s.overlaps(r))
-    }
-
-    /// Translates the whole region.
-    pub fn translated(&self, v: crate::point::Vector) -> Region {
-        Region {
-            rects: self.rects.iter().map(|r| r.translated(v)).collect(),
-        }
     }
 
     /// Merges abutting/overlapping rectangles where possible by repeated
@@ -327,149 +206,36 @@ impl Region {
     }
 }
 
-/// Operand-size product up to which the sequential 16-case path beats
-/// the banded sweep (no event sort, no interval buffers).
-const BAND_THRESHOLD: usize = 256;
-
-/// One x-sweep event: a rectangle's y-interval entering (`open`) or
-/// leaving the active set at `x`, on the solid or the cutter side.
-#[derive(Clone, Copy)]
-struct Ev {
-    x: Coord,
-    open: bool,
-    solid: bool,
-    y0: Coord,
-    y1: Coord,
+/// Sorts half-open intervals and merges the overlapping and touching
+/// ones (`[a,b) ∪ [b,c) = [a,c)`) in place.
+fn merge_intervals(ys: &mut Vec<(Coord, Coord)>) {
+    ys.sort_unstable();
+    ys.dedup_by(|(lo, hi), prev| {
+        let joins = *lo <= prev.1;
+        if joins {
+            prev.1 = prev.1.max(*hi);
+        }
+        joins
+    });
 }
 
-/// Sorted union of a multiset of half-open intervals (touching intervals
-/// merge — `[a,b) ∪ [b,c) = [a,c)`).
-fn union_intervals(v: &[(Coord, Coord)]) -> Vec<(Coord, Coord)> {
-    let mut s = v.to_vec();
-    s.sort_unstable();
-    let mut out: Vec<(Coord, Coord)> = Vec::with_capacity(s.len());
-    for (lo, hi) in s {
-        match out.last_mut() {
-            Some((_, phi)) if lo <= *phi => *phi = (*phi).max(hi),
-            _ => out.push((lo, hi)),
-        }
-    }
-    out
+/// The total length of sorted disjoint intervals.
+fn length(ys: &[(Coord, Coord)]) -> i128 {
+    ys.iter().map(|&(lo, hi)| (hi - lo) as i128).sum()
 }
 
-/// `su − cu` for two sorted disjoint interval lists.
-fn subtract_intervals(su: &[(Coord, Coord)], cu: &[(Coord, Coord)]) -> Vec<(Coord, Coord)> {
-    let mut out = Vec::new();
-    let mut ci = 0;
-    for &(lo, hi) in su {
-        let mut lo = lo;
-        while ci < cu.len() && cu[ci].1 <= lo {
-            ci += 1;
-        }
-        let mut cj = ci;
-        while lo < hi && cj < cu.len() && cu[cj].0 < hi {
-            let (clo, chi) = cu[cj];
-            if clo > lo {
-                out.push((lo, clo.min(hi)));
-            }
-            lo = lo.max(chi);
-            cj += 1;
-        }
-        if lo < hi {
-            out.push((lo, hi));
-        }
-    }
-    out
-}
-
-/// The banded sweep: `solid − cutters` as a disjoint rectangle list.
-///
-/// Both operands' x-edges cut the plane into vertical bands; inside one
-/// band every rectangle is just a y-interval, so the subtraction is
-/// one-dimensional. Bands whose column footprint matches the previous
-/// band coalesce back into wide rectangles. With `stop_early`, returns a
-/// single witness rectangle as soon as any band has a remainder (the
-/// cover test needs only emptiness).
-fn band_subtract(solid: &[Rect], cutters: &[Rect], stop_early: bool) -> Vec<Rect> {
-    if solid.is_empty() {
-        return Vec::new();
-    }
-    let hull = solid.iter().fold(solid[0], |a, r| a.union_bbox(r));
-    let mut evs: Vec<Ev> = Vec::with_capacity(2 * (solid.len() + cutters.len()));
-    let push_rect = |evs: &mut Vec<Ev>, r: &Rect, solid: bool| {
-        evs.push(Ev {
-            x: r.x0,
-            open: true,
-            solid,
-            y0: r.y0,
-            y1: r.y1,
-        });
-        evs.push(Ev {
-            x: r.x1,
-            open: false,
-            solid,
-            y0: r.y0,
-            y1: r.y1,
-        });
-    };
-    for r in solid {
-        push_rect(&mut evs, r, true);
-    }
-    for c in cutters {
-        // Cutters that miss the solid hull can only add breakpoints.
-        if c.overlaps(&hull) {
-            push_rect(&mut evs, c, false);
-        }
-    }
-    evs.sort_unstable_by_key(|e| e.x);
-    let mut act_s: Vec<(Coord, Coord)> = Vec::new();
-    let mut act_c: Vec<(Coord, Coord)> = Vec::new();
-    let mut out: Vec<Rect> = Vec::new();
-    // The open run of bands sharing one column footprint.
-    let mut run: Vec<(Coord, Coord)> = Vec::new();
-    let (mut run_x0, mut run_x1) = (0, 0);
-    let flush = |out: &mut Vec<Rect>, run: &[(Coord, Coord)], x0: Coord, x1: Coord| {
-        out.extend(run.iter().map(|&(lo, hi)| Rect::new(x0, lo, x1, hi)));
-    };
-    let mut i = 0;
-    while i < evs.len() {
-        let x = evs[i].x;
-        while i < evs.len() && evs[i].x == x {
-            let e = evs[i];
+/// The length of the intersection of two sorted disjoint interval lists.
+fn overlap(a: &[(Coord, Coord)], b: &[(Coord, Coord)]) -> i128 {
+    let (mut i, mut j, mut total) = (0, 0, 0);
+    while let (Some(&(alo, ahi)), Some(&(blo, bhi))) = (a.get(i), b.get(j)) {
+        total += (ahi.min(bhi) - alo.max(blo)).max(0) as i128;
+        if ahi < bhi {
             i += 1;
-            let set = if e.solid { &mut act_s } else { &mut act_c };
-            if e.open {
-                set.push((e.y0, e.y1));
-            } else {
-                let p = set
-                    .iter()
-                    .position(|&iv| iv == (e.y0, e.y1))
-                    .expect("interval was opened");
-                set.swap_remove(p);
-            }
-        }
-        let Some(next) = evs.get(i) else { break };
-        let ys = if act_s.is_empty() {
-            Vec::new()
         } else {
-            subtract_intervals(&union_intervals(&act_s), &union_intervals(&act_c))
-        };
-        if stop_early {
-            if let Some(&(lo, hi)) = ys.first() {
-                return vec![Rect::new(x, lo, next.x, hi)];
-            }
-        }
-        if ys == run && run_x1 == x {
-            run_x1 = next.x;
-        } else {
-            flush(&mut out, &run, run_x0, run_x1);
-            run = ys;
-            run_x0 = x;
-            run_x1 = next.x;
+            j += 1;
         }
     }
-    flush(&mut out, &run, run_x0, run_x1);
-    out
+    total
 }
 
 /// Merges two rectangles when one contains the other or their union is an
@@ -610,84 +376,44 @@ mod tests {
     }
 
     #[test]
-    fn subtract_region_empties_when_fully_covered() {
-        let mut reg = Region::from_rect(Rect::new(0, 0, 4, 4));
-        let cover = Region::from_rects([Rect::new(0, 0, 2, 4), Rect::new(2, 0, 4, 4)]);
-        reg.subtract_region(&cover);
-        assert!(reg.is_empty());
-    }
-
-    /// Deterministic pseudo-random rectangles for path-equivalence tests.
-    fn random_region(n: usize, seed: u64) -> Region {
-        let mut s = seed | 1;
-        let mut next = || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            (s % 41) as Coord
-        };
-        Region::from_rects((0..n).map(|_| {
-            let (x, y, w, h) = (next(), next(), 1 + next() % 12, 1 + next() % 12);
-            Rect::new(x, y, x + w, y + h)
-        }))
-    }
-
-    fn membership_grid(a: &Region, b: &Region) {
-        use crate::point::Point;
-        let hull = a.bbox().union_bbox(&b.bbox()).inflated(1);
-        for x in hull.x0..hull.x1 {
-            for y in hull.y0..hull.y1 {
-                let p = Point::new(x, y);
-                let ia = a.rects().iter().any(|r| r.contains_point(p));
-                let ib = b.rects().iter().any(|r| r.contains_point(p));
-                assert_eq!(ia, ib, "membership differs at ({x},{y})");
-            }
-        }
+    fn subtract_keeps_fragment_and_remainder_order() {
+        let mut reg = Region::from_rects([
+            Rect::new(0, 0, 4, 4),
+            Rect::new(10, 0, 20, 10),
+            Rect::new(30, 0, 34, 4),
+            Rect::new(12, 2, 14, 4),
+        ]);
+        let cutter = Rect::new(12, 4, 16, 6);
+        let expected: Vec<Rect> = reg
+            .rects()
+            .iter()
+            .flat_map(|r| r.subtract(&cutter))
+            .collect();
+        reg.subtract_rect(cutter);
+        assert_eq!(reg.rects(), expected.as_slice());
+        assert_eq!(reg.rects()[0], Rect::new(0, 0, 4, 4), "untouched prefix");
+        assert_eq!(reg.len(), 3 + 4);
     }
 
     #[test]
-    fn banded_subtract_matches_allpairs() {
-        for seed in 0..12u64 {
-            let solid = random_region(10 + seed as usize, 100 + seed);
-            let cutters = random_region(8 + seed as usize, 500 + seed);
-            let mut naive = solid.clone();
-            naive.subtract_region_allpairs(&cutters);
-            let mut banded = solid.clone();
-            banded.subtract_region_banded(&cutters);
-            assert_eq!(naive.area(), banded.area(), "seed {seed}");
-            membership_grid(&naive, &banded);
-            assert_eq!(
-                solid.covered_by_banded(cutters.rects()),
-                solid.covered_by_allpairs(cutters.rects().iter().copied()),
-                "cover test differs, seed {seed}"
-            );
-        }
+    fn subtract_by_empty_or_disjoint_cutter_changes_nothing() {
+        let rects = [Rect::new(0, 0, 4, 4), Rect::new(8, 0, 12, 4)];
+        let mut reg = Region::from_rects(rects);
+        reg.subtract_rect(Rect::EMPTY);
+        reg.subtract_rect(Rect::new(4, 0, 8, 4));
+        assert_eq!(reg.rects(), &rects);
     }
 
     #[test]
-    fn banded_output_is_disjoint() {
-        let solid = random_region(20, 9);
-        let cutters = random_region(6, 77);
-        let mut banded = solid.clone();
-        banded.subtract_region_banded(&cutters);
-        for (i, a) in banded.rects().iter().enumerate() {
-            for b in &banded.rects()[i + 1..] {
-                assert!(
-                    !a.overlaps(b),
-                    "banded output must be disjoint: {a:?} vs {b:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn banded_handles_touching_cutters() {
-        // A cutter that only abuts must not cut (interior semantics).
-        let solid = Region::from_rect(Rect::new(0, 0, 10, 10));
-        let mut banded = solid.clone();
-        banded.subtract_region_banded(&Region::from_rect(Rect::new(10, 0, 20, 10)));
-        assert_eq!(banded.area(), 100);
-        assert!(solid.covered_by_banded(&[Rect::new(0, 0, 10, 10)]));
-        assert!(!solid.covered_by_banded(&[Rect::new(0, 0, 10, 9)]));
+    fn ring_counts_its_hole_in_the_perimeter() {
+        // A 10x10 square with a 2x2 hole, drawn as four bars.
+        let reg = Region::from_rects([
+            Rect::new(0, 0, 10, 4),
+            Rect::new(0, 6, 10, 10),
+            Rect::new(0, 4, 4, 6),
+            Rect::new(6, 4, 10, 6),
+        ]);
+        assert_eq!(reg.area(), 100 - 4);
+        assert_eq!(reg.perimeter(), 40 + 8);
     }
 }

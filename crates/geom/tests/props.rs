@@ -8,6 +8,11 @@ fn arb_rect() -> impl Strategy<Value = Rect> {
         .prop_map(|(x, y, w, h)| Rect::new(x, y, x + w, y + h))
 }
 
+/// A rect on a small grid, so that random rects touch, nest and overlap.
+fn arb_small_rect() -> impl Strategy<Value = Rect> {
+    (0i64..20, 0i64..20, 1i64..10, 1i64..10).prop_map(|(x, y, w, h)| Rect::new(x, y, x + w, y + h))
+}
+
 proptest! {
     /// Subtraction partitions the solid rectangle exactly: remainders are
     /// disjoint, inside the solid, outside the cutter, and the areas add up.
@@ -55,18 +60,85 @@ proptest! {
         prop_assert!(area <= reg.bbox().area());
     }
 
-    /// covered_by is equivalent to subtract-until-empty.
+    /// covered_by agrees with unit-cell membership: the region is covered
+    /// exactly when every unit cell of it lies in some cover. The covers
+    /// are up to 600 random specks plus one-high strips over each solid
+    /// rect, one strip left out half the time, so both answers occur and
+    /// more than half the cases hold over 256 covers.
     #[test]
-    fn covered_by_matches_subtraction(
-        solid in arb_rect(),
-        covers in prop::collection::vec(arb_rect(), 0..8),
+    fn covered_by_matches_unit_cells(
+        solid in prop::collection::vec(arb_small_rect(), 1..4),
+        noise in prop::collection::vec((-10i64..40, -10i64..40, 1i64..4, 1i64..4), 0..600),
+        skip in prop::option::of(any::<usize>()),
     ) {
-        let reg = Region::from_rect(solid);
-        let mut rem = Region::from_rect(solid);
-        for c in &covers {
-            rem.subtract_rect(*c);
+        let mut strips: Vec<Rect> = solid
+            .iter()
+            .flat_map(|r| (r.y0..r.y1).map(|y| Rect::new(r.x0, y, r.x1, y + 1)))
+            .collect();
+        if let Some(k) = skip {
+            strips.remove(k % strips.len());
         }
-        prop_assert_eq!(reg.covered_by(covers), rem.is_empty());
+        let specks = noise.iter().map(|&(x, y, w, h)| Rect::new(x, y, x + w, y + h));
+        let covers: Vec<Rect> = specks.chain(strips).collect();
+        let cells_covered = solid.iter().all(|r| {
+            (r.x0..r.x1).all(|x| {
+                (r.y0..r.y1).all(|y| covers.iter().any(|c| c.contains_point(Point::new(x, y))))
+            })
+        });
+        let reg: Region = solid.iter().copied().collect();
+        prop_assert_eq!(reg.covered_by(covers.iter().copied()), cells_covered);
+    }
+
+    /// The in-place cascade step lists exactly what subtracting the
+    /// cutter from each rectangle in turn lists, in the same order.
+    #[test]
+    fn subtract_rect_is_the_flat_map_of_subtract(
+        solid in prop::collection::vec(arb_rect(), 0..24),
+        cutters in prop::collection::vec(arb_rect(), 0..24),
+    ) {
+        let mut reg: Region = solid.iter().copied().collect();
+        for c in &cutters {
+            let expected: Vec<Rect> = reg.rects().iter().flat_map(|r| r.subtract(c)).collect();
+            reg.subtract_rect(*c);
+            prop_assert_eq!(reg.rects(), expected.as_slice());
+        }
+    }
+
+    /// area and perimeter agree with a unit-cell count: a covered cell
+    /// adds 1 to the area and 1 to the perimeter per uncovered
+    /// neighbour. Small coordinates make the rects touch and nest, and a
+    /// ring of four bars around a hole joins them half the time.
+    #[test]
+    fn area_and_perimeter_match_unit_cells(
+        rects in prop::collection::vec(arb_small_rect(), 1..10),
+        ring in prop::option::of((0i64..16, 0i64..16, 1i64..4)),
+    ) {
+        let mut all = rects;
+        if let Some((x, y, hole)) = ring {
+            let (x1, y1) = (x + hole + 2, y + hole + 2);
+            all.extend([
+                Rect::new(x, y, x1, y + 1),
+                Rect::new(x, y1 - 1, x1, y1),
+                Rect::new(x, y + 1, x + 1, y1 - 1),
+                Rect::new(x1 - 1, y + 1, x1, y1 - 1),
+            ]);
+        }
+        let inside = |x: i64, y: i64| all.iter().any(|r| r.contains_point(Point::new(x, y)));
+        let (mut area, mut perimeter) = (0i128, 0i128);
+        for x in -1..32 {
+            for y in -1..32 {
+                if inside(x, y) {
+                    area += 1;
+                    perimeter += [(x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1)]
+                        .iter()
+                        .filter(|&&(nx, ny)| !inside(nx, ny))
+                        .count() as i128;
+                }
+            }
+        }
+        let reg: Region = all.iter().copied().collect();
+        prop_assert_eq!(reg.area(), area);
+        prop_assert_eq!(reg.perimeter(), perimeter);
     }
 
     /// normalize preserves covered area exactly.
@@ -76,55 +148,6 @@ proptest! {
         let before = reg.area();
         reg.normalize();
         prop_assert_eq!(reg.area(), before);
-    }
-
-    /// The banded (sweep-line) region subtraction is set-equivalent to
-    /// the all-pairs 16-case subtraction: same covered area, same point
-    /// membership at every rectangle corner (the only places coverage
-    /// can change), and the same cover verdict.
-    #[test]
-    fn banded_subtract_matches_allpairs(
-        solid in prop::collection::vec(arb_rect(), 1..24),
-        cutters in prop::collection::vec(arb_rect(), 0..24),
-    ) {
-        let base: Region = solid.iter().copied().collect();
-        let cut: Region = cutters.iter().copied().collect();
-        let mut ap = base.clone();
-        ap.subtract_region_allpairs(&cut);
-        let mut bd = base.clone();
-        bd.subtract_region_banded(&cut);
-        prop_assert_eq!(ap.area(), bd.area());
-        let covers = |reg: &Region, x: i64, y: i64| -> bool {
-            let probe = Rect::new(x, y, x + 1, y + 1);
-            reg.rects().iter().any(|r| r.overlaps(&probe))
-        };
-        for r in solid.iter().chain(cutters.iter()) {
-            for &(x, y) in &[
-                (r.x0, r.y0), (r.x1 - 1, r.y0), (r.x0, r.y1 - 1), (r.x1 - 1, r.y1 - 1),
-                (r.x0 - 1, r.y0 - 1), (r.x1, r.y1),
-            ] {
-                prop_assert_eq!(covers(&ap, x, y), covers(&bd, x, y));
-            }
-        }
-        prop_assert_eq!(
-            base.covered_by_allpairs(cutters.iter().copied()),
-            base.covered_by_banded(&cutters)
-        );
-    }
-
-    /// The public `subtract_region` (which dispatches on problem size)
-    /// always agrees with the all-pairs reference in area.
-    #[test]
-    fn dispatched_subtract_matches_allpairs(
-        solid in prop::collection::vec(arb_rect(), 1..16),
-        cutters in prop::collection::vec(arb_rect(), 0..16),
-    ) {
-        let cut: Region = cutters.iter().copied().collect();
-        let mut ap: Region = solid.iter().copied().collect();
-        let mut pb = ap.clone();
-        ap.subtract_region_allpairs(&cut);
-        pb.subtract_region(&cut);
-        prop_assert_eq!(ap.area(), pb.area());
     }
 
     /// Orientation transforms preserve rectangle area and are invertible.

@@ -1,6 +1,10 @@
 //! Terminal renderer: rustc-style snippets with carets under the span,
 //! plus text and JSON emitters for cost certificates.
 
+use std::fmt::Write as _;
+
+use amgen_core::push_json_string;
+
 use crate::diag::Diagnostic;
 use crate::domain::Bound;
 use crate::passes::cost::{CostCertificate, CostReport};
@@ -117,92 +121,97 @@ pub fn render_certificates(names: &[&str], report: &CostReport, max_variants: us
     out
 }
 
-/// Escapes a string for a JSON literal.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// A bound as a JSON value: a number when constant, the affine rendered
-/// as a string when symbolic, `null` when unbounded.
-fn json_bound(b: &Bound) -> String {
+/// Appends a bound as a JSON value: a number when constant, the affine
+/// rendered as a string when symbolic, `null` when unbounded.
+fn push_bound(out: &mut String, b: &Bound) {
     match b.affine() {
         Some(a) => match a.as_constant() {
-            Some(v) if v.fract() == 0.0 && v.abs() < 1e15 => format!("{}", v as i64),
-            Some(v) => format!("{v}"),
-            None => json_str(&a.to_string()),
+            Some(v) if v.fract() == 0.0 && v.abs() < 1e15 => {
+                let _ = write!(out, "{}", v as i64);
+            }
+            Some(v) => {
+                let _ = write!(out, "{v}");
+            }
+            None => push_json_string(out, &a.to_string()),
         },
-        None => "null".to_string(),
+        None => out.push_str("null"),
     }
 }
 
-fn json_certificate(c: &CostCertificate, max_variants: usize) -> String {
-    let params: Vec<String> = c.params.iter().map(|p| json_str(p)).collect();
-    let layers: Vec<String> = c.layers.iter().map(|l| json_str(l)).collect();
-    let total = |b: Bound| match b.closed() {
-        Some(v) => format!("{}", v.ceil() as u64),
-        None => json_bound(&b),
-    };
-    format!(
-        concat!(
-            "{{\"params\":[{}],\"fuel\":{},\"compact_steps\":{},\"shapes\":{},",
-            "\"recursion\":{},\"variant_runs\":{},\"total_fuel\":{},",
-            "\"total_compact_steps\":{},\"total_shapes\":{},",
-            "\"layers\":[{}],\"layers_exact\":{},\"assumes_array_cuts\":{}}}"
-        ),
-        params.join(","),
-        json_bound(&c.fuel),
-        json_bound(&c.compact_steps),
-        json_bound(&c.shapes),
-        json_bound(&c.recursion),
-        json_bound(&c.variant_runs),
-        total(c.total_fuel(max_variants)),
-        total(c.total_compact_steps(max_variants)),
-        total(c.total_shapes(max_variants)),
-        layers.join(","),
-        c.layers_exact,
-        c.assumes_array_cuts,
-    )
+/// Appends a JSON array of strings.
+fn push_strings<'a>(out: &mut String, items: impl IntoIterator<Item = &'a String>) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_json_string(out, item);
+    }
+    out.push(']');
+}
+
+fn push_json_certificate(out: &mut String, c: &CostCertificate, max_variants: usize) {
+    out.push_str("{\"params\":");
+    push_strings(out, &c.params);
+    for (key, b) in [
+        ("fuel", &c.fuel),
+        ("compact_steps", &c.compact_steps),
+        ("shapes", &c.shapes),
+        ("recursion", &c.recursion),
+        ("variant_runs", &c.variant_runs),
+    ] {
+        let _ = write!(out, ",\"{key}\":");
+        push_bound(out, b);
+    }
+    for (key, b) in [
+        ("total_fuel", c.total_fuel(max_variants)),
+        ("total_compact_steps", c.total_compact_steps(max_variants)),
+        ("total_shapes", c.total_shapes(max_variants)),
+    ] {
+        let _ = write!(out, ",\"{key}\":");
+        match b.closed() {
+            Some(v) => {
+                let _ = write!(out, "{}", v.ceil() as u64);
+            }
+            None => push_bound(out, &b),
+        }
+    }
+    out.push_str(",\"layers\":");
+    push_strings(out, &c.layers);
+    let _ = write!(
+        out,
+        ",\"layers_exact\":{},\"assumes_array_cuts\":{}}}",
+        c.layers_exact, c.assumes_array_cuts
+    );
 }
 
 /// Renders a [`CostReport`] as a single JSON document (hand-rolled; the
 /// workspace carries no serialization dependency). Constant bounds are
 /// numbers, symbolic bounds strings like `"2*N + 5"`, unbounded `null`.
 pub fn certificates_json(names: &[&str], report: &CostReport, max_variants: usize) -> String {
-    let mut out = String::from("{");
-    out.push_str(&format!("\"max_variants\":{max_variants},\"entities\":{{"));
-    let ents: Vec<String> = report
-        .entities
-        .iter()
-        .map(|(name, c)| format!("{}:{}", json_str(name), json_certificate(c, max_variants)))
-        .collect();
-    out.push_str(&ents.join(","));
+    let mut out = format!("{{\"max_variants\":{max_variants},\"entities\":{{");
+    for (i, (name, c)) in report.entities.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_json_string(&mut out, name);
+        out.push(':');
+        push_json_certificate(&mut out, c, max_variants);
+    }
     out.push_str("},\"tops\":[");
-    let tops: Vec<String> = names
-        .iter()
-        .zip(&report.tops)
-        .map(|(name, top)| {
-            let cert = match top {
-                Some(c) => json_certificate(c, max_variants),
-                None => "null".to_string(),
-            };
-            format!("{{\"file\":{},\"certificate\":{cert}}}", json_str(name))
-        })
-        .collect();
-    out.push_str(&tops.join(","));
+    for (i, (name, top)) in names.iter().zip(&report.tops).enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"file\":");
+        push_json_string(&mut out, name);
+        out.push_str(",\"certificate\":");
+        match top {
+            Some(c) => push_json_certificate(&mut out, c, max_variants),
+            None => out.push_str("null"),
+        }
+        out.push('}');
+    }
     out.push_str("]}");
     out
 }
@@ -272,7 +281,11 @@ mod tests {
 
     #[test]
     fn json_strings_escape_quotes_and_control_chars() {
-        assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
+        let mut out = String::new();
+        push_json_string(&mut out, "a\"b\\c\n");
+        assert_eq!(out, "\"a\\\"b\\\\c\\n\"");
+        out.clear();
+        push_json_string(&mut out, "\u{1}");
+        assert_eq!(out, "\"\\u0001\"");
     }
 }

@@ -14,6 +14,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use amgen_trace::chrome::push_json_string;
+
 /// Maximum container nesting the parser accepts. Generous for real
 /// requests (which nest 3–4 deep) and small enough that recursion never
 /// threatens the stack.
@@ -90,7 +92,7 @@ impl Json {
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
             Json::Num(n) => write_num(*n, out),
-            Json::Str(s) => write_str(s, out),
+            Json::Str(s) => push_json_string(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, v) in items.iter().enumerate() {
@@ -107,7 +109,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_str(k, out);
+                    push_json_string(out, k);
                     out.push(':');
                     v.write(out);
                 }
@@ -176,24 +178,6 @@ fn write_num(n: f64, out: &mut String) {
     } else {
         let _ = write!(out, "{n}");
     }
-}
-
-fn write_str(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Why a document failed to parse. The message is safe to echo to the

@@ -8,6 +8,8 @@
 //! fractional part. The output is a pure function of the [`Trace`], so
 //! golden tests compare it byte-for-byte.
 
+use std::fmt::Write as _;
+
 use crate::{ArgValue, Event, Phase, Trace};
 
 /// The fixed pid used for all events — one process, many tracks.
@@ -27,12 +29,14 @@ pub fn to_chrome_json(trace: &Trace) -> String {
     ));
     for th in &trace.threads {
         if let Some(name) = &th.name {
-            records.push(format!(
+            let mut rec = format!(
                 "{{\"ph\":\"M\",\"pid\":{PID},\"tid\":{},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":{}}}}}",
-                th.tid,
-                json_string(name)
-            ));
+                 \"args\":{{\"name\":",
+                th.tid
+            );
+            push_json_string(&mut rec, name);
+            rec.push_str("}}");
+            records.push(rec);
         }
     }
     for ev in &trace.events {
@@ -56,12 +60,13 @@ fn event_record(ev: &Event) -> String {
         Phase::Instant => "i",
     };
     let mut rec = format!(
-        "{{\"ph\":\"{ph}\",\"pid\":{PID},\"tid\":{},\"ts\":{},\"cat\":{},\"name\":{}",
+        "{{\"ph\":\"{ph}\",\"pid\":{PID},\"tid\":{},\"ts\":{},\"cat\":",
         ev.tid,
         micros(ev.t_ns),
-        json_string(ev.cat),
-        json_string(&ev.name),
     );
+    push_json_string(&mut rec, ev.cat);
+    rec.push_str(",\"name\":");
+    push_json_string(&mut rec, &ev.name);
     if ev.phase == Phase::Instant {
         rec.push_str(",\"s\":\"t\""); // thread-scoped instant
     }
@@ -71,9 +76,9 @@ fn event_record(ev: &Event) -> String {
             if i > 0 {
                 rec.push(',');
             }
-            rec.push_str(&json_string(key));
+            push_json_string(&mut rec, key);
             rec.push(':');
-            rec.push_str(&arg_json(value));
+            push_arg(&mut rec, value);
         }
         rec.push('}');
     }
@@ -87,25 +92,35 @@ fn micros(t_ns: u64) -> String {
     format!("{}.{:03}", t_ns / 1_000, t_ns % 1_000)
 }
 
-fn arg_json(value: &ArgValue) -> String {
+fn push_arg(out: &mut String, value: &ArgValue) {
     match value {
-        ArgValue::Int(i) => i.to_string(),
+        ArgValue::Int(i) => {
+            let _ = write!(out, "{i}");
+        }
         ArgValue::Float(f) => {
             if f.is_finite() {
                 // `{:?}` keeps a decimal point (1.0, not 1) and round-trips.
-                format!("{f:?}")
+                let _ = write!(out, "{f:?}");
             } else {
                 // JSON has no Inf/NaN — degrade to a string.
-                format!("\"{f}\"")
+                let _ = write!(out, "\"{f}\"");
             }
         }
-        ArgValue::Str(s) => json_string(s),
+        ArgValue::Str(s) => push_json_string(out, s),
     }
 }
 
-/// Minimal JSON string escaping (quotes, backslash, control chars).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+/// Appends `s` to `out` as a JSON string literal: quoted, with quotes,
+/// backslashes and control characters escaped. The workspace's one JSON
+/// string escaper: Chrome traces, lint certificates and served payloads
+/// write their strings through it.
+///
+/// ```
+/// let mut out = String::new();
+/// amgen_trace::chrome::push_json_string(&mut out, "a\"b\n");
+/// assert_eq!(out, r#""a\"b\n""#);
+/// ```
+pub fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -114,12 +129,13 @@ fn json_string(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
     out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -136,8 +152,13 @@ mod tests {
 
     #[test]
     fn escaping() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+        let escaped = |s: &str| {
+            let mut out = String::new();
+            push_json_string(&mut out, s);
+            out
+        };
+        assert_eq!(escaped("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(escaped("\u{1}"), "\"\\u0001\"");
     }
 
     #[test]
