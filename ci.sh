@@ -61,9 +61,9 @@ cargo run --release -q --bin amgen-lint -- --deny-warnings --certify --certify-f
 #   Drc::check (index and both memos warm) on fig_chip at 1-16 tiles;
 #   fig_chip 10x assembly p50 < 1 ms; indexed latch-up and extraction
 #   byte-identical to the scans on the assembled chip; the sign-off
-#   plan's sweep joins alone (join memo bypassed) on the same chips,
-#   its growth exponent printed but not gated (it grows as shapes x
-#   tile rows); the extraction kernel alone (join memo warm, component
+#   plan's banded sweep joins alone (join memo bypassed) on the same
+#   chips, growth exponent < 1.5, and on 16 tiles in one column,
+#   printed; the extraction kernel alone (join memo warm, component
 #   memo bypassed) on the same chips, its growth exponent printed but
 #   not gated (the connectivity series gates plan and kernel together);
 # - analyze: one six-pass certification sweep of the 11-source corpus

@@ -1,7 +1,7 @@
 //! Chip-scale geometry gate: the spatial index must keep the geometry
 //! core sub-quadratic as layouts grow from module to chip size.
 //!
-//! Six gated series and two reported ones —
+//! Seven gated series, one reported one and a reported tall case —
 //!
 //! * `latchup_n` — the latch-up check on an `n`-stripe workload, timed
 //!   both as the pre-index sequential scan and on the spatial index.
@@ -26,13 +26,15 @@
 //!   stay below 1.5.
 //! * `plan_t` — the deck's sign-off plan alone on the same chips:
 //!   `SpatialIndex::joins` with the join memo pinned to another deck, so
-//!   every call runs every join of the plan. Its fitted log-log growth
-//!   exponent is printed but not gated: each join is a forward-scan
-//!   sweep in x, and an entry's scan covers its x-strip across every
-//!   tile row, so the plan grows as the shape count times the row
-//!   count. That approaches n^1.5 on square chips, right at the budget,
-//!   so a gate would flake: eight runs on a shared 2-vCPU VM read
-//!   1.21–1.49.
+//!   every call runs every join of the plan. Each join sweeps the
+//!   object's y-bands (a tile row, its rail and its stripe are bands of
+//!   their own) and each pair of bands within its distance, so an
+//!   entry's scan stays inside its row: the fitted log-log growth
+//!   exponent must stay below 1.5 like the others. (Before the bands,
+//!   the scan crossed every tile row and the exponent read 1.21–1.49.)
+//! * `plan_column16` — the same plan on a tall object, 16 tiles in one
+//!   column (about 21.6k shapes, 16 rows), printed beside the 16-tile
+//!   square chip's: without bands its scan crossed all 16 rows.
 //! * `extract_t` — the extraction kernel alone on the same chips:
 //!   `Extractor::components` with the join memo warm for the deck and
 //!   the component memo pinned to another deck, so every call runs the
@@ -166,7 +168,7 @@ fn main() {
     );
     let plan_exponent = fitted_exponent(&plan_points);
     println!(
-        "{:<50} fitted exponent over 1..16 tiles: {plan_exponent:.2} (not gated)",
+        "{:<50} fitted exponent over 1..16 tiles: {plan_exponent:.2}",
         "chip/plan/joins"
     );
     let extract_exponent = fitted_exponent(&extract_points);
@@ -178,6 +180,22 @@ fn main() {
     println!(
         "{:<50} fitted exponent over 1..16 tiles: {drc_exponent:.2}",
         "chip/drc/indexed"
+    );
+
+    // ---- a tall object: the plan on 16 tiles in one column -----------
+    let column = workloads::tiled_chip(&tech, &proto, 16, 1);
+    column.spatial_index().joins(&other_deck);
+    let plan = Mode::new("joins", || {
+        black_box(column.spatial_index().joins(&tech));
+    });
+    let column_plan = series("chip/plan_column16", 25, &[plan]).fastest(0);
+    let square_plan = Duration::from_nanos(plan_points[4].1 as u64);
+    println!(
+        "{:<50} {} on {} shapes, against {} on the 16-tile square chip (not gated)",
+        "chip/plan/column16",
+        fmt_dur(column_plan),
+        column.len(),
+        fmt_dur(square_plan)
     );
 
     // ---- parity audit on the assembled chip --------------------------
@@ -216,11 +234,15 @@ fn main() {
         "the index build grows as n^{index_exponent:.2} over 1..16 tiles (budget n^1.5)"
     );
     assert!(
+        plan_exponent < 1.5,
+        "the sign-off plan grows as n^{plan_exponent:.2} over 1..16 tiles (budget n^1.5)"
+    );
+    assert!(
         drc_exponent < 1.5,
         "indexed DRC grows as n^{drc_exponent:.2} over 1..16 tiles (budget n^1.5)"
     );
     println!(
-        "chip scale smoke: latchup@128 >= 5x ({speedup_128:.1}x), exponent < 1.5 ({exponent:.2}), fig_chip 10x p50 < 1 ms ({}), connectivity exponent < 1.5 ({connectivity_exponent:.2}), index build exponent < 1.5 ({index_exponent:.2}), DRC exponent < 1.5 ({drc_exponent:.2})",
+        "chip scale smoke: latchup@128 >= 5x ({speedup_128:.1}x), exponent < 1.5 ({exponent:.2}), fig_chip 10x p50 < 1 ms ({}), connectivity exponent < 1.5 ({connectivity_exponent:.2}), index build exponent < 1.5 ({index_exponent:.2}), plan exponent < 1.5 ({plan_exponent:.2}), DRC exponent < 1.5 ({drc_exponent:.2})",
         fmt_dur(chip_p50)
     );
 }

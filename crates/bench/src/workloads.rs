@@ -96,12 +96,19 @@ pub fn chip_prototype(tech: &Tech) -> LayoutObject {
 /// substrate-contact stripe per row — a full-chip-scale layout that
 /// keeps the spacing, latch-up and connectivity passes busy.
 pub fn fig_chip(tech: &Tech, proto: &LayoutObject, rep: usize) -> LayoutObject {
+    let cols = (rep as u64).isqrt().max(1) as usize;
+    tiled_chip(tech, proto, rep, cols)
+}
+
+/// [`fig_chip`]'s tiling `cols` tiles wide: `tiled_chip(.., rep, 1)` is
+/// a tall object, one column of `rep` tile rows.
+pub fn tiled_chip(tech: &Tech, proto: &LayoutObject, rep: usize, cols: usize) -> LayoutObject {
     let m2 = tech.layer("metal2").unwrap();
     let pdiff = tech.layer("pdiff").unwrap();
     let bb = proto.bbox();
     let pitch_x = bb.width() + um(20);
     let pitch_y = bb.height() + um(40);
-    let cols = (rep as u64).isqrt().max(1) as usize;
+    let cols = cols.max(1);
     let rows = rep.div_ceil(cols);
     let mut chip = LayoutObject::with_capacity("fig_chip", rep * proto.len() + 2 * rows);
     for i in 0..rep {

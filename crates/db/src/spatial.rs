@@ -18,6 +18,13 @@
 //! compares whole handles: every brand gets its own tree and bounds, and
 //! a handle of a deck the object does not use finds nothing.
 //!
+//! Every tree is built over the object's [`YBands`], the runs of its
+//! y-coverage between empty gaps, computed from the shapes alone (no
+//! deck). A chip's tile rows, and the rails and stripes between them,
+//! are bands of their own, so a join of the plan sweeps each band, and
+//! each pair of bands within its distance, instead of crossing every
+//! row.
+//!
 //! It also memoises two results
 //! under one rule deck: the candidate pairs of the deck's sign-off plan
 //! ([`joins`](SpatialIndex::joins)), so each layer pair is joined once
@@ -39,12 +46,14 @@
 //!
 //! # Determinism contract
 //!
-//! The trees' window visitors ([`RectTree::for_each_candidate`] and
+//! Each tree keeps its entries in `(band, x0, payload)` order. The
+//! trees' window visitors ([`RectTree::for_each_candidate`] and
 //! [`RectTree::any_candidate`]) run in tree order. Their joins
 //! ([`RectTree::join_within`] / [`RectTree::self_join_within`]) and the
-//! pair lists of [`PlanPairs`] come in sweep order. Both orders are
-//! deterministic for a given shape vector, but unspecified. Their
-//! consumers either sort what they collect or fold it order-free:
+//! pair lists of [`PlanPairs`] come in sweep order, band pair by band
+//! pair. Both orders are deterministic for a given shape vector, but
+//! unspecified. Their consumers either sort what they collect or fold
+//! it order-free:
 //!
 //! * DRC spacing sorts its violations by their normalised pairs;
 //! * gate splitting sorts each diffusion shape's gates into ascending
@@ -71,7 +80,7 @@
 use std::borrow::Cow;
 use std::sync::OnceLock;
 
-use amgen_geom::{Rect, RectTree};
+use amgen_geom::{Coord, Rect, RectTree, YBands};
 use amgen_tech::{Layer, RuleSet};
 
 use crate::components::Components;
@@ -96,6 +105,8 @@ pub struct SpatialIndex {
     bounds: Vec<Rect>,
     /// The tree over the substrate contacts.
     substrate: RectTree,
+    /// The bands every tree is built over.
+    bands: YBands,
     /// Whole-object bounding box, `union_bbox` semantics.
     bbox: Rect,
     /// The component table, with the id of the deck that made it.
@@ -189,12 +200,15 @@ impl SpatialIndex {
     pub(crate) fn build(shapes: &[Shape]) -> SpatialIndex {
         // Counting pass: a slot per layer in order of first use, with its
         // entry count and bounds; the substrate contacts; the object's
-        // bounds.
+        // bounds and the span of its y-extents, which the bands need.
         let mut table = LayerTable::default();
         let mut sizes: Vec<(usize, Rect)> = Vec::new();
         let mut substrates = 0;
         let mut bbox = Rect::EMPTY;
+        let mut span = (Coord::MAX, Coord::MIN);
         for s in shapes {
+            let (y0, top) = YBands::extent(&s.rect);
+            span = (span.0.min(y0), span.1.max(top));
             let k = table.slot(s.layer);
             if k == sizes.len() {
                 sizes.push((0, Rect::EMPTY));
@@ -228,11 +242,16 @@ impl SpatialIndex {
                 substrate.push(entry);
             }
         }
+        let bands = YBands::over(shapes.iter().map(|s| &s.rect), shapes.len(), span);
         SpatialIndex {
-            trees: lists.into_iter().map(RectTree::build).collect(),
+            trees: lists
+                .into_iter()
+                .map(|list| RectTree::build(list, &bands))
+                .collect(),
             bounds: order.iter().map(|&k| sizes[k].1).collect(),
             table,
-            substrate: RectTree::build(substrate),
+            substrate: RectTree::build(substrate, &bands),
+            bands,
             bbox,
             components: OnceLock::new(),
             joins: OnceLock::new(),
@@ -250,6 +269,12 @@ impl SpatialIndex {
     /// indices into the owning object's shape vector.
     pub fn substrate_contacts(&self) -> &RectTree {
         &self.substrate
+    }
+
+    /// The y-bands of the shapes, which every tree is built over and
+    /// every join of two of the trees takes.
+    pub fn bands(&self) -> &YBands {
+        &self.bands
     }
 
     /// The connected components of the shapes under the rule deck with
@@ -294,7 +319,8 @@ impl SpatialIndex {
         }
     }
 
-    /// Runs each join of `rules`' sign-off plan over the layer trees.
+    /// Runs each join of `rules`' sign-off plan over the layer trees,
+    /// band by band.
     fn run_plan(&self, rules: &RuleSet) -> PlanPairs {
         let plan = rules.signoff_plan();
         let mut out = PlanPairs {
@@ -307,9 +333,9 @@ impl SpatialIndex {
             if let (Some(ta), Some(tb)) = (self.layer(a), self.layer(b)) {
                 let pair = |p: u32, _: &Rect, q: u32, _: &Rect| out.pairs.push((p, q));
                 if a == b {
-                    ta.self_join_within(dist, pair);
+                    ta.self_join_within(&self.bands, dist, pair);
                 } else {
-                    ta.join_within(tb, dist, pair);
+                    ta.join_within(tb, &self.bands, dist, pair);
                 }
             }
             out.entries.push((a, b));
@@ -403,7 +429,9 @@ mod tests {
         let mut pairs = Vec::new();
         ix.layer(pdiff)
             .unwrap()
-            .self_join_within(10, |p, _, q, _| pairs.push((p.min(q), p.max(q))));
+            .self_join_within(ix.bands(), 10, |p, _, q, _| {
+                pairs.push((p.min(q), p.max(q)))
+            });
         assert_eq!(
             pairs,
             vec![(0, 1)],
@@ -463,6 +491,36 @@ mod tests {
         assert_eq!(*ix.components(1, || unreachable!()), a);
         assert!(matches!(ix.components(2, || b.clone()), Cow::Owned(ref v) if *v == b));
         assert!(matches!(ix.components(1, || unreachable!()), Cow::Borrowed(v) if *v == a));
+    }
+
+    /// Rows of shapes apart in y are bands of their own, and a join
+    /// reaches across a gap up to its distance: a row of poly squares
+    /// 1 µm above another pairs with it at the 1.5 µm poly rule, a row
+    /// 1.6 µm above that does not, and a post that spans every row joins
+    /// the three bands into one without changing the pairs.
+    #[test]
+    fn joins_reach_across_bands_within_their_distance() {
+        let t = Tech::bicmos_1u();
+        let poly = t.layer("poly").unwrap();
+        let mut obj = LayoutObject::new("x");
+        for y in [0, 2_000, 4_600] {
+            for x in [0, 3_000, 6_000, 9_000] {
+                obj.push(Shape::new(poly, Rect::new(x, y, x + 1_000, y + 1_000)));
+            }
+        }
+        let sorted = |ix: &SpatialIndex| {
+            let mut v: Vec<(u32, u32)> = ix.joins(&t).between(poly, poly).collect();
+            v.sort_unstable();
+            v
+        };
+        let ix = obj.spatial_index();
+        assert_eq!(ix.bands().gaps(), [(1_000, 2_000), (3_000, 4_600)]);
+        assert_eq!(sorted(ix), [(0, 4), (1, 5), (2, 6), (3, 7)]);
+
+        obj.push(Shape::new(poly, Rect::new(12_000, 0, 13_000, 5_600)));
+        let ix = obj.spatial_index();
+        assert_eq!(ix.bands().count(), 1);
+        assert_eq!(sorted(ix), [(0, 4), (1, 5), (2, 6), (3, 7)]);
     }
 
     /// The join memo keeps the first deck's pairs; a lookup under another

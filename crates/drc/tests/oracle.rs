@@ -4,7 +4,9 @@
 //! layer, cuts at and off cut size, touching shapes on different nets,
 //! near-miss gaps for every spaced layer pair, cuts enclosed only by the
 //! union of two shapes, min-area clusters, narrow straps and latch-up
-//! roles, at module scale and at chip depth.
+//! roles, at module scale, at chip depth, and at chip depth in y-strips
+//! whose gaps lie around the deck's largest spacing rule, so the
+//! spatial index's joins run across its bands.
 //! Each case also runs the checker after `connectivity` has filled the
 //! extraction memo, and the other way round.
 
@@ -13,6 +15,7 @@ use amgen_db::{LayoutObject, NetId, Shape, ShapeRole};
 use amgen_drc::latchup::{check_latchup, check_latchup_scan};
 use amgen_drc::{Drc, ViolationKind};
 use amgen_extract::Extractor;
+use amgen_geom::Vector;
 use amgen_geom::{Coord, Rect};
 use amgen_tech::builtin::BICMOS_1U;
 use amgen_tech::{Layer, LayerKind, Tech};
@@ -60,6 +63,23 @@ fn chip_items() -> impl Strategy<Value = Vec<Item>> {
         prop::collection::vec(item_in(8..9, CHIP), 2..6),
     )
         .prop_map(|(items, rails)| [items, rails].concat())
+}
+
+/// A banded chip-depth layout: items of the [`CHIP`] square dealt by
+/// `y` into one y-strip per gap plus one, the gap above strip `j` being
+/// the deck's largest spacing rule plus `gaps[j]` grid steps (never
+/// below 0), and sometimes a post that bridges the strips from the
+/// bottom one up: a metal pick, an `x` and the strip it reaches.
+type Banded = (Vec<Item>, Vec<i64>, Option<(usize, i64, usize)>);
+
+/// Items for [`banded_layout`]: 2–4 strips, gaps from two grid steps
+/// below the rule to four above, a post in half the cases.
+fn banded_items() -> impl Strategy<Value = Banded> {
+    (
+        prop::collection::vec(item_in(0..8, CHIP), 200..400),
+        prop::collection::vec(-2i64..=4, 1..4),
+        prop::option::of((0usize..4, 0i64..CHIP, 0usize..4)),
+    )
 }
 
 /// The deck's layers by role in the layouts.
@@ -302,13 +322,62 @@ fn layout(ctx: &GenCtx, items: &[Item]) -> LayoutObject {
     obj
 }
 
+/// Builds the banded layout `banded` describes: each strip's items by
+/// [`layout`], moved down to the strip's local `y` and stacked above the
+/// strip below at its gap, then the post from the bottom strip to the
+/// top of the one it reaches.
+fn banded_layout(ctx: &GenCtx, (items, gaps, post): &Banded) -> LayoutObject {
+    let strips = gaps.len() as i64 + 1;
+    let height = CHIP / strips;
+    let mut obj = LayoutObject::new("banded");
+    let (mut base, mut tops) = (0, Vec::new());
+    for j in 0..strips {
+        let strip: Vec<Item> = items
+            .iter()
+            .filter(|it| (it.2 .1 / height).min(strips - 1) == j)
+            .map(|&(kind, pick, (x, y), wh, net, extra)| {
+                (kind, pick, (x, y - j * height), wh, net, extra)
+            })
+            .collect();
+        let part = layout(ctx, &strip);
+        // The raw y-extent: a degenerate shape, which `bbox` leaves out,
+        // must not reach into the gap.
+        let Some((y0, y1)) = part
+            .shapes()
+            .iter()
+            .map(|s| (s.rect.y0, s.rect.y1))
+            .reduce(|(lo, hi), (y0, y1)| (lo.min(y0), hi.max(y1)))
+        else {
+            continue;
+        };
+        obj.absorb(&part, Vector::new(0, base - y0));
+        tops.push(base + y1 - y0);
+        let gap = gaps.get(j as usize).map_or(0, |&d| d * ctx.grid());
+        base += y1 - y0 + (ctx.max_spacing() + gap).max(0);
+    }
+    if let Some((pick, x, reach)) = *post {
+        let deck = Deck::new(ctx);
+        let layer = deck.metals[pick % deck.metals.len()];
+        let width = ctx.min_width(layer);
+        let top = tops[reach % tops.len()];
+        obj.push(Shape::new(layer, Rect::new(x * U, 0, x * U + width, top)));
+    }
+    obj
+}
+
 /// Every sub-check and the full check equal their scans, with the
 /// extraction memo cold (spacing fills it) and warm (`connectivity`
 /// filled it first).
 fn assert_matches_scan(ctx: &GenCtx, items: &[Item]) {
+    assert_layout_matches_scan(ctx, &|| layout(ctx, items));
+}
+
+/// [`assert_matches_scan`] on the layouts `make` builds, a fresh one per
+/// memo order.
+fn assert_layout_matches_scan(ctx: &GenCtx, make: &dyn Fn() -> LayoutObject) {
     let drc = Drc::new(ctx);
     let e = Extractor::new(ctx);
-    let obj = layout(ctx, items);
+    let obj = make();
     assert_eq!(drc.check_spacing(&obj), drc.check_spacing_scan(&obj));
     assert_eq!(drc.check_widths(&obj), drc.check_widths_scan(&obj));
     assert_eq!(drc.check_enclosures(&obj), drc.check_enclosures_scan(&obj));
@@ -317,7 +386,7 @@ fn assert_matches_scan(ctx: &GenCtx, items: &[Item]) {
     assert_eq!(e.connectivity(&obj), e.connectivity_scan(&obj));
     assert_eq!(drc.check(&obj), drc.check_scan(&obj));
 
-    let fresh = layout(ctx, items);
+    let fresh = make();
     let nets = e.connectivity(&fresh);
     assert_eq!(nets, e.connectivity(&fresh), "a memo hit changed the nets");
     assert_eq!(drc.check(&fresh), drc.check_scan(&fresh));
@@ -389,6 +458,60 @@ proptest! {
     #[test]
     fn chip_depth_unspaced_layouts_match_the_scan(items in chip_items()) {
         assert_matches_scan(unspaced(), &items);
+    }
+
+    #[test]
+    fn banded_bicmos_layouts_match_the_scan(banded in banded_items()) {
+        assert_layout_matches_scan(bicmos(), &|| banded_layout(bicmos(), &banded));
+    }
+
+    #[test]
+    fn banded_cmos_layouts_match_the_scan(banded in banded_items()) {
+        assert_layout_matches_scan(cmos(), &|| banded_layout(cmos(), &banded));
+    }
+
+    #[test]
+    fn banded_unspaced_layouts_match_the_scan(banded in banded_items()) {
+        assert_layout_matches_scan(unspaced(), &|| banded_layout(unspaced(), &banded));
+    }
+}
+
+/// The banded layouts are banded: across 16 draws per deck, most
+/// layouts split into more than one band (a post that reaches the top
+/// strip joins them all, and so does a gap under a bucket's height,
+/// which the unspaced deck draws often), and in the two built-in decks
+/// some join of the plan reports a pair across two bands, so the
+/// oracles above run the joins' cross-band sweeps. (In the unspaced
+/// deck every join is at distance 0, so no pair can cross a gap.)
+#[test]
+fn banded_layouts_join_across_bands() {
+    for (ctx, spaced) in [(bicmos(), true), (cmos(), true), (unspaced(), false)] {
+        let mut rng = TestRng::new(0xba5d);
+        let (mut banded, mut across) = (0, 0);
+        for _ in 0..16 {
+            let obj = banded_layout(ctx, &banded_items().generate(&mut rng));
+            let ix = obj.spatial_index();
+            let bands = ix.bands();
+            banded += usize::from(bands.count() > 1);
+            let band = |i: u32| {
+                let y0 = obj.shapes()[i as usize].rect.y0;
+                bands.gaps().iter().filter(|g| g.0 < y0).count()
+            };
+            let plan = ix.joins(ctx);
+            for &(a, b, _) in ctx.signoff_plan() {
+                across += plan
+                    .between(a, b)
+                    .filter(|&(p, q)| band(p) != band(q))
+                    .count();
+            }
+        }
+        assert!(banded >= 8, "{}: {banded} of 16 banded", ctx.name());
+        assert_eq!(
+            across > 0,
+            spaced,
+            "{}: {across} pairs across bands",
+            ctx.name()
+        );
     }
 }
 

@@ -83,9 +83,10 @@ impl Extractor {
                 .map(|s| s.rect)
                 .collect();
             let cc = tech.cap_coeffs(layer);
+            let (area, perimeter) = region.area_and_perimeter();
             // Convert du² (nm²) to µm² and du (nm) to µm.
-            let area_um2 = region.area() as f64 / 1e6;
-            let perim_um = region.perimeter() as f64 / 1e3;
+            let area_um2 = area as f64 / 1e6;
+            let perim_um = perimeter as f64 / 1e3;
             cap += area_um2 * cc.area_af_per_um2 + perim_um * cc.fringe_af_per_um;
             if let Some(sheet) = tech.sheet_res_mohm(layer) {
                 for &i in &shapes {

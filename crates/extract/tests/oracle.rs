@@ -1,13 +1,15 @@
 //! The indexed connectivity kernel against its all-pairs oracle
 //! (`connectivity_scan`): random layouts in both built-in decks and in
-//! `bicmos_1u` without its spacing rules, at module scale and at chip
-//! depth, the device-layer tie-break, net renames on a warm extraction
-//! memo, and a chain long enough to overflow a recursive union-find.
+//! `bicmos_1u` without its spacing rules, at module scale, at chip depth
+//! and at chip depth in y-strips (so the spatial index's joins run
+//! across its bands), the device-layer tie-break, net renames on a warm
+//! extraction memo, and a chain long enough to overflow a recursive
+//! union-find.
 
 use amgen_core::GenCtx;
 use amgen_db::{LayoutObject, Port, Shape};
 use amgen_extract::Extractor;
-use amgen_geom::{um, Rect};
+use amgen_geom::{um, Rect, Vector};
 use amgen_tech::builtin::BICMOS_1U;
 use amgen_tech::Tech;
 use proptest::prelude::*;
@@ -54,6 +56,63 @@ fn chip_items() -> impl Strategy<Value = Vec<Item>> {
         prop::collection::vec(item_in(6..7, CHIP), 2..6),
     )
         .prop_map(|(items, rails)| [items, rails].concat())
+}
+
+/// A banded chip-depth layout: items of the [`CHIP`] square dealt by
+/// `y` into one y-strip per gap plus one, the gap above strip `j` being
+/// the deck's largest spacing rule plus `gaps[j]` grid steps (never
+/// below 0), and sometimes a post that bridges the strips from the
+/// bottom one up: a metal pick, an `x` and the strip it reaches.
+type Banded = (Vec<Item>, Vec<i64>, Option<(usize, i64, usize)>);
+
+/// Items for [`banded_layout`]: 2–4 strips, gaps from two grid steps
+/// below the rule to four above, a post in half the cases.
+fn banded_items() -> impl Strategy<Value = Banded> {
+    (
+        prop::collection::vec(item_in(0..6, CHIP), 200..400),
+        prop::collection::vec(-2i64..=4, 1..4),
+        prop::option::of((0usize..2, 0i64..CHIP, 0usize..4)),
+    )
+}
+
+/// Builds the banded layout `banded` describes: each strip's items by
+/// [`layout`], moved down to the strip's local `y` and stacked above the
+/// strip below at its gap (measured between raw extents, degenerate
+/// shapes included), then the post from the bottom strip to the top of
+/// the one it reaches.
+fn banded_layout(ctx: &GenCtx, (items, gaps, post): &Banded) -> LayoutObject {
+    let strips = gaps.len() as i64 + 1;
+    let height = CHIP / strips;
+    let mut obj = LayoutObject::new("banded");
+    let (mut base, mut tops) = (0, Vec::new());
+    for j in 0..strips {
+        let strip: Vec<Item> = items
+            .iter()
+            .filter(|it| (it.2 .1 / height).min(strips - 1) == j)
+            .map(|&(kind, pick, (x, y), wh, net, extra)| {
+                (kind, pick, (x, y - j * height), wh, net, extra)
+            })
+            .collect();
+        let part = layout(ctx, &strip);
+        let Some((y0, y1)) = part
+            .shapes()
+            .iter()
+            .map(|s| (s.rect.y0, s.rect.y1))
+            .reduce(|(lo, hi), (y0, y1)| (lo.min(y0), hi.max(y1)))
+        else {
+            continue;
+        };
+        obj.absorb(&part, Vector::new(0, base - y0));
+        tops.push(base + y1 - y0);
+        let gap = gaps.get(j as usize).map_or(0, |&d| d * ctx.grid());
+        base += y1 - y0 + (ctx.max_spacing() + gap).max(0);
+    }
+    if let Some((pick, x, reach)) = *post {
+        let layer = ctx.layer(["metal1", "metal2"][pick]).unwrap();
+        let top = tops[reach % tops.len()];
+        obj.push(Shape::new(layer, Rect::new(x * U, 0, x * U + U, top)));
+    }
+    obj
 }
 
 /// Builds the layout the items describe in `ctx`'s deck.
@@ -154,10 +213,13 @@ fn unspaced() -> GenCtx {
 }
 
 fn assert_matches_scan(ctx: &GenCtx, items: &[Item]) {
-    let obj = layout(ctx, items);
+    assert_layout_matches_scan(ctx, &layout(ctx, items));
+}
+
+fn assert_layout_matches_scan(ctx: &GenCtx, obj: &LayoutObject) {
     let e = Extractor::new(ctx);
-    assert_eq!(e.connectivity(&obj), e.connectivity_scan(&obj));
-    assert_eq!(e.parasitics(&obj), e.parasitics_scan(&obj));
+    assert_eq!(e.connectivity(obj), e.connectivity_scan(obj));
+    assert_eq!(e.parasitics(obj), e.parasitics_scan(obj));
 }
 
 proptest! {
@@ -195,6 +257,51 @@ proptest! {
     #[test]
     fn chip_depth_unspaced_layouts_match_the_scan(items in chip_items()) {
         assert_matches_scan(&unspaced(), &items);
+    }
+
+    #[test]
+    fn banded_bicmos_layouts_match_the_scan(banded in banded_items()) {
+        let ctx = GenCtx::from_tech(&Tech::bicmos_1u());
+        assert_layout_matches_scan(&ctx, &banded_layout(&ctx, &banded));
+    }
+
+    #[test]
+    fn banded_cmos_layouts_match_the_scan(banded in banded_items()) {
+        let ctx = GenCtx::from_tech(&Tech::cmos_08());
+        assert_layout_matches_scan(&ctx, &banded_layout(&ctx, &banded));
+    }
+
+    #[test]
+    fn banded_unspaced_layouts_match_the_scan(banded in banded_items()) {
+        let ctx = unspaced();
+        assert_layout_matches_scan(&ctx, &banded_layout(&ctx, &banded));
+    }
+}
+
+/// The banded layouts are banded: across 16 draws per deck, most split
+/// into more than one band in the built-in decks, and some in the
+/// unspaced deck, whose gaps of a few grid steps often fall under a
+/// bucket's height and merge (a post that reaches the top strip joins
+/// every band too); and some post bridges two strips, so the oracles
+/// above extract across bands.
+#[test]
+fn banded_layouts_split_into_bands() {
+    use proptest::rng::TestRng;
+    for (ctx, least) in [
+        (GenCtx::from_tech(&Tech::bicmos_1u()), 8),
+        (GenCtx::from_tech(&Tech::cmos_08()), 8),
+        (unspaced(), 1),
+    ] {
+        let mut rng = TestRng::new(0xba5d);
+        let (mut banded, mut bridged) = (0, 0);
+        for _ in 0..16 {
+            let draw = banded_items().generate(&mut rng);
+            let obj = banded_layout(&ctx, &draw);
+            banded += usize::from(obj.spatial_index().bands().count() > 1);
+            bridged += usize::from(draw.2.is_some_and(|p| p.2 % (draw.1.len() + 1) > 0));
+        }
+        assert!(banded >= least, "{}: {banded} of 16 banded", ctx.name());
+        assert!(bridged > 0, "{}: no post bridges two strips", ctx.name());
     }
 }
 

@@ -54,4 +54,4 @@ pub use orient::Orient;
 pub use point::{Point, Vector};
 pub use rect::{HOverlap, Rect, VOverlap};
 pub use region::Region;
-pub use rtree::RectTree;
+pub use rtree::{RectTree, YBands};

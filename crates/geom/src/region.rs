@@ -5,7 +5,8 @@
 //! "temporary" rectangles are subtracted one by one; the rule is fulfilled
 //! when nothing remains. That one subtraction step
 //! ([`Region::subtract_rect`]) serves every consumer of the geometry
-//! core, and one slab sweep measures a region's area and perimeter.
+//! core, and one slab sweep ([`Region::area_and_perimeter`]) measures a
+//! region's area and perimeter together.
 
 use crate::coord::Coord;
 use crate::rect::Rect;
@@ -74,17 +75,12 @@ impl Region {
 
     /// Exact covered area, counting overlapping parts once.
     pub fn area(&self) -> i128 {
-        self.sweep().0
+        self.area_and_perimeter().0
     }
 
-    /// Exact perimeter of the covered area (outer + hole boundaries),
-    /// counting overlapping parts once.
-    pub fn perimeter(&self) -> i128 {
-        self.sweep().1
-    }
-
-    /// The coordinate-compressed slab sweep behind [`area`](Region::area)
-    /// and [`perimeter`](Region::perimeter), as `(area, perimeter)`.
+    /// Exact covered area and perimeter (outer + hole boundaries), each
+    /// counting overlapping parts once, from one coordinate-compressed
+    /// slab sweep.
     ///
     /// The rectangles' x-edges cut the plane into slabs, inside which the
     /// region is a set of maximal y-intervals. A slab adds its covered
@@ -95,7 +91,7 @@ impl Region {
     /// point set therefore measures the same. Each slab filters every
     /// rectangle, O(n² log n) in all, which is ample for module-sized and
     /// per-net rectangle counts.
-    fn sweep(&self) -> (i128, i128) {
+    pub fn area_and_perimeter(&self) -> (i128, i128) {
         let mut xs: Vec<Coord> = self.rects.iter().flat_map(|r| [r.x0, r.x1]).collect();
         xs.sort_unstable();
         xs.dedup();
@@ -336,14 +332,17 @@ mod tests {
 
     #[test]
     fn perimeter_of_single_rect() {
-        assert_eq!(Region::from_rect(Rect::new(0, 0, 10, 4)).perimeter(), 28);
-        assert_eq!(Region::new().perimeter(), 0);
+        assert_eq!(
+            Region::from_rect(Rect::new(0, 0, 10, 4)).area_and_perimeter(),
+            (40, 28)
+        );
+        assert_eq!(Region::new().area_and_perimeter(), (0, 0));
     }
 
     #[test]
     fn perimeter_of_abutting_rects_merges() {
         let reg = Region::from_rects([Rect::new(0, 0, 10, 4), Rect::new(10, 0, 20, 4)]);
-        assert_eq!(reg.perimeter(), 2 * (20 + 4));
+        assert_eq!(reg.area_and_perimeter().1, 2 * (20 + 4));
     }
 
     #[test]
@@ -351,20 +350,20 @@ mod tests {
         // Two 10x10 squares overlapping by 5 in x: outline is a 15x10
         // rectangle.
         let reg = Region::from_rects([Rect::new(0, 0, 10, 10), Rect::new(5, 0, 15, 10)]);
-        assert_eq!(reg.perimeter(), 2 * (15 + 10));
+        assert_eq!(reg.area_and_perimeter().1, 2 * (15 + 10));
     }
 
     #[test]
     fn perimeter_of_l_shape() {
         let reg = Region::from_rects([Rect::new(0, 0, 10, 4), Rect::new(0, 4, 4, 10)]);
         // L outline: 10 + 4 + 6 + 6 + 4 + 10 = 40.
-        assert_eq!(reg.perimeter(), 40);
+        assert_eq!(reg.area_and_perimeter().1, 40);
     }
 
     #[test]
     fn perimeter_of_disjoint_rects_adds() {
         let reg = Region::from_rects([Rect::new(0, 0, 2, 2), Rect::new(10, 10, 12, 12)]);
-        assert_eq!(reg.perimeter(), 16);
+        assert_eq!(reg.area_and_perimeter().1, 16);
     }
 
     #[test]
@@ -414,6 +413,6 @@ mod tests {
             Rect::new(6, 4, 10, 6),
         ]);
         assert_eq!(reg.area(), 100 - 4);
-        assert_eq!(reg.perimeter(), 40 + 8);
+        assert_eq!(reg.area_and_perimeter().1, 40 + 8);
     }
 }

@@ -1,13 +1,23 @@
-//! A packed R-tree over payload-carrying rectangles.
+//! A packed R-tree over payload-carrying rectangles, in y-bands.
 //!
 //! [`RectTree`] is the window-query engine behind the layout database's
 //! spatial index: it answers *"which rectangles come near this window?"*
 //! in logarithmic time instead of a linear scan. The tree is bulk-loaded
-//! once (entries sorted by left edge, leaves and nodes packed in that
-//! order) and immutable afterwards — the database rebuilds it lazily
-//! after mutations, which matches the generator pipeline where bursts of
-//! construction alternate with bursts of read-only analysis (DRC,
-//! extraction, latch-up).
+//! once (entries ordered band by band and by left edge inside a band,
+//! leaves and nodes packed in that order) and immutable afterwards — the
+//! database rebuilds it lazily after mutations, which matches the
+//! generator pipeline where bursts of construction alternate with bursts
+//! of read-only analysis (DRC, extraction, latch-up).
+//!
+//! # Bands
+//!
+//! A tree is built over [`YBands`]: the runs of an object's y-coverage
+//! between empty gaps, ascending. Every tree of one object shares its
+//! bands, and the joins sweep band by band, plus each pair of bands
+//! whose hulls come within the join's distance. An entry's sweep then
+//! stays inside its own band instead of crossing every tile row of a
+//! chip. An object without a y-gap is one band, the general case with
+//! one band.
 //!
 //! # Candidate semantics
 //!
@@ -21,15 +31,16 @@
 //!
 //! # Determinism
 //!
-//! Construction sorts the entries by `(x0, payload)`. With distinct
-//! payloads (shape indices, as every caller passes) the key is total,
-//! so the packing — and therefore every traversal and sweep order — is
-//! a pure function of the input set. [`RectTree::query`] additionally
-//! sorts the surviving payloads ascending, giving consumers the same
-//! iteration order a linear scan over payload-ordered storage would
-//! produce; the latch-up check subtracts its covers in that order.
-//! Consumers whose result does not depend on visit order use the unsorted
-//! visitors: [`for_each_candidate`](RectTree::for_each_candidate) and
+//! Construction orders the entries by `(band, x0, payload)`. With
+//! distinct payloads (shape indices, as every caller passes) the key is
+//! total, so the packing — and therefore every traversal and sweep order
+//! — is a pure function of the input set and its bands.
+//! [`RectTree::query`] additionally sorts the surviving payloads
+//! ascending, giving consumers the same iteration order a linear scan
+//! over payload-ordered storage would produce; the latch-up check
+//! subtracts its covers in that order. Consumers whose result does not
+//! depend on visit order use the unsorted visitors:
+//! [`for_each_candidate`](RectTree::for_each_candidate) and
 //! [`any_candidate`](RectTree::any_candidate) for one window (DRC's
 //! width, gap-fill and enclosure cover tests, whose answer is a bool),
 //! which visit in tree order, and the sweep joins
@@ -70,6 +81,175 @@ fn hull(a: &Rect, b: &Rect) -> Rect {
     }
 }
 
+/// The y-bands of a set of rectangles: the maximal runs of their
+/// y-coverage between empty gaps, ascending.
+///
+/// A rectangle covers `[y0, max(y0, y1)]` of its raw corners, so inverted
+/// and degenerate rectangles keep a position. The coverage is counted on
+/// buckets of one power-of-two height, about one bucket per rectangle
+/// (the height is the least power of two above the span over the
+/// rectangle count, so there is nothing to tune), and a band is a
+/// maximal run of covered buckets. Two rectangles that share a bucket
+/// share a band: bands may merge across a gap narrower than a bucket,
+/// but never split a touching pair. Each band keeps its exact hull, the
+/// least `y0` and the greatest `max(y0, y1)` of its rectangles.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct YBands {
+    /// The bottom of bucket 0: the least `y0`.
+    lo: Coord,
+    /// Bucket `b` holds the `y0`s in `lo + [b << shift, (b + 1) << shift)`.
+    shift: u32,
+    /// Per bucket, the band of a rectangle whose `y0` lies in it. Empty
+    /// for one band, which every rectangle is in.
+    band: Vec<u32>,
+    /// Per gap between bands `k` and `k + 1`: the top of band `k`'s hull
+    /// and the bottom of band `k + 1`'s.
+    gaps: Vec<(Coord, Coord)>,
+}
+
+impl YBands {
+    /// Every rectangle in one band.
+    pub const ONE: YBands = YBands {
+        lo: 0,
+        shift: 0,
+        band: Vec::new(),
+        gaps: Vec::new(),
+    };
+
+    /// The y-extent a rectangle covers: `[y0, max(y0, y1)]`.
+    #[inline]
+    pub fn extent(r: &Rect) -> (Coord, Coord) {
+        (r.y0, r.y0.max(r.y1))
+    }
+
+    /// The bands of the `count` rectangles of `rects`, whose
+    /// [extents](YBands::extent) span `(lo, hi)`, the least `y0` and the
+    /// greatest top, exactly: the caller's own pass over the rectangles
+    /// counts them and finds their span. A pass over the rectangles counts
+    /// their coverage per bucket, one pass over the buckets numbers the
+    /// runs, and, when there is more than one, a second pass over the
+    /// rectangles finds the runs' exact hulls. One band allocates nothing
+    /// that outlives the call.
+    pub fn over<'r, I>(rects: I, count: usize, (lo, hi): (Coord, Coord)) -> YBands
+    where
+        I: IntoIterator<Item = &'r Rect>,
+        I::IntoIter: Clone,
+    {
+        let rects = rects.into_iter();
+        let n = count as u64;
+        if n == 0 {
+            return YBands::ONE;
+        }
+        // Offsets from `lo` fit a u64 even when the span is the whole
+        // i64 range, and the shift stays below 64.
+        let span = hi.wrapping_sub(lo) as u64;
+        let shift = (u64::BITS - (span / n).leading_zeros()).min(u64::BITS - 1);
+        let bucket = |y: Coord| (y.wrapping_sub(lo) as u64 >> shift) as usize;
+        // Per bucket, the rects starting there less those that ended in
+        // the bucket below (wrapping); then, in the same slots, the band.
+        let mut band = vec![0u32; bucket(hi) + 2];
+        for r in rects.clone() {
+            let (y0, top) = YBands::extent(r);
+            band[bucket(y0)] = band[bucket(y0)].wrapping_add(1);
+            band[bucket(top) + 1] = band[bucket(top) + 1].wrapping_sub(1);
+        }
+        band.pop();
+        let (mut depth, mut runs) = (0u32, 0u32);
+        for slot in &mut band {
+            let next = depth.wrapping_add(*slot);
+            runs += u32::from(depth == 0 && next != 0);
+            depth = next;
+            // Bucket 0 holds the least `y0`, so the first run starts there.
+            *slot = runs - 1;
+        }
+        if runs == 1 {
+            return YBands::ONE;
+        }
+        let mut gaps = vec![(Coord::MIN, Coord::MAX); runs as usize - 1];
+        for r in rects {
+            let (y0, top) = YBands::extent(r);
+            let k = band[bucket(y0)] as usize;
+            if let Some(below) = k.checked_sub(1) {
+                gaps[below].1 = gaps[below].1.min(y0);
+            }
+            if let Some(above) = gaps.get_mut(k) {
+                above.0 = above.0.max(top);
+            }
+        }
+        YBands {
+            lo,
+            shift,
+            band,
+            gaps,
+        }
+    }
+
+    /// Number of bands, at least 1.
+    pub fn count(&self) -> usize {
+        self.gaps.len() + 1
+    }
+
+    /// The gaps between consecutive bands, ascending: per gap the top of
+    /// the hull below it and the bottom of the hull above it.
+    pub fn gaps(&self) -> &[(Coord, Coord)] {
+        &self.gaps
+    }
+
+    /// The band of a rectangle of the set the bands were built over.
+    #[inline]
+    fn band_of(&self, r: &Rect) -> usize {
+        if self.band.is_empty() {
+            return 0;
+        }
+        self.band[(r.y0.wrapping_sub(self.lo) as u64 >> self.shift) as usize] as usize
+    }
+
+    /// The bands after band `k` whose hulls come within `dist` of its
+    /// hull in y: those whose bottom is within `dist` of band `k`'s top.
+    #[inline]
+    fn neighbours(&self, k: usize, dist: Coord) -> std::ops::Range<usize> {
+        let far = self.gaps.get(k).map_or(0, |&(top, _)| {
+            let top = top.saturating_add(dist);
+            self.gaps[k..].iter().take_while(|g| g.1 <= top).count()
+        });
+        k + 1..k + 1 + far
+    }
+}
+
+/// A sort key of [`RectTree::build`]: an entry's left edge, less the
+/// least left edge, above its position. Two widths, one sort.
+trait OrderKey: Copy + Ord {
+    const ZERO: Self;
+    fn new(dx: u64, position: u32) -> Self;
+    fn position(self) -> usize;
+}
+
+/// The key when every left edge lies within 2³² of the least.
+impl OrderKey for u64 {
+    const ZERO: u64 = 0;
+    #[inline]
+    fn new(dx: u64, position: u32) -> u64 {
+        (dx << 32) | position as u64
+    }
+    #[inline]
+    fn position(self) -> usize {
+        self as u32 as usize
+    }
+}
+
+/// The key for wider spans.
+impl OrderKey for u128 {
+    const ZERO: u128 = 0;
+    #[inline]
+    fn new(dx: u64, position: u32) -> u128 {
+        ((dx as u128) << 32) | position as u128
+    }
+    #[inline]
+    fn position(self) -> usize {
+        self as u32 as usize
+    }
+}
+
 #[derive(Debug, Clone, PartialEq)]
 struct Node {
     /// Coordinate hull of everything below this node.
@@ -90,33 +270,106 @@ impl Node {
 
 /// An immutable, bulk-loaded R-tree over `(Rect, payload)` entries.
 ///
-/// Payloads are opaque `u32`s — shape indices in the layout database,
-/// fragment indices in the extractor. See the module docs for candidate
-/// semantics and the determinism contract.
+/// Payloads are opaque `u32`s — shape indices in the layout database's
+/// spatial index, its only user. See the module docs for bands,
+/// candidate semantics and the determinism contract.
 #[derive(Debug, Clone, Default)]
 pub struct RectTree {
+    /// Band by band, by `(x0, payload)` inside a band.
     entries: Vec<(Rect, u32)>,
+    /// `cuts[k]`: the end of band `k`'s entries, for every band but the
+    /// last, which ends at `entries.len()`.
+    cuts: Vec<u32>,
     /// Level by level, leaves first; the root is the last node.
     nodes: Vec<Node>,
 }
 
 impl RectTree {
-    /// Bulk-loads a tree: the entries are sorted once by `(x0, payload)`,
-    /// cut into leaves in that order, and each level above packs
-    /// consecutive nodes. The sorted entry array is also what the joins
-    /// sweep.
+    /// Bulk-loads a tree over `bands`, which must be the bands of a set
+    /// that holds every entry's rect: the entries are ordered by `(band,
+    /// x0, payload)`, cut into leaves in that order, and each level above
+    /// packs consecutive nodes. Each band's run of the ordered entries is
+    /// what the joins sweep.
     ///
+    /// The order takes a counting pass by band, one integer key per entry
+    /// (its left edge above its position in payload order) sorted inside
+    /// each band, and one pass that moves the entries after their keys.
     /// Deterministic: with distinct payloads the key is total, so the
-    /// packing depends only on the set of entries.
-    pub fn build<I: IntoIterator<Item = (Rect, u32)>>(items: I) -> RectTree {
-        let mut entries: Vec<(Rect, u32)> = items.into_iter().collect();
-        entries.sort_unstable_by_key(|&(r, p)| (r.x0, p));
-        RectTree::pack(entries)
+    /// packing depends only on the set of entries and the bands.
+    pub fn build<I: IntoIterator<Item = (Rect, u32)>>(items: I, bands: &YBands) -> RectTree {
+        let mut items: Vec<(Rect, u32)> = items.into_iter().collect();
+        if !items.is_sorted_by_key(|&(_, p)| p) {
+            items.sort_unstable_by_key(|&(_, p)| p);
+        }
+        // Counting pass: each band's size, then its end; the x range.
+        let mut cuts = vec![0u32; bands.count() - 1];
+        let (mut x_lo, mut x_hi) = (Coord::MAX, Coord::MIN);
+        for (r, _) in &items {
+            if let Some(c) = cuts.get_mut(bands.band_of(r)) {
+                *c += 1;
+            }
+            (x_lo, x_hi) = (x_lo.min(r.x0), x_hi.max(r.x0));
+        }
+        let mut end = 0;
+        for c in &mut cuts {
+            end += *c;
+            *c = end;
+        }
+        if (x_hi.wrapping_sub(x_lo) as u64) >> 32 == 0 {
+            RectTree::order::<u64>(&mut items, bands, &cuts, x_lo);
+        } else {
+            RectTree::order::<u128>(&mut items, bands, &cuts, x_lo);
+        }
+        RectTree::pack(items, cuts)
     }
 
-    /// Cuts x-ordered entries into leaves of `FANOUT` and packs each
+    /// Orders payload-sorted `items` by `(band, x0, payload)`, in place:
+    /// each key goes to its band's run, filled from the back so that a
+    /// run keeps payload order, each run is sorted, and the entries follow
+    /// their keys cycle by cycle.
+    fn order<K: OrderKey>(items: &mut [(Rect, u32)], bands: &YBands, cuts: &[u32], x_lo: Coord) {
+        // A module's trees hold a few entries each: their keys stay on
+        // the stack.
+        let (mut stack, mut heap) = ([K::ZERO; 32], Vec::new());
+        let keys = match stack.get_mut(..items.len()) {
+            Some(keys) => keys,
+            None => {
+                heap.resize(items.len(), K::ZERO);
+                &mut heap[..]
+            }
+        };
+        let mut ends = cuts.to_vec();
+        let mut last = items.len() as u32;
+        for (i, (r, _)) in items.iter().enumerate().rev() {
+            let end = ends.get_mut(bands.band_of(r)).unwrap_or(&mut last);
+            *end -= 1;
+            keys[*end as usize] = K::new(r.x0.wrapping_sub(x_lo) as u64, i as u32);
+        }
+        let mut start = 0;
+        for end in cuts.iter().map(|&c| c as usize).chain([items.len()]) {
+            keys[start..end].sort_unstable();
+            start = end;
+        }
+        // Slot `j` takes the entry at `keys[j]`'s position; a filled slot's
+        // key is pointed at the slot itself.
+        for start in 0..items.len() {
+            let (first, mut j) = (items[start], start);
+            loop {
+                let k = keys[j].position();
+                keys[j] = K::new(0, j as u32);
+                if k == start {
+                    items[j] = first;
+                    break;
+                }
+                items[j] = items[k];
+                j = k;
+            }
+        }
+    }
+
+    /// Cuts ordered entries into leaves of `FANOUT` and packs each
     /// level's consecutive nodes under parents until one root remains.
-    fn pack(entries: Vec<(Rect, u32)>) -> RectTree {
+    fn pack(entries: Vec<(Rect, u32)>, cuts: Vec<u32>) -> RectTree {
         let leaves = entries.len().div_ceil(FANOUT);
         let mut nodes: Vec<Node> = Vec::with_capacity(2 * leaves);
         let mut first = 0u32;
@@ -133,7 +386,7 @@ impl RectTree {
             });
             first += chunk.len() as u32;
         }
-        // Consecutive grouping keeps the x locality.
+        // Consecutive grouping keeps the band and x locality.
         let (mut lo, mut hi) = (0usize, nodes.len());
         while hi - lo > 1 {
             for start in (lo..hi).step_by(FANOUT) {
@@ -151,7 +404,11 @@ impl RectTree {
             lo = hi;
             hi = nodes.len();
         }
-        RectTree { entries, nodes }
+        RectTree {
+            entries,
+            cuts,
+            nodes,
+        }
     }
 
     /// Number of indexed entries.
@@ -246,60 +503,78 @@ impl RectTree {
     /// `self` and an entry `(b, q)` of `other` whose rectangles come
     /// within `dist` of each other: the closed-interval test on `a`
     /// inflated by `dist` (`dist >= 0`), so `dist = 0` yields exactly the
-    /// touching-or-overlapping candidate pairs.
+    /// touching-or-overlapping candidate pairs. Both trees must be built
+    /// over `bands`.
     ///
-    /// A forward-scan sweep that merges the two x-sorted entry arrays.
-    /// Each step takes the next entry of `self` when its left edge, less
-    /// `dist`, is not right of the next entry of `other`'s, and the next
-    /// entry of `other` otherwise. The taken entry scans the other
-    /// side's entries not yet taken, forward while their left edge lies
-    /// within `dist` of its right edge, and tests each against the full
-    /// predicate on both axes. So a pair is reported once, by whichever
-    /// of its two entries the merge takes first. Pairs arrive in **sweep
-    /// order** (deterministic for the two entry sets, but unordered by
-    /// payload), so callers sort or fold order-free.
+    /// Each band of `self` is swept against the same band of `other`,
+    /// and each pair of bands `k < m` whose hulls come within `dist`
+    /// twice: band `k` of `self` against band `m` of `other`, and band
+    /// `m` of `self` against band `k` of `other`. No other pair of bands
+    /// can hold a pair, since every rect lies inside its band's hull.
+    ///
+    /// One sweep merges two x-sorted runs. Each step takes the next
+    /// entry of `self` when its left edge, less `dist`, is not right of
+    /// the next entry of `other`'s, and the next entry of `other`
+    /// otherwise. The taken entry scans the other side's entries not yet
+    /// taken, forward while their left edge lies within `dist` of its
+    /// right edge, and tests each against the full predicate on both
+    /// axes. So a pair is reported once, by whichever of its two entries
+    /// the merge takes first. Pairs arrive in **sweep order**
+    /// (deterministic for the two entry sets, but unordered by payload),
+    /// so callers sort or fold order-free.
     pub fn join_within<F: FnMut(u32, &Rect, u32, &Rect)>(
         &self,
         other: &RectTree,
+        bands: &YBands,
         dist: Coord,
         mut f: F,
     ) {
         debug_assert!(dist >= 0, "join distance must be non-negative");
-        let (ea, eb) = (&self.entries[..], &other.entries[..]);
-        let (mut i, mut j) = (0, 0);
-        while let (Some((ra, p)), Some((rb, q))) = (ea.get(i), eb.get(j)) {
-            if ra.x0 - dist <= rb.x0 {
-                for (rb, q) in reach(&eb[j..], ra, dist) {
-                    if within(ra, rb, dist) {
-                        f(*p, ra, *q, rb);
-                    }
-                }
-                i += 1;
-            } else {
-                for (ra, p) in reach(&ea[i..], rb, dist) {
-                    if within(ra, rb, dist) {
-                        f(*p, ra, *q, rb);
-                    }
-                }
-                j += 1;
+        debug_assert!(self.cuts.len() == bands.gaps.len() && other.cuts.len() == bands.gaps.len());
+        for k in 0..bands.count() {
+            sweep(self.band(k), other.band(k), dist, &mut f);
+            for m in bands.neighbours(k, dist) {
+                sweep(self.band(k), other.band(m), dist, &mut f);
+                sweep(self.band(m), other.band(k), dist, &mut f);
             }
         }
     }
 
     /// [`join_within`](Self::join_within) of the tree with itself: every
     /// unordered pair of distinct entries within `dist`, once, in sweep
-    /// order. Each entry scans the entries after it, forward while their
-    /// left edge lies within `dist` of its right edge. An entry is never
-    /// paired with itself.
-    pub fn self_join_within<F: FnMut(u32, &Rect, u32, &Rect)>(&self, dist: Coord, mut f: F) {
+    /// order. Inside a band, each entry scans the entries after it,
+    /// forward while their left edge lies within `dist` of its right
+    /// edge; a pair of bands `k < m` whose hulls come within `dist` is
+    /// swept once, band `k` against band `m`. An entry is never paired
+    /// with itself.
+    pub fn self_join_within<F: FnMut(u32, &Rect, u32, &Rect)>(
+        &self,
+        bands: &YBands,
+        dist: Coord,
+        mut f: F,
+    ) {
         debug_assert!(dist >= 0, "join distance must be non-negative");
-        for (k, (ra, p)) in self.entries.iter().enumerate() {
-            for (rb, q) in reach(&self.entries[k + 1..], ra, dist) {
-                if within(ra, rb, dist) {
-                    f(*p, ra, *q, rb);
+        debug_assert_eq!(self.cuts.len(), bands.gaps.len());
+        for k in 0..bands.count() {
+            let run = self.band(k);
+            for (i, (ra, p)) in run.iter().enumerate() {
+                for (rb, q) in reach(&run[i + 1..], ra, dist) {
+                    if within(ra, rb, dist) {
+                        f(*p, ra, *q, rb);
+                    }
                 }
             }
+            for m in bands.neighbours(k, dist) {
+                sweep(run, self.band(m), dist, &mut f);
+            }
         }
+    }
+
+    /// Band `k`'s run of the entries.
+    fn band(&self, k: usize) -> &[(Rect, u32)] {
+        let start = k.checked_sub(1).map_or(0, |j| self.cuts[j] as usize);
+        let end = self.cuts.get(k).map_or(self.entries.len(), |&c| c as usize);
+        &self.entries[start..end]
     }
 
     fn root(&self) -> Option<usize> {
@@ -308,6 +583,35 @@ impl RectTree {
 
     fn leaf_entries(&self, n: &Node) -> &[(Rect, u32)] {
         &self.entries[n.range()]
+    }
+}
+
+/// The merge sweep of [`RectTree::join_within`] over two x-sorted runs,
+/// reporting `(entry of ea, entry of eb)`.
+#[inline]
+fn sweep<F: FnMut(u32, &Rect, u32, &Rect)>(
+    ea: &[(Rect, u32)],
+    eb: &[(Rect, u32)],
+    dist: Coord,
+    f: &mut F,
+) {
+    let (mut i, mut j) = (0, 0);
+    while let (Some((ra, p)), Some((rb, q))) = (ea.get(i), eb.get(j)) {
+        if ra.x0 - dist <= rb.x0 {
+            for (rb, q) in reach(&eb[j..], ra, dist) {
+                if within(ra, rb, dist) {
+                    f(*p, ra, *q, rb);
+                }
+            }
+            i += 1;
+        } else {
+            for (ra, p) in reach(&ea[i..], rb, dist) {
+                if within(ra, rb, dist) {
+                    f(*p, ra, *q, rb);
+                }
+            }
+            j += 1;
+        }
     }
 }
 
@@ -367,7 +671,7 @@ mod tests {
     fn query_matches_linear_scan() {
         for n in [0usize, 1, 5, 8, 9, 64, 65, 300] {
             let items = random_rects(n, 0x5eed + n as u64);
-            let tree = RectTree::build(items.clone());
+            let tree = RectTree::build(items.clone(), &bands_of(&items));
             assert_eq!(tree.len(), n);
             for seed in 0..40u64 {
                 let w = random_rects(1, 1000 + seed)[0].0;
@@ -384,7 +688,7 @@ mod tests {
         // A zero-width rectangle still occupies a position; the index
         // must surface it so callers can apply their own emptiness rule.
         let items = vec![(Rect::new(5, 0, 5, 10), 0), (Rect::new(20, 0, 30, 10), 1)];
-        let tree = RectTree::build(items);
+        let tree = RectTree::build(items, &YBands::ONE);
         assert_eq!(tree.query(&Rect::new(0, 0, 6, 6)), vec![0]);
         assert_eq!(
             tree.query(&Rect::new(5, 10, 25, 20)),
@@ -399,7 +703,8 @@ mod tests {
         assert!(tree.is_empty());
         assert_eq!(tree.bounds(), Rect::EMPTY);
         assert!(tree.query(&Rect::new(-100, -100, 100, 100)).is_empty());
-        let tree = RectTree::build([(Rect::new(2, 3, 10, 7), 7), (Rect::new(-4, 5, 1, 20), 9)]);
+        let items = [(Rect::new(2, 3, 10, 7), 7), (Rect::new(-4, 5, 1, 20), 9)];
+        let tree = RectTree::build(items, &YBands::ONE);
         assert_eq!(tree.bounds(), Rect::new(-4, 3, 10, 20));
     }
 
@@ -418,23 +723,117 @@ mod tests {
         items
     }
 
-    /// The packing: entries ascend by `(x0, payload)`, the leaves cut
-    /// them in order, every node's hull is the hull of its range (a
-    /// leaf's entries, an internal node's children), and the root's hull
-    /// is [`RectTree::bounds`], the hull of every entry. Sizes around the
+    /// The bands of every rect of `items`.
+    fn bands_of(items: &[(Rect, u32)]) -> YBands {
+        bands_over(items.iter().map(|(r, _)| r))
+    }
+
+    /// The bands of `rects`, [`over`](YBands::over) their span.
+    fn bands_over<'r>(rects: impl Iterator<Item = &'r Rect> + Clone) -> YBands {
+        let (lo, hi, count) = rects
+            .clone()
+            .fold((Coord::MAX, Coord::MIN, 0), |(lo, hi, n), r| {
+                let (y0, top) = YBands::extent(r);
+                (lo.min(y0), hi.max(top), n + 1)
+            });
+        YBands::over(rects, count, (lo, hi))
+    }
+
+    /// [`with_degenerates`] in y-strips 40 units high, separated by
+    /// `gaps`. A strip holds a full-width rail along its bottom and top
+    /// edges and a post of its full height, so it is one band and its
+    /// hull is exact. Every third entry is inverted in y by struct
+    /// literal.
+    fn in_strips(n: usize, seed: u64, gaps: &[Coord]) -> Vec<(Rect, u32)> {
+        let mut base = vec![0];
+        for g in gaps {
+            base.push(base.last().unwrap() + 40 + g);
+        }
+        let mut items = with_degenerates(n, seed);
+        for (k, (r, _)) in items.iter_mut().enumerate() {
+            // A strip's rails and post share `k / 9`; the rest spread.
+            let strip = if k % 9 < 3 {
+                k / 9
+            } else {
+                k * 7 + seed as usize
+            };
+            let y = base[strip % base.len()];
+            *r = match k % 9 {
+                0 => Rect::new(-5, y, 110, y + 1),
+                1 => Rect::new(-5, y + 39, 110, y + 40),
+                2 => Rect::new(r.x0, y, r.x0 + 1, y + 40),
+                _ => {
+                    let (y0, y1) = (y + r.y0 % 28, y + r.y0 % 28 + (r.y1 - r.y0));
+                    if k % 3 == 2 {
+                        Rect {
+                            y0: y1,
+                            y1: y0,
+                            ..*r
+                        }
+                    } else {
+                        Rect { y0, y1, ..*r }
+                    }
+                }
+            };
+        }
+        items
+    }
+
+    /// [`in_strips`] with gaps of 2, 10 and 25 units.
+    fn with_strips(n: usize, seed: u64) -> Vec<(Rect, u32)> {
+        in_strips(n, seed, &[2, 10, 25])
+    }
+
+    /// `items` spread in x past what a 32-bit key holds: every left edge
+    /// scaled by 2²⁸, widths kept.
+    fn widened(items: Vec<(Rect, u32)>) -> Vec<(Rect, u32)> {
+        items
+            .into_iter()
+            .map(|(r, p)| {
+                let x0 = r.x0 << 28;
+                (
+                    Rect {
+                        x0,
+                        x1: x0 + (r.x1 - r.x0),
+                        ..r
+                    },
+                    p,
+                )
+            })
+            .collect()
+    }
+
+    /// The packing: entries ascend by `(band, x0, payload)`, each band's
+    /// run holds exactly the entries of its band, the leaves cut them in
+    /// order, every node's hull is the hull of its range (a leaf's
+    /// entries, an internal node's children), and the root's hull is
+    /// [`RectTree::bounds`], the hull of every entry. Sizes around the
     /// fan-out's powers (8, 64, 512) and up to 5,000 entries, in 97-unit
     /// squares whose coordinates tie often, with and without columns of
-    /// tied `x0` and duplicated rects.
+    /// tied `x0` and duplicated rects, in y-strips of several bands, and
+    /// in strips spread wider in x than the 32-bit key holds.
     #[test]
     fn packing_is_x_sorted_with_exact_hulls() {
         let hull_of = |rects: &mut dyn Iterator<Item = Rect>| rects.reduce(|a, b| hull(&a, &b));
         for n in [0usize, 1, 8, 9, 63, 64, 65, 512, 513, 1_500, 5_000] {
-            for items in [random_rects(n, 11 + n as u64), with_ties(n, 23 + n as u64)] {
-                let tree = RectTree::build(items);
+            for items in [
+                random_rects(n, 11 + n as u64),
+                with_ties(n, 23 + n as u64),
+                with_strips(n, 31 + n as u64),
+                widened(with_strips(n, 37 + n as u64)),
+            ] {
+                let bands = bands_of(&items);
+                let tree = RectTree::build(items, &bands);
                 assert_eq!(tree.len(), n);
-                let keys: Vec<(Coord, u32)> =
-                    tree.entries.iter().map(|&(r, p)| (r.x0, p)).collect();
+                let keys: Vec<(usize, Coord, u32)> = tree
+                    .entries
+                    .iter()
+                    .map(|&(r, p)| (bands.band_of(&r), r.x0, p))
+                    .collect();
                 assert!(keys.windows(2).all(|w| w[0] < w[1]), "order, n={n}");
+                for k in 0..bands.count() {
+                    assert!(tree.band(k).iter().all(|(r, _)| bands.band_of(r) == k));
+                }
                 let mut next = 0;
                 for node in &tree.nodes {
                     let want = if node.leaf {
@@ -452,15 +851,91 @@ mod tests {
                 assert_eq!(tree.bounds(), all.unwrap_or(Rect::EMPTY), "n={n}");
             }
         }
+        let wide = widened(with_strips(100, 5));
+        let (lo, hi) = wide
+            .iter()
+            .fold((Coord::MAX, Coord::MIN), |(lo, hi), (r, _)| {
+                (lo.min(r.x0), hi.max(r.x0))
+            });
+        assert!(hi - lo >= 1 << 32, "the wide key is exercised");
+    }
+
+    /// Every rect lies inside its band's hull, the gaps ascend and are
+    /// empty, and each hull edge is some rect's own edge.
+    fn assert_banded(bands: &YBands, rects: &[Rect]) {
+        let gaps = bands.gaps();
+        assert!(gaps.iter().all(|&(top, bottom)| top < bottom));
+        assert!(gaps.windows(2).all(|w| w[0].1 <= w[1].0));
+        let (mut tops, mut bottoms) = (vec![false; gaps.len()], vec![false; gaps.len()]);
+        for r in rects {
+            let (y0, top) = YBands::extent(r);
+            let k = bands.band_of(r);
+            if let Some(j) = k.checked_sub(1) {
+                assert!(y0 >= gaps[j].1, "{r:?} below band {k}");
+                bottoms[j] |= y0 == gaps[j].1;
+            }
+            if let Some(&(hull_top, _)) = gaps.get(k) {
+                assert!(top <= hull_top, "{r:?} above band {k}");
+                tops[k] |= top == hull_top;
+            }
+        }
+        assert!(tops.iter().chain(&bottoms).all(|&b| b), "exact hulls");
+    }
+
+    /// Bands split at empty y-gaps and nowhere else: strips with gaps
+    /// of 2 to 25 units are one band each, with their exact hulls; a
+    /// gap of 0 (a shared edge) joins two strips; a degenerate rect and
+    /// an inverted one keep a position of their own; no rects make one
+    /// band; and coordinates spanning almost the whole `i64` range do
+    /// not overflow the bucket arithmetic.
+    #[test]
+    fn bands_split_at_empty_gaps() {
+        let items = in_strips(300, 3, &[2, 10, 25]);
+        let rects: Vec<Rect> = items.iter().map(|&(r, _)| r).collect();
+        let bands = bands_over(rects.iter());
+        assert_eq!(bands.gaps(), [(40, 42), (82, 92), (132, 157)]);
+        assert_banded(&bands, &rects);
+
+        let touching = in_strips(300, 3, &[0, 10]);
+        let bands = bands_of(&touching);
+        assert_eq!(bands.gaps(), [(80, 90)]);
+
+        let mut lone: Vec<Rect> = (0..20).map(|x| Rect::new(x, 0, x + 3, 10)).collect();
+        lone.push(Rect::new(4, 1_000, 4, 1_000));
+        lone.push(Rect {
+            y0: 2_000,
+            y1: 1_990,
+            ..Rect::new(0, 0, 10, 0)
+        });
+        let bands = bands_over(lone.iter());
+        assert_eq!(bands.gaps(), [(10, 1_000), (1_000, 2_000)]);
+        assert_banded(&bands, &lone);
+
+        assert_eq!(bands_over([].iter()), YBands::ONE);
+        assert_eq!(YBands::ONE.count(), 1);
+
+        let far = [
+            Rect::new(0, Coord::MIN, 5, Coord::MIN + 10),
+            Rect::new(0, -3, 5, 3),
+            Rect::new(0, Coord::MAX - 10, 5, Coord::MAX),
+        ];
+        for k in 1..=far.len() {
+            let bands = bands_over(far[..k].iter());
+            assert!(bands.count() <= k);
+            assert_banded(&bands, &far[..k]);
+        }
     }
 
     #[test]
     fn build_is_deterministic_under_input_order() {
-        let mut items = random_rects(100, 42);
-        let a = RectTree::build(items.clone());
+        let mut items = with_strips(100, 42);
+        let bands = bands_of(&items);
+        assert!(bands.count() > 1);
+        let a = RectTree::build(items.clone(), &bands);
         items.reverse();
-        let b = RectTree::build(items);
+        let b = RectTree::build(items, &bands);
         assert_eq!(a.entries, b.entries, "packing is input-order independent");
+        assert_eq!(a.cuts, b.cuts);
     }
 
     /// Brute-force pairs within `dist`, `(i, j)` with `i < j`, sorted:
@@ -552,14 +1027,55 @@ mod tests {
         items
     }
 
+    /// Both joins of trees over `a` and `b`, built over `bands`, equal
+    /// brute force at `dist`: the self-join of `a` and the join of `a`
+    /// with `b`, whose payloads start at 10,000. Each pair comes with
+    /// its own rects and exactly once, so the sorted output equals the
+    /// sorted brute-force list without deduplication. Returns the
+    /// pairs of the join of `a` with `b`.
+    fn assert_joins(
+        a: &[(Rect, u32)],
+        b: &[(Rect, u32)],
+        bands: &YBands,
+        dist: Coord,
+        case: &str,
+    ) -> Vec<(u32, u32)> {
+        let (ta, tb) = (
+            RectTree::build(a.to_vec(), bands),
+            RectTree::build(b.to_vec(), bands),
+        );
+        let mut got = Vec::new();
+        ta.self_join_within(bands, dist, |p, ra, q, rb| {
+            assert_eq!((ra, rb), (&a[p as usize].0, &a[q as usize].0));
+            got.push((p.min(q), p.max(q)));
+        });
+        got.sort_unstable();
+        assert_eq!(got, all_pairs(a, a, dist, true), "{case}: self dist={dist}");
+
+        let mut got = Vec::new();
+        ta.join_within(&tb, bands, dist, |p, ra, q, rb| {
+            assert_eq!((ra, rb), (&a[p as usize].0, &b[(q - 10_000) as usize].0));
+            got.push((p, q));
+        });
+        got.sort_unstable();
+        let want = all_pairs(a, b, dist, false);
+        assert_eq!(got, want, "{case}: join dist={dist}");
+        want
+    }
+
+    /// `items` with payloads from 10,000, so the two sides of a join
+    /// never collide.
+    fn other_side(items: Vec<(Rect, u32)>) -> Vec<(Rect, u32)> {
+        items.into_iter().map(|(r, q)| (r, q + 10_000)).collect()
+    }
+
     /// The joins against brute force: empty and one-entry trees, sizes
     /// around the fan-out, 600 and 1,500 entries, `dist` 0, 3 and 10, in
     /// four entry sets, each with degenerate rectangles: rails across the
     /// square; columns of entries that share one `x0`; tall stacks, where
     /// one x-range repeats in many y-bands; and rects inverted in x or
-    /// y, on both sides of the join. Every pair comes exactly once, so
-    /// the sorted output equals the sorted brute-force list without
-    /// deduplication.
+    /// y, on both sides of the join. The trees are built over the bands
+    /// of both sides.
     #[test]
     fn joins_match_brute_force() {
         type Entries = fn(usize, u64) -> Vec<(Rect, u32)>;
@@ -583,30 +1099,61 @@ mod tests {
                 (1500, 600),
             ] {
                 let a = make(n, 7 + n as u64);
-                // Payloads of `b` start past `a`'s so the two sides never collide.
-                let b: Vec<(Rect, u32)> = make(m, 99 + m as u64)
-                    .into_iter()
-                    .map(|(r, q)| (r, q + 10_000))
-                    .collect();
-                let (ta, tb) = (RectTree::build(a.clone()), RectTree::build(b.clone()));
+                let b = other_side(make(m, 99 + m as u64));
+                let bands = bands_over(a.iter().chain(&b).map(|(r, _)| r));
                 for dist in [0, 3, 10] {
-                    let mut got = Vec::new();
-                    ta.self_join_within(dist, |p, ra, q, rb| {
-                        assert_eq!((ra, rb), (&a[p as usize].0, &a[q as usize].0));
-                        got.push((p.min(q), p.max(q)));
-                    });
-                    got.sort_unstable();
-                    let want = all_pairs(&a, &a, dist, true);
-                    assert_eq!(got, want, "{set}: self n={n} dist={dist}");
+                    assert_joins(&a, &b, &bands, dist, &format!("{set} n={n} m={m}"));
+                }
+            }
+        }
+    }
 
-                    let mut got = Vec::new();
-                    ta.join_within(&tb, dist, |p, ra, q, rb| {
-                        assert_eq!((ra, rb), (&a[p as usize].0, &b[(q - 10_000) as usize].0));
-                        got.push((p, q));
+    /// The banded joins against brute force, inside each band and across
+    /// bands. The entries fill y-strips with exact hulls ([`in_strips`]),
+    /// whose gaps lie below, at and above `dist`, so a pair across a gap
+    /// exists exactly when the gap is at most `dist`, and those pairs are
+    /// checked to occur. `a` fills every strip and `b` only the odd
+    /// ones, so the join of an even band sees an empty side. Every third
+    /// entry is inverted in y and every fourth degenerate. One strip
+    /// makes one band, and trees over [`YBands::ONE`] find the same pairs
+    /// as the banded ones.
+    #[test]
+    fn banded_joins_match_brute_force() {
+        for dist in [0, 3, 10] {
+            let around = [(dist - 1).max(1), dist.max(1), dist + 1, dist + 9];
+            for gaps in [&around[..], &[dist + 1], &[]] {
+                let odd = |(r, _): &(Rect, u32)| {
+                    let (y0, _) = YBands::extent(r);
+                    let mut base = 0;
+                    let mut strip = 0;
+                    for g in gaps {
+                        base += 40 + g;
+                        strip += usize::from(y0 >= base);
+                    }
+                    strip % 2 == 1
+                };
+                for (n, m) in [(0usize, 40usize), (1, 9), (60, 7), (300, 600), (600, 300)] {
+                    let a = in_strips(n, 7 + n as u64, gaps);
+                    let b: Vec<(Rect, u32)> = in_strips(m, 99 + m as u64, gaps)
+                        .into_iter()
+                        .filter(odd)
+                        .enumerate()
+                        .map(|(i, (r, _))| (r, i as u32 + 10_000))
+                        .collect();
+                    let bands = bands_over(a.iter().chain(&b).map(|(r, _)| r));
+                    let case = format!("gaps={gaps:?} n={n} m={m}");
+                    if n >= 300 {
+                        assert_eq!(bands.count(), 1 + gaps.iter().filter(|&&g| g > 1).count());
+                    }
+                    let pairs = assert_joins(&a, &b, &bands, dist, &case);
+                    let across = pairs.iter().any(|&(p, q)| {
+                        bands.band_of(&a[p as usize].0)
+                            != bands.band_of(&b[(q - 10_000) as usize].0)
                     });
-                    got.sort_unstable();
-                    let want = all_pairs(&a, &b, dist, false);
-                    assert_eq!(got, want, "{set}: join n={n} m={m} dist={dist}");
+                    if n >= 300 && gaps.first().is_some_and(|&g| g > 1 && g <= dist) {
+                        assert!(across, "{case}: a pair across a gap at most {dist}");
+                    }
+                    assert_eq!(assert_joins(&a, &b, &YBands::ONE, dist, &case), pairs);
                 }
             }
         }
@@ -614,7 +1161,7 @@ mod tests {
 
     #[test]
     fn any_candidate_early_exit() {
-        let tree = RectTree::build(random_rects(50, 3));
+        let tree = RectTree::build(random_rects(50, 3), &YBands::ONE);
         let w = Rect::new(0, 0, 97, 97);
         assert!(tree.any_candidate(&w, |_, r| !r.is_empty()));
         assert!(!tree.any_candidate(&Rect::new(500, 500, 600, 600), |_, _| true));

@@ -138,7 +138,7 @@ proptest! {
         }
         let reg: Region = all.iter().copied().collect();
         prop_assert_eq!(reg.area(), area);
-        prop_assert_eq!(reg.perimeter(), perimeter);
+        prop_assert_eq!(reg.area_and_perimeter(), (area, perimeter));
     }
 
     /// normalize preserves covered area exactly.
