@@ -48,6 +48,8 @@ cargo run --release -q --bin amgen-lint -- --deny-warnings --time --examples exa
 # fire only if a program provably cannot fit), warnings fatal.
 cargo run --release -q --bin amgen-lint -- --deny-warnings --certify --certify-fuel 100000 --stdlib examples/*.amg > /dev/null
 # Benches: every target runs, so a panic in any figure bench fails CI.
+# `--no-fail-fast` runs the remaining targets after a failing one, and
+# the step still fails if any target did.
 # The gated ones time on amgen_bench::sample and assert (exit nonzero):
 # - trace_overhead: coarse-traced fig06 <= 110% of untraced;
 # - fault_overhead: budget-armed fig06 <= 102% of plain, a never-firing
@@ -71,7 +73,7 @@ cargo run --release -q --bin amgen-lint -- --deny-warnings --certify --certify-f
 #   top-level fuel bounds;
 # - ablation_compactor: fitted growth exponent < 1.5 for interdigitated
 #   builds (4-64 fingers, 78-978 shapes) over their shape count.
-cargo bench -p amgen-bench
+cargo bench -p amgen-bench --no-fail-fast
 # Chaos gate: the seeded fault-injection sweep over the figure workloads
 # (no panic escapes a public API, every failure is typed and staged, the
 # optimizer never wedges) runs in release to also exercise the optimized

